@@ -1,6 +1,5 @@
 """mocapkit: parametric whole-body/hand kinematics, integration, and keypoint fitting."""
 
-from ._kernels import NUMBA_ENABLED
 from .camera import WeakPerspectiveCamera, project
 from .fitting import FitConfig, FitResult, KeypointSet2D, fit, temporal_smooth
 from .integration import (BodyPrediction, HandPrediction, WholeBodyParams,

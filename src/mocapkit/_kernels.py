@@ -1,26 +1,22 @@
 """Hot numeric kernels: batched Rodrigues, forward kinematics, linear blend skinning.
 
-Two interchangeable implementations are provided:
+Every kernel takes optional leading batch axes (written ``...`` below) and
+broadcasts them, so one call can pose many parameter vectors at once; the
+finite-difference Jacobian of a fit poses all of its perturbed columns this
+way.  The kernels are vectorised numpy:
 
-* a pure-numpy path (``*_numpy``), always available, which the acceptance
-  budgets are met on;
-* a numba ``@njit`` path (``*_numba``), compiled lazily with on-disk caching
-  from the plain-loop references ``_*_loops``.
-
-The numpy path is vectorised rather than a transliteration of the loops:
-
-* skinning blends the per-joint transforms first, as one (N, J) @ (J, 9)
-  GEMM for the rotations and one (N, J) @ (J, 3) for the translations, and
-  then applies each vertex's blended 3x3 to it;
+* Rodrigues writes the nine entries of each rotation matrix directly from the
+  unit axis, with no skew-matrix temporaries;
 * forward kinematics walks the tree one depth level at a time (10 levels on
   the 52-joint toy skeleton), with one batched rotation product and one
   translation update per level; the level grouping is computed once per
-  ``parents`` array and cached.
+  ``parents`` array and cached;
+* skinning blends the per-joint transforms with (N, J) @ (..., J, 3) GEMMs,
+  one for the translations and one per rotation column, each column scaled
+  by the matching vertex coordinate.
 
-The exported names ``rodrigues_batch``, ``fk_chain`` and ``lbs`` point at the
-numba path unless numba is unavailable or ``MOCAPKIT_DISABLE_NUMBA`` is set to
-a truthy value, in which case the numpy path is used.  Both paths agree with
-the loop references up to floating-point reassociation (tested to 1e-12).
+The plain-loop references ``_*_loops`` pose one unbatched input; the tests
+check the kernels against them to 1e-12.
 
 Conventions
 -----------
@@ -31,33 +27,39 @@ identity and joint world positions equal rest positions.
 """
 
 import functools
-import os
 
 import numpy as np
 
 
-def rodrigues_batch_numpy(aa):
-    """Convert a batch of axis-angle vectors (J, 3) to rotation matrices (J, 3, 3)."""
+def _apply(rots, points):
+    """Rotate (..., 3) points by (..., 3, 3) matrices, broadcasting."""
+    return (rots @ points[..., None])[..., 0]
+
+
+def rodrigues_batch(aa):
+    """Rotation matrices (..., 3, 3) of axis-angle vectors (..., 3).
+
+    Angles below 1e-12 give the identity exactly.
+    """
     aa = np.asarray(aa, dtype=np.float64)
-    n = aa.shape[0]
-    out = np.empty((n, 3, 3))
-    angle = np.linalg.norm(aa, axis=1)
-    small = angle < 1e-12
-    safe = np.where(small, 1.0, angle)
-    axis = aa / safe[:, None]
+    angle = np.sqrt((aa * aa).sum(axis=-1))
+    inv = np.divide(1.0, angle, out=np.zeros_like(angle), where=angle >= 1e-12)
+    x, y, z = np.moveaxis(aa * inv[..., None], -1, 0)
     c = np.cos(angle)
     s = np.sin(angle)
-    x, y, z = axis[:, 0], axis[:, 1], axis[:, 2]
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1] = -z
-    K[:, 0, 2] = y
-    K[:, 1, 0] = z
-    K[:, 1, 2] = -x
-    K[:, 2, 0] = -y
-    K[:, 2, 1] = x
-    eye = np.eye(3)
-    out[:] = eye + s[:, None, None] * K + (1.0 - c)[:, None, None] * (K @ K)
-    out[small] = eye
+    ic = 1.0 - c
+    xs, ys, zs = x * s, y * s, z * s
+    xy, xz, yz = x * y * ic, x * z * ic, y * z * ic
+    out = np.empty(aa.shape[:-1] + (3, 3))
+    out[..., 0, 0] = c + x * x * ic
+    out[..., 0, 1] = xy - zs
+    out[..., 0, 2] = xz + ys
+    out[..., 1, 0] = xy + zs
+    out[..., 1, 1] = c + y * y * ic
+    out[..., 1, 2] = yz - xs
+    out[..., 2, 0] = xz - ys
+    out[..., 2, 1] = yz + xs
+    out[..., 2, 2] = c + z * z * ic
     return out
 
 
@@ -106,7 +108,7 @@ def _depth_levels(parents_bytes):
     return tuple((idx, parents[idx]) for idx in levels)
 
 
-def fk_chain_numpy(parents, rest, local_rots, root_rot):
+def fk_chain(parents, rest, local_rots, root_rot):
     """Forward kinematics over a topologically ordered tree.
 
     Joints are processed one tree-depth level at a time: every joint of a
@@ -117,25 +119,27 @@ def fk_chain_numpy(parents, rest, local_rots, root_rot):
     Parameters
     ----------
     parents : (J,) int array, parents[0] == -1, parents[j] < j
-    rest : (J, 3) rest-pose joint positions
-    local_rots : (J, 3, 3) per-joint local rotation matrices
-    root_rot : (3, 3) extra global rotation applied at the root
+    rest : (..., J, 3) rest-pose joint positions
+    local_rots : (..., J, 3, 3) per-joint local rotation matrices
+    root_rot : (..., 3, 3) extra global rotation applied at the root
 
     Returns
     -------
-    world_rots : (J, 3, 3), world_trans : (J, 3) with G_j(x) = R_j x + t_j
+    world_rots : (..., J, 3, 3), world_trans : (..., J, 3) with
+    G_j(x) = R_j x + t_j, over the broadcast leading axes of the inputs.
     """
     J = parents.shape[0]
-    world_rots = np.empty((J, 3, 3))
-    world_trans = np.empty((J, 3))
-    R0 = root_rot @ local_rots[0]
-    world_rots[0] = R0
-    world_trans[0] = rest[0] - R0 @ rest[0]
-    offsets = rest - np.einsum("jab,jb->ja", local_rots, rest)
+    lead = np.broadcast_shapes(rest.shape[:-2], local_rots.shape[:-3], root_rot.shape[:-2])
+    world_rots = np.empty(lead + (J, 3, 3))
+    world_trans = np.empty(lead + (J, 3))
+    R0 = root_rot @ local_rots[..., 0, :, :]
+    world_rots[..., 0, :, :] = R0
+    world_trans[..., 0, :] = rest[..., 0, :] - _apply(R0, rest[..., 0, :])
+    offsets = rest - _apply(local_rots, rest)
     for idx, p in _depth_levels(np.ascontiguousarray(parents, dtype=np.int64).tobytes()):
-        Rp = world_rots[p]
-        world_rots[idx] = Rp @ local_rots[idx]
-        world_trans[idx] = world_trans[p] + np.einsum("nab,nb->na", Rp, offsets[idx])
+        Rp = world_rots[..., p, :, :]
+        world_rots[..., idx, :, :] = Rp @ local_rots[..., idx, :, :]
+        world_trans[..., idx, :] = world_trans[..., p, :] + _apply(Rp, offsets[..., idx, :])
     return world_rots, world_trans
 
 
@@ -153,15 +157,20 @@ def _fk_chain_loops(parents, rest, local_rots, root_rot):
     return world_rots, world_trans
 
 
-def lbs_numpy(weights, vertices, world_rots, world_trans):
+def lbs(weights, vertices, world_rots, world_trans):
     """Linear blend skinning: (N, J) weights blend per-joint affine transforms.
 
-    The transforms are blended first, as one (N, J) @ (J, 9) GEMM, and each
-    vertex is then moved by its own blended 3x3 plus its blended translation.
+    ``world_rots`` is (..., J, 3, 3), ``world_trans`` (..., J, 3) and the
+    result (..., N, 3); ``vertices`` is (N, 3) or (..., N, 3) with the same
+    leading axes.  The transforms are blended one rotation column at a time:
+    column c of every vertex's blended 3x3 is one (N, J) @ (..., J, 3) GEMM,
+    which scales that vertex's coordinate c, so no (..., N, 3, 3) blend is
+    ever held in memory.
     """
-    N, J = weights.shape
-    blended_rots = (weights @ world_rots.reshape(J, 9)).reshape(N, 3, 3)
-    return np.einsum("nab,nb->na", blended_rots, vertices) + weights @ world_trans
+    out = weights @ world_trans
+    for c in range(3):
+        out += (weights @ world_rots[..., c]) * vertices[..., c, None]
+    return out
 
 
 def _lbs_loops(weights, vertices, world_rots, world_trans):
@@ -182,33 +191,3 @@ def _lbs_loops(weights, vertices, world_rots, world_trans):
             out[n, 1] += w * (R[1, 0] * vx + R[1, 1] * vy + R[1, 2] * vz + t[1])
             out[n, 2] += w * (R[2, 0] * vx + R[2, 1] * vy + R[2, 2] * vz + t[2])
     return out
-
-
-def _env_disables_numba():
-    return os.environ.get("MOCAPKIT_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-rodrigues_batch_numba = None
-fk_chain_numba = None
-lbs_numba = None
-
-if not _env_disables_numba():
-    try:
-        from numba import njit
-
-        rodrigues_batch_numba = njit(cache=True)(_rodrigues_batch_loops)
-        fk_chain_numba = njit(cache=True)(_fk_chain_loops)
-        lbs_numba = njit(cache=True)(_lbs_loops)
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    rodrigues_batch = rodrigues_batch_numba
-    fk_chain = fk_chain_numba
-    lbs = lbs_numba
-else:
-    rodrigues_batch = rodrigues_batch_numpy
-    fk_chain = fk_chain_numpy
-    lbs = lbs_numpy

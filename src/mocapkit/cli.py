@@ -6,6 +6,7 @@ with a machine-readable JSON object on stderr.
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,7 +42,8 @@ def cmd_pose(args):
         verts = pose_mesh(model, params.pose(), params.beta_w)
         joints_out.append((i, model.joint_regressor[: model.num_joints] @ verts))
         if args.obj:
-            path = args.obj if len(frames) == 1 else args.obj.replace(".obj", f"_{i:06d}.obj")
+            root, ext = os.path.splitext(args.obj)
+            path = args.obj if len(frames) == 1 else f"{root}_{i:06d}{ext}"
             formats.write_obj(path, verts, model.faces)
     formats.write_json(args.joints_out, formats.joints_to_doc(joints_out))
     print(f"posed {len(frames)} frame(s) -> {args.joints_out}")

@@ -1,13 +1,13 @@
 """Optimization-based integration: damped least squares on 2D reprojection + priors."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import WeakPerspectiveCamera, project
 from .errors import DimensionError, FitError
 from .integration import PoseLayout, WholeBodyParams
-from .model import ShapeParams, pose_joints
+from .model import PoseParams, ShapeParams, pose_joints
 from .rotations import canonicalize
 
 
@@ -125,25 +125,38 @@ class _ParamVector:
             parts.append(np.array([cam.scale, cam.translation[0], cam.translation[1]]))
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def unpack(self, x):
+    def decode(self, cols):
+        """Parameter arrays of the packed vectors in the rows of `cols` (B, n).
+
+        Returns (phi (B, 3), theta (B, J-1, 3), beta (B, num_betas),
+        scale (B,), translation (B, 2)); frozen parameters are the initial
+        values, broadcast.
+        """
+        B = cols.shape[0]
         i = 0
-        phi = self.init.phi_w.copy()
+        phi = np.broadcast_to(self.init.phi_w, (B, 3))
         if self.config.free_global_orient:
-            phi = x[i:i + 3].copy()
+            phi = cols[:, 0:3]
             i += 3
-        theta = self.init.theta_w.copy()
+        theta = np.repeat(self.init.theta_w[None], B, axis=0)
         n = self.free_rows.size * 3
-        theta[self.free_rows] = x[i:i + n].reshape(-1, 3)
+        theta[:, self.free_rows] = cols[:, i:i + n].reshape(B, -1, 3)
         i += n
-        beta = self.init.beta_w
+        beta = np.broadcast_to(self.init.beta_w.beta, (B, self.num_betas))
         if self.config.free_shape:
-            beta = ShapeParams(x[i:i + self.num_betas].copy())
+            beta = cols[:, i:i + self.num_betas]
             i += self.num_betas
-        cam = self.cam_init
+        scale = np.full(B, self.cam_init.scale)
+        trans = np.broadcast_to(self.cam_init.translation, (B, 2))
         if self.config.free_camera:
-            cam = WeakPerspectiveCamera(x[i], x[i + 1:i + 3].copy())
-            i += 3
-        return WholeBodyParams(phi, theta, beta, cam), cam
+            scale = cols[:, i]
+            trans = cols[:, i + 1:i + 3]
+        return phi, theta, beta, scale, trans
+
+    def unpack(self, x):
+        phi, theta, beta, scale, trans = self.decode(np.asarray(x, dtype=np.float64)[None])
+        cam = WeakPerspectiveCamera(scale[0], trans[0].copy())
+        return WholeBodyParams(phi[0].copy(), theta[0], ShapeParams(beta[0].copy()), cam), cam
 
     def canonicalized(self, x):
         """Re-canonicalize all axis-angle blocks of a packed vector."""
@@ -157,26 +170,35 @@ class _ParamVector:
 
 
 def _residuals(model, packer, anchor, kp, config, x):
-    params, cam = packer.unpack(x)
-    r2d = np.sqrt(config.weight_2d * kp.confidence)[:, None] * (
-        project(cam, pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]) - kp.points
-    )
-    rp = np.sqrt(config.weight_prior_pose) * (params.theta_w - anchor.theta_w).ravel()
-    rs = np.sqrt(config.weight_prior_shape) * params.beta_w.beta
-    return np.concatenate([r2d.ravel(), rp, rs])
+    """Residuals at a packed vector x (n,), or one column of residuals per
+    column of x (n, B); all columns are posed in one batched call."""
+    x = np.asarray(x, dtype=np.float64)
+    cols = x.reshape(x.shape[0], -1).T
+    B = cols.shape[0]
+    phi, theta, beta, scale, trans = packer.decode(cols)
+    joints = pose_joints(model, PoseParams(phi, theta), beta)[:, : model.num_joints]
+    projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
+    r2d = np.sqrt(config.weight_2d * kp.confidence)[:, None] * (projected - kp.points)
+    rp = np.sqrt(config.weight_prior_pose) * (theta - anchor.theta_w).reshape(B, -1)
+    rs = np.sqrt(config.weight_prior_shape) * beta
+    r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
+    return r[0] if x.ndim == 1 else r.T
 
 
 def fit_jacobian(residual_fn, x, step):
-    """Central finite-difference Jacobian of a residual function at x."""
-    r0 = residual_fn(x)
-    J = np.empty((r0.shape[0], x.shape[0]))
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        J[:, i] = (residual_fn(xp) - residual_fn(xm)) / (2.0 * step)
-    return J
+    """Central finite-difference Jacobian of a residual function at x (n,).
+
+    `residual_fn` is called on column stacks: given an (n, n) array whose
+    column i is ``x + step e_i`` (then ``x - step e_i``), it returns the
+    (m, n) array whose column i is the residual vector of that column.  The
+    Jacobian is ``(f(+) - f(-)) / (2 step)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    h = step * np.eye(x.shape[0])
+    jac = residual_fn(x[:, None] + h)
+    jac -= residual_fn(x[:, None] - h)
+    jac /= 2.0 * step
+    return jac
 
 
 def fit(model, init, cam_init, kp, config=None):

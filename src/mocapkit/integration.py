@@ -1,14 +1,14 @@
 """Copy-and-paste fusion of body and hand predictions, and body-driven hand boxes."""
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import WeakPerspectiveCamera, project
 from .errors import DimensionError, MocapkitError
-from .kinematics import forward_kinematics, gamma_global_to_local
-from .model import PoseParams, ShapeParams, pose_mesh
+from .kinematics import gamma_global_to_local
+from .model import PoseParams, ShapeParams, pose_joints
 from .rotations import rodrigues
 
 log = logging.getLogger(__name__)
@@ -156,8 +156,7 @@ def hand_bbox_from_body(model, params, cam, side, margin_ratio=0.2):
     """
     if side not in model.hand_joint_ids:
         raise DimensionError(f"model has no hand_joint_ids for side {side!r}")
-    verts = pose_mesh(model, params.pose(), params.beta_w)
-    joints = model.joint_regressor[: model.num_joints] @ verts
+    joints = pose_joints(model, params.pose(), params.beta_w)
     pts = project(cam, joints[np.asarray(model.hand_joint_ids[side], dtype=np.int64)])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

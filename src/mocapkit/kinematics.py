@@ -85,18 +85,26 @@ def forward_kinematics(tree, rest_joints, global_orient, local_poses):
     joint's rest position; the root is additionally rotated by
     `global_orient`.  With all rotations zero, joint positions equal
     `rest_joints`.
+
+    Any leading batch axes are posed at once: `global_orient` (..., 3) goes
+    with `local_poses` (..., J, 3), and `rest_joints` (..., J, 3) broadcasts
+    against them.
     """
-    rest = np.ascontiguousarray(rest_joints, dtype=np.float64)
-    poses = np.ascontiguousarray(local_poses, dtype=np.float64)
+    rest = np.asarray(rest_joints, dtype=np.float64)
+    poses = np.asarray(local_poses, dtype=np.float64)
+    orient = np.asarray(global_orient, dtype=np.float64)
     J = tree.num_joints
-    if rest.shape != (J, 3):
+    if rest.shape[-2:] != (J, 3):
         raise DimensionError(f"rest_joints must be ({J}, 3), got {rest.shape}")
-    if poses.shape != (J, 3):
+    if poses.shape[-2:] != (J, 3):
         raise DimensionError(f"local_poses must be ({J}, 3), got {poses.shape}")
-    local_rots = _kernels.rodrigues_batch(poses)
-    root_rot = rotations.rodrigues(np.asarray(global_orient, dtype=np.float64))
-    world_rots, world_trans = _kernels.fk_chain(tree.parents, rest, local_rots, root_rot)
-    positions = np.einsum("jab,jb->ja", world_rots, rest) + world_trans
+    if orient.shape != poses.shape[:-2] + (3,):
+        raise DimensionError(f"global_orient must be {poses.shape[:-2] + (3,)}, got {orient.shape}")
+    # The root's extra rotation is converted in the same call as the local poses.
+    rots = _kernels.rodrigues_batch(np.concatenate([orient[..., None, :], poses], axis=-2))
+    world_rots, world_trans = _kernels.fk_chain(
+        tree.parents, rest, rots[..., 1:, :, :], rots[..., 0, :, :])
+    positions = np.einsum("...jab,...jb->...ja", world_rots, rest) + world_trans
     return FkResult(world_rots, world_trans, positions)
 
 

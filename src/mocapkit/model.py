@@ -1,6 +1,7 @@
 """Parametric mesh model: shape blendshapes, joint regression, skinning, hand cropping."""
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,25 +85,78 @@ class ParametricModel:
         verts = shape_template(self, beta) if beta is not None else self.template_vertices
         return self.joint_regressor[: self.num_joints] @ verts
 
+    @functools.cached_property
+    def joint_fold(self):
+        """The joint regressor folded into skinning; see `JointFold`."""
+        return JointFold.of(self)
+
+
+@dataclass(frozen=True)
+class JointFold:
+    """Posed regressor joints without skinning every vertex.
+
+    With C = joint_regressor @ skin_weights, posed joint k is
+
+        sum_n reg[k, n] sum_j W[n, j] (R_j v_n + t_j) = sum_j (R_j U_kj + C_kj t_j),
+        U_kj = sum_n reg[k, n] W[n, j] v_n,
+
+    so each (joint k, bone j) pair whose regressor and skinning supports
+    overlap acts as one rigid virtual vertex U_kj bound to bone j alone, and
+    the joints are ``pair_rows @ lbs(weights, U, R, t) + trans_rows @ t``
+    with ``trans_rows = C - pair_rows @ weights``.  U_kj and the rest joints
+    are linear in the shape coefficients, so both are kept as a constant plus
+    a basis.  This is exact algebra, not an approximation.
+    """
+
+    weights: np.ndarray         # (P, J) one-hot bone of each pair
+    vertices: np.ndarray        # (P, 3) U of the unshaped template
+    vertex_basis: np.ndarray    # (num_betas, P, 3) d U / d beta
+    pair_rows: np.ndarray       # (J_reg, P) 0/1 joint of each pair
+    trans_rows: np.ndarray      # (J_reg, J)
+    rest: np.ndarray            # (J, 3) rest joints of the unshaped template
+    rest_basis: np.ndarray      # (num_betas, J, 3) d rest / d beta
+
+    @staticmethod
+    def of(model):
+        reg, W = model.joint_regressor, model.skin_weights
+        k, j = np.nonzero((reg != 0).astype(np.float64) @ (W != 0).astype(np.float64))
+        mix = reg[k] * W[:, j].T                       # (P, N)
+        weights = np.zeros((k.size, W.shape[1]))
+        weights[np.arange(k.size), j] = 1.0
+        pair_rows = np.zeros((reg.shape[0], k.size))
+        pair_rows[k, np.arange(k.size)] = 1.0
+        skel = reg[: model.num_joints]
+        return JointFold(
+            weights=weights,
+            vertices=mix @ model.template_vertices,
+            vertex_basis=np.einsum("pn,nab->bpa", mix, model.shape_basis),
+            pair_rows=pair_rows,
+            trans_rows=reg @ W - pair_rows @ weights,
+            rest=skel @ model.template_vertices,
+            rest_basis=np.einsum("jn,nab->bja", skel, model.shape_basis),
+        )
+
 
 @dataclass(frozen=True)
 class PoseParams:
     """Global orientation plus one axis-angle per posed (non-root) joint.
 
-    joint_poses[i] belongs to skeleton joint i + 1; the root is driven by
-    global_orient only.
+    joint_poses[..., i, :] belongs to skeleton joint i + 1; the root is driven
+    by global_orient only.  Leading axes, if any, are a batch of poses.
     """
 
-    global_orient: np.ndarray          # (3,)
-    joint_poses: np.ndarray            # (J - 1, 3)
+    global_orient: np.ndarray          # (..., 3)
+    joint_poses: np.ndarray            # (..., J - 1, 3)
 
     def __post_init__(self):
         object.__setattr__(self, "global_orient", np.asarray(self.global_orient, dtype=np.float64))
         object.__setattr__(self, "joint_poses", np.asarray(self.joint_poses, dtype=np.float64))
-        if self.global_orient.shape != (3,):
+        if self.global_orient.ndim < 1 or self.global_orient.shape[-1] != 3:
             raise DimensionError("global_orient must be a 3-vector")
-        if self.joint_poses.ndim != 2 or self.joint_poses.shape[1] != 3:
+        if self.joint_poses.ndim < 2 or self.joint_poses.shape[-1] != 3:
             raise DimensionError("joint_poses must be (J-1, 3)")
+        if self.joint_poses.shape[:-2] != self.global_orient.shape[:-1]:
+            raise DimensionError("global_orient and joint_poses have different batch axes")
 
     @staticmethod
     def zeros(num_joints):
@@ -110,7 +164,8 @@ class PoseParams:
 
     def full_local_poses(self):
         """Per-joint local poses including the (zero) root slot, for FK."""
-        return np.vstack([np.zeros((1, 3)), self.joint_poses])
+        root = np.zeros(self.joint_poses.shape[:-2] + (1, 3))
+        return np.concatenate([root, self.joint_poses], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -156,22 +211,43 @@ def regress_joints(regressor, vertices):
     return regressor @ vertices
 
 
+def _check_pose(model, pose):
+    if pose.joint_poses.shape[-2] != model.num_joints - 1:
+        raise DimensionError("pose has wrong number of joints for this model")
+
+
 def pose_mesh(model, pose, beta=None, return_fk=False):
     """Pose the model: shape, regress rest joints, FK, linear blend skinning."""
-    if pose.joint_poses.shape[0] != model.num_joints - 1:
-        raise DimensionError("pose has wrong number of joints for this model")
+    _check_pose(model, pose)
     shaped = shape_template(model, beta)
     rest = model.joint_regressor[: model.num_joints] @ shaped
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
-    verts = _kernels.lbs(model.skin_weights, np.ascontiguousarray(shaped), fk.rotations, fk.translations)
+    verts = _kernels.lbs(model.skin_weights, shaped, fk.rotations, fk.translations)
     if return_fk:
         return verts, fk
     return verts
 
 
 def pose_joints(model, pose, beta=None):
-    """Posed joint locations from the full regressor (skeleton + extra rows)."""
-    return model.joint_regressor @ pose_mesh(model, pose, beta)
+    """Posed joint locations (..., J_reg, 3) of the full regressor (skeleton + extra rows).
+
+    Equal to ``joint_regressor @ pose_mesh(model, pose, beta)``, but skins
+    only the virtual vertices of `model.joint_fold`.  `pose` may carry
+    leading batch axes; `beta` is None, a ShapeParams, or an array (..., B)
+    broadcasting against them.
+    """
+    _check_pose(model, pose)
+    fold = model.joint_fold
+    verts, rest = fold.vertices, fold.rest
+    if beta is not None:
+        beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
+        if beta.shape[-1:] != (model.num_betas,):
+            raise DimensionError(f"beta must have length {model.num_betas}")
+        verts = verts + np.tensordot(beta, fold.vertex_basis, axes=1)
+        rest = rest + np.tensordot(beta, fold.rest_basis, axes=1)
+    fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
+    posed = _kernels.lbs(fold.weights, verts, fk.rotations, fk.translations)
+    return fold.pair_rows @ posed + fold.trans_rows @ fk.translations
 
 
 def nearest_joint_assignment(vertices, joints):

@@ -61,6 +61,20 @@ def test_pose_outputs_joints_and_obj(asset, tmp_path, rng):
     assert sum(ln.startswith("f ") for ln in lines) == model.faces.shape[0]
 
 
+@pytest.mark.parametrize("obj_name", ["mesh", "dir.obj.d/mesh.obj"])
+def test_pose_obj_names_one_file_per_frame(asset, tmp_path, rng, obj_name):
+    model = formats.load_model(asset)
+    frames = [(i, WholeBodyParams(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
+                                  ShapeParams.zeros(10), WeakPerspectiveCamera.identity()), None)
+              for i in (0, 7)]
+    pfile = params_file(tmp_path, model, "params.json", frames)
+    obj = tmp_path / obj_name
+    obj.parent.mkdir(exist_ok=True)
+    assert main(["pose", str(asset), str(pfile), str(tmp_path / "joints.json"), "--obj", str(obj)]) == 0
+    written = sorted(p.name for p in obj.parent.iterdir() if p.name.startswith(obj.stem))
+    assert written == [f"{obj.stem}_000000{obj.suffix}", f"{obj.stem}_000007{obj.suffix}"]
+
+
 def test_integrate_end_to_end(asset, tmp_path, rng):
     model = formats.load_model(asset)
     body = BodyPrediction(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(21, 3)),

@@ -3,9 +3,9 @@ import pytest
 
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.errors import DimensionError, FitError
-from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, fit,
-                              fit_jacobian, prior_cost, reprojection_cost,
-                              temporal_smooth)
+from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _ParamVector,
+                              _residuals, fit, fit_jacobian, prior_cost,
+                              reprojection_cost, temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
 
@@ -82,6 +82,23 @@ def test_fit_jacobian_exact_on_quadratics():
     expected = np.array([[2 * x[0], 0.0], [x[1], x[0]], [0.0, 3.0]])
     # central differences are exact on quadratics up to rounding
     np.testing.assert_allclose(J, expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
+def test_batched_residuals_match_each_column(toy, rng, config):
+    cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
+    anchor = WholeBodyParams(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(51, 3)),
+                             ShapeParams(rng.normal(scale=0.3, size=10)), cam)
+    kp = render_keypoints(toy, anchor, cam, conf=rng.uniform(0.2, 1.0, size=toy.num_joints))
+    packer = _ParamVector(toy, anchor, cam, config)
+    x = packer.pack(anchor, cam)
+    cols = x[:, None] + rng.normal(scale=0.05, size=(x.size, 5))
+    batched = _residuals(toy, packer, anchor, kp, config, cols)
+    single = _residuals(toy, packer, anchor, kp, config, x)
+    assert single.ndim == 1 and batched.shape == (single.size, 5)
+    for b in range(5):
+        np.testing.assert_allclose(batched[:, b], _residuals(toy, packer, anchor, kp, config, cols[:, b]),
+                                   rtol=0, atol=1e-10)
 
 
 def test_fit_recovers_perturbed_pose(toy, rng):

@@ -5,8 +5,8 @@ from mocapkit.errors import DegenerateModelError, DimensionError
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
 from mocapkit.model import (ParametricModel, PoseParams, ShapeParams,
                             extract_hand_submodel, nearest_joint_assignment,
-                            pose_mesh, regress_hand_joints, regress_joints,
-                            shape_template)
+                            pose_joints, pose_mesh, regress_hand_joints,
+                            regress_joints, shape_template)
 from mocapkit.rotations import rodrigues
 
 
@@ -175,3 +175,21 @@ def test_submodel_wrist_carries_global_orientation(toy, rng):
     parent_posed = pose_mesh(toy, PoseParams(np.zeros(3), jp))
     sub_posed = pose_mesh(sub.model, PoseParams(phi_h, finger))
     np.testing.assert_allclose(sub_posed, parent_posed[sub.vertex_index_map], atol=1e-9)
+
+
+@pytest.mark.parametrize("hand", [False, True])
+def test_batched_pose_joints_match_regressed_mesh(toy, rng, hand):
+    model = extract_hand_submodel(toy, "left").model if hand else toy
+    if hand:  # 5 fingertip rows beyond the skeleton joints
+        assert model.joint_regressor.shape[0] == model.num_joints + 5
+    batch, n = 4, model.num_joints - 1
+    pose = PoseParams(rng.normal(scale=0.5, size=(batch, 3)), rng.normal(scale=0.5, size=(batch, n, 3)))
+    betas = rng.normal(scale=0.5, size=(batch, model.num_betas))
+    singles = [PoseParams(pose.global_orient[b], pose.joint_poses[b]) for b in range(batch)]
+    for beta in (betas, betas[0]):
+        expected = [model.joint_regressor @ pose_mesh(model, p, ShapeParams(bb))
+                    for p, bb in zip(singles, np.broadcast_to(beta, betas.shape))]
+        np.testing.assert_allclose(pose_joints(model, pose, beta), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pose_joints(model, singles[1], ShapeParams(betas[1])),
+                               model.joint_regressor @ pose_mesh(model, singles[1], betas[1]),
+                               rtol=0, atol=1e-12)

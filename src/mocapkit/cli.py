@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import dataprep, formats, metrics
-from .errors import MocapkitError, SchemaError
+from .errors import DimensionError, MocapkitError, SchemaError
 from .fitting import FitConfig, fit, temporal_smooth
 from .integration import copy_paste
 from .model import PoseParams, pose_mesh
@@ -78,7 +78,10 @@ def cmd_fit(args):
         pts, conf = kp_by_frame[i]
         if pts.shape[1] != 2:
             raise SchemaError("fit requires 2D keypoints")
-        kp = formats.keypoint_set(pts, conf)
+        try:
+            kp = formats.keypoint_set(pts, conf)
+        except DimensionError as e:
+            raise DimensionError(f"frame {i}: {e}") from e
         result = fit(model, params, params.cam_w, kp, config)
         return i, result.params, {
             "cost_trace": result.cost_trace,

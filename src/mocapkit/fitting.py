@@ -7,8 +7,9 @@ import numpy as np
 from .camera import WeakPerspectiveCamera, project
 from .errors import DimensionError, FitError
 from .integration import PoseLayout, WholeBodyParams
+from .kinematics import forward_kinematics
 from .model import PoseParams, ShapeParams, pose_joints
-from .rotations import canonicalize
+from .rotations import canonicalize, right_jacobian
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,10 @@ class KeypointSet2D:
             raise DimensionError("points must be (K, 2)")
         if c.shape != (p.shape[0],):
             raise DimensionError("confidence must be (K,)")
+        bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(c))
+        if bad.any():
+            raise DimensionError(
+                f"joint {int(np.argmax(bad))}: keypoint or confidence is not finite")
         if np.any(c < 0) or np.any(c > 1):
             raise DimensionError("confidences must lie in [0, 1]")
 
@@ -41,6 +46,8 @@ class FitConfig:
     damping_up: float = 10.0
     damping_down: float = 10.0
     max_retries: int = 50
+    # Central-difference step for checking the exact Jacobian; `fit` itself
+    # does not difference.
     fd_step: float = 1e-6
     # Free-parameter mask; the default optimizes global orientation, body pose
     # (wrists included), and camera, freezing fingers and shape.
@@ -63,8 +70,11 @@ class FitConfig:
 class FitResult:
     params: WholeBodyParams
     cam: WeakPerspectiveCamera
-    cost_trace: np.ndarray       # cost after each accepted iteration
+    cost_trace: np.ndarray       # cost after each iteration
     final_rms_px: float          # confidence-weighted reprojection RMS
+    status: str                  # "ok", or "stalled" if an iteration ran out of retries
+    accepted_steps: int          # trial steps that kept the cost from rising
+    rejected_steps: int          # trial steps that raised it (damping went up)
 
 
 def reprojection_cost(model, params, cam, kp):
@@ -109,6 +119,9 @@ class _ParamVector:
             rows.extend(layout.left_finger_rows.tolist())
             rows.extend(layout.right_finger_rows.tolist())
         self.free_rows = np.asarray(sorted(rows), dtype=np.int64)
+        # Skeleton joints whose axis-angles lead the packed vector, in order.
+        self.free_joints = np.concatenate(
+            [[0] if config.free_global_orient else [], self.free_rows + 1]).astype(np.int64)
         self.config = config
         self.init = init
         self.cam_init = cam_init
@@ -161,11 +174,8 @@ class _ParamVector:
     def canonicalized(self, x):
         """Re-canonicalize all axis-angle blocks of a packed vector."""
         x = x.copy()
-        i = 3 if self.config.free_global_orient else 0
-        if self.config.free_global_orient:
-            x[0:3] = canonicalize(x[0:3])
-        for k in range(self.free_rows.size):
-            x[i + 3 * k:i + 3 * k + 3] = canonicalize(x[i + 3 * k:i + 3 * k + 3])
+        n = 3 * self.free_joints.size
+        x[:n] = canonicalize(x[:n].reshape(-1, 3)).ravel()
         return x
 
 
@@ -185,15 +195,100 @@ def _residuals(model, packer, anchor, kp, config, x):
     return r[0] if x.ndim == 1 else r.T
 
 
-def fit_jacobian(residual_fn, x, step):
-    """Central finite-difference Jacobian of a residual function at x (n,).
+def _jacobian(model, packer, kp, config, x):
+    """Exact Jacobian (m, n) of `_residuals` at a packed vector x (n,).
 
-    `residual_fn` is called on column stacks: given an (n, n) array whose
-    column i is ``x + step e_i`` (then ``x - step e_i``), it returns the
-    (m, n) array whose column i is the residual vector of that column.  The
-    Jacobian is ``(f(+) - f(-)) / (2 step)``.
+    With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
+    posed joint k is ``P_k = sum_j T_kj``, ``T_kj = R_j U_kj + C_kj t_j``.
+    Perturbing the axis-angle theta_a of joint a (theta_0 is the global
+    orientation) by d rotates every transform below a by
+    ``omega = R_a Jr(theta_a) d`` about the joint's world centre
+    ``c_a = R_a rest_a + t_a``, so
+
+        dP_k / d theta_a = -[S_ka - D_ka c_a]x R_a Jr(theta_a),
+
+    with S_ka the sum of T_kj and D_ka the sum of C_kj over j at or below a.
+    At a fixed pose the joints are affine in beta: ``t_j`` is the sum of
+    ``(R_parent(i) - R_i) rest_i`` over i at or above j, which gives d t /
+    d beta from the rest basis, and ``U`` has its own basis.
+    """
+    fold = model.joint_fold
+    K = model.num_joints
+    phi, theta, beta, scale, _ = packer.decode(np.asarray(x, dtype=np.float64)[None])
+    beta = beta[0]
+    rest = fold.rest + np.tensordot(beta, fold.rest_basis, axes=1)
+    verts = fold.vertices + np.tensordot(beta, fold.vertex_basis, axes=1)
+    pose = PoseParams(phi[0], theta[0])
+    fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
+    R, t = fk.rotations, fk.translations
+
+    T = fold.blend[:, :, None] * t
+    T[fold.pair_joint, fold.pair_bone] += (R[fold.pair_bone] @ verts[..., None])[..., 0]
+    T = T[:K]
+
+    a = packer.free_joints
+    aa = np.concatenate([phi, theta[0]])[a]
+    centre = (R[a] @ rest[a, :, None])[..., 0] + t[a]
+    v = fold.subtree[:, a].T @ T - fold.blend_subtree[:K, a, None] * centre
+    A = R[a] @ right_jacobian(aa)
+    # x and y rows of -[v]x A
+    dxy = np.stack([v[..., 2, None] * A[:, 1] - v[..., 1, None] * A[:, 2],
+                    v[..., 0, None] * A[:, 2] - v[..., 2, None] * A[:, 0]], axis=1)
+
+    w = np.sqrt(config.weight_2d * kp.confidence)
+    m2 = 2 * K
+    n_pose = 3 * a.size
+    m = m2 + 3 * (K - 1) + packer.num_betas
+    jac = np.zeros((m, x.shape[0]))
+    jac[:m2, :n_pose] = ((scale[0] * w)[:, None, None, None] * dxy).reshape(m2, n_pose)
+    prior_rows = (m2 + 3 * packer.free_rows[:, None] + np.arange(3)).ravel()
+    prior_cols = np.arange(n_pose - prior_rows.size, n_pose)
+    jac[prior_rows, prior_cols] = np.sqrt(config.weight_prior_pose)
+    i = n_pose
+    if config.free_shape:
+        nb = packer.num_betas
+        parent_rots = np.concatenate([np.eye(3)[None], R[model.tree.parents[1:]]])
+        q = np.einsum("jcd,bjd->bjc", parent_rots - R, fold.rest_basis)
+        dt = fold.subtree @ q
+        du = np.einsum("pcd,bpd->bpc", R[fold.pair_bone], fold.vertex_basis)
+        dP = fold.pair_rows[:K] @ du + fold.blend[:K] @ dt
+        dxy_beta = dP[..., :2].transpose(1, 2, 0)
+        jac[:m2, i:i + nb] = (scale[0] * w[:, None, None] * dxy_beta).reshape(m2, nb)
+        jac[m - nb + np.arange(nb), i + np.arange(nb)] = np.sqrt(config.weight_prior_shape)
+        i += nb
+    if config.free_camera:
+        jac[:m2, i] = (w[:, None] * T.sum(axis=1)[:, :2]).ravel()
+        jac[0:m2:2, i + 1] = w
+        jac[1:m2:2, i + 2] = w
+    return jac
+
+
+def _fit_residuals(model, packer, anchor, kp, config):
+    """`_residuals` of one fit as a function of x, carrying its exact Jacobian."""
+
+    def residuals(x):
+        return _residuals(model, packer, anchor, kp, config, x)
+
+    residuals.jacobian = lambda x: _jacobian(model, packer, kp, config, x)
+    return residuals
+
+
+def fit_jacobian(residual_fn, x, step):
+    """Jacobian (m, n) of a residual function at x (n,).
+
+    If `residual_fn` has a ``jacobian`` attribute, the result is
+    ``residual_fn.jacobian(x)``: `fit` passes its residuals with the exact
+    Jacobian attached, so a fit never differences.  Otherwise the result is
+    the central difference ``(f(+) - f(-)) / (2 step)``, and `residual_fn`
+    is called on column stacks: given an (n, n) array whose column i is
+    ``x + step e_i`` (then ``x - step e_i``), it returns the (m, n) array
+    whose column i is the residual vector of that column.  The tests check
+    the exact Jacobian against this difference.
     """
     x = np.asarray(x, dtype=np.float64)
+    exact = getattr(residual_fn, "jacobian", None)
+    if exact is not None:
+        return exact(x)
     h = step * np.eye(x.shape[0])
     jac = residual_fn(x[:, None] + h)
     jac -= residual_fn(x[:, None] - h)
@@ -204,20 +299,18 @@ def fit_jacobian(residual_fn, x, step):
 def fit(model, init, cam_init, kp, config=None):
     """Damped least-squares fit of the free parameters to 2D keypoints.
 
-    Runs `config.iterations` accepted iterations; rejected steps raise the
-    damping and retry without counting.  The cost trace over accepted steps is
-    non-increasing.
+    Runs `config.iterations` iterations, each with the exact Jacobian.  A
+    trial step that would raise the cost is rejected: the damping goes up
+    and the step is retried, up to `config.max_retries` times; an iteration
+    that runs out of retries keeps its parameters and makes the result's
+    status "stalled".  The cost trace is non-increasing.
     """
     config = config or FitConfig()
     if kp.confidence.max() <= 0.0:
         raise FitError("all keypoint confidences are zero; the fit is unconstrained")
 
     packer = _ParamVector(model, init, cam_init, config)
-    anchor = init
-
-    def residuals(x):
-        return _residuals(model, packer, anchor, kp, config, x)
-
+    residuals = _fit_residuals(model, packer, init, kp, config)
     x = packer.pack(init, cam_init)
     r = residuals(x)
     cost = float(r @ r)
@@ -226,11 +319,12 @@ def fit(model, init, cam_init, kp, config=None):
 
     lam = config.damping_init
     trace = np.empty(config.iterations)
+    accepted_steps = rejected_steps = 0
+    stalled = False
     for it in range(config.iterations):
         J = fit_jacobian(residuals, x, config.fd_step)
         JtJ = J.T @ J
         Jtr = J.T @ r
-        accepted = False
         for _ in range(config.max_retries):
             step = np.linalg.solve(JtJ + lam * np.eye(x.shape[0]), Jtr)
             x_new = packer.canonicalized(x - step)
@@ -239,18 +333,21 @@ def fit(model, init, cam_init, kp, config=None):
             if np.isfinite(cost_new) and cost_new <= cost:
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / config.damping_down, 1e-12)
-                accepted = True
+                accepted_steps += 1
                 break
+            rejected_steps += 1
             lam = min(lam * config.damping_up, 1e12)
-        # Exhausted retries: the zero step keeps the cost unchanged, which
-        # still counts as an accepted (converged) iteration.
+        else:
+            stalled = True
         trace[it] = cost
 
     params, cam = packer.unpack(x)
     wres = _reprojection_residuals(model, params, cam, kp).reshape(-1, 2)
     denom = kp.confidence.sum()
     rms = float(np.sqrt((wres * wres).sum() / denom)) if denom > 0 else float("nan")
-    return FitResult(params=params, cam=cam, cost_trace=trace, final_rms_px=rms)
+    return FitResult(params=params, cam=cam, cost_trace=trace, final_rms_px=rms,
+                     status="stalled" if stalled else "ok",
+                     accepted_steps=accepted_steps, rejected_steps=rejected_steps)
 
 
 SMOOTH_KERNEL = np.array([0.1, 0.2, 0.5, 0.2, 0.1])

@@ -1,6 +1,7 @@
 """Skeleton trees, forward kinematics, and global-to-local rotation transfer."""
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +73,13 @@ class FkResult:
 
     rotations: np.ndarray
     translations: np.ndarray
-    joint_positions: np.ndarray = field(default=None)
+    rest_joints: np.ndarray
+
+    @functools.cached_property
+    def joint_positions(self):
+        """Posed joint positions G_j(rest_j), computed on first access."""
+        posed = np.einsum("...jab,...jb->...ja", self.rotations, self.rest_joints)
+        return posed + self.translations
 
     def transform(self, j):
         return RigidTransform(self.rotations[j], self.translations[j])
@@ -104,8 +111,7 @@ def forward_kinematics(tree, rest_joints, global_orient, local_poses):
     rots = _kernels.rodrigues_batch(np.concatenate([orient[..., None, :], poses], axis=-2))
     world_rots, world_trans = _kernels.fk_chain(
         tree.parents, rest, rots[..., 1:, :, :], rots[..., 0, :, :])
-    positions = np.einsum("...jab,...jb->...ja", world_rots, rest) + world_trans
-    return FkResult(world_rots, world_trans, positions)
+    return FkResult(world_rots, world_trans, rest)
 
 
 def gamma_global_to_local(tree, rest_joints, global_orient, local_poses, target_joint, target_global):

@@ -106,6 +106,10 @@ class JointFold:
     with ``trans_rows = C - pair_rows @ weights``.  U_kj and the rest joints
     are linear in the shape coefficients, so both are kept as a constant plus
     a basis.  This is exact algebra, not an approximation.
+
+    The fit's exact Jacobian sums the terms ``R_j U_kj + C_kj t_j`` over the
+    subtree below each joint, so the fold also keeps the pair indices, C,
+    the subtree matrix and C @ subtree.
     """
 
     weights: np.ndarray         # (P, J) one-hot bone of each pair
@@ -115,6 +119,11 @@ class JointFold:
     trans_rows: np.ndarray      # (J_reg, J)
     rest: np.ndarray            # (J, 3) rest joints of the unshaped template
     rest_basis: np.ndarray      # (num_betas, J, 3) d rest / d beta
+    pair_joint: np.ndarray      # (P,) regressor row k of each pair
+    pair_bone: np.ndarray       # (P,) bone j of each pair
+    blend: np.ndarray           # (J_reg, J) C
+    subtree: np.ndarray         # (J, J) 0/1; [j, a] = 1 when j is a or lies below a
+    blend_subtree: np.ndarray   # (J_reg, J) C @ subtree
 
     @staticmethod
     def of(model):
@@ -126,14 +135,23 @@ class JointFold:
         pair_rows = np.zeros((reg.shape[0], k.size))
         pair_rows[k, np.arange(k.size)] = 1.0
         skel = reg[: model.num_joints]
+        blend = reg @ W
+        subtree = np.eye(W.shape[1])
+        for b in range(1, W.shape[1]):
+            subtree[b] += subtree[model.tree.parents[b]]
         return JointFold(
             weights=weights,
             vertices=mix @ model.template_vertices,
             vertex_basis=np.einsum("pn,nab->bpa", mix, model.shape_basis),
             pair_rows=pair_rows,
-            trans_rows=reg @ W - pair_rows @ weights,
+            trans_rows=blend - pair_rows @ weights,
             rest=skel @ model.template_vertices,
             rest_basis=np.einsum("jn,nab->bja", skel, model.shape_basis),
+            pair_joint=k,
+            pair_bone=j,
+            blend=blend,
+            subtree=subtree,
+            blend_subtree=blend @ subtree,
         )
 
 

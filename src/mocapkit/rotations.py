@@ -14,18 +14,21 @@ ROTATION_INPUT_TOL = 1e-6
 
 
 def canonicalize(aa):
-    """Return the canonical axis-angle equivalent to `aa` (angle in [0, pi])."""
+    """Canonical axis-angle equivalent (..., 3) of each vector in `aa` (..., 3).
+
+    Angles below 1e-12 give zero; others are reduced mod 2 pi and, above pi,
+    replaced by the opposite axis with angle 2 pi - angle.  At pi the axis
+    whose first component beyond 1e-12 in magnitude is positive is chosen.
+    """
     aa = np.asarray(aa, dtype=np.float64)
-    angle = np.linalg.norm(aa)
-    if angle < 1e-12:
-        return np.zeros(3)
-    axis = aa / angle
+    angle = np.linalg.norm(aa, axis=-1, keepdims=True)
+    axis = np.divide(aa, angle, out=np.zeros_like(aa), where=angle >= 1e-12)
     angle = np.fmod(angle, 2.0 * np.pi)
-    if angle > np.pi:
-        angle = 2.0 * np.pi - angle
-        axis = -axis
-    if abs(angle - np.pi) < 1e-12:
-        axis = _positive_leading(axis)
+    over = angle > np.pi
+    angle = np.where(over, 2.0 * np.pi - angle, angle)
+    axis = np.where(over, -axis, axis)
+    lead = np.take_along_axis(axis, np.argmax(np.abs(axis) > 1e-12, axis=-1)[..., None], -1)
+    axis = np.where((np.abs(angle - np.pi) < 1e-12) & (lead < -1e-12), -axis, axis)
     return axis * angle
 
 
@@ -48,6 +51,28 @@ def rodrigues_batch(aa):
     """Rotation matrices (J, 3, 3) for a batch of axis-angle vectors (J, 3)."""
     aa = np.ascontiguousarray(aa, dtype=np.float64)
     return _kernels.rodrigues_batch(aa)
+
+
+def right_jacobian(aa):
+    """SO(3) right Jacobians (..., 3, 3) of axis-angle vectors (..., 3).
+
+    ``rodrigues(aa + d) = rodrigues(aa) @ rodrigues(right_jacobian(aa) @ d)``
+    to first order in d:
+    ``Jr = I - (1 - cos a) / a^2 [aa]x + (a - sin a) / a^3 [aa]x^2``, with
+    the coefficients' Taylor series below a = 1e-3.
+    """
+    aa = np.asarray(aa, dtype=np.float64)
+    a2 = (aa * aa).sum(axis=-1)
+    a = np.sqrt(a2)
+    small = a < 1e-3
+    safe = np.where(small, 1.0, a)
+    c1 = np.where(small, 0.5 - a2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+    c2 = np.where(small, 1.0 / 6.0 - a2 / 120.0, (safe - np.sin(safe)) / safe ** 3)
+    x, y, z = np.moveaxis(aa, -1, 0)
+    zero = np.zeros_like(x)
+    skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(aa.shape + (3,))
+    return (np.eye(3) - c1[..., None, None] * skew
+            + c2[..., None, None] * (skew @ skew))
 
 
 def is_rotation(m, tol=ROTATION_INPUT_TOL):

@@ -126,6 +126,22 @@ def test_fit_and_eval_round_trip(asset, tmp_path, rng):
     assert csv_path.read_text().startswith("threshold,pck\n")
 
 
+def test_fit_rejects_non_finite_keypoint_naming_frame_and_joint(asset, tmp_path, capsys):
+    model = formats.load_model(asset)
+    params = WholeBodyParams.identity(model)
+    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    bad = pts.copy()
+    bad[11, 0] = np.nan
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc([(3, pts, None), (4, bad, None)]))
+    assert "NaN" in kp_path.read_text()
+    init_path = params_file(tmp_path, model, "init.json", [(3, params, None), (4, params, None)])
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(tmp_path / "fit.json")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DimensionError"
+    assert err["message"].startswith("frame 4: joint 11:")
+
+
 def test_fit_smooth_multi_frame(asset, tmp_path, rng):
     model = formats.load_model(asset)
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))

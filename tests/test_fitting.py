@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mocapkit.camera import WeakPerspectiveCamera, project
+from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
-from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _ParamVector,
-                              _residuals, fit, fit_jacobian, prior_cost,
+from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
+                              _ParamVector, _residuals, fit, fit_jacobian, prior_cost,
                               reprojection_cost, temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
@@ -25,6 +26,18 @@ def test_keypoint_set_validation():
         KeypointSet2D(np.zeros((4, 2)), np.ones(3))
     with pytest.raises(DimensionError):
         KeypointSet2D(np.zeros((4, 2)), np.full(4, 1.5))
+
+
+@pytest.mark.parametrize("bad", ["point", "confidence"])
+def test_keypoint_set_rejects_non_finite_naming_the_joint(bad):
+    points, conf = np.zeros((6, 2)), np.ones(6)
+    if bad == "point":
+        points[4, 1] = np.nan
+        points[5, 0] = np.inf
+    else:
+        conf[4] = np.nan
+    with pytest.raises(DimensionError, match="joint 4:"):
+        KeypointSet2D(points, conf)
 
 
 def test_fit_config_validation():
@@ -84,6 +97,38 @@ def test_fit_jacobian_exact_on_quadratics():
     np.testing.assert_allclose(J, expected, atol=1e-8)
 
 
+@pytest.mark.parametrize("config", [
+    FitConfig(),
+    FitConfig(free_fingers=True, free_shape=True),
+    FitConfig(free_global_orient=False, free_camera=False),
+])
+def test_exact_jacobian_matches_central_differences(toy, rng, config):
+    layout = PoseLayout.from_model(toy)
+    cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
+    theta = rng.normal(scale=0.4, size=(51, 3))
+    theta[layout.body_rows[3]] = 0.0                        # exact-zero angle
+    theta[layout.body_rows[5]] = [0.0, 0.0, np.pi - 1e-7]   # angle near pi
+    theta[layout.left_finger_rows[2]] = 0.0
+    anchor = WholeBodyParams(rng.normal(scale=0.3, size=3), theta,
+                             ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+    conf = rng.uniform(0.2, 1.0, size=toy.num_joints)
+    conf[[0, 7, 30]] = 0.0
+    kp = render_keypoints(toy, anchor, cam, conf=conf)
+    kp = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
+    packer = _ParamVector(toy, anchor, cam, config)
+    residuals = _fit_residuals(toy, packer, anchor, kp, config)
+    x0 = packer.pack(anchor, cam)
+    for x in (x0, x0 + rng.normal(scale=0.05, size=x0.size)):
+        exact = fit_jacobian(residuals, x, config.fd_step)
+        fd = fit_jacobian(lambda cols: residuals(cols), x, config.fd_step)
+        assert exact.shape == fd.shape == (residuals(x).size, x.size)
+        rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
+        assert rel < 1e-6
+        # every column is checked on its own, so a wrong small block shows
+        col_rel = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
+        assert col_rel.max() < 1e-6
+
+
 @pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
 def test_batched_residuals_match_each_column(toy, rng, config):
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
@@ -117,6 +162,57 @@ def test_fit_recovers_perturbed_pose(toy, rng):
     assert result.cost_trace.shape == (10,)
     assert np.all(np.diff(result.cost_trace) <= 1e-12)
     assert result.final_rms_px < 0.5
+    assert result.status == "ok"
+
+
+def _noisy_fit_problem(toy, rng):
+    layout = PoseLayout.from_model(toy)
+    cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
+    gt_theta = np.zeros((toy.num_joints - 1, 3))
+    gt_theta[layout.body_rows[:8]] = rng.normal(scale=0.2, size=(8, 3))
+    gt = WholeBodyParams(np.zeros(3), gt_theta, ShapeParams.zeros(10), cam)
+    kp = render_keypoints(toy, gt, cam)
+    kp = KeypointSet2D(kp.points + rng.normal(scale=1.0, size=kp.points.shape), kp.confidence)
+    init_theta = gt_theta.copy()
+    init_theta[layout.body_rows[:8]] += rng.normal(scale=0.3, size=(8, 3))
+    return WholeBodyParams(np.zeros(3), init_theta, ShapeParams.zeros(10), cam), cam, kp
+
+
+def test_fit_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch):
+    init, cam, kp = _noisy_fit_problem(toy, rng)
+    calls = []
+    original = fitting._residuals
+
+    def counting(*args):
+        r = original(*args)
+        calls.append(r.ndim)
+        return r
+
+    monkeypatch.setattr(fitting, "_residuals", counting)
+    result = fit(toy, init, cam, kp, FitConfig(iterations=15))
+    # the first evaluation is the initial cost; every later one is a trial step
+    assert calls == [1] * len(calls)
+    assert result.accepted_steps + result.rejected_steps == len(calls) - 1
+    assert result.accepted_steps >= 1
+    assert result.status == "ok" and result.cost_trace.shape == (15,)
+
+
+def test_fit_reports_a_stall(toy, rng, monkeypatch):
+    init, cam, kp = _noisy_fit_problem(toy, rng)
+    exact = fitting.fit_jacobian
+    # A Jacobian of the wrong sign makes every damped step climb the cost.
+    monkeypatch.setattr(fitting, "fit_jacobian", lambda fn, x, step: -exact(fn, x, step))
+    config = FitConfig(iterations=4, max_retries=3)
+    result = fit(toy, init, cam, kp, config)
+    assert result.status == "stalled"
+    assert result.accepted_steps == 0
+    assert result.rejected_steps == config.iterations * config.max_retries
+    assert result.cost_trace.shape == (4,)
+    assert np.all(result.cost_trace == result.cost_trace[0])
+    packer = _ParamVector(toy, init, cam, config)
+    initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
+    assert result.cost_trace[0] == initial @ initial
+    np.testing.assert_array_equal(result.params.theta_w, init.theta_w)
 
 
 def test_fit_rejects_all_zero_confidence(toy):

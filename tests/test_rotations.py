@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from mocapkit.errors import InvalidRotationError
-from mocapkit.rotations import (canonicalize, is_rotation, rodrigues,
+from mocapkit.rotations import (canonicalize, is_rotation, right_jacobian, rodrigues,
                                 rodrigues_batch, rotation_to_axis_angle)
 
 
@@ -84,6 +84,68 @@ def test_canonicalize_idempotent(rng):
         assert np.linalg.norm(c) <= np.pi + 1e-12
         np.testing.assert_allclose(canonicalize(c), c, atol=1e-12)
         np.testing.assert_allclose(rodrigues(c), rodrigues(aa), atol=1e-12)
+
+
+def _canonicalize_one(aa):
+    """Scalar reference: one 3-vector at a time."""
+    angle = np.linalg.norm(aa)
+    if angle < 1e-12:
+        return np.zeros(3)
+    axis = aa / angle
+    angle = np.fmod(angle, 2.0 * np.pi)
+    if angle > np.pi:
+        angle = 2.0 * np.pi - angle
+        axis = -axis
+    if abs(angle - np.pi) < 1e-12:
+        for c in axis:
+            if c > 1e-12:
+                break
+            if c < -1e-12:
+                axis = -axis
+                break
+    return axis * angle
+
+
+def test_canonicalize_batch_matches_scalar_reference(rng):
+    axes = rng.normal(size=(40, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    axes[:4] = [[0, 0, -1], [0, -1, 0], [-1, 0, 0], [0, -0.6, -0.8]]
+    multiples = np.arange(-3, 4)[:, None, None] * np.pi * axes[None, :8]
+    batch = np.concatenate([
+        rng.normal(scale=4.0, size=(200, 3)),
+        np.zeros((2, 3)),
+        np.full((1, 3), 1e-13),
+        multiples.reshape(-1, 3),                                    # exact multiples of pi
+        axes * rng.uniform(2 * np.pi, 20.0, size=(40, 1)),            # above 2 pi
+        axes * (np.pi + rng.uniform(-1e-13, 1e-13, size=(40, 1))),    # within 1e-12 of pi
+    ])
+    expected = np.array([_canonicalize_one(v) for v in batch])
+    got = canonicalize(batch)
+    assert got.shape == batch.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(canonicalize(batch[None]), expected[None], rtol=0, atol=1e-14)
+    for v, e in zip(batch[::7], expected[::7]):
+        np.testing.assert_allclose(canonicalize(v), e, rtol=0, atol=1e-14)
+
+
+def test_right_jacobian_is_the_exp_map_derivative(rng):
+    axes = rng.normal(size=(4, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    points = np.concatenate([np.zeros((1, 3)), 1e-5 * axes[:1], 1e-3 * axes[1:2],
+                             rng.normal(size=(5, 3)), (np.pi - 1e-6) * axes[2:]])
+    h = 1e-6
+    for aa in points:
+        R = rodrigues(aa)
+        fd = np.empty((3, 3))
+        for i in range(3):
+            d = np.zeros(3)
+            d[i] = h
+            dR = (rodrigues(aa + d) - rodrigues(aa - d)) / (2 * h)
+            skew = R.T @ dR          # [Jr e_i]x
+            fd[:, i] = [skew[2, 1], skew[0, 2], skew[1, 0]]
+        np.testing.assert_allclose(right_jacobian(aa), fd, atol=1e-8)
+    np.testing.assert_allclose(right_jacobian(points), [right_jacobian(p) for p in points],
+                               atol=1e-15)
 
 
 def test_is_rotation_tolerance():

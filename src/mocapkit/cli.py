@@ -8,23 +8,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dataprep, formats, metrics
 from .errors import DimensionError, MocapkitError, SchemaError
 from .fitting import FitConfig, fit, temporal_smooth
-from .integration import copy_paste
-from .model import PoseParams, pose_mesh
+from .integration import WholeBodyParams, copy_paste
+from .model import pose_mesh
+from .rotations import canonicalize, unwrap
 from .toymodel import gen_toy_model
-
-
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 def cmd_gen_toy(args):
@@ -54,11 +47,7 @@ def cmd_integrate(args):
     model = formats.load_model(args.asset)
     preds = formats.predictions_from_doc(formats.read_json(args.predictions))
 
-    def fuse(rec):
-        i, body, left, right = rec
-        return i, copy_paste(model, body, left, right), None
-
-    out = _parallel_map(fuse, preds, args.jobs)
+    out = [(i, copy_paste(model, body, left, right), None) for i, body, left, right in preds]
     formats.write_json(args.output, formats.params_to_doc(out))
     print(f"integrated {len(out)} frame(s) -> {args.output}")
     return 0
@@ -79,37 +68,28 @@ def cmd_fit(args):
         if pts.shape[1] != 2:
             raise SchemaError("fit requires 2D keypoints")
         try:
-            kp = formats.keypoint_set(pts, conf)
+            result = fit(model, params, params.cam_w, formats.keypoint_set(pts, conf), config)
         except DimensionError as e:
             raise DimensionError(f"frame {i}: {e}") from e
-        result = fit(model, params, params.cam_w, kp, config)
         return i, result.params, {
             "cost_trace": result.cost_trace,
             "final_rms_px": result.final_rms_px,
         }
 
-    out = _parallel_map(fit_frame, init_frames, args.jobs)
+    out = [fit_frame(rec) for rec in init_frames]
 
     if args.smooth and len(out) > 1:
-        flat = np.array([
-            np.concatenate([p.phi_w, p.theta_w.ravel(), p.beta_w.beta,
-                            [p.cam_w.scale], p.cam_w.translation])
-            for _, p, _ in out
-        ])
+        flat = np.array([p.vector() for _, p, _ in out])
+        # Rotations are averaged only after each joint's axis-angle sequence
+        # is made continuous; canonical vectors flip sign as they pass pi.
+        for aa in WholeBodyParams.split(flat, model.num_betas)[:2]:
+            aa[...] = unwrap(aa)
         smoothed = temporal_smooth(flat)
-        rebuilt = []
-        for (i, p, extras), row in zip(out, smoothed):
-            nt = p.theta_w.size
-            nb = p.beta_w.beta.size
-            from .camera import WeakPerspectiveCamera
-            from .integration import WholeBodyParams
-            from .model import ShapeParams
-            rebuilt.append((i, WholeBodyParams(
-                row[0:3], row[3:3 + nt].reshape(-1, 3),
-                ShapeParams(row[3 + nt:3 + nt + nb]),
-                WeakPerspectiveCamera(row[3 + nt + nb], row[3 + nt + nb + 1:]),
-            ), extras))
-        out = rebuilt
+        for aa in WholeBodyParams.split(smoothed, model.num_betas)[:2]:
+            over = np.linalg.norm(aa, axis=-1) > np.pi
+            aa[over] = canonicalize(aa[over])
+        out = [(i, WholeBodyParams.from_vector(row, model.num_betas), extras)
+               for (i, _, extras), row in zip(out, smoothed)]
 
     formats.write_json(args.output, formats.params_to_doc(out))
     print(f"fitted {len(out)} frame(s) -> {args.output}")
@@ -199,7 +179,6 @@ def build_parser():
     g.add_argument("asset")
     g.add_argument("predictions")
     g.add_argument("output")
-    g.add_argument("--jobs", type=int, default=1)
     g.set_defaults(func=cmd_integrate)
 
     g = sub.add_parser("fit", help="fit params to 2D keypoints")
@@ -209,7 +188,6 @@ def build_parser():
     g.add_argument("output")
     g.add_argument("--iters", type=int, default=20)
     g.add_argument("--smooth", action="store_true")
-    g.add_argument("--jobs", type=int, default=1)
     g.set_defaults(func=cmd_fit)
 
     g = sub.add_parser("eval", help="PCK/AUC report for predicted vs ground-truth joints")

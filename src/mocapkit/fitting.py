@@ -4,11 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import WeakPerspectiveCamera, project
+from .camera import project
 from .errors import DimensionError, FitError
 from .integration import PoseLayout, WholeBodyParams
 from .kinematics import forward_kinematics
-from .model import PoseParams, ShapeParams, pose_joints
+from .model import PoseParams, pose_joints
 from .rotations import canonicalize, right_jacobian
 
 
@@ -69,7 +69,6 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     params: WholeBodyParams
-    cam: WeakPerspectiveCamera
     cost_trace: np.ndarray       # cost after each iteration
     final_rms_px: float          # confidence-weighted reprojection RMS
     status: str                  # "ok", or "stalled" if an iteration ran out of retries
@@ -83,12 +82,16 @@ def reprojection_cost(model, params, cam, kp):
     return float(res @ res)
 
 
-def _reprojection_residuals(model, params, cam, kp):
-    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
-    if kp.points.shape[0] != joints.shape[0]:
+def _check_keypoint_count(model, kp):
+    if kp.points.shape[0] != model.num_joints:
         raise DimensionError(
-            f"keypoint layout has {kp.points.shape[0]} joints, model has {joints.shape[0]}"
+            f"keypoint layout has {kp.points.shape[0]} joints, model has {model.num_joints}"
         )
+
+
+def _reprojection_residuals(model, params, cam, kp):
+    _check_keypoint_count(model, kp)
+    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
     diff = project(cam, joints) - kp.points
     return (np.sqrt(kp.confidence)[:, None] * diff).ravel()
 
@@ -105,7 +108,11 @@ def prior_cost(params, anchor, config):
 
 
 class _ParamVector:
-    """Packs the free parameters of (params, cam) into a flat vector."""
+    """The free entries of the flat `WholeBodyParams.vector` layout.
+
+    A packed vector holds the free positions of ``init.vector(cam_init)`` in
+    ascending order; frozen positions keep their initial values.
+    """
 
     def __init__(self, model, init, cam_init, config):
         layout = PoseLayout.from_model(model)
@@ -122,54 +129,30 @@ class _ParamVector:
         # Skeleton joints whose axis-angles lead the packed vector, in order.
         self.free_joints = np.concatenate(
             [[0] if config.free_global_orient else [], self.free_rows + 1]).astype(np.int64)
-        self.config = config
-        self.init = init
-        self.cam_init = cam_init
         self.num_betas = init.beta_w.beta.shape[0]
+        self.base = init.vector(cam_init)
+        mask = np.zeros((1, self.base.size), dtype=bool)
+        phi, theta, beta, scale, trans = WholeBodyParams.split(mask, self.num_betas)
+        phi[:] = config.free_global_orient
+        theta[:, self.free_rows] = True
+        beta[:] = config.free_shape
+        scale[:] = trans[:] = config.free_camera
+        self.free = np.flatnonzero(mask)
 
     def pack(self, params, cam):
-        parts = []
-        if self.config.free_global_orient:
-            parts.append(params.phi_w)
-        parts.append(params.theta_w[self.free_rows].ravel())
-        if self.config.free_shape:
-            parts.append(params.beta_w.beta)
-        if self.config.free_camera:
-            parts.append(np.array([cam.scale, cam.translation[0], cam.translation[1]]))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return params.vector(cam)[self.free]
 
     def decode(self, cols):
-        """Parameter arrays of the packed vectors in the rows of `cols` (B, n).
-
-        Returns (phi (B, 3), theta (B, J-1, 3), beta (B, num_betas),
-        scale (B,), translation (B, 2)); frozen parameters are the initial
-        values, broadcast.
-        """
-        B = cols.shape[0]
-        i = 0
-        phi = np.broadcast_to(self.init.phi_w, (B, 3))
-        if self.config.free_global_orient:
-            phi = cols[:, 0:3]
-            i += 3
-        theta = np.repeat(self.init.theta_w[None], B, axis=0)
-        n = self.free_rows.size * 3
-        theta[:, self.free_rows] = cols[:, i:i + n].reshape(B, -1, 3)
-        i += n
-        beta = np.broadcast_to(self.init.beta_w.beta, (B, self.num_betas))
-        if self.config.free_shape:
-            beta = cols[:, i:i + self.num_betas]
-            i += self.num_betas
-        scale = np.full(B, self.cam_init.scale)
-        trans = np.broadcast_to(self.cam_init.translation, (B, 2))
-        if self.config.free_camera:
-            scale = cols[:, i]
-            trans = cols[:, i + 1:i + 3]
-        return phi, theta, beta, scale, trans
+        """`WholeBodyParams.split` of the packed vectors in the rows of `cols` (B, n)."""
+        rows = np.repeat(self.base[None], cols.shape[0], axis=0)
+        rows[:, self.free] = cols
+        return WholeBodyParams.split(rows, self.num_betas)
 
     def unpack(self, x):
-        phi, theta, beta, scale, trans = self.decode(np.asarray(x, dtype=np.float64)[None])
-        cam = WeakPerspectiveCamera(scale[0], trans[0].copy())
-        return WholeBodyParams(phi[0].copy(), theta[0], ShapeParams(beta[0].copy()), cam), cam
+        row = self.base.copy()
+        row[self.free] = x
+        params = WholeBodyParams.from_vector(row, self.num_betas)
+        return params, params.cam_w
 
     def canonicalized(self, x):
         """Re-canonicalize all axis-angle blocks of a packed vector."""
@@ -306,6 +289,7 @@ def fit(model, init, cam_init, kp, config=None):
     status "stalled".  The cost trace is non-increasing.
     """
     config = config or FitConfig()
+    _check_keypoint_count(model, kp)
     if kp.confidence.max() <= 0.0:
         raise FitError("all keypoint confidences are zero; the fit is unconstrained")
 
@@ -345,7 +329,7 @@ def fit(model, init, cam_init, kp, config=None):
     wres = _reprojection_residuals(model, params, cam, kp).reshape(-1, 2)
     denom = kp.confidence.sum()
     rms = float(np.sqrt((wres * wres).sum() / denom)) if denom > 0 else float("nan")
-    return FitResult(params=params, cam=cam, cost_trace=trace, final_rms_px=rms,
+    return FitResult(params=params, cost_trace=trace, final_rms_px=rms,
                      status="stalled" if stalled else "ok",
                      accepted_steps=accepted_steps, rejected_steps=rejected_steps)
 

@@ -103,6 +103,29 @@ class WholeBodyParams:
     def pose(self):
         return PoseParams(self.phi_w, self.theta_w)
 
+    def vector(self, cam=None):
+        """Flat parameter vector ``[phi (3), theta rows (3 (J-1)), beta (B),
+        cam scale, cam tx, cam ty]``, with `cam` (default `cam_w`) as camera."""
+        cam = self.cam_w if cam is None else cam
+        return np.concatenate([self.phi_w, self.theta_w.ravel(), self.beta_w.beta,
+                               [cam.scale], cam.translation])
+
+    @staticmethod
+    def split(rows, num_betas):
+        """Views (phi (..., 3), theta (..., J-1, 3), beta (..., B), scale (...,),
+        translation (..., 2)) of flat vectors `rows` (..., D) laid out as by
+        `vector`."""
+        nt = rows.shape[-1] - 6 - num_betas
+        theta = rows[..., 3:3 + nt].reshape(rows.shape[:-1] + (nt // 3, 3))
+        return rows[..., :3], theta, rows[..., 3 + nt:-3], rows[..., -3], rows[..., -2:]
+
+    @staticmethod
+    def from_vector(row, num_betas):
+        """The parameters whose `vector()` is `row` (D,)."""
+        phi, theta, beta, scale, trans = WholeBodyParams.split(
+            np.asarray(row, dtype=np.float64), num_betas)
+        return WholeBodyParams(phi, theta, ShapeParams(beta), WeakPerspectiveCamera(scale, trans))
+
     @staticmethod
     def identity(model):
         return WholeBodyParams(

@@ -8,6 +8,7 @@ ambiguous, the axis whose first nonzero component is positive is chosen.
 import numpy as np
 
 from . import _kernels
+from ._kernels import rodrigues_batch  # noqa: F401  re-exported for callers of rotations
 from .errors import InvalidRotationError
 
 ROTATION_INPUT_TOL = 1e-6
@@ -32,6 +33,23 @@ def canonicalize(aa):
     return axis * angle
 
 
+def unwrap(seq):
+    """Axis-angle sequence (T, ..., 3) with each vector replaced by its
+    equivalent ``aa + 2 pi k axis`` nearest the previous, already unwrapped one.
+
+    ``k = round((axis . prev - angle) / 2 pi)``; vectors with k = 0 keep
+    their bits, so a sequence that never jumps is returned unchanged.
+    """
+    seq = np.array(seq, dtype=np.float64)
+    for t in range(1, seq.shape[0]):
+        aa = seq[t]
+        angle = np.linalg.norm(aa, axis=-1, keepdims=True)
+        axis = np.divide(aa, angle, out=np.zeros_like(aa), where=angle > 0)
+        k = np.round(((axis * seq[t - 1]).sum(axis=-1, keepdims=True) - angle) / (2.0 * np.pi))
+        seq[t] = np.where(k != 0, aa + 2.0 * np.pi * k * axis, aa)
+    return seq
+
+
 def _positive_leading(axis):
     for c in axis:
         if c > 1e-12:
@@ -45,12 +63,6 @@ def rodrigues(aa):
     """Rotation matrix for an axis-angle vector; identity for the zero vector."""
     aa = np.asarray(aa, dtype=np.float64)
     return _kernels.rodrigues_batch(aa.reshape(1, 3))[0]
-
-
-def rodrigues_batch(aa):
-    """Rotation matrices (J, 3, 3) for a batch of axis-angle vectors (J, 3)."""
-    aa = np.ascontiguousarray(aa, dtype=np.float64)
-    return _kernels.rodrigues_batch(aa)
 
 
 def right_jacobian(aa):
@@ -94,18 +106,17 @@ def rotation_to_axis_angle(r):
     r = np.asarray(r, dtype=np.float64)
     if not is_rotation(r):
         raise InvalidRotationError("matrix is not a rotation within tolerance")
-    tr = np.trace(r)
-    angle = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    # |skew| = 2 sin(angle) and trace - 1 = 2 cos(angle); unlike arccos of the
+    # trace alone, this gives angle 0 whenever the skew part is exactly 0.
+    angle = np.arctan2(np.linalg.norm(skew) / 2.0, (np.trace(r) - 1.0) / 2.0)
     if angle < 1e-12:
         return np.zeros(3)
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    # The threshold sits above the ~sqrt(eps) resolution of arccos near -1
-    # (the skew part is meaningless below it) and below where the symmetric
-    # part of R picks up O(pi - angle) contamination from the skew term.
+    # Within 1e-7 of pi the skew part has too few significant bits to give
+    # the axis, and the symmetric part of R has only O(pi - angle)
+    # contamination from the skew term.
     if np.pi - angle > 1e-7:
-        axis = skew / (2.0 * np.sin(angle))
-        axis /= np.linalg.norm(axis)
-        return axis * angle
+        return skew / np.linalg.norm(skew) * angle
     # Near pi the skew part vanishes; recover the axis from the symmetric part.
     B = (r + np.eye(3)) / 2.0
     k = int(np.argmax(np.diag(B)))

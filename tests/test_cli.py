@@ -8,6 +8,7 @@ from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.cli import main
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
+from mocapkit.rotations import canonicalize, rodrigues
 
 
 @pytest.fixture
@@ -84,7 +85,7 @@ def test_integrate_end_to_end(asset, tmp_path, rng):
     pred_path = tmp_path / "pred.json"
     formats.write_json(pred_path, formats.predictions_to_doc([(0, body, left, None)]))
     out = tmp_path / "fused.json"
-    assert main(["integrate", str(asset), str(pred_path), str(out), "--jobs", "2"]) == 0
+    assert main(["integrate", str(asset), str(pred_path), str(out)]) == 0
     [(_, fused, _)] = formats.params_from_doc(formats.read_json(out))
     assert fused.theta_w.shape == (51, 3)
     np.testing.assert_array_equal(fused.phi_w, body.phi_b)
@@ -157,7 +158,7 @@ def test_fit_smooth_multi_frame(asset, tmp_path, rng):
     init_path = params_file(tmp_path, model, "init.json", frames_init)
     out = tmp_path / "out.json"
     assert main(["fit", str(asset), str(init_path), str(kp_path), str(out),
-                 "--iters", "2", "--smooth", "--jobs", "2"]) == 0
+                 "--iters", "2", "--smooth"]) == 0
     assert len(formats.params_from_doc(formats.read_json(out))) == 3
 
 
@@ -198,3 +199,43 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert main(["pose", str(bad), "x", "y"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "SchemaError"
+
+
+def test_fit_rejects_keypoint_count_mismatch_naming_the_frame(asset, tmp_path, capsys):
+    model = formats.load_model(asset)
+    params = WholeBodyParams.identity(model)
+    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:40])
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc([(7, pts, None)]))
+    init_path = params_file(tmp_path, model, "init.json", [(7, params, None)])
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(tmp_path / "fit.json")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DimensionError"
+    assert err["message"] == "frame 7: keypoint layout has 40 joints, model has 52"
+
+
+def test_fit_smooth_follows_a_rotation_through_pi(asset, tmp_path):
+    # The global orientation turns about z from 166 to 195 degrees; its
+    # canonical axis-angle flips sign at 180, which smoothing must not average.
+    model = formats.load_model(asset)
+    cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
+    frames_kp, frames_init = [], []
+    for t, deg in enumerate(np.linspace(166.0, 195.0, 30)):
+        phi = canonicalize(np.radians(deg) * np.array([0.0, 0.0, 1.0]))
+        params = WholeBodyParams(phi, np.zeros((51, 3)), ShapeParams.zeros(10), cam)
+        joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+        frames_kp.append((t, project(cam, joints), None))
+        frames_init.append((t, params, None))
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc(frames_kp))
+    init_path = params_file(tmp_path, model, "init.json", frames_init)
+    raw_path, smooth_path = tmp_path / "raw.json", tmp_path / "smooth.json"
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(raw_path), "--iters", "2"]) == 0
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(smooth_path),
+                 "--iters", "2", "--smooth"]) == 0
+    raw = formats.params_from_doc(formats.read_json(raw_path))
+    smooth = formats.params_from_doc(formats.read_json(smooth_path))
+    for (_, r, _), (_, s, _) in zip(raw, smooth):
+        assert np.linalg.norm(s.phi_w) <= np.pi
+        cos = (np.trace(rodrigues(r.phi_w).T @ rodrigues(s.phi_w)) - 1.0) / 2.0
+        assert np.degrees(np.arccos(min(cos, 1.0))) < 1.0

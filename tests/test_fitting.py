@@ -101,6 +101,7 @@ def test_fit_jacobian_exact_on_quadratics():
     FitConfig(),
     FitConfig(free_fingers=True, free_shape=True),
     FitConfig(free_global_orient=False, free_camera=False),
+    FitConfig(free_body_pose=False, free_wrists=True),
 ])
 def test_exact_jacobian_matches_central_differences(toy, rng, config):
     layout = PoseLayout.from_model(toy)
@@ -144,6 +145,45 @@ def test_batched_residuals_match_each_column(toy, rng, config):
     for b in range(5):
         np.testing.assert_allclose(batched[:, b], _residuals(toy, packer, anchor, kp, config, cols[:, b]),
                                    rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("config", [
+    FitConfig(),
+    FitConfig(free_body_pose=False, free_wrists=True),
+    FitConfig(free_wrists=False),
+    FitConfig(free_body_pose=False, free_wrists=False, free_fingers=True, free_shape=True),
+    FitConfig(free_global_orient=False, free_camera=False),
+])
+def test_param_vector_pack_unpack_round_trip(toy, rng, config):
+    layout = PoseLayout.from_model(toy)
+    init = WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
+                           ShapeParams(rng.normal(size=10)), WeakPerspectiveCamera.identity())
+    cam = WeakPerspectiveCamera(200.0, np.array([64.0, 32.0]))
+    packer = _ParamVector(toy, init, cam, config)
+    x = packer.pack(init, cam)
+    params, cam_out = packer.unpack(x)
+    assert params.vector().tobytes() == init.vector(cam).tobytes()
+    assert cam_out.scale == cam.scale
+    assert cam_out.translation.tobytes() == cam.translation.tobytes()
+
+    wrists = [layout.left_wrist_row, layout.right_wrist_row]
+    rows = set()
+    if config.free_body_pose:
+        rows |= set(layout.body_rows.tolist()) - set(wrists)
+    if config.free_wrists:
+        rows |= set(wrists)
+    if config.free_fingers:
+        rows |= set(layout.left_finger_rows.tolist() + layout.right_finger_rows.tolist())
+    free = [np.arange(3)] if config.free_global_orient else []
+    free += [3 + 3 * r + np.arange(3) for r in sorted(rows)]
+    if config.free_shape:
+        free.append(3 + 153 + np.arange(10))
+    if config.free_camera:
+        free.append(3 + 153 + 10 + np.arange(3))
+    free = np.concatenate(free)
+    np.testing.assert_array_equal(x, init.vector(cam)[free])
+    moved, _ = packer.unpack(x + 1.0)
+    np.testing.assert_array_equal(np.flatnonzero(moved.vector() != init.vector(cam)), free)
 
 
 def test_fit_recovers_perturbed_pose(toy, rng):

@@ -133,3 +133,24 @@ def test_hand_bbox_unknown_side(toy):
     params = WholeBodyParams.identity(toy)
     with pytest.raises(DimensionError):
         hand_bbox_from_body(toy, params, WeakPerspectiveCamera.identity(), "dorsal")
+
+
+def test_params_vector_round_trip(rng):
+    params = WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
+                             ShapeParams(rng.normal(size=10)),
+                             WeakPerspectiveCamera(250.0, rng.normal(size=2)))
+    vec = params.vector()
+    assert vec.shape == (3 + 51 * 3 + 10 + 3,)
+    back = WholeBodyParams.from_vector(vec, 10)
+    for a, b in ((params.phi_w, back.phi_w), (params.theta_w, back.theta_w),
+                 (params.beta_w.beta, back.beta_w.beta),
+                 (params.cam_w.translation, back.cam_w.translation)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert back.cam_w.scale == params.cam_w.scale
+    cam = WeakPerspectiveCamera(3.0, np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(params.vector(cam)[-3:], [3.0, 1.0, 2.0])
+    # split of a batch of rows gives views with leading batch axes
+    rows = np.stack([vec, 2.0 * vec])
+    parts = WholeBodyParams.split(rows, 10)
+    assert [p.shape for p in parts] == [(2, 3), (2, 51, 3), (2, 10), (2,), (2, 2)]
+    assert all(np.shares_memory(p, rows) for p in parts)

@@ -4,7 +4,7 @@ from scipy.spatial.transform import Rotation
 
 from mocapkit.errors import InvalidRotationError
 from mocapkit.rotations import (canonicalize, is_rotation, right_jacobian, rodrigues,
-                                rodrigues_batch, rotation_to_axis_angle)
+                                rodrigues_batch, rotation_to_axis_angle, unwrap)
 
 
 def test_zero_vector_gives_identity():
@@ -68,6 +68,21 @@ def test_round_trip_random(rng):
         assert np.abs(rodrigues(aa) - R).max() < 1e-6
 
 
+def test_near_identity_to_axis_angle_is_finite(rng):
+    # R.T @ R is the identity up to rounding; its skew part is often exactly 0
+    for R in rodrigues_batch(rng.normal(scale=2.0, size=(1000, 3))):
+        aa = rotation_to_axis_angle(R.T @ R)
+        assert np.all(np.isfinite(aa))
+        assert np.linalg.norm(aa) < 1e-7
+
+
+def test_round_trip_small_angles(rng):
+    for _ in range(200):
+        axis = rng.normal(size=3)
+        aa = axis / np.linalg.norm(axis) * 10.0 ** rng.uniform(-10, -2)
+        np.testing.assert_allclose(rotation_to_axis_angle(rodrigues(aa)), aa, rtol=1e-6, atol=0)
+
+
 def test_round_trip_near_pi(rng):
     for _ in range(200):
         axis = rng.normal(size=3)
@@ -126,6 +141,20 @@ def test_canonicalize_batch_matches_scalar_reference(rng):
     np.testing.assert_allclose(canonicalize(batch[None]), expected[None], rtol=0, atol=1e-14)
     for v, e in zip(batch[::7], expected[::7]):
         np.testing.assert_allclose(canonicalize(v), e, rtol=0, atol=1e-14)
+
+
+def test_unwrap_makes_a_sweep_through_pi_continuous(rng):
+    axes = rng.normal(size=(4, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.radians(np.linspace(150.0, 230.0, 20))
+    seq = canonicalize(angles[:, None, None] * axes)
+    out = unwrap(seq)
+    np.testing.assert_allclose(rodrigues_batch(out), rodrigues_batch(seq), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, angles[:, None, None] * axes, rtol=0, atol=1e-12)
+    # a sequence that never jumps keeps its bits, signed zeros included
+    calm = rng.normal(scale=0.3, size=(10, 5, 3))
+    calm[3, 2] = -0.0
+    assert unwrap(calm).tobytes() == calm.tobytes()
 
 
 def test_right_jacobian_is_the_exp_map_derivative(rng):

@@ -1,7 +1,7 @@
 """mocapkit: parametric whole-body/hand kinematics, integration, and keypoint fitting."""
 
 from .camera import WeakPerspectiveCamera, project
-from .fitting import FitConfig, FitResult, KeypointSet2D, fit, temporal_smooth
+from .fitting import FitConfig, FitResult, KeypointSet2D, fit, fit_frames, temporal_smooth
 from .integration import (BodyPrediction, HandPrediction, WholeBodyParams,
                           copy_paste, hand_bbox_from_body)
 from .kinematics import (FkResult, RigidTransform, SkeletonTree,

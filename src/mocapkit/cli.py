@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import dataprep, formats, metrics
-from .errors import DimensionError, MocapkitError, SchemaError
-from .fitting import FitConfig, fit, temporal_smooth
+from .errors import DimensionError, FitError, MocapkitError, SchemaError
+from .fitting import FitConfig, fit_frames, temporal_smooth
 from .integration import WholeBodyParams, copy_paste
 from .model import pose_mesh
 from .rotations import canonicalize, unwrap
@@ -60,23 +60,25 @@ def cmd_fit(args):
     kp_by_frame = {i: (pts, conf) for i, pts, conf in kp_frames}
     config = FitConfig(iterations=args.iters)
 
-    def fit_frame(rec):
-        i, params, _extras = rec
+    inputs = []
+    for i, params, _extras in init_frames:
         if i not in kp_by_frame:
             raise SchemaError(f"no keypoints for frame {i}")
         pts, conf = kp_by_frame[i]
         if pts.shape[1] != 2:
             raise SchemaError("fit requires 2D keypoints")
         try:
-            result = fit(model, params, params.cam_w, formats.keypoint_set(pts, conf), config)
+            inputs.append((params, params.cam_w, formats.keypoint_set(pts, conf)))
         except DimensionError as e:
             raise DimensionError(f"frame {i}: {e}") from e
-        return i, result.params, {
-            "cost_trace": result.cost_trace,
-            "final_rms_px": result.final_rms_px,
-        }
-
-    out = [fit_frame(rec) for rec in init_frames]
+    try:
+        results = fit_frames(model, inputs, config)
+    except (DimensionError, FitError) as e:
+        if e.frame is None:
+            raise
+        raise type(e)(f"frame {init_frames[e.frame][0]}: {e}") from e
+    out = [(i, r.params, {"cost_trace": r.cost_trace, "final_rms_px": r.final_rms_px})
+           for (i, _, _), r in zip(init_frames, results)]
 
     if args.smooth and len(out) > 1:
         flat = np.array([p.vector() for _, p, _ in out])

@@ -4,6 +4,9 @@
 class MocapkitError(ValueError):
     """Base class for all mocapkit errors."""
 
+    # Position, in a batched call's input, of the frame the error is about.
+    frame = None
+
 
 class DimensionError(MocapkitError):
     """Array shapes do not match what an operation requires."""

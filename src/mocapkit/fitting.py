@@ -1,11 +1,12 @@
 """Optimization-based integration: damped least squares on 2D reprojection + priors."""
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import project
-from .errors import DimensionError, FitError
+from .errors import DimensionError, FitError, MocapkitError
 from .integration import PoseLayout, WholeBodyParams
 from .kinematics import forward_kinematics
 from .model import PoseParams, pose_joints
@@ -14,24 +15,27 @@ from .rotations import canonicalize, right_jacobian
 
 @dataclass(frozen=True)
 class KeypointSet2D:
-    """2D keypoints aligned to the model's whole-body joint order, with confidences."""
+    """2D keypoints aligned to the model's whole-body joint order, with confidences.
 
-    points: np.ndarray         # (K, 2) px
-    confidence: np.ndarray     # (K,) in [0, 1]
+    Leading axes, if any, stack the keypoints of several frames.
+    """
+
+    points: np.ndarray         # (..., K, 2) px
+    confidence: np.ndarray     # (..., K) in [0, 1]
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=np.float64)
         c = np.asarray(self.confidence, dtype=np.float64)
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "confidence", c)
-        if p.ndim != 2 or p.shape[1] != 2:
+        if p.ndim < 2 or p.shape[-1] != 2:
             raise DimensionError("points must be (K, 2)")
-        if c.shape != (p.shape[0],):
+        if c.shape != p.shape[:-1]:
             raise DimensionError("confidence must be (K,)")
-        bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(c))
+        bad = ~(np.isfinite(p).all(axis=-1) & np.isfinite(c))
         if bad.any():
             raise DimensionError(
-                f"joint {int(np.argmax(bad))}: keypoint or confidence is not finite")
+                f"joint {int(np.argwhere(bad)[0, -1])}: keypoint or confidence is not finite")
         if np.any(c < 0) or np.any(c > 1):
             raise DimensionError("confidences must lie in [0, 1]")
 
@@ -83,10 +87,20 @@ def reprojection_cost(model, params, cam, kp):
 
 
 def _check_keypoint_count(model, kp):
-    if kp.points.shape[0] != model.num_joints:
+    if kp.points.shape[-2] != model.num_joints:
         raise DimensionError(
-            f"keypoint layout has {kp.points.shape[0]} joints, model has {model.num_joints}"
+            f"keypoint layout has {kp.points.shape[-2]} joints, model has {model.num_joints}"
         )
+
+
+def _check_frame(model, init, kp):
+    """The checks `fit` makes on one frame before it starts."""
+    _check_keypoint_count(model, kp)
+    if kp.confidence.max() <= 0.0:
+        raise FitError("all keypoint confidences are zero; the fit is unconstrained")
+    if init.theta_w.shape[0] != model.num_joints - 1 or init.beta_w.beta.shape[0] != model.num_betas:
+        raise DimensionError(f"init params must have {model.num_joints - 1} pose rows "
+                             f"and {model.num_betas} betas")
 
 
 def _reprojection_residuals(model, params, cam, kp):
@@ -111,7 +125,8 @@ class _ParamVector:
     """The free entries of the flat `WholeBodyParams.vector` layout.
 
     A packed vector holds the free positions of ``init.vector(cam_init)`` in
-    ascending order; frozen positions keep their initial values.
+    ascending order; frozen positions keep their initial values.  `base` is
+    that full vector (D,), or one per frame (T, D) after `with_base`.
     """
 
     def __init__(self, model, init, cam_init, config):
@@ -139,47 +154,64 @@ class _ParamVector:
         scale[:] = trans[:] = config.free_camera
         self.free = np.flatnonzero(mask)
 
+    def with_base(self, base):
+        """The same free positions over other base vectors, e.g. one per frame (T, D)."""
+        other = copy.copy(self)
+        other.base = base
+        return other
+
     def pack(self, params, cam):
         return params.vector(cam)[self.free]
 
+    def rows(self, cols):
+        """Full vectors (B, D) of the packed vectors in the rows of `cols` (B, n)."""
+        rows = np.broadcast_to(self.base, (cols.shape[0], self.base.shape[-1])).copy()
+        rows[:, self.free] = cols
+        return rows
+
     def decode(self, cols):
         """`WholeBodyParams.split` of the packed vectors in the rows of `cols` (B, n)."""
-        rows = np.repeat(self.base[None], cols.shape[0], axis=0)
-        rows[:, self.free] = cols
-        return WholeBodyParams.split(rows, self.num_betas)
+        return WholeBodyParams.split(self.rows(cols), self.num_betas)
 
     def unpack(self, x):
-        row = self.base.copy()
-        row[self.free] = x
-        params = WholeBodyParams.from_vector(row, self.num_betas)
+        params = WholeBodyParams.from_vector(self.rows(x[None])[0], self.num_betas)
         return params, params.cam_w
 
     def canonicalized(self, x):
-        """Re-canonicalize all axis-angle blocks of a packed vector."""
+        """Re-canonicalize all axis-angle blocks of packed vectors (..., n)."""
         x = x.copy()
         n = 3 * self.free_joints.size
-        x[:n] = canonicalize(x[:n].reshape(-1, 3)).ravel()
+        blocks = x[..., :n].reshape(x.shape[:-1] + (-1, 3))
+        x[..., :n] = canonicalize(blocks).reshape(x.shape[:-1] + (n,))
         return x
 
 
 def _residuals(model, packer, anchor, kp, config, x):
     """Residuals at a packed vector x (n,), or one column of residuals per
-    column of x (n, B); all columns are posed in one batched call."""
+    column of x (n, B); all columns are posed in one batched call.
+
+    The prior pulls the pose toward `anchor`, or toward the pose of
+    `packer.base` when `anchor` is None.  `packer.base` and `kp` hold one
+    frame, shared by every column, or one frame per column (leading axis B).
+    """
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1).T
     B = cols.shape[0]
     phi, theta, beta, scale, trans = packer.decode(cols)
     joints = pose_joints(model, PoseParams(phi, theta), beta)[:, : model.num_joints]
     projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
-    r2d = np.sqrt(config.weight_2d * kp.confidence)[:, None] * (projected - kp.points)
-    rp = np.sqrt(config.weight_prior_pose) * (theta - anchor.theta_w).reshape(B, -1)
+    r2d = np.sqrt(config.weight_2d * kp.confidence)[..., None] * (projected - kp.points)
+    centre = (WholeBodyParams.split(packer.base, packer.num_betas)[1] if anchor is None
+              else anchor.theta_w)
+    rp = np.sqrt(config.weight_prior_pose) * (theta - centre).reshape(B, -1)
     rs = np.sqrt(config.weight_prior_shape) * beta
     r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
     return r[0] if x.ndim == 1 else r.T
 
 
 def _jacobian(model, packer, kp, config, x):
-    """Exact Jacobian (m, n) of `_residuals` at a packed vector x (n,).
+    """Exact Jacobian (m, n) of `_residuals` at a packed vector x (n,), or one
+    per column of x (n, T), stacked to (T, m, n).
 
     With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
     posed joint k is ``P_k = sum_j T_kj``, ``T_kj = R_j U_kj + C_kj t_j``.
@@ -197,53 +229,56 @@ def _jacobian(model, packer, kp, config, x):
     """
     fold = model.joint_fold
     K = model.num_joints
-    phi, theta, beta, scale, _ = packer.decode(np.asarray(x, dtype=np.float64)[None])
-    beta = beta[0]
-    rest = fold.rest + np.tensordot(beta, fold.rest_basis, axes=1)
-    verts = fold.vertices + np.tensordot(beta, fold.vertex_basis, axes=1)
-    pose = PoseParams(phi[0], theta[0])
+    x = np.asarray(x, dtype=np.float64)
+    cols = x.reshape(x.shape[0], -1).T
+    B = cols.shape[0]
+    phi, theta, beta, scale, _ = packer.decode(cols)
+    verts, rest = fold.shaped(beta)
+    pose = PoseParams(phi, theta)
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     R, t = fk.rotations, fk.translations
 
-    T = fold.blend[:, :, None] * t
-    T[fold.pair_joint, fold.pair_bone] += (R[fold.pair_bone] @ verts[..., None])[..., 0]
-    T = T[:K]
+    T = fold.blend[:, :, None] * t[:, None]
+    T[:, fold.pair_joint, fold.pair_bone] += (R[:, fold.pair_bone] @ verts[..., None])[..., 0]
+    T = T[:, :K]
 
     a = packer.free_joints
-    aa = np.concatenate([phi, theta[0]])[a]
-    centre = (R[a] @ rest[a, :, None])[..., 0] + t[a]
-    v = fold.subtree[:, a].T @ T - fold.blend_subtree[:K, a, None] * centre
-    A = R[a] @ right_jacobian(aa)
+    aa = np.concatenate([phi[:, None], theta], axis=1)[:, a]
+    centre = (R[:, a] @ rest[:, a, :, None])[..., 0] + t[:, a]
+    v = fold.subtree[:, a].T @ T - fold.blend_subtree[:K, a, None] * centre[:, None]
+    A = (R[:, a] @ right_jacobian(aa))[:, None]
     # x and y rows of -[v]x A
-    dxy = np.stack([v[..., 2, None] * A[:, 1] - v[..., 1, None] * A[:, 2],
-                    v[..., 0, None] * A[:, 2] - v[..., 2, None] * A[:, 0]], axis=1)
+    dxy = np.stack([v[..., 2, None] * A[..., 1, :] - v[..., 1, None] * A[..., 2, :],
+                    v[..., 0, None] * A[..., 2, :] - v[..., 2, None] * A[..., 0, :]], axis=2)
 
     w = np.sqrt(config.weight_2d * kp.confidence)
+    sw = scale[:, None] * w
     m2 = 2 * K
     n_pose = 3 * a.size
     m = m2 + 3 * (K - 1) + packer.num_betas
-    jac = np.zeros((m, x.shape[0]))
-    jac[:m2, :n_pose] = ((scale[0] * w)[:, None, None, None] * dxy).reshape(m2, n_pose)
+    jac = np.zeros((B, m, cols.shape[1]))
+    jac[:, :m2, :n_pose] = (sw[..., None, None, None] * dxy).reshape(B, m2, n_pose)
     prior_rows = (m2 + 3 * packer.free_rows[:, None] + np.arange(3)).ravel()
     prior_cols = np.arange(n_pose - prior_rows.size, n_pose)
-    jac[prior_rows, prior_cols] = np.sqrt(config.weight_prior_pose)
+    jac[:, prior_rows, prior_cols] = np.sqrt(config.weight_prior_pose)
     i = n_pose
     if config.free_shape:
         nb = packer.num_betas
-        parent_rots = np.concatenate([np.eye(3)[None], R[model.tree.parents[1:]]])
-        q = np.einsum("jcd,bjd->bjc", parent_rots - R, fold.rest_basis)
+        parent_rots = np.concatenate(
+            [np.broadcast_to(np.eye(3), (B, 1, 3, 3)), R[:, model.tree.parents[1:]]], axis=1)
+        q = np.einsum("tjcd,bjd->tbjc", parent_rots - R, fold.rest_basis)
         dt = fold.subtree @ q
-        du = np.einsum("pcd,bpd->bpc", R[fold.pair_bone], fold.vertex_basis)
+        du = np.einsum("tpcd,bpd->tbpc", R[:, fold.pair_bone], fold.vertex_basis)
         dP = fold.pair_rows[:K] @ du + fold.blend[:K] @ dt
-        dxy_beta = dP[..., :2].transpose(1, 2, 0)
-        jac[:m2, i:i + nb] = (scale[0] * w[:, None, None] * dxy_beta).reshape(m2, nb)
-        jac[m - nb + np.arange(nb), i + np.arange(nb)] = np.sqrt(config.weight_prior_shape)
+        dxy_beta = dP[..., :2].transpose(0, 2, 3, 1)
+        jac[:, :m2, i:i + nb] = (sw[..., None, None] * dxy_beta).reshape(B, m2, nb)
+        jac[:, m - nb + np.arange(nb), i + np.arange(nb)] = np.sqrt(config.weight_prior_shape)
         i += nb
     if config.free_camera:
-        jac[:m2, i] = (w[:, None] * T.sum(axis=1)[:, :2]).ravel()
-        jac[0:m2:2, i + 1] = w
-        jac[1:m2:2, i + 2] = w
-    return jac
+        jac[:, :m2, i] = (w[..., None] * T.sum(axis=2)[..., :2]).reshape(B, m2)
+        jac[:, 0:m2:2, i + 1] = w
+        jac[:, 1:m2:2, i + 2] = w
+    return jac[0] if x.ndim == 1 else jac
 
 
 def _fit_residuals(model, packer, anchor, kp, config):
@@ -261,7 +296,8 @@ def fit_jacobian(residual_fn, x, step):
 
     If `residual_fn` has a ``jacobian`` attribute, the result is
     ``residual_fn.jacobian(x)``: `fit` passes its residuals with the exact
-    Jacobian attached, so a fit never differences.  Otherwise the result is
+    Jacobian attached, so a fit never differences, and passes x as one
+    column per frame (n, T) to get one Jacobian per frame (T, m, n).  Otherwise the result is
     the central difference ``(f(+) - f(-)) / (2 step)``, and `residual_fn`
     is called on column stacks: given an (n, n) array whose column i is
     ``x + step e_i`` (then ``x - step e_i``), it returns the (m, n) array
@@ -288,50 +324,97 @@ def fit(model, init, cam_init, kp, config=None):
     that runs out of retries keeps its parameters and makes the result's
     status "stalled".  The cost trace is non-increasing.
     """
+    return fit_frames(model, [(init, cam_init, kp)], config)[0]
+
+
+# `fit_frames` runs at most this many frames in one lockstep loop, which
+# bounds the memory of its batched Jacobian on long inputs.
+FIT_GROUP = 32
+
+
+def fit_frames(model, frames, config=None):
+    """`fit` of every ``(init, cam_init, kp)`` in `frames`; one FitResult each.
+
+    The frames are fitted in lockstep: every iteration poses and
+    differentiates all of them in one batched call, and every retry round
+    solves and poses the frames whose step is still pending.  Each frame
+    keeps its own parameters, damping, cost trace, status and step counts,
+    so its result is bit for bit that of fitting it alone.  Every frame is
+    checked before any is fitted; an error raised for the frame at position
+    t of `frames` has ``frame = t``.
+    """
     config = config or FitConfig()
-    _check_keypoint_count(model, kp)
-    if kp.confidence.max() <= 0.0:
-        raise FitError("all keypoint confidences are zero; the fit is unconstrained")
+    frames = list(frames)
+    for t, (init, _, kp) in enumerate(frames):
+        try:
+            _check_frame(model, init, kp)
+        except MocapkitError as e:
+            e.frame = t
+            raise
+    results = []
+    for first in range(0, len(frames), FIT_GROUP):
+        results += _fit_lockstep(model, frames[first:first + FIT_GROUP], config, first)
+    return results
 
-    packer = _ParamVector(model, init, cam_init, config)
-    residuals = _fit_residuals(model, packer, init, kp, config)
-    x = packer.pack(init, cam_init)
-    r = residuals(x)
-    cost = float(r @ r)
-    if not np.isfinite(cost):
-        raise FitError("initial cost is not finite")
 
-    lam = config.damping_init
-    trace = np.empty(config.iterations)
-    accepted_steps = rejected_steps = 0
-    stalled = False
+def _fit_lockstep(model, frames, config, first):
+    inits, cams, kps = zip(*frames)
+    packer = _ParamVector(model, inits[0], cams[0], config).with_base(
+        np.stack([init.vector(cam) for init, cam in zip(inits, cams)]))
+    kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
+    residuals = _fit_residuals(model, packer, None, kp, config)
+    x = packer.base[:, packer.free]
+    r = residuals(x.T).T
+    cost = np.array([rt @ rt for rt in r])
+    bad = np.flatnonzero(~np.isfinite(cost))
+    if bad.size:
+        err = FitError("initial cost is not finite")
+        err.frame = first + int(bad[0])
+        raise err
+
+    T, n = x.shape
+    lam = np.full(T, config.damping_init)
+    trace = np.empty((T, config.iterations))
+    accepted = np.zeros(T, dtype=np.int64)
+    rejected = np.zeros(T, dtype=np.int64)
+    stalled = np.zeros(T, dtype=bool)
+    eye = np.eye(n)
     for it in range(config.iterations):
-        J = fit_jacobian(residuals, x, config.fd_step)
-        JtJ = J.T @ J
-        Jtr = J.T @ r
+        J = fit_jacobian(residuals, x.T, config.fd_step)
+        JtJ = np.stack([Jt.T @ Jt for Jt in J])
+        Jtr = np.stack([Jt.T @ rt for Jt, rt in zip(J, r)])
+        pending = np.arange(T)
         for _ in range(config.max_retries):
-            step = np.linalg.solve(JtJ + lam * np.eye(x.shape[0]), Jtr)
-            x_new = packer.canonicalized(x - step)
-            r_new = residuals(x_new)
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / config.damping_down, 1e-12)
-                accepted_steps += 1
+            step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
+                                   Jtr[pending, :, None])[..., 0]
+            x_new = packer.canonicalized(x[pending] - step)
+            kp_new = KeypointSet2D(kp.points[pending], kp.confidence[pending])
+            r_new = _residuals(model, packer.with_base(packer.base[pending]), None, kp_new,
+                               config, x_new.T).T
+            cost_new = np.array([rt @ rt for rt in r_new])
+            ok = np.isfinite(cost_new) & (cost_new <= cost[pending])
+            done, pending = pending[ok], pending[~ok]
+            x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
+            lam[done] = np.maximum(lam[done] / config.damping_down, 1e-12)
+            lam[pending] = np.minimum(lam[pending] * config.damping_up, 1e12)
+            accepted[done] += 1
+            rejected[pending] += 1
+            if not pending.size:
                 break
-            rejected_steps += 1
-            lam = min(lam * config.damping_up, 1e12)
-        else:
-            stalled = True
-        trace[it] = cost
+        stalled[pending] = True
+        trace[:, it] = cost
 
-    params, cam = packer.unpack(x)
-    wres = _reprojection_residuals(model, params, cam, kp).reshape(-1, 2)
-    denom = kp.confidence.sum()
-    rms = float(np.sqrt((wres * wres).sum() / denom)) if denom > 0 else float("nan")
-    return FitResult(params=params, cost_trace=trace, final_rms_px=rms,
-                     status="stalled" if stalled else "ok",
-                     accepted_steps=accepted_steps, rejected_steps=rejected_steps)
+    rows = packer.rows(x)
+    phi, theta, beta, scale, trans = WholeBodyParams.split(rows, packer.num_betas)
+    joints = pose_joints(model, PoseParams(phi, theta), beta)[:, : model.num_joints]
+    projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
+    wres = np.sqrt(kp.confidence)[..., None] * (projected - kp.points)
+    return [FitResult(params=WholeBodyParams.from_vector(rows[t], packer.num_betas),
+                      cost_trace=trace[t],
+                      final_rms_px=float(np.sqrt((wres[t] * wres[t]).sum() / kp.confidence[t].sum())),
+                      status="stalled" if stalled[t] else "ok",
+                      accepted_steps=int(accepted[t]), rejected_steps=int(rejected[t]))
+            for t in range(T)]
 
 
 SMOOTH_KERNEL = np.array([0.1, 0.2, 0.5, 0.2, 0.1])

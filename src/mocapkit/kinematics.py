@@ -37,9 +37,6 @@ class SkeletonTree:
     def num_joints(self):
         return self.parents.shape[0]
 
-    def index_of(self, name):
-        return self.joint_names.index(name)
-
 
 @dataclass(frozen=True)
 class RigidTransform:

@@ -154,6 +154,19 @@ class JointFold:
             blend_subtree=blend @ subtree,
         )
 
+    def shaped(self, beta):
+        """Virtual vertices (..., P, 3) and rest joints (..., J, 3) at shape
+        coefficients `beta` (..., B).
+
+        Each leading index is blended by its own matrix-vector product, so a
+        pose's result has the same bits however many poses are blended with it.
+        """
+        def blend(basis):
+            flat = basis.reshape(basis.shape[0], -1)
+            return (beta[..., None, :] @ flat)[..., 0, :].reshape(beta.shape[:-1] + basis.shape[1:])
+
+        return self.vertices + blend(self.vertex_basis), self.rest + blend(self.rest_basis)
+
 
 @dataclass(frozen=True)
 class PoseParams:
@@ -261,8 +274,7 @@ def pose_joints(model, pose, beta=None):
         beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
         if beta.shape[-1:] != (model.num_betas,):
             raise DimensionError(f"beta must have length {model.num_betas}")
-        verts = verts + np.tensordot(beta, fold.vertex_basis, axes=1)
-        rest = rest + np.tensordot(beta, fold.rest_basis, axes=1)
+        verts, rest = fold.shaped(beta)
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     posed = _kernels.lbs(fold.weights, verts, fk.rotations, fk.translations)
     return fold.pair_rows @ posed + fold.trans_rows @ fk.translations

@@ -214,6 +214,40 @@ def test_fit_rejects_keypoint_count_mismatch_naming_the_frame(asset, tmp_path, c
     assert err["message"] == "frame 7: keypoint layout has 40 joints, model has 52"
 
 
+FIT_FAULTS = {
+    "zero_confidence": "all keypoint confidences are zero; the fit is unconstrained",
+    "nan_init": "initial cost is not finite",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FIT_FAULTS))
+@pytest.mark.parametrize("indices", [(0, 1, 2), (3, 5, 8)])
+def test_fit_error_names_the_frame(asset, tmp_path, capsys, indices, fault):
+    model = formats.load_model(asset)
+    params = WholeBodyParams.identity(model)
+    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    conf = np.ones(52)
+    bad = params
+    if fault == "zero_confidence":
+        conf = np.zeros(52)
+    else:
+        theta = params.theta_w.copy()
+        theta[4, 1] = np.nan
+        bad = WholeBodyParams(params.phi_w, theta, params.beta_w, params.cam_w)
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc(
+        [(indices[0], pts, None), (indices[1], pts, None), (indices[2], pts, conf)]))
+    init_path = params_file(tmp_path, model, "init.json",
+                            [(indices[0], params, None), (indices[1], params, None),
+                             (indices[2], bad, None)])
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FitError"
+    assert err["message"] == f"frame {indices[2]}: {FIT_FAULTS[fault]}"
+    assert not out.exists()
+
+
 def test_fit_smooth_follows_a_rotation_through_pi(asset, tmp_path):
     # The global orientation turns about z from 166 to 195 degrees; its
     # canonical axis-angle flips sign at 180, which smoothing must not average.

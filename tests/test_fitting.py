@@ -218,23 +218,41 @@ def _noisy_fit_problem(toy, rng):
     return WholeBodyParams(np.zeros(3), init_theta, ShapeParams.zeros(10), cam), cam, kp
 
 
-def test_fit_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch):
-    init, cam, kp = _noisy_fit_problem(toy, rng)
-    calls = []
+def _counting_residuals(monkeypatch):
+    """Patch `fitting._residuals` to record how many parameter vectors each call poses."""
+    columns = []
     original = fitting._residuals
 
     def counting(*args):
         r = original(*args)
-        calls.append(r.ndim)
+        columns.append(1 if r.ndim == 1 else r.shape[1])
         return r
 
     monkeypatch.setattr(fitting, "_residuals", counting)
+    return columns
+
+
+def test_fit_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch):
+    init, cam, kp = _noisy_fit_problem(toy, rng)
+    calls = _counting_residuals(monkeypatch)
     result = fit(toy, init, cam, kp, FitConfig(iterations=15))
     # the first evaluation is the initial cost; every later one is a trial step
     assert calls == [1] * len(calls)
     assert result.accepted_steps + result.rejected_steps == len(calls) - 1
     assert result.accepted_steps >= 1
     assert result.status == "ok" and result.cost_trace.shape == (15,)
+
+
+def test_lockstep_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch):
+    frames = [_noisy_fit_problem(toy, rng) for _ in range(4)]
+    columns = _counting_residuals(monkeypatch)
+    results = fitting.fit_frames(toy, frames, FitConfig(iterations=15))
+    # the first call poses every frame's initial vector; a retry round poses
+    # only the frames whose step is still pending, one trial step each
+    assert columns[0] == 4 and all(1 <= c <= 4 for c in columns)
+    assert min(columns) < 4
+    assert sum(r.accepted_steps + r.rejected_steps for r in results) == sum(columns) - 4
+    assert all(r.accepted_steps >= 1 and r.status == "ok" for r in results)
 
 
 def test_fit_reports_a_stall(toy, rng, monkeypatch):
@@ -303,3 +321,55 @@ def test_smooth_interior_window_renormalized():
 def test_smooth_empty_rejected():
     with pytest.raises(DimensionError):
         temporal_smooth(np.zeros((0, 3)))
+
+
+def _clip(toy, rng):
+    """Six frames that need different numbers of retries: the first starts at
+    its clean ground truth, the second has noisy keypoints with three joints
+    at zero confidence, and the rest start further from the truth each."""
+    layout = PoseLayout.from_model(toy)
+    frames = []
+    for t in range(6):
+        cam = WeakPerspectiveCamera(280.0 + 10.0 * t, np.array([128.0, 120.0 + t]))
+        gt_theta = np.zeros((toy.num_joints - 1, 3))
+        gt_theta[layout.body_rows] = rng.normal(scale=0.2, size=(21, 3))
+        gt = WholeBodyParams(rng.normal(scale=0.1, size=3), gt_theta,
+                             ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+        conf = np.ones(toy.num_joints)
+        if t == 1:
+            conf[[3, 17, 40]] = 0.0
+        kp = render_keypoints(toy, gt, cam, conf=conf)
+        if t > 0:
+            kp = KeypointSet2D(kp.points + rng.normal(scale=1.0, size=kp.points.shape), conf)
+        theta = gt_theta.copy()
+        if t > 0:
+            theta[layout.body_rows] += rng.normal(scale=0.05 * t, size=(21, 3))
+        frames.append((WholeBodyParams(gt.phi_w, theta, gt.beta_w, cam), cam, kp))
+    return frames
+
+
+@pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1)])
+def test_lockstep_fit_equals_frame_by_frame(toy, rng, config):
+    frames = _clip(toy, rng)
+    together = fitting.fit_frames(toy, frames, config)
+    alone = [fit(toy, init, cam, kp, config) for init, cam, kp in frames]
+    assert len(together) == len(frames)
+    for a, b in zip(together, alone):
+        assert a.params.vector().tobytes() == b.params.vector().tobytes()
+        assert a.cost_trace.tobytes() == b.cost_trace.tobytes()
+        assert a.final_rms_px == b.final_rms_px
+        assert (a.status, a.accepted_steps, a.rejected_steps) == (b.status, b.accepted_steps,
+                                                                  b.rejected_steps)
+    assert len({r.rejected_steps for r in alone}) > 2
+    if config.max_retries == 1:
+        assert {r.status for r in alone} == {"ok", "stalled"}
+
+
+def test_fit_frames_names_the_frame_it_rejects(toy, rng):
+    frames = _clip(toy, rng)[:3]
+    init, cam, kp = frames[2]
+    frames[2] = (init, cam, KeypointSet2D(kp.points, np.zeros(toy.num_joints)))
+    with pytest.raises(FitError, match="confidences are zero") as e:
+        fitting.fit_frames(toy, frames)
+    assert e.value.frame == 2
+    assert fitting.fit_frames(toy, []) == []

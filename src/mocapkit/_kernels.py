@@ -1,9 +1,9 @@
 """Hot numeric kernels: batched Rodrigues, forward kinematics, linear blend skinning.
 
 Every kernel takes optional leading batch axes (written ``...`` below) and
-broadcasts them, so one call can pose many parameter vectors at once; the
-finite-difference Jacobian of a fit poses all of its perturbed columns this
-way.  The kernels are vectorised numpy:
+broadcasts them, so one call can pose many parameter vectors at once; a
+lockstep fit poses every frame's trial step this way.  The kernels are
+vectorised numpy:
 
 * Rodrigues writes the nine entries of each rotation matrix directly from the
   unit axis, with no skew-matrix temporaries;

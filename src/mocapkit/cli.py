@@ -103,12 +103,17 @@ def cmd_eval(args):
     gt = formats.joints_from_doc(formats.read_json(args.gt))
     if [i for i, _ in pred] != [i for i, _ in gt]:
         raise SchemaError("pred and gt frame indices differ")
+    if not pred:
+        raise SchemaError("no frames to evaluate")
+    shape = pred[0][1].shape
+    for name, frames in (("pred", pred), ("gt", gt)):
+        for i, j in frames:
+            if j.shape != shape:
+                raise SchemaError(f"{name} frame {i}: joints are {j.shape}, not {shape}")
+    pred_j = np.stack([j for _, j in pred])
+    gt_j = np.stack([j for _, j in gt])
     lo, hi = ((metrics.RANGE_3D_MM if args.metric == "3d" else metrics.RANGE_2D_PX)
               if args.range is None else tuple(args.range))
-    pred_j = np.concatenate([j[None] for _, j in pred])
-    gt_j = np.concatenate([j[None] for _, j in gt])
-    if pred_j.shape != gt_j.shape:
-        raise SchemaError("pred and gt joint shapes differ")
     curve = metrics.pck_curve(pred_j, gt_j, lo, hi, alignment=args.alignment)
     report = {
         "metric": args.metric,

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import project
 from .errors import DimensionError, FitError, MocapkitError
 from .integration import PoseLayout, WholeBodyParams
 from .kinematics import forward_kinematics
@@ -43,12 +42,9 @@ class KeypointSet2D:
 @dataclass(frozen=True)
 class FitConfig:
     iterations: int = 20
-    weight_2d: float = 1.0
+    # Prior weights relative to the unit weight of the 2D reprojection terms.
     weight_prior_pose: float = 1e-2
     weight_prior_shape: float = 1e-1
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
     max_retries: int = 50
     # Central-difference step for checking the exact Jacobian; `fit` itself
     # does not difference.
@@ -65,7 +61,7 @@ class FitConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise DimensionError("iterations must be >= 1")
-        for w in (self.weight_2d, self.weight_prior_pose, self.weight_prior_shape):
+        for w in (self.weight_prior_pose, self.weight_prior_shape):
             if w < 0:
                 raise DimensionError("weights must be nonnegative")
 
@@ -80,45 +76,16 @@ class FitResult:
     rejected_steps: int          # trial steps that raised it (damping went up)
 
 
-def reprojection_cost(model, params, cam, kp):
-    """Confidence-weighted sum of squared projection errors over all joints."""
-    res = _reprojection_residuals(model, params, cam, kp)
-    return float(res @ res)
-
-
-def _check_keypoint_count(model, kp):
-    if kp.points.shape[-2] != model.num_joints:
-        raise DimensionError(
-            f"keypoint layout has {kp.points.shape[-2]} joints, model has {model.num_joints}"
-        )
-
-
 def _check_frame(model, init, kp):
     """The checks `fit` makes on one frame before it starts."""
-    _check_keypoint_count(model, kp)
+    if kp.points.shape[-2] != model.num_joints:
+        raise DimensionError(
+            f"keypoint layout has {kp.points.shape[-2]} joints, model has {model.num_joints}")
     if kp.confidence.max() <= 0.0:
         raise FitError("all keypoint confidences are zero; the fit is unconstrained")
     if init.theta_w.shape[0] != model.num_joints - 1 or init.beta_w.beta.shape[0] != model.num_betas:
         raise DimensionError(f"init params must have {model.num_joints - 1} pose rows "
                              f"and {model.num_betas} betas")
-
-
-def _reprojection_residuals(model, params, cam, kp):
-    _check_keypoint_count(model, kp)
-    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
-    diff = project(cam, joints) - kp.points
-    return (np.sqrt(kp.confidence)[:, None] * diff).ravel()
-
-
-def prior_cost(params, anchor, config):
-    """Quadratic anchor prior on pose plus shrinkage on shape."""
-    if params.theta_w.shape != anchor.theta_w.shape:
-        raise DimensionError("anchor pose layout does not match")
-    dtheta = params.theta_w - anchor.theta_w
-    return float(
-        config.weight_prior_pose * (dtheta * dtheta).sum()
-        + config.weight_prior_shape * (params.beta_w.beta * params.beta_w.beta).sum()
-    )
 
 
 class _ParamVector:
@@ -173,10 +140,6 @@ class _ParamVector:
         """`WholeBodyParams.split` of the packed vectors in the rows of `cols` (B, n)."""
         return WholeBodyParams.split(self.rows(cols), self.num_betas)
 
-    def unpack(self, x):
-        params = WholeBodyParams.from_vector(self.rows(x[None])[0], self.num_betas)
-        return params, params.cam_w
-
     def canonicalized(self, x):
         """Re-canonicalize all axis-angle blocks of packed vectors (..., n)."""
         x = x.copy()
@@ -200,7 +163,7 @@ def _residuals(model, packer, anchor, kp, config, x):
     phi, theta, beta, scale, trans = packer.decode(cols)
     joints = pose_joints(model, PoseParams(phi, theta), beta)[:, : model.num_joints]
     projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
-    r2d = np.sqrt(config.weight_2d * kp.confidence)[..., None] * (projected - kp.points)
+    r2d = np.sqrt(kp.confidence)[..., None] * (projected - kp.points)
     centre = (WholeBodyParams.split(packer.base, packer.num_betas)[1] if anchor is None
               else anchor.theta_w)
     rp = np.sqrt(config.weight_prior_pose) * (theta - centre).reshape(B, -1)
@@ -251,7 +214,7 @@ def _jacobian(model, packer, kp, config, x):
     dxy = np.stack([v[..., 2, None] * A[..., 1, :] - v[..., 1, None] * A[..., 2, :],
                     v[..., 0, None] * A[..., 2, :] - v[..., 2, None] * A[..., 0, :]], axis=2)
 
-    w = np.sqrt(config.weight_2d * kp.confidence)
+    w = np.sqrt(kp.confidence)
     sw = scale[:, None] * w
     m2 = 2 * K
     n_pose = 3 * a.size
@@ -292,17 +255,16 @@ def _fit_residuals(model, packer, anchor, kp, config):
 
 
 def fit_jacobian(residual_fn, x, step):
-    """Jacobian (m, n) of a residual function at x (n,).
+    """Central-difference reference Jacobian (m, n) of a residual function at x (n,).
 
-    If `residual_fn` has a ``jacobian`` attribute, the result is
-    ``residual_fn.jacobian(x)``: `fit` passes its residuals with the exact
-    Jacobian attached, so a fit never differences, and passes x as one
-    column per frame (n, T) to get one Jacobian per frame (T, m, n).  Otherwise the result is
-    the central difference ``(f(+) - f(-)) / (2 step)``, and `residual_fn`
-    is called on column stacks: given an (n, n) array whose column i is
-    ``x + step e_i`` (then ``x - step e_i``), it returns the (m, n) array
-    whose column i is the residual vector of that column.  The tests check
-    the exact Jacobian against this difference.
+    The result is ``(f(+) - f(-)) / (2 step)``, with `residual_fn` called on
+    column stacks: given an (n, n) array whose column i is ``x + step e_i``
+    (then ``x - step e_i``), it returns the (m, n) array whose column i is
+    the residual vector of that column.  If `residual_fn` has a ``jacobian``
+    attribute, the result is ``residual_fn.jacobian(x)`` instead: the fit
+    reaches `_jacobian` this way, through `_fit_residuals`, with x as one
+    column per frame (n, T) and one Jacobian per frame (T, m, n) back.  The
+    tests check that exact Jacobian against the difference.
     """
     x = np.asarray(x, dtype=np.float64)
     exact = getattr(residual_fn, "jacobian", None)
@@ -373,7 +335,7 @@ def _fit_lockstep(model, frames, config, first):
         raise err
 
     T, n = x.shape
-    lam = np.full(T, config.damping_init)
+    lam = np.full(T, 1e-3)
     trace = np.empty((T, config.iterations))
     accepted = np.zeros(T, dtype=np.int64)
     rejected = np.zeros(T, dtype=np.int64)
@@ -395,8 +357,8 @@ def _fit_lockstep(model, frames, config, first):
             ok = np.isfinite(cost_new) & (cost_new <= cost[pending])
             done, pending = pending[ok], pending[~ok]
             x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
-            lam[done] = np.maximum(lam[done] / config.damping_down, 1e-12)
-            lam[pending] = np.minimum(lam[pending] * config.damping_up, 1e12)
+            lam[done] = np.maximum(lam[done] / 10.0, 1e-12)
+            lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
             accepted[done] += 1
             rejected[pending] += 1
             if not pending.size:
@@ -404,14 +366,12 @@ def _fit_lockstep(model, frames, config, first):
         stalled[pending] = True
         trace[:, it] = cost
 
+    # The leading 2K residuals of the accepted x are its weighted 2D errors.
+    r2d = r[:, : 2 * model.num_joints]
     rows = packer.rows(x)
-    phi, theta, beta, scale, trans = WholeBodyParams.split(rows, packer.num_betas)
-    joints = pose_joints(model, PoseParams(phi, theta), beta)[:, : model.num_joints]
-    projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
-    wres = np.sqrt(kp.confidence)[..., None] * (projected - kp.points)
     return [FitResult(params=WholeBodyParams.from_vector(rows[t], packer.num_betas),
                       cost_trace=trace[t],
-                      final_rms_px=float(np.sqrt((wres[t] * wres[t]).sum() / kp.confidence[t].sum())),
+                      final_rms_px=float(np.sqrt((r2d[t] * r2d[t]).sum() / kp.confidence[t].sum())),
                       status="stalled" if stalled[t] else "ok",
                       accepted_steps=int(accepted[t]), rejected_steps=int(rejected[t]))
             for t in range(T)]

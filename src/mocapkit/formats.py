@@ -53,17 +53,16 @@ def resolve_asset_path(path):
     return path
 
 
-def _check_header(doc, expected_format, strict, known_keys):
+def _check_header(doc, expected_format, known_keys):
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     if doc.get("format") != expected_format:
         raise SchemaError(f"expected format {expected_format!r}, got {doc.get('format')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    if strict:
-        unknown = set(doc) - set(known_keys) - {"format", "schema_version"}
-        if unknown:
-            raise SchemaError(f"unknown fields under strict mode: {sorted(unknown)}")
+    unknown = set(doc) - set(known_keys) - {"format", "schema_version"}
+    if unknown:
+        raise SchemaError(f"unknown fields: {sorted(unknown)}")
 
 
 def _triplets(matrix):
@@ -118,8 +117,8 @@ def model_to_doc(model):
     }
 
 
-def model_from_doc(doc, strict=True):
-    _check_header(doc, MODEL_FORMAT, strict, _MODEL_KEYS)
+def model_from_doc(doc):
+    _check_header(doc, MODEL_FORMAT, _MODEL_KEYS)
     try:
         if doc.get("pose_correctives") is not None:
             raise SchemaError("pose_correctives are reserved and must be null")
@@ -145,8 +144,8 @@ def model_from_doc(doc, strict=True):
         raise SchemaError(f"invalid model asset: {e}") from e
 
 
-def load_model(path, strict=True):
-    return model_from_doc(read_json(resolve_asset_path(path)), strict=strict)
+def load_model(path):
+    return model_from_doc(read_json(resolve_asset_path(path)))
 
 
 def save_model(path, model):
@@ -168,6 +167,8 @@ def _check_frames(doc):
     frames = doc.get("frames")
     if not isinstance(frames, list):
         raise SchemaError("'frames' must be a list")
+    if any(not isinstance(f, dict) for f in frames):
+        raise SchemaError("every frame record must be an object")
     indices = [f.get("frame") for f in frames]
     if any(not isinstance(i, int) for i in indices):
         raise SchemaError("every frame record needs an integer 'frame' index")
@@ -234,8 +235,8 @@ def predictions_to_doc(frames):
     }
 
 
-def predictions_from_doc(doc, strict=True):
-    _check_header(doc, PREDICTIONS_FORMAT, strict, ("frames",))
+def predictions_from_doc(doc):
+    _check_header(doc, PREDICTIONS_FORMAT, ("frames",))
     out = []
     try:
         for f in _check_frames(doc):
@@ -275,8 +276,8 @@ def keypoints_to_doc(frames):
     }
 
 
-def keypoints_from_doc(doc, strict=True):
-    _check_header(doc, KEYPOINTS_FORMAT, strict, ("frames",))
+def keypoints_from_doc(doc):
+    _check_header(doc, KEYPOINTS_FORMAT, ("frames",))
     out = []
     try:
         for f in _check_frames(doc):
@@ -330,8 +331,8 @@ def params_to_doc(frames):
     return {"format": PARAMS_FORMAT, "schema_version": SCHEMA_VERSION, "frames": out}
 
 
-def params_from_doc(doc, strict=True):
-    _check_header(doc, PARAMS_FORMAT, strict, ("frames",))
+def params_from_doc(doc):
+    _check_header(doc, PARAMS_FORMAT, ("frames",))
     out = []
     try:
         for f in _check_frames(doc):
@@ -365,8 +366,8 @@ def joints_to_doc(frames):
     }
 
 
-def joints_from_doc(doc, strict=True):
-    _check_header(doc, JOINTS_FORMAT, strict, ("frames",))
+def joints_from_doc(doc):
+    _check_header(doc, JOINTS_FORMAT, ("frames",))
     out = []
     try:
         for f in _check_frames(doc):

@@ -1,6 +1,5 @@
 """Skeleton trees, forward kinematics, and global-to-local rotation transfer."""
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,47 +38,11 @@ class SkeletonTree:
 
 
 @dataclass(frozen=True)
-class RigidTransform:
-    """Affine map x -> rotation @ x + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def apply(self, points):
-        points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
-
-    def compose(self, other):
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self):
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
-    @staticmethod
-    def identity():
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
 class FkResult:
     """World transforms per joint: G_j(x) = rotations[j] @ x + translations[j]."""
 
     rotations: np.ndarray
     translations: np.ndarray
-    rest_joints: np.ndarray
-
-    @functools.cached_property
-    def joint_positions(self):
-        """Posed joint positions G_j(rest_j), computed on first access."""
-        posed = np.einsum("...jab,...jb->...ja", self.rotations, self.rest_joints)
-        return posed + self.translations
-
-    def transform(self, j):
-        return RigidTransform(self.rotations[j], self.translations[j])
 
 
 def forward_kinematics(tree, rest_joints, global_orient, local_poses):
@@ -108,7 +71,7 @@ def forward_kinematics(tree, rest_joints, global_orient, local_poses):
     rots = _kernels.rodrigues_batch(np.concatenate([orient[..., None, :], poses], axis=-2))
     world_rots, world_trans = _kernels.fk_chain(
         tree.parents, rest, rots[..., 1:, :, :], rots[..., 0, :, :])
-    return FkResult(world_rots, world_trans, rest)
+    return FkResult(world_rots, world_trans)
 
 
 def gamma_global_to_local(tree, rest_joints, global_orient, local_poses, target_joint, target_global):

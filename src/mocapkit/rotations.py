@@ -8,7 +8,6 @@ ambiguous, the axis whose first nonzero component is positive is chosen.
 import numpy as np
 
 from . import _kernels
-from ._kernels import rodrigues_batch  # noqa: F401  re-exported for callers of rotations
 from .errors import InvalidRotationError
 
 ROTATION_INPUT_TOL = 1e-6

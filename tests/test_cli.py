@@ -273,3 +273,27 @@ def test_fit_smooth_follows_a_rotation_through_pi(asset, tmp_path):
         assert np.linalg.norm(s.phi_w) <= np.pi
         cos = (np.trace(rodrigues(r.phi_w).T @ rodrigues(s.phi_w)) - 1.0) / 2.0
         assert np.degrees(np.arccos(min(cos, 1.0))) < 1.0
+
+
+EVAL_FAULTS = {
+    "no_frames": ([], [], "no frames to evaluate"),
+    "pred_joint_count": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3))), (5, np.zeros((3, 3)))],
+                         [(0, np.zeros((4, 3))), (2, np.zeros((4, 3))), (5, np.zeros((4, 3)))],
+                         "pred frame 5: joints are (3, 3), not (4, 3)"),
+    "gt_joint_count": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
+                       [(0, np.zeros((4, 3))), (2, np.zeros((6, 3)))],
+                       "gt frame 2: joints are (6, 3), not (4, 3)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EVAL_FAULTS))
+def test_eval_rejects_frames_it_cannot_stack(tmp_path, capsys, fault):
+    pred, gt, message = EVAL_FAULTS[fault]
+    pred_path, gt_path = tmp_path / "pred.json", tmp_path / "gt.json"
+    formats.write_json(pred_path, formats.joints_to_doc(pred))
+    formats.write_json(gt_path, formats.joints_to_doc(gt))
+    out = tmp_path / "report.json"
+    assert main(["eval", str(pred_path), str(gt_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "SchemaError", "message": message}
+    assert not out.exists()

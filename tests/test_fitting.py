@@ -5,8 +5,7 @@ from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
 from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
-                              _ParamVector, _residuals, fit, fit_jacobian, prior_cost,
-                              reprojection_cost, temporal_smooth)
+                              _ParamVector, _residuals, fit, fit_jacobian, temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
 
@@ -44,14 +43,24 @@ def test_fit_config_validation():
     with pytest.raises(DimensionError):
         FitConfig(iterations=0)
     with pytest.raises(DimensionError):
-        FitConfig(weight_2d=-1.0)
+        FitConfig(weight_prior_pose=-1.0)
+    with pytest.raises(DimensionError):
+        FitConfig(weight_prior_shape=-1.0)
+
+
+def split_residuals(model, params, cam, kp, anchor, config):
+    """`_residuals` at `params` and `cam`, split into its 2D rows and its prior rows."""
+    packer = _ParamVector(model, params, cam, config)
+    r = _residuals(model, packer, anchor, kp, config, packer.pack(params, cam))
+    return r[: 2 * model.num_joints], r[2 * model.num_joints:]
 
 
 def test_reprojection_cost_zero_at_ground_truth(toy):
     params = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
     kp = render_keypoints(toy, params, cam)
-    assert reprojection_cost(toy, params, cam, kp) == 0.0
+    r2d, _ = split_residuals(toy, params, cam, kp, params, FitConfig())
+    assert r2d @ r2d == 0.0
 
 
 def test_reprojection_cost_confidence_weighting(toy, rng):
@@ -60,9 +69,9 @@ def test_reprojection_cost_confidence_weighting(toy, rng):
     kp = render_keypoints(toy, params, cam)
     shifted = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
     half = KeypointSet2D(shifted.points, 0.5 * shifted.confidence)
-    c_full = reprojection_cost(toy, params, cam, shifted)
-    c_half = reprojection_cost(toy, params, cam, half)
-    assert c_half == pytest.approx(0.5 * c_full, rel=1e-12)
+    full_2d, _ = split_residuals(toy, params, cam, shifted, params, FitConfig())
+    half_2d, _ = split_residuals(toy, params, cam, half, params, FitConfig())
+    assert half_2d @ half_2d == pytest.approx(0.5 * (full_2d @ full_2d), rel=1e-12)
 
 
 def test_zero_confidence_points_ignored(toy):
@@ -73,17 +82,22 @@ def test_zero_confidence_points_ignored(toy):
     conf[7] = 0.0
     corrupted = kp.points.copy()
     corrupted[7] += 1e6
-    assert reprojection_cost(toy, params, cam, KeypointSet2D(corrupted, conf)) == 0.0
+    r2d, _ = split_residuals(toy, params, cam, KeypointSet2D(corrupted, conf), params, FitConfig())
+    assert r2d @ r2d == 0.0
 
 
 def test_prior_cost_formula(toy, rng):
-    config = FitConfig()
+    # Fingers and shape free, so every theta row and every beta is packed.
+    config = FitConfig(free_fingers=True, free_shape=True)
     anchor = WholeBodyParams.identity(toy)
+    cam = WeakPerspectiveCamera(100.0, np.zeros(2))
     theta = rng.normal(size=anchor.theta_w.shape)
     beta = rng.normal(size=10)
-    params = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), anchor.cam_w)
+    params = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), cam)
+    kp = render_keypoints(toy, params, cam)
+    _, prior = split_residuals(toy, params, cam, kp, anchor, config)
     expected = config.weight_prior_pose * (theta ** 2).sum() + config.weight_prior_shape * (beta ** 2).sum()
-    assert prior_cost(params, anchor, config) == pytest.approx(expected, rel=1e-12)
+    assert prior @ prior == pytest.approx(expected, rel=1e-12)
 
 
 def test_fit_jacobian_exact_on_quadratics():
@@ -161,7 +175,8 @@ def test_param_vector_pack_unpack_round_trip(toy, rng, config):
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 32.0]))
     packer = _ParamVector(toy, init, cam, config)
     x = packer.pack(init, cam)
-    params, cam_out = packer.unpack(x)
+    params = WholeBodyParams.from_vector(packer.rows(x[None])[0], packer.num_betas)
+    cam_out = params.cam_w
     assert params.vector().tobytes() == init.vector(cam).tobytes()
     assert cam_out.scale == cam.scale
     assert cam_out.translation.tobytes() == cam.translation.tobytes()
@@ -182,7 +197,7 @@ def test_param_vector_pack_unpack_round_trip(toy, rng, config):
         free.append(3 + 153 + 10 + np.arange(3))
     free = np.concatenate(free)
     np.testing.assert_array_equal(x, init.vector(cam)[free])
-    moved, _ = packer.unpack(x + 1.0)
+    moved = WholeBodyParams.from_vector(packer.rows(x[None] + 1.0)[0], packer.num_betas)
     np.testing.assert_array_equal(np.flatnonzero(moved.vector() != init.vector(cam)), free)
 
 
@@ -373,3 +388,17 @@ def test_fit_frames_names_the_frame_it_rejects(toy, rng):
         fitting.fit_frames(toy, frames)
     assert e.value.frame == 2
     assert fitting.fit_frames(toy, []) == []
+
+
+@pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1)])
+def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, config):
+    frames = _clip(toy, rng)
+    results = fitting.fit_frames(toy, frames, config)
+    if config.max_retries == 1:
+        assert "stalled" in {r.status for r in results}
+    for (_, _, kp), result in zip(frames, results):
+        params = result.params
+        joints = pose_joints(toy, params.pose(), params.beta_w)[: toy.num_joints]
+        diff = project(params.cam_w, joints) - kp.points
+        expected = np.sqrt((kp.confidence[:, None] * diff * diff).sum() / kp.confidence.sum())
+        assert result.final_rms_px == pytest.approx(expected, rel=1e-12)

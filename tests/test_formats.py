@@ -34,10 +34,8 @@ def test_model_write_is_byte_stable(toy, tmp_path):
 def test_strict_mode_rejects_unknown_keys(toy, tmp_path):
     doc = formats.model_to_doc(toy)
     doc["extra_field"] = 1
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="unknown fields"):
         formats.model_from_doc(doc)
-    # non-strict tolerates forward-compatible extras
-    formats.model_from_doc(doc, strict=False)
 
 
 def test_header_validation(toy):
@@ -104,6 +102,18 @@ def test_frame_indices_must_increase(rng):
     doc = formats.keypoints_to_doc([(2, np.zeros((3, 2)), None), (0, np.zeros((3, 2)), None)])
     with pytest.raises(SchemaError):
         formats.keypoints_from_doc(doc)
+
+
+@pytest.mark.parametrize("reader, fmt", [
+    (formats.predictions_from_doc, formats.PREDICTIONS_FORMAT),
+    (formats.keypoints_from_doc, formats.KEYPOINTS_FORMAT),
+    (formats.params_from_doc, formats.PARAMS_FORMAT),
+    (formats.joints_from_doc, formats.JOINTS_FORMAT),
+])
+def test_frame_records_must_be_objects(reader, fmt):
+    doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": [3]}
+    with pytest.raises(SchemaError, match="every frame record must be an object"):
+        reader(doc)
 
 
 def test_keypoints_round_trip(rng):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from mocapkit._kernels import rodrigues_batch
 from mocapkit.errors import InvalidRotationError
 from mocapkit.rotations import (canonicalize, is_rotation, right_jacobian, rodrigues,
-                                rodrigues_batch, rotation_to_axis_angle, unwrap)
+                                rotation_to_axis_angle, unwrap)
 
 
 def test_zero_vector_gives_identity():

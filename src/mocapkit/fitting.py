@@ -141,27 +141,38 @@ class _ParamVector:
         return WholeBodyParams.split(self.rows(cols), self.num_betas)
 
     def canonicalized(self, x):
-        """Re-canonicalize all axis-angle blocks of packed vectors (..., n)."""
+        """Packed vectors (..., n) with each axis-angle block over pi made canonical.
+
+        The other blocks keep their bits; `canonicalize` would round them, so
+        a converged fit's zero step would still move x and raise its cost.
+        """
         x = x.copy()
         n = 3 * self.free_joints.size
         blocks = x[..., :n].reshape(x.shape[:-1] + (-1, 3))
-        x[..., :n] = canonicalize(blocks).reshape(x.shape[:-1] + (n,))
+        over = np.linalg.norm(blocks, axis=-1) > np.pi
+        blocks[over] = canonicalize(blocks[over])
+        x[..., :n] = blocks.reshape(x.shape[:-1] + (n,))
         return x
 
 
-def _residuals(model, packer, anchor, kp, config, x):
+def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     """Residuals at a packed vector x (n,), or one column of residuals per
     column of x (n, B); all columns are posed in one batched call.
 
     The prior pulls the pose toward `anchor`, or toward the pose of
     `packer.base` when `anchor` is None.  `packer.base` and `kp` hold one
     frame, shared by every column, or one frame per column (leading axis B).
+    If `keep_fk` is a list, the FkResult of the columns (leading axis B) is
+    appended to it, so that `_jacobian` need not pose them again.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1).T
     B = cols.shape[0]
     phi, theta, beta, scale, trans = packer.decode(cols)
-    joints = pose_joints(model, PoseParams(phi, theta), beta)[:, : model.num_joints]
+    joints, fk = pose_joints(model, PoseParams(phi, theta), beta, return_fk=True)
+    if keep_fk is not None:
+        keep_fk.append(fk)
+    joints = joints[:, : model.num_joints]
     projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
     r2d = np.sqrt(kp.confidence)[..., None] * (projected - kp.points)
     centre = (WholeBodyParams.split(packer.base, packer.num_betas)[1] if anchor is None
@@ -172,9 +183,10 @@ def _residuals(model, packer, anchor, kp, config, x):
     return r[0] if x.ndim == 1 else r.T
 
 
-def _jacobian(model, packer, kp, config, x):
+def _jacobian(model, packer, kp, config, x, fk=None):
     """Exact Jacobian (m, n) of `_residuals` at a packed vector x (n,), or one
-    per column of x (n, T), stacked to (T, m, n).
+    per column of x (n, T), stacked to (T, m, n).  `fk` is the FkResult of
+    the columns of x, as `_residuals` keeps it; None poses them here.
 
     With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
     posed joint k is ``P_k = sum_j T_kj``, ``T_kj = R_j U_kj + C_kj t_j``.
@@ -197,8 +209,9 @@ def _jacobian(model, packer, kp, config, x):
     B = cols.shape[0]
     phi, theta, beta, scale, _ = packer.decode(cols)
     verts, rest = fold.shaped(beta)
-    pose = PoseParams(phi, theta)
-    fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
+    if fk is None:
+        pose = PoseParams(phi, theta)
+        fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     R, t = fk.rotations, fk.translations
 
     T = fold.blend[:, :, None] * t[:, None]
@@ -244,13 +257,14 @@ def _jacobian(model, packer, kp, config, x):
     return jac[0] if x.ndim == 1 else jac
 
 
-def _fit_residuals(model, packer, anchor, kp, config):
-    """`_residuals` of one fit as a function of x, carrying its exact Jacobian."""
+def _fit_residuals(model, packer, anchor, kp, config, fk=None):
+    """`_residuals` of one fit as a function of x, carrying its exact Jacobian;
+    `fk`, if given, is the FkResult of the x the Jacobian will be taken at."""
 
     def residuals(x):
         return _residuals(model, packer, anchor, kp, config, x)
 
-    residuals.jacobian = lambda x: _jacobian(model, packer, kp, config, x)
+    residuals.jacobian = lambda x: _jacobian(model, packer, kp, config, x, fk)
     return residuals
 
 
@@ -280,11 +294,16 @@ def fit_jacobian(residual_fn, x, step):
 def fit(model, init, cam_init, kp, config=None):
     """Damped least-squares fit of the free parameters to 2D keypoints.
 
-    Runs `config.iterations` iterations, each with the exact Jacobian.  A
-    trial step that would raise the cost is rejected: the damping goes up
-    and the step is retried, up to `config.max_retries` times; an iteration
-    that runs out of retries keeps its parameters and makes the result's
-    status "stalled".  The cost trace is non-increasing.
+    Runs `config.iterations` Levenberg-Marquardt iterations, each with the
+    exact Jacobian J at the current residuals r.  The damping starts at
+    1e-6 times the largest diagonal entry of JᵀJ.  A trial step that would
+    raise the cost is rejected: the damping goes up 10× and the step is
+    retried, up to `config.max_retries` times; an iteration that runs out of
+    retries keeps its parameters and makes the result's status "stalled".
+    An accepted step scales the damping by ``max(1/3, 1 - (2 rho - 1)^3)``,
+    where the gain ratio rho is the cost decrease over the decrease the
+    linearised model predicts (Madsen, Nielsen & Tingleff 2004, §3.2).  The
+    damping stays within [1e-12, 1e12].  The cost trace is non-increasing.
     """
     return fit_frames(model, [(init, cam_init, kp)], config)[0]
 
@@ -324,9 +343,12 @@ def _fit_lockstep(model, frames, config, first):
     packer = _ParamVector(model, inits[0], cams[0], config).with_base(
         np.stack([init.vector(cam) for init, cam in zip(inits, cams)]))
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
-    residuals = _fit_residuals(model, packer, None, kp, config)
     x = packer.base[:, packer.free]
-    r = residuals(x.T).T
+    kept = []
+    r = _residuals(model, packer, None, kp, config, x.T, kept).T
+    # FK state of each frame's x, updated as steps are accepted, so that
+    # `_jacobian` need not pose x again.
+    fk = kept[0]
     cost = np.array([rt @ rt for rt in r])
     bad = np.flatnonzero(~np.isfinite(cost))
     if bad.size:
@@ -335,29 +357,45 @@ def _fit_lockstep(model, frames, config, first):
         raise err
 
     T, n = x.shape
-    lam = np.full(T, 1e-3)
+    m2 = 2 * model.num_joints
+    diag = np.arange(n)
     trace = np.empty((T, config.iterations))
     accepted = np.zeros(T, dtype=np.int64)
     rejected = np.zeros(T, dtype=np.int64)
     stalled = np.zeros(T, dtype=bool)
     eye = np.eye(n)
     for it in range(config.iterations):
-        J = fit_jacobian(residuals, x.T, config.fd_step)
-        JtJ = np.stack([Jt.T @ Jt for Jt in J])
-        Jtr = np.stack([Jt.T @ rt for Jt, rt in zip(J, r)])
+        J = fit_jacobian(_fit_residuals(model, packer, None, kp, config, fk), x.T, config.fd_step)
+        # Each prior row holds one entry, each in its own column, so the prior
+        # rows add only a diagonal to the reprojection rows' JᵀJ.
+        JtJ = J[:, :m2].transpose(0, 2, 1) @ J[:, :m2]
+        JtJ[:, diag, diag] += (J[:, m2:] * J[:, m2:]).sum(axis=1)
+        Jtr = (J.transpose(0, 2, 1) @ r[..., None])[..., 0]
+        if it == 0:
+            lam = np.clip(1e-6 * JtJ[:, diag, diag].max(axis=1), 1e-12, 1e12)
         pending = np.arange(T)
         for _ in range(config.max_retries):
             step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
                                    Jtr[pending, :, None])[..., 0]
             x_new = packer.canonicalized(x[pending] - step)
             kp_new = KeypointSet2D(kp.points[pending], kp.confidence[pending])
+            kept = []
             r_new = _residuals(model, packer.with_base(packer.base[pending]), None, kp_new,
-                               config, x_new.T).T
+                               config, x_new.T, kept).T
             cost_new = np.array([rt @ rt for rt in r_new])
             ok = np.isfinite(cost_new) & (cost_new <= cost[pending])
             done, pending = pending[ok], pending[~ok]
+            # Gain ratio: the cost decrease over the linearised model's,
+            # stepᵀ(lam step + Jᵀr).  rho >= 1 scales the damping as rho = 1
+            # does, and so does a prediction of 0 (a frame at its optimum,
+            # where Jᵀr = 0), which leaves rho = 0 / 0.
+            gain = cost[done] - cost_new[ok]
+            pred = np.einsum("ij,ij->i", step[ok], lam[done, None] * step[ok] + Jtr[done])
+            rho = np.divide(gain, pred, out=np.ones_like(pred), where=pred > gain)
             x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
-            lam[done] = np.maximum(lam[done] / 10.0, 1e-12)
+            fk.rotations[done] = kept[0].rotations[ok]
+            fk.translations[done] = kept[0].translations[ok]
+            lam[done] = np.clip(lam[done] * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12, 1e12)
             lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
             accepted[done] += 1
             rejected[pending] += 1

@@ -259,13 +259,14 @@ def pose_mesh(model, pose, beta=None, return_fk=False):
     return verts
 
 
-def pose_joints(model, pose, beta=None):
+def pose_joints(model, pose, beta=None, return_fk=False):
     """Posed joint locations (..., J_reg, 3) of the full regressor (skeleton + extra rows).
 
     Equal to ``joint_regressor @ pose_mesh(model, pose, beta)``, but skins
     only the virtual vertices of `model.joint_fold`.  `pose` may carry
     leading batch axes; `beta` is None, a ShapeParams, or an array (..., B)
-    broadcasting against them.
+    broadcasting against them.  With `return_fk`, the FkResult of the pose
+    comes back too.
     """
     _check_pose(model, pose)
     fold = model.joint_fold
@@ -277,7 +278,10 @@ def pose_joints(model, pose, beta=None):
         verts, rest = fold.shaped(beta)
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     posed = _kernels.lbs(fold.weights, verts, fk.rotations, fk.translations)
-    return fold.pair_rows @ posed + fold.trans_rows @ fk.translations
+    joints = fold.pair_rows @ posed + fold.trans_rows @ fk.translations
+    if return_fk:
+        return joints, fk
+    return joints
 
 
 def nearest_joint_assignment(vertices, joints):

@@ -142,6 +142,15 @@ def test_criterion_4_synthetic_fit_recovery(toy):
         assert elapsed < 60.0, f"took {elapsed:.1f} s, budget 60 s"
 
 
+def test_synthetic_fits_converge_without_wasted_trials(toy):
+    # Criterion 4's 21 fits, held to tighter bars than the criterion's own.
+    clean = _perturbed_fit(toy, seed=100, noise=None)
+    assert clean.status == "ok" and clean.final_rms_px < 1e-2
+    noisy = [_perturbed_fit(toy, seed=200 + s, noise=1.0) for s in range(20)]
+    assert np.median([r.final_rms_px for r in noisy]) <= 1.121
+    assert sum(r.rejected_steps for r in [clean] + noisy) <= 150
+
+
 def test_criterion_5_gradient_check(toy):
     with criterion("5 optimizer gradient check"):
         rng = np.random.default_rng(6)

@@ -5,7 +5,8 @@ from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
 from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
-                              _ParamVector, _residuals, fit, fit_jacobian, temporal_smooth)
+                              _jacobian, _ParamVector, _residuals, fit, fit_jacobian,
+                              temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
 
@@ -378,6 +379,53 @@ def test_lockstep_fit_equals_frame_by_frame(toy, rng, config):
     assert len({r.rejected_steps for r in alone}) > 2
     if config.max_retries == 1:
         assert {r.status for r in alone} == {"ok", "stalled"}
+    # Frame 0 starts at its optimum, where Jᵀr = 0 and every step predicts a
+    # decrease of 0; its damping must stay finite.
+    assert (alone[0].status, alone[0].rejected_steps) == ("ok", 0)
+
+
+def test_noisy_clip_frames_all_fit_within_2px(toy):
+    worst = max(r.final_rms_px
+                for seed in range(1000, 1004)
+                for r in fitting.fit_frames(toy, _clip(toy, np.random.default_rng(seed)))[1:])
+    assert worst <= 2.0
+
+
+@pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
+def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
+    frames = _clip(toy, rng)[:3]
+    # the packer and keypoints of the three frames, as the lockstep loop builds them
+    packer = _ParamVector(toy, frames[0][0], frames[0][1], config).with_base(
+        np.stack([init.vector(cam) for init, cam, _ in frames]))
+    kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
+                       np.stack([k.confidence for _, _, k in frames]))
+    x = packer.base[:, packer.free].T + rng.normal(scale=0.05, size=(packer.free.size, 3))
+    kept = []
+    _residuals(toy, packer, None, kp, config, x, kept)
+    np.testing.assert_array_equal(_jacobian(toy, packer, kp, config, x, kept[0]),
+                                  _jacobian(toy, packer, kp, config, x))
+
+
+def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
+    counts = dict.fromkeys(["residuals", "fit_jacobian", "posing_fk", "jacobian_fk"], 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    frames = _clip(toy, rng)
+    fk = fitting.forward_kinematics
+    monkeypatch.setattr(fitting, "_residuals", counting("residuals", fitting._residuals))
+    monkeypatch.setattr(fitting, "fit_jacobian", counting("fit_jacobian", fitting.fit_jacobian))
+    monkeypatch.setattr("mocapkit.model.forward_kinematics", counting("posing_fk", fk))
+    monkeypatch.setattr(fitting, "forward_kinematics", counting("jacobian_fk", fk))
+    config = FitConfig(iterations=8)
+    fitting.fit_frames(toy, frames, config)
+    assert counts["fit_jacobian"] == config.iterations
+    assert counts["posing_fk"] == counts["residuals"] > config.iterations
+    assert counts["jacobian_fk"] == 0
 
 
 def test_fit_frames_names_the_frame_it_rejects(toy, rng):

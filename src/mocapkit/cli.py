@@ -5,6 +5,7 @@ with a machine-readable JSON object on stderr.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -12,12 +13,24 @@ import sys
 import numpy as np
 
 from . import dataprep, formats, metrics
-from .errors import DimensionError, FitError, MocapkitError, SchemaError
+from .errors import DimensionError, MocapkitError, SchemaError, check_each
 from .fitting import FitConfig, fit_frames, temporal_smooth
 from .integration import WholeBodyParams, copy_paste
-from .model import pose_mesh
+from .model import FRAME_GROUP, PoseParams, check_pose, pose_mesh
 from .rotations import canonicalize, unwrap
 from .toymodel import gen_toy_model
+
+
+@contextlib.contextmanager
+def _naming_frames(indices):
+    """Re-raise an error about position t of a batched call's input with the
+    prefix ``frame {indices[t]}: ``."""
+    try:
+        yield
+    except MocapkitError as e:
+        if e.frame is None:
+            raise
+        raise type(e)(f"frame {indices[e.frame]}: {e}") from e
 
 
 def cmd_gen_toy(args):
@@ -30,14 +43,22 @@ def cmd_gen_toy(args):
 def cmd_pose(args):
     model = formats.load_model(args.asset)
     frames = formats.params_from_doc(formats.read_json(args.params))
+    with _naming_frames([i for i, _, _ in frames]):
+        check_each(frames, lambda f: check_pose(model, f[1].pose(), f[1].beta_w))
+    root, ext = os.path.splitext(args.obj or "")
     joints_out = []
-    for idx, (i, params, _extras) in enumerate(frames):
-        verts = pose_mesh(model, params.pose(), params.beta_w)
-        joints_out.append((i, model.joint_regressor[: model.num_joints] @ verts))
-        if args.obj:
-            root, ext = os.path.splitext(args.obj)
-            path = args.obj if len(frames) == 1 else f"{root}_{i:06d}{ext}"
-            formats.write_obj(path, verts, model.faces)
+    for first in range(0, len(frames), FRAME_GROUP):
+        group = frames[first:first + FRAME_GROUP]
+        params = [p for _, p, _ in group]
+        verts = pose_mesh(model, PoseParams(np.stack([p.phi_w for p in params]),
+                                            np.stack([p.theta_w for p in params])),
+                          np.stack([p.beta_w.beta for p in params]))
+        joints = model.joint_regressor[: model.num_joints] @ verts
+        for (i, _, _), v, j in zip(group, verts, joints):
+            joints_out.append((i, j))
+            if args.obj:
+                path = args.obj if len(frames) == 1 else f"{root}_{i:06d}{ext}"
+                formats.write_obj(path, v, model.faces)
     formats.write_json(args.joints_out, formats.joints_to_doc(joints_out))
     print(f"posed {len(frames)} frame(s) -> {args.joints_out}")
     return 0
@@ -46,8 +67,9 @@ def cmd_pose(args):
 def cmd_integrate(args):
     model = formats.load_model(args.asset)
     preds = formats.predictions_from_doc(formats.read_json(args.predictions))
-
-    out = [(i, copy_paste(model, body, left, right), None) for i, body, left, right in preds]
+    with _naming_frames([i for i, _, _, _ in preds]):
+        fused = copy_paste(model, [(body, left, right) for _, body, left, right in preds])
+    out = [(i, params, None) for (i, _, _, _), params in zip(preds, fused)]
     formats.write_json(args.output, formats.params_to_doc(out))
     print(f"integrated {len(out)} frame(s) -> {args.output}")
     return 0
@@ -71,12 +93,8 @@ def cmd_fit(args):
             inputs.append((params, params.cam_w, formats.keypoint_set(pts, conf)))
         except DimensionError as e:
             raise DimensionError(f"frame {i}: {e}") from e
-    try:
+    with _naming_frames([i for i, _, _ in init_frames]):
         results = fit_frames(model, inputs, config)
-    except (DimensionError, FitError) as e:
-        if e.frame is None:
-            raise
-        raise type(e)(f"frame {init_frames[e.frame][0]}: {e}") from e
     out = [(i, r.params, {"cost_trace": r.cost_trace, "final_rms_px": r.final_rms_px})
            for (i, _, _), r in zip(init_frames, results)]
 

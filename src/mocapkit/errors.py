@@ -8,6 +8,17 @@ class MocapkitError(ValueError):
     frame = None
 
 
+def check_each(frames, check):
+    """Call `check` on every item of `frames`; an error it raises about the
+    item at position t gets ``frame = t``."""
+    for t, item in enumerate(frames):
+        try:
+            check(item)
+        except MocapkitError as e:
+            e.frame = t
+            raise
+
+
 class DimensionError(MocapkitError):
     """Array shapes do not match what an operation requires."""
 

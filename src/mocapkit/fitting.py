@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FitError, MocapkitError
+from .errors import DimensionError, FitError, check_each
 from .integration import PoseLayout, WholeBodyParams
 from .kinematics import forward_kinematics
 from .model import PoseParams, pose_joints
@@ -326,12 +326,7 @@ def fit_frames(model, frames, config=None):
     """
     config = config or FitConfig()
     frames = list(frames)
-    for t, (init, _, kp) in enumerate(frames):
-        try:
-            _check_frame(model, init, kp)
-        except MocapkitError as e:
-            e.frame = t
-            raise
+    check_each(frames, lambda frame: _check_frame(model, frame[0], frame[2]))
     results = []
     for first in range(0, len(frames), FIT_GROUP):
         results += _fit_lockstep(model, frames[first:first + FIT_GROUP], config, first)

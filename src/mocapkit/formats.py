@@ -163,7 +163,13 @@ def _cam_from_doc(doc):
     return WeakPerspectiveCamera(doc["scale"], np.asarray(doc["translation"], dtype=np.float64))
 
 
-def _check_frames(doc):
+def _read_frames(doc, expected_format, read):
+    """`read(record)` of every frame record of `doc`, in order.
+
+    A record that `read` cannot take raises a SchemaError whose message
+    starts with ``frame i: ``.
+    """
+    _check_header(doc, expected_format, ("frames",))
     frames = doc.get("frames")
     if not isinstance(frames, list):
         raise SchemaError("'frames' must be a list")
@@ -174,7 +180,15 @@ def _check_frames(doc):
         raise SchemaError("every frame record needs an integer 'frame' index")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise SchemaError("frame indices must be strictly increasing")
-    return frames
+    out = []
+    for f in frames:
+        try:
+            out.append(read(f))
+        except KeyError as e:
+            raise SchemaError(f"frame {f['frame']}: missing field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"frame {f['frame']}: {e}") from e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +249,21 @@ def predictions_to_doc(frames):
     }
 
 
+def _prediction_from_doc(f):
+    if f.get("body") is None:
+        raise SchemaError("body prediction is required")
+    left = f.get("left_hand")
+    right = f.get("right_hand")
+    return (
+        f["frame"],
+        _body_from_doc(f["body"]),
+        None if left is None else _hand_from_doc(left),
+        None if right is None else _hand_from_doc(right),
+    )
+
+
 def predictions_from_doc(doc):
-    _check_header(doc, PREDICTIONS_FORMAT, ("frames",))
-    out = []
-    try:
-        for f in _check_frames(doc):
-            if f.get("body") is None:
-                raise SchemaError(f"frame {f['frame']}: body prediction is required")
-            left = f.get("left_hand")
-            right = f.get("right_hand")
-            out.append((
-                f["frame"],
-                _body_from_doc(f["body"]),
-                None if left is None else _hand_from_doc(left),
-                None if right is None else _hand_from_doc(right),
-            ))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"invalid predictions file: {e}") from e
-    return out
+    return _read_frames(doc, PREDICTIONS_FORMAT, _prediction_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +285,19 @@ def keypoints_to_doc(frames):
     }
 
 
+def _keypoints_from_doc(f):
+    points = np.asarray(f["points"], dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] not in (2, 3):
+        raise SchemaError("points must be (K, 2) or (K, 3)")
+    conf = f.get("confidence")
+    conf = None if conf is None else np.asarray(conf, dtype=np.float64)
+    if conf is not None and conf.shape != (points.shape[0],):
+        raise SchemaError("confidence length mismatch")
+    return f["frame"], points, conf
+
+
 def keypoints_from_doc(doc):
-    _check_header(doc, KEYPOINTS_FORMAT, ("frames",))
-    out = []
-    try:
-        for f in _check_frames(doc):
-            points = np.asarray(f["points"], dtype=np.float64)
-            if points.ndim != 2 or points.shape[1] not in (2, 3):
-                raise SchemaError(f"frame {f['frame']}: points must be (K, 2) or (K, 3)")
-            conf = f.get("confidence")
-            conf = None if conf is None else np.asarray(conf, dtype=np.float64)
-            if conf is not None and conf.shape != (points.shape[0],):
-                raise SchemaError(f"frame {f['frame']}: confidence length mismatch")
-            out.append((f["frame"], points, conf))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"invalid keypoints file: {e}") from e
-    return out
+    return _read_frames(doc, KEYPOINTS_FORMAT, _keypoints_from_doc)
 
 
 def keypoint_set(points, conf):
@@ -331,28 +335,23 @@ def params_to_doc(frames):
     return {"format": PARAMS_FORMAT, "schema_version": SCHEMA_VERSION, "frames": out}
 
 
+def _params_from_doc(f):
+    params = WholeBodyParams(
+        phi_w=np.asarray(f["phi"], dtype=np.float64),
+        theta_w=np.asarray(f["theta"], dtype=np.float64),
+        beta_w=ShapeParams(np.asarray(f["beta"], dtype=np.float64)),
+        cam_w=_cam_from_doc(f["camera"]),
+    )
+    extras = {}
+    if f.get("cost_trace") is not None:
+        extras["cost_trace"] = np.asarray(f["cost_trace"], dtype=np.float64)
+    if f.get("final_rms_px") is not None:
+        extras["final_rms_px"] = float(f["final_rms_px"])
+    return f["frame"], params, extras
+
+
 def params_from_doc(doc):
-    _check_header(doc, PARAMS_FORMAT, ("frames",))
-    out = []
-    try:
-        for f in _check_frames(doc):
-            params = WholeBodyParams(
-                phi_w=np.asarray(f["phi"], dtype=np.float64),
-                theta_w=np.asarray(f["theta"], dtype=np.float64),
-                beta_w=ShapeParams(np.asarray(f["beta"], dtype=np.float64)),
-                cam_w=_cam_from_doc(f["camera"]),
-            )
-            extras = {}
-            if f.get("cost_trace") is not None:
-                extras["cost_trace"] = np.asarray(f["cost_trace"], dtype=np.float64)
-            if f.get("final_rms_px") is not None:
-                extras["final_rms_px"] = float(f["final_rms_px"])
-            out.append((f["frame"], params, extras))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"invalid params file: {e}") from e
-    return out
+    return _read_frames(doc, PARAMS_FORMAT, _params_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +365,26 @@ def joints_to_doc(frames):
     }
 
 
+def _joints_from_doc(f):
+    joints = np.asarray(f["joints"], dtype=np.float64)
+    if joints.ndim != 2 or joints.shape[1] not in (2, 3):
+        raise SchemaError("joints must be (K, 2) or (K, 3)")
+    return f["frame"], joints
+
+
 def joints_from_doc(doc):
-    _check_header(doc, JOINTS_FORMAT, ("frames",))
-    out = []
-    try:
-        for f in _check_frames(doc):
-            joints = np.asarray(f["joints"], dtype=np.float64)
-            if joints.ndim != 2 or joints.shape[1] not in (2, 3):
-                raise SchemaError(f"frame {f['frame']}: joints must be (K, 2) or (K, 3)")
-            out.append((f["frame"], joints))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"invalid joints file: {e}") from e
-    return out
+    return _read_frames(doc, JOINTS_FORMAT, _joints_from_doc)
 
 
 # ---------------------------------------------------------------------------
 # OBJ export
 
 def write_obj(path, vertices, faces):
-    with open(path, "w", encoding="utf-8") as f:
-        for v in np.asarray(vertices, dtype=np.float64):
-            f.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for face in np.asarray(faces, dtype=np.int64):
-            f.write(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}\n")
+    """Write `v x y z` lines (shortest round-trip floats) and 1-based `f a b c`
+    lines, in one write."""
+    v = np.asarray(vertices, dtype=np.float64)
+    f = np.asarray(faces, dtype=np.int64) + 1
+    text = (("v %r %r %r\n" * len(v)) % tuple(v.ravel().tolist())
+            + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(text)

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import WeakPerspectiveCamera, project
-from .errors import DimensionError, MocapkitError
+from ._kernels import rodrigues_batch
+from .errors import DimensionError, MocapkitError, check_each
 from .kinematics import gamma_global_to_local
-from .model import PoseParams, ShapeParams, pose_joints
-from .rotations import rodrigues
+from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array, pose_joints
 
 log = logging.getLogger(__name__)
 
@@ -136,39 +136,62 @@ class WholeBodyParams:
         )
 
 
-def copy_paste(model, body, left=None, right=None):
+def copy_paste(model, frames):
     """Fuse body and hand predictions into whole-body parameters.
 
-    Global orientation, shape, and camera come from the body.  Finger angles
-    come from each present hand; each present hand's wrist angle is recovered
-    so its FK world rotation matches the hand's global orientation.  For an
-    absent hand, the body's wrist angle is kept and the fingers are zeroed.
+    `frames` lists ``(body, left, right)`` per frame, with None for an absent
+    hand; one WholeBodyParams comes back per frame.  Global orientation,
+    shape, and camera come from the body.  Finger angles come from each
+    present hand; each present hand's wrist angle is recovered so its FK
+    world rotation matches the hand's global orientation.  For an absent
+    hand, the body's wrist angle is kept and the fingers are zeroed.
+
+    Every frame is checked before any is fused; an error about the frame at
+    position t has ``frame = t``.  Up to `FRAME_GROUP` frames are fused at a
+    time, with one FK call per hand side; each frame's result has the bits
+    of fusing it alone.
     """
     layout = PoseLayout.from_model(model)
+    frames = list(frames)
+    check_each(frames, lambda f: _check_prediction(model, *f))
+    fused = []
+    for first in range(0, len(frames), FRAME_GROUP):
+        fused += _fuse(model, layout, frames[first:first + FRAME_GROUP])
+    return fused
+
+
+def _check_prediction(model, body, left, right):
     for pred, side in ((left, "left"), (right, "right")):
         if pred is not None and pred.side != side:
             raise MocapkitError(f"prediction passed as {side} hand has side {pred.side!r}")
+    beta_array(model, body.beta_b)
 
-    theta = np.zeros((model.num_joints - 1, 3))
-    theta[layout.body_rows] = body.theta_b
-    rest = model.rest_joints(body.beta_b)
-    body_local = np.vstack([np.zeros((1, 3)), theta])
 
-    for pred in (left, right):
-        if pred is None:
+def _fuse(model, layout, frames):
+    bodies = [body for body, _, _ in frames]
+    phi = np.stack([body.phi_b for body in bodies])
+    theta = np.zeros((len(frames), model.num_joints - 1, 3))
+    theta[:, layout.body_rows] = np.stack([body.theta_b for body in bodies])
+    rest = model.rest_joints(np.stack([body.beta_b.beta for body in bodies]))
+    # Both wrists' parents are posed by the body alone.
+    body_local = np.concatenate([np.zeros((len(frames), 1, 3)), theta], axis=1)
+
+    for k, side in enumerate(SIDES):
+        ts = [t for t, frame in enumerate(frames) if frame[1 + k] is not None]
+        if not ts:
             continue
-        side = pred.side
-        theta[layout.finger_rows(side)] = pred.theta_h
-        wrist_joint = int(layout.wrist_row(side)) + 1
-        theta[layout.wrist_row(side)] = gamma_global_to_local(
-            model.tree, rest, body.phi_b, body_local, wrist_joint, rodrigues(pred.phi_h)
-        )
-        if np.linalg.norm(pred.beta_h.beta) > 0:
-            log.debug(
-                "discarding %s-hand shape (|beta_h| = %.4g); whole-body shape is the body's",
-                side, np.linalg.norm(pred.beta_h.beta),
-            )
-    return WholeBodyParams(body.phi_b.copy(), theta, body.beta_b, body.cam_b)
+        hands = [frames[t][1 + k] for t in ts]
+        theta[np.ix_(ts, layout.finger_rows(side))] = np.stack([h.theta_h for h in hands])
+        wrist = layout.wrist_row(side)
+        theta[ts, wrist] = gamma_global_to_local(
+            model.tree, rest[ts], phi[ts], body_local[ts], wrist + 1,
+            rodrigues_batch(np.stack([h.phi_h for h in hands])))
+        shaped = sum(bool(np.any(h.beta_h.beta)) for h in hands)
+        if shaped:
+            log.debug("discarding %s-hand shape in %d frame(s); whole-body shape is the body's",
+                      side, shaped)
+    return [WholeBodyParams(body.phi_b.copy(), th, body.beta_b, body.cam_b)
+            for body, th in zip(bodies, theta)]
 
 
 def hand_bbox_from_body(model, params, cam, side, margin_ratio=0.2):

@@ -75,15 +75,19 @@ def forward_kinematics(tree, rest_joints, global_orient, local_poses):
 
 
 def gamma_global_to_local(tree, rest_joints, global_orient, local_poses, target_joint, target_global):
-    """Local pose at `target_joint` whose FK world rotation equals `target_global`.
+    """Local pose (..., 3) at `target_joint` whose FK world rotation equals
+    `target_global` (..., 3, 3).
 
     Computed as (parent world rotation)^T @ target_global; only the target's
     ancestors influence the result, so the target's own stale pose is ignored.
+    Leading axes are frames, posed in one FK call as in `forward_kinematics`;
+    each frame's result has the bits of its own call.
     """
     if target_joint <= 0 or target_joint >= tree.num_joints:
         raise InvalidJointError("target_joint must be a non-root joint index")
     target_global = np.asarray(target_global, dtype=np.float64)
     fk = forward_kinematics(tree, rest_joints, global_orient, local_poses)
-    parent = tree.parents[target_joint]
-    local = fk.rotations[parent].T @ target_global
-    return rotations.canonicalize(rotations.rotation_to_axis_angle(local))
+    parent = fk.rotations[..., tree.parents[target_joint], :, :]
+    local = np.swapaxes(parent, -1, -2) @ target_global
+    aa = [rotations.rotation_to_axis_angle(m) for m in local.reshape(-1, 3, 3)]
+    return rotations.canonicalize(np.reshape(aa, local.shape[:-1]))

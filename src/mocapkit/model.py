@@ -11,6 +11,10 @@ from .kinematics import SkeletonTree, forward_kinematics
 
 SIDES = ("left", "right")
 
+# Frames of a file that `integration.copy_paste` and `mocapkit pose` run
+# through one batched forward pass; memory then stays flat in file length.
+FRAME_GROUP = 64
+
 
 @dataclass(frozen=True)
 class ParametricModel:
@@ -81,7 +85,8 @@ class ParametricModel:
         return self.shape_basis.shape[2]
 
     def rest_joints(self, beta=None):
-        """Skeleton joint rest positions regressed from the shaped template."""
+        """Skeleton joint rest positions (..., J, 3) regressed from the
+        shaped template; `beta` as in `shape_template`."""
         verts = shape_template(self, beta) if beta is not None else self.template_vertices
         return self.joint_regressor[: self.num_joints] @ verts
 
@@ -224,14 +229,25 @@ class HandSubmodel:
     joint_index_map: np.ndarray        # submodel joint -> parent-model joint
 
 
+def beta_array(model, beta):
+    """Shape coefficients (..., B) of a ShapeParams or an array, checked against `model`."""
+    beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
+    if beta.shape[-1:] != (model.num_betas,):
+        raise DimensionError(f"beta must have length {model.num_betas}")
+    return beta
+
+
 def shape_template(model, beta):
-    """Template vertices displaced by the linear shape basis."""
+    """Template vertices (..., N, 3) displaced by the linear shape basis.
+
+    `beta` is None, a ShapeParams, or an array (..., B).  Each leading index
+    is blended by its own matrix-vector product, so its vertices have the
+    bits of a (B,) call.
+    """
     if beta is None:
         return model.template_vertices.copy()
-    beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
-    if beta.shape != (model.num_betas,):
-        raise DimensionError(f"beta must have length {model.num_betas}")
-    return model.template_vertices + model.shape_basis @ beta
+    beta = beta_array(model, beta)
+    return model.template_vertices + (model.shape_basis @ beta[..., None, :, None])[..., 0]
 
 
 def regress_joints(regressor, vertices):
@@ -242,14 +258,22 @@ def regress_joints(regressor, vertices):
     return regressor @ vertices
 
 
-def _check_pose(model, pose):
+def check_pose(model, pose, beta=None):
+    """Raise a DimensionError unless `pose`, and `beta` if given, fit `model`."""
     if pose.joint_poses.shape[-2] != model.num_joints - 1:
         raise DimensionError("pose has wrong number of joints for this model")
+    if beta is not None:
+        beta_array(model, beta)
 
 
 def pose_mesh(model, pose, beta=None, return_fk=False):
-    """Pose the model: shape, regress rest joints, FK, linear blend skinning."""
-    _check_pose(model, pose)
+    """Pose the model: shape, regress rest joints, FK, linear blend skinning.
+
+    `pose` may carry leading batch axes, with `beta` None, a ShapeParams, or
+    an array (..., B) broadcasting against them; the vertices are
+    (..., N, 3).  Each pose's vertices have the bits of posing it alone.
+    """
+    check_pose(model, pose)
     shaped = shape_template(model, beta)
     rest = model.joint_regressor[: model.num_joints] @ shaped
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
@@ -268,14 +292,11 @@ def pose_joints(model, pose, beta=None, return_fk=False):
     broadcasting against them.  With `return_fk`, the FkResult of the pose
     comes back too.
     """
-    _check_pose(model, pose)
+    check_pose(model, pose)
     fold = model.joint_fold
     verts, rest = fold.vertices, fold.rest
     if beta is not None:
-        beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
-        if beta.shape[-1:] != (model.num_betas,):
-            raise DimensionError(f"beta must have length {model.num_betas}")
-        verts, rest = fold.shaped(beta)
+        verts, rest = fold.shaped(beta_array(model, beta))
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     posed = _kernels.lbs(fold.weights, verts, fk.rotations, fk.translations)
     joints = fold.pair_rows @ posed + fold.trans_rows @ fk.translations

@@ -82,7 +82,7 @@ def test_criterion_2_gamma_round_trip(toy):
                     ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
                 for side in ("left", "right")
             }
-            params = copy_paste(toy, body, hands["left"], hands["right"])
+            [params] = copy_paste(toy, [(body, hands["left"], hands["right"])])
             pose = params.pose()
             fk = forward_kinematics(toy.tree, toy.rest_joints(params.beta_w),
                                     pose.global_orient, pose.full_local_poses())

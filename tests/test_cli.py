@@ -7,7 +7,7 @@ from mocapkit import formats
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.cli import main
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams
-from mocapkit.model import ShapeParams, pose_joints
+from mocapkit.model import FRAME_GROUP, ShapeParams, pose_joints
 from mocapkit.rotations import canonicalize, rodrigues
 
 
@@ -89,6 +89,92 @@ def test_integrate_end_to_end(asset, tmp_path, rng):
     [(_, fused, _)] = formats.params_from_doc(formats.read_json(out))
     assert fused.theta_w.shape == (51, 3)
     np.testing.assert_array_equal(fused.phi_w, body.phi_b)
+
+
+def random_params(rng):
+    return WholeBodyParams(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
+                           ShapeParams(rng.normal(scale=0.1, size=10)), WeakPerspectiveCamera.identity())
+
+
+POSE_FAULTS = {
+    "theta_rows": (lambda p: WholeBodyParams(p.phi_w, p.theta_w[:50], p.beta_w, p.cam_w),
+                   "pose has wrong number of joints for this model"),
+    "ragged_theta": (lambda p: WholeBodyParams(p.phi_w, np.vstack([p.theta_w, p.theta_w[:1]]),
+                                               p.beta_w, p.cam_w),
+                     "pose has wrong number of joints for this model"),
+    "beta_length": (lambda p: WholeBodyParams(p.phi_w, p.theta_w, ShapeParams.zeros(9), p.cam_w),
+                    "beta must have length 10"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(POSE_FAULTS))
+def test_pose_checks_every_frame_before_writing(asset, tmp_path, capsys, rng, fault):
+    # The bad frame is the last of more frames than one batched group holds.
+    spoil, message = POSE_FAULTS[fault]
+    frames = [(2 * k, random_params(rng), None) for k in range(FRAME_GROUP + 2)]
+    i, params, _ = frames[-1]
+    frames[-1] = (i, spoil(params), None)
+    pfile = params_file(tmp_path, None, "params.json", frames)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["pose", str(asset), str(pfile), str(out / "joints.json"),
+                 "--obj", str(out / "mesh.obj")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DimensionError", "message": f"frame {i}: {message}"}
+    assert list(out.iterdir()) == []
+
+
+def _spoil(record, key, field, value):
+    record[key][field] = value
+
+
+INTEGRATE_FAULTS = {
+    "body_theta_rows": (lambda r: _spoil(r, "body", "theta", r["body"]["theta"][:20]), "SchemaError",
+                        "body prediction must have phi (3,) and theta (21, 3)"),
+    "body_beta_length": (lambda r: _spoil(r, "body", "beta", r["body"]["beta"][:9]), "DimensionError",
+                         "beta must have length 10"),
+    "hand_theta_rows": (lambda r: _spoil(r, "left_hand", "theta", r["left_hand"]["theta"][:14]),
+                        "SchemaError", "hand prediction must have phi (3,) and theta (15, 3)"),
+    "hand_phi": (lambda r: _spoil(r, "right_hand", "phi", [0.0, 1.0]), "SchemaError",
+                 "hand prediction must have phi (3,) and theta (15, 3)"),
+    "hand_side": (lambda r: _spoil(r, "left_hand", "side", "right"), "MocapkitError",
+                  "prediction passed as left hand has side 'right'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INTEGRATE_FAULTS))
+def test_integrate_checks_every_frame_before_writing(asset, tmp_path, capsys, rng, fault):
+    spoil, kind, message = INTEGRATE_FAULTS[fault]
+    frames = []
+    for k in range(FRAME_GROUP + 2):
+        body = BodyPrediction(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(21, 3)),
+                              ShapeParams(rng.normal(scale=0.1, size=10)), WeakPerspectiveCamera.identity())
+        hands = [HandPrediction(side, rng.normal(size=3), rng.normal(scale=0.2, size=(15, 3)),
+                                ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+                 for side in ("left", "right")]
+        frames.append((3 * k + 1, body, *hands))
+    doc = formats.predictions_to_doc(frames)
+    spoil(doc["frames"][-1])
+    pred_path, out = tmp_path / "pred.json", tmp_path / "fused.json"
+    formats.write_json(pred_path, doc)
+    assert main(["integrate", str(asset), str(pred_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": kind, "message": f"frame {frames[-1][0]}: {message}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pose", "integrate"])
+def test_empty_input_writes_an_empty_document(asset, tmp_path, command):
+    if command == "pose":
+        src, fmt = params_file(tmp_path, None, "params.json", []), "mocapkit-joints"
+        extra = ["--obj", str(tmp_path / "mesh.obj")]
+    else:
+        src, fmt, extra = tmp_path / "pred.json", "mocapkit-params", []
+        formats.write_json(src, formats.predictions_to_doc([]))
+    out = tmp_path / "out.json"
+    assert main([command, str(asset), str(src), str(out)] + extra) == 0
+    assert json.loads(out.read_text()) == {"format": fmt, "schema_version": 1, "frames": []}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([src.name, out.name, "toy.json"])
 
 
 def test_fit_and_eval_round_trip(asset, tmp_path, rng):

@@ -116,6 +116,18 @@ def test_frame_records_must_be_objects(reader, fmt):
         reader(doc)
 
 
+@pytest.mark.parametrize("reader, fmt", [
+    (formats.predictions_from_doc, formats.PREDICTIONS_FORMAT),
+    (formats.keypoints_from_doc, formats.KEYPOINTS_FORMAT),
+    (formats.params_from_doc, formats.PARAMS_FORMAT),
+    (formats.joints_from_doc, formats.JOINTS_FORMAT),
+])
+def test_unreadable_frame_record_is_named(reader, fmt):
+    doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": [{"frame": 4}]}
+    with pytest.raises(SchemaError, match=r"^frame 4: "):
+        reader(doc)
+
+
 def test_keypoints_round_trip(rng):
     pts = rng.normal(size=(21, 3))
     conf = rng.uniform(size=21)
@@ -166,6 +178,15 @@ def test_asset_dir_resolution(toy, tmp_path, monkeypatch):
     assert loaded.num_vertices == toy.num_vertices
 
 
+def _write_obj_rows(path, vertices, faces):
+    """Reference writer: one f-string write per vertex and face row."""
+    with open(path, "w", encoding="utf-8") as f:
+        for v in np.asarray(vertices, dtype=np.float64):
+            f.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
+        for face in np.asarray(faces, dtype=np.int64):
+            f.write(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}\n")
+
+
 def test_write_obj(tmp_path):
     path = tmp_path / "mesh.obj"
     formats.write_obj(path, np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -173,6 +194,17 @@ def test_write_obj(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "v 0.0 0.5 1.0"
     assert lines[-1] == "f 1 2 3"
+
+    # Floats whose shortest repr is unusual: signed zero, a subnormal,
+    # exponent forms and a sum that is not its decimal literal.
+    vertices = np.array([[-0.0, 5e-324, 1e22], [0.1 + 0.2, 1e16, -1.5], [1e-7, 123456.789, 2.0]])
+    faces = np.array([[0, 1, 2], [2, 1, 0]])
+    reference = tmp_path / "reference.obj"
+    formats.write_obj(path, vertices, faces)
+    _write_obj_rows(reference, vertices, faces)
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_text().splitlines()[:2] == ["v -0.0 5e-324 1e+22",
+                                                 "v 0.30000000000000004 1e+16 -1.5"]
 
 
 def test_canonical_dumps_sorted_keys():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mocapkit import integration
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.errors import DimensionError, MocapkitError
 from mocapkit.integration import (BodyPrediction, HandPrediction, PoseLayout,
@@ -55,7 +56,7 @@ def test_fused_wrist_matches_hand_global_orientation(toy, rng):
         body = random_body(rng)
         left = random_hand(rng, "left")
         right = random_hand(rng, "right")
-        params = copy_paste(toy, body, left, right)
+        [params] = copy_paste(toy, [(body, left, right)])
         fk = fused_fk(toy, params)
         for pred, side in ((left, "left"), (right, "right")):
             wrist = layout.wrist_row(side) + 1
@@ -66,7 +67,7 @@ def test_fused_fingers_and_body_copied_verbatim(toy, rng):
     layout = PoseLayout.from_model(toy)
     body = random_body(rng)
     left = random_hand(rng, "left")
-    params = copy_paste(toy, body, left=left)
+    [params] = copy_paste(toy, [(body, left, None)])
     np.testing.assert_array_equal(params.theta_w[layout.left_finger_rows], left.theta_h)
     body_minus_wrist = [r for r in layout.body_rows if r != layout.left_wrist_row]
     picked = np.array([np.where(layout.body_rows == r)[0][0] for r in body_minus_wrist])
@@ -79,7 +80,7 @@ def test_fused_fingers_and_body_copied_verbatim(toy, rng):
 def test_absent_hand_keeps_body_wrist_and_zero_fingers(toy, rng):
     layout = PoseLayout.from_model(toy)
     body = random_body(rng)
-    params = copy_paste(toy, body)
+    [params] = copy_paste(toy, [(body, None, None)])
     np.testing.assert_array_equal(params.theta_w[layout.right_finger_rows], 0.0)
     wrist_pos = np.where(layout.body_rows == layout.right_wrist_row)[0][0]
     np.testing.assert_array_equal(params.theta_w[layout.right_wrist_row], body.theta_b[wrist_pos])
@@ -88,14 +89,49 @@ def test_absent_hand_keeps_body_wrist_and_zero_fingers(toy, rng):
 def test_fusion_ignores_hand_shape(toy, rng):
     body = random_body(rng)
     left = random_hand(rng, "left")
-    params = copy_paste(toy, body, left=left)
+    [params] = copy_paste(toy, [(body, left, None)])
     np.testing.assert_array_equal(params.beta_w.beta, body.beta_b.beta)
 
 
 def test_side_mismatch_rejected(toy, rng):
     body = random_body(rng)
     with pytest.raises(MocapkitError):
-        copy_paste(toy, body, left=random_hand(rng, "right"))
+        copy_paste(toy, [(body, random_hand(rng, "right"), None)])
+
+
+def test_copy_paste_over_frames_equals_one_frame_calls(toy, rng, monkeypatch):
+    near_pi = random_hand(rng, "right")
+    near_pi = HandPrediction("right", near_pi.phi_h * (np.pi - 1e-9) / np.linalg.norm(near_pi.phi_h),
+                             near_pi.theta_h, near_pi.beta_h, near_pi.cam_h)
+    unshaped = random_body(rng)
+    unshaped = BodyPrediction(unshaped.phi_b, unshaped.theta_b, ShapeParams.zeros(10), unshaped.cam_b)
+    frames = [
+        (random_body(rng), random_hand(rng, "left"), random_hand(rng, "right")),
+        (random_body(rng), random_hand(rng, "left"), None),
+        (random_body(rng), None, random_hand(rng, "right")),
+        (random_body(rng), None, None),
+        (unshaped, random_hand(rng, "left"), random_hand(rng, "right")),
+        (random_body(rng), random_hand(rng, "left"), near_pi),
+    ]
+    singles = [copy_paste(toy, [frame])[0] for frame in frames]
+    for group in (len(frames), 4):
+        monkeypatch.setattr(integration, "FRAME_GROUP", group)
+        fused = copy_paste(toy, frames)
+        assert len(fused) == len(frames)
+        for f, s in zip(fused, singles):
+            for a, b in ((f.phi_w, s.phi_w), (f.theta_w, s.theta_w), (f.beta_w.beta, s.beta_w.beta)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert f.cam_w == s.cam_w
+
+
+def test_copy_paste_names_the_frame_it_rejects(toy, rng):
+    frames = [(random_body(rng), None, None) for _ in range(3)]
+    body = frames[2][0]
+    frames[2] = (BodyPrediction(body.phi_b, body.theta_b, ShapeParams.zeros(9), body.cam_b), None, None)
+    with pytest.raises(DimensionError, match="beta must have length 10") as e:
+        copy_paste(toy, frames)
+    assert e.value.frame == 2
+    assert copy_paste(toy, []) == []
 
 
 def test_prediction_shape_validation(rng):

@@ -114,6 +114,24 @@ def test_gamma_fk_round_trip_random(rng):
         assert np.abs(fk.rotations[j] - target).max() < 1e-6
 
 
+def test_batched_gamma_equals_per_frame_calls(rng):
+    tree = random_tree(rng, max_joints=12)
+    n = tree.num_joints
+    j = n - 1
+    rest = rng.normal(size=(6, n, 3))
+    orient = rng.normal(scale=0.7, size=(6, 3))
+    poses = rng.normal(scale=0.7, size=(6, n, 3))
+    aa = rng.normal(size=(6, 3))
+    aa[2] *= (np.pi - 1e-9) / np.linalg.norm(aa[2])      # near pi
+    aa[3] = 0.0
+    targets = np.array([rodrigues(a) for a in aa])
+    batched = gamma_global_to_local(tree, rest, orient, poses, j, targets)
+    assert batched.shape == (6, 3)
+    for t in range(6):
+        single = gamma_global_to_local(tree, rest[t], orient[t], poses[t], j, targets[t])
+        np.testing.assert_array_equal(batched[t], single)
+
+
 def test_gamma_rejects_root():
     tree = two_joint_chain()
     with pytest.raises(InvalidJointError):

@@ -29,6 +29,23 @@ def test_shape_template_linearity(toy, rng):
     np.testing.assert_allclose(combined, split, atol=1e-12)
 
 
+def test_batched_shape_template_rows_equal_single_calls(toy, rng):
+    betas = rng.normal(size=(2, 3, 10)) * np.array([0.0, 1e-3, 1.0])[:, None]
+    batched = shape_template(toy, betas)
+    assert batched.shape == (2, 3) + toy.template_vertices.shape
+    for idx in np.ndindex(betas.shape[:-1]):
+        np.testing.assert_array_equal(batched[idx], shape_template(toy, betas[idx]))
+
+
+def test_batched_pose_mesh_frames_equal_single_calls(toy, rng):
+    pose = PoseParams(rng.normal(scale=0.5, size=(4, 3)), rng.normal(scale=0.5, size=(4, 51, 3)))
+    betas = rng.normal(size=(4, 10))
+    batched = pose_mesh(toy, pose, betas)
+    for t in range(4):
+        single = pose_mesh(toy, PoseParams(pose.global_orient[t], pose.joint_poses[t]), betas[t])
+        np.testing.assert_array_equal(batched[t], single)
+
+
 def test_shape_template_bad_beta(toy):
     with pytest.raises(DimensionError):
         shape_template(toy, np.zeros(7))

@@ -13,12 +13,21 @@ import sys
 import numpy as np
 
 from . import dataprep, formats, metrics
-from .errors import DimensionError, MocapkitError, SchemaError, check_each
+from .errors import MocapkitError, SchemaError, check_each
 from .fitting import FitConfig, fit_frames, temporal_smooth
 from .integration import WholeBodyParams, copy_paste
 from .model import FRAME_GROUP, PoseParams, check_pose, pose_mesh
 from .rotations import canonicalize, unwrap
 from .toymodel import gen_toy_model
+
+
+@contextlib.contextmanager
+def _naming_frame(i):
+    """Re-raise an error with the prefix ``frame {i}: ``."""
+    try:
+        yield
+    except MocapkitError as e:
+        raise type(e)(f"frame {i}: {e}") from e
 
 
 @contextlib.contextmanager
@@ -87,12 +96,10 @@ def cmd_fit(args):
         if i not in kp_by_frame:
             raise SchemaError(f"no keypoints for frame {i}")
         pts, conf = kp_by_frame[i]
-        if pts.shape[1] != 2:
-            raise SchemaError("fit requires 2D keypoints")
-        try:
+        with _naming_frame(i):
+            if pts.shape[1] != 2:
+                raise SchemaError("fit requires 2D keypoints")
             inputs.append((params, params.cam_w, formats.keypoint_set(pts, conf)))
-        except DimensionError as e:
-            raise DimensionError(f"frame {i}: {e}") from e
     with _naming_frames([i for i, _, _ in init_frames]):
         results = fit_frames(model, inputs, config)
     out = [(i, r.params, {"cost_trace": r.cost_trace, "final_rms_px": r.final_rms_px})
@@ -106,8 +113,7 @@ def cmd_fit(args):
             aa[...] = unwrap(aa)
         smoothed = temporal_smooth(flat)
         for aa in WholeBodyParams.split(smoothed, model.num_betas)[:2]:
-            over = np.linalg.norm(aa, axis=-1) > np.pi
-            aa[over] = canonicalize(aa[over])
+            aa[...] = canonicalize(aa)
         out = [(i, WholeBodyParams.from_vector(row, model.num_betas), extras)
                for (i, _, extras), row in zip(out, smoothed)]
 
@@ -163,20 +169,21 @@ def cmd_prep(args):
 
     out = []
     for i, pts, conf in frames:
-        if joint_map is not None:
-            pts = dataprep.reorder_joints(pts, joint_map)
-            if conf is not None:
-                conf = dataprep.reorder_joints(conf, joint_map)
-        if config.get("rescale_reference") is not None:
-            if pts.shape[1] != 3:
-                raise SchemaError("rescaling requires 3D keypoints")
-            pts = dataprep.rescale_keypoints(pts, float(config["rescale_reference"]))
-        if config.get("flip_width") is not None:
-            if pts.shape[1] != 2:
-                raise SchemaError("flipping requires 2D keypoints")
-            pts, conf = dataprep.flip_keypoints_2d(
-                pts, conf if conf is not None else np.ones(pts.shape[0]),
-                float(config["flip_width"]))
+        with _naming_frame(i):
+            if joint_map is not None:
+                pts = dataprep.reorder_joints(pts, joint_map)
+                if conf is not None:
+                    conf = dataprep.reorder_joints(conf, joint_map)
+            if config.get("rescale_reference") is not None:
+                if pts.shape[1] != 3:
+                    raise SchemaError("rescaling requires 3D keypoints")
+                pts = dataprep.rescale_keypoints(pts, float(config["rescale_reference"]))
+            if config.get("flip_width") is not None:
+                if pts.shape[1] != 2:
+                    raise SchemaError("flipping requires 2D keypoints")
+                pts, conf = dataprep.flip_keypoints_2d(
+                    pts, conf if conf is not None else np.ones(pts.shape[0]),
+                    float(config["flip_width"]))
         out.append((i, pts, conf))
     formats.write_json(args.output, formats.keypoints_to_doc(out))
     print(f"prepped {len(out)} frame(s) -> {args.output}")

@@ -8,7 +8,7 @@ import numpy as np
 from .errors import DimensionError, FitError, check_each
 from .integration import PoseLayout, WholeBodyParams
 from .kinematics import forward_kinematics
-from .model import PoseParams, pose_joints
+from .model import PoseParams, check_pose, pose_joints
 from .rotations import canonicalize, right_jacobian
 
 
@@ -83,9 +83,7 @@ def _check_frame(model, init, kp):
             f"keypoint layout has {kp.points.shape[-2]} joints, model has {model.num_joints}")
     if kp.confidence.max() <= 0.0:
         raise FitError("all keypoint confidences are zero; the fit is unconstrained")
-    if init.theta_w.shape[0] != model.num_joints - 1 or init.beta_w.beta.shape[0] != model.num_betas:
-        raise DimensionError(f"init params must have {model.num_joints - 1} pose rows "
-                             f"and {model.num_betas} betas")
+    check_pose(model, init.pose(), init.beta_w)
 
 
 class _ParamVector:
@@ -141,17 +139,10 @@ class _ParamVector:
         return WholeBodyParams.split(self.rows(cols), self.num_betas)
 
     def canonicalized(self, x):
-        """Packed vectors (..., n) with each axis-angle block over pi made canonical.
-
-        The other blocks keep their bits; `canonicalize` would round them, so
-        a converged fit's zero step would still move x and raise its cost.
-        """
+        """Packed vectors (..., n) with each axis-angle block made canonical."""
         x = x.copy()
-        n = 3 * self.free_joints.size
-        blocks = x[..., :n].reshape(x.shape[:-1] + (-1, 3))
-        over = np.linalg.norm(blocks, axis=-1) > np.pi
-        blocks[over] = canonicalize(blocks[over])
-        x[..., :n] = blocks.reshape(x.shape[:-1] + (n,))
+        blocks = x[..., :3 * self.free_joints.size].reshape(x.shape[:-1] + (-1, 3))
+        blocks[...] = canonicalize(blocks)
         return x
 
 

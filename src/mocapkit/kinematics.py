@@ -80,14 +80,11 @@ def gamma_global_to_local(tree, rest_joints, global_orient, local_poses, target_
 
     Computed as (parent world rotation)^T @ target_global; only the target's
     ancestors influence the result, so the target's own stale pose is ignored.
-    Leading axes are frames, posed in one FK call as in `forward_kinematics`;
+    Leading axes are frames, posed and converted in one batched call each;
     each frame's result has the bits of its own call.
     """
     if target_joint <= 0 or target_joint >= tree.num_joints:
         raise InvalidJointError("target_joint must be a non-root joint index")
-    target_global = np.asarray(target_global, dtype=np.float64)
     fk = forward_kinematics(tree, rest_joints, global_orient, local_poses)
     parent = fk.rotations[..., tree.parents[target_joint], :, :]
-    local = np.swapaxes(parent, -1, -2) @ target_global
-    aa = [rotations.rotation_to_axis_angle(m) for m in local.reshape(-1, 3, 3)]
-    return rotations.canonicalize(np.reshape(aa, local.shape[:-1]))
+    return rotations.rotation_to_axis_angle(np.swapaxes(parent, -1, -2) @ target_global)

@@ -301,8 +301,10 @@ def test_fit_rejects_keypoint_count_mismatch_naming_the_frame(asset, tmp_path, c
 
 
 FIT_FAULTS = {
-    "zero_confidence": "all keypoint confidences are zero; the fit is unconstrained",
-    "nan_init": "initial cost is not finite",
+    "zero_confidence": ("FitError", "all keypoint confidences are zero; the fit is unconstrained"),
+    "nan_init": ("FitError", "initial cost is not finite"),
+    "wrong_rows": ("DimensionError", "pose has wrong number of joints for this model"),
+    "wrong_betas": ("DimensionError", "beta must have length 10"),
 }
 
 
@@ -316,10 +318,14 @@ def test_fit_error_names_the_frame(asset, tmp_path, capsys, indices, fault):
     bad = params
     if fault == "zero_confidence":
         conf = np.zeros(52)
-    else:
+    elif fault == "nan_init":
         theta = params.theta_w.copy()
         theta[4, 1] = np.nan
         bad = WholeBodyParams(params.phi_w, theta, params.beta_w, params.cam_w)
+    elif fault == "wrong_rows":
+        bad = WholeBodyParams(params.phi_w, params.theta_w[:-1], params.beta_w, params.cam_w)
+    else:
+        bad = WholeBodyParams(params.phi_w, params.theta_w, ShapeParams.zeros(9), params.cam_w)
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc(
         [(indices[0], pts, None), (indices[1], pts, None), (indices[2], pts, conf)]))
@@ -329,8 +335,53 @@ def test_fit_error_names_the_frame(asset, tmp_path, capsys, indices, fault):
     out = tmp_path / "fit.json"
     assert main(["fit", str(asset), str(init_path), str(kp_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "FitError"
-    assert err["message"] == f"frame {indices[2]}: {FIT_FAULTS[fault]}"
+    kind, message = FIT_FAULTS[fault]
+    assert err["type"] == kind
+    assert err["message"] == f"frame {indices[2]}: {message}"
+    assert not out.exists()
+
+
+def test_fit_rejects_3d_keypoints_naming_the_frame(asset, tmp_path, capsys):
+    model = formats.load_model(asset)
+    params = WholeBodyParams.identity(model)
+    joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc(
+        [(2, project(params.cam_w, joints), None), (5, joints, None)]))
+    init_path = params_file(tmp_path, model, "init.json", [(2, params, None), (5, params, None)])
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "SchemaError", "message": "frame 5: fit requires 2D keypoints"}
+    assert not out.exists()
+
+
+PREP_FAULTS = {
+    # config, the good frames' dimension, the bad frame's points, error
+    "flip_3d": ({"flip_width": 100.0}, 2, np.ones((6, 3)),
+                ("SchemaError", "flipping requires 2D keypoints")),
+    "rescale_2d": ({"rescale_reference": 0.03}, 3, np.ones((6, 2)),
+                   ("SchemaError", "rescaling requires 3D keypoints")),
+    "short_frame": ({"reorder": [5, 4, 3, 2, 1, 0]}, 2, np.ones((5, 2)),
+                    ("DimensionError", "joint map does not cover the input joints")),
+    "knuckle": ({"rescale_reference": 0.03}, 3, np.arange(18.0).reshape(6, 3) % 3,
+                ("DegenerateKeypointsError", "knuckle joints are coincident")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PREP_FAULTS))
+def test_prep_error_names_the_frame(tmp_path, capsys, rng, fault):
+    config, dim, bad, (kind, message) = PREP_FAULTS[fault]
+    good = rng.uniform(0, 100, size=(6, dim))
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc(
+        [(0, good, None), (4, good, None), (9, bad, None)]))
+    config_path = tmp_path / "config.json"
+    formats.write_json(config_path, config)
+    out = tmp_path / "out.json"
+    assert main(["prep", str(kp_path), str(config_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": kind, "message": f"frame 9: {message}"}
     assert not out.exists()
 
 

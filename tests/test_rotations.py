@@ -144,6 +144,94 @@ def test_canonicalize_batch_matches_scalar_reference(rng):
         np.testing.assert_allclose(canonicalize(v), e, rtol=0, atol=1e-14)
 
 
+def test_canonicalize_keeps_the_bits_of_canonical_vectors(rng):
+    axes = rng.normal(size=(500, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([rng.uniform(0.0, np.pi, size=490), [1.5e-12, 1e-11, 1e-6]])
+    at_pi = np.where(axes[:7, :1] < 0, -axes[:7], axes[:7]) * np.pi
+    canonical = np.concatenate([axes[:493] * angles[:, None], at_pi, [[0.0, 0.0, np.pi]]])
+    assert canonicalize(canonical).tobytes() == canonical.tobytes()
+    for v in canonical[::50]:
+        assert canonicalize(v).tobytes() == v.tobytes()
+
+
+def test_canonicalize_is_bitwise_idempotent(rng):
+    # random, zero, tiny, multiples of pi, above 2 pi and within 1e-12 of pi
+    axes = rng.normal(size=(40, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    axes[:4] = [[0, 0, -1], [0, -1, 0], [-1, 0, 0], [0, -0.6, -0.8]]
+    multiples = np.arange(-5, 6)[:, None, None] * np.pi * axes[None, :8]
+    once = canonicalize(np.concatenate([
+        rng.normal(scale=4.0, size=(2000, 3)),
+        np.zeros((2, 3)),
+        np.full((1, 3), 1e-13),
+        multiples.reshape(-1, 3),
+        axes * rng.uniform(2 * np.pi, 20.0, size=(40, 1)),
+        axes * (np.pi + rng.uniform(-1e-13, 1e-13, size=(40, 1))),
+    ]))
+    assert canonicalize(once).tobytes() == once.tobytes()
+
+
+def _rotation_to_axis_angle_one(r):
+    """Scalar reference: one matrix at a time, then canonicalized."""
+    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    angle = np.arctan2(np.linalg.norm(skew) / 2.0, (np.trace(r) - 1.0) / 2.0)
+    if angle < 1e-12:
+        return np.zeros(3)
+    if np.pi - angle > 1e-7:
+        return skew / np.linalg.norm(skew) * angle
+    B = (r + np.eye(3)) / 2.0
+    k = int(np.argmax(np.diag(B)))
+    axis = B[:, k] / np.sqrt(max(B[k, k], 1e-300))
+    axis /= np.linalg.norm(axis)
+    if np.linalg.norm(skew) > 1e-9:
+        if np.dot(skew, axis) < 0.0:
+            axis = -axis
+    else:
+        for c in axis:
+            if c > 1e-12:
+                break
+            if c < -1e-12:
+                axis = -axis
+                break
+    return axis * angle
+
+
+def test_rotation_to_axis_angle_batch_matches_scalar_reference(rng):
+    axes = rng.normal(size=(60, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    negative = -np.abs(axes[:10])
+    negative[:3] = [[0, 0, -1], [0, -1, 0], [-0.6, 0, -0.8]]
+    aa = np.concatenate([
+        rng.normal(scale=2.0, size=(200, 3)),
+        axes * 10.0 ** rng.uniform(-10, -2, size=(60, 1)),
+        axes[:20] * (np.pi - 1e-9),
+        axes[20:40] * (np.pi - 1e-13),
+        negative * np.pi,
+    ])
+    Rs = rodrigues_batch(aa)
+    Rs = np.concatenate([Rs, np.eye(3)[None], np.swapaxes(Rs[:50], -1, -2) @ Rs[:50]])
+    expected = np.array([_rotation_to_axis_angle_one(r) for r in Rs])
+    got = rotation_to_axis_angle(Rs)
+    assert got.shape == expected.shape
+    # The batched norm need not round as the scalar one does: a few ulps.
+    err = np.abs(got - expected).max(axis=-1)
+    bound = 4 * np.finfo(float).eps * np.linalg.norm(expected, axis=-1)
+    assert np.all(err <= bound)
+    assert np.array_equal(got[-51:], np.zeros((51, 3)))
+    assert canonicalize(got).tobytes() == got.tobytes()
+    assert rotation_to_axis_angle(Rs.reshape(19, 19, 3, 3)).reshape(-1, 3).tobytes() == got.tobytes()
+    for r, g in zip(Rs[::13], got[::13]):
+        assert rotation_to_axis_angle(r).tobytes() == g.tobytes()
+
+
+def test_rotation_to_axis_angle_rejects_a_stack_with_one_non_rotation(rng):
+    Rs = rodrigues_batch(rng.normal(size=(5, 3)))
+    Rs[3] *= 1.01
+    with pytest.raises(InvalidRotationError):
+        rotation_to_axis_angle(Rs)
+
+
 def test_unwrap_makes_a_sweep_through_pi_continuous(rng):
     axes = rng.normal(size=(4, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -182,3 +270,7 @@ def test_is_rotation_tolerance():
     assert is_rotation(np.eye(3))
     assert not is_rotation(np.eye(3) + 1e-5)
     assert not is_rotation(np.diag([1.0, 1.0, -1.0]))  # det -1
+    stack = np.stack([np.eye(3)] * 4)
+    assert is_rotation(stack)
+    stack[2, 0, 1] = 1e-5
+    assert not is_rotation(stack)

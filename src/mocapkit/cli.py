@@ -93,10 +93,10 @@ def cmd_fit(args):
 
     inputs = []
     for i, params, _extras in init_frames:
-        if i not in kp_by_frame:
-            raise SchemaError(f"no keypoints for frame {i}")
-        pts, conf = kp_by_frame[i]
         with _naming_frame(i):
+            if i not in kp_by_frame:
+                raise SchemaError("no keypoints")
+            pts, conf = kp_by_frame[i]
             if pts.shape[1] != 2:
                 raise SchemaError("fit requires 2D keypoints")
             inputs.append((params, params.cam_w, formats.keypoint_set(pts, conf)))

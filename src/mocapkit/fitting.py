@@ -86,6 +86,23 @@ def _check_frame(model, init, kp):
     check_pose(model, init.pose(), init.beta_w)
 
 
+def _pair_blocks(model, free_joints):
+    """The (joint k, free joint a) blocks of `_jacobian` that can be nonzero,
+    as ``(joint, free, members, starts, depth)``: block b is joint
+    ``joint[b]`` and free joint ``free_joints[free[b]]``, its pairs in
+    `model.JointFold` are ``members[starts[b]:starts[b + 1]]``, those of k
+    whose bone lies at or below a, and ``depth[b]`` is the sum of their C_kj.
+    """
+    fold = model.joint_fold
+    p, i = np.nonzero(fold.subtree[fold.pair_bone][:, free_joints]
+                      * (fold.pair_joint < model.num_joints)[:, None])
+    k = fold.pair_joint[p]
+    order = np.lexsort((p, i, k))
+    p, i, k = p[order], i[order], k[order]
+    starts = np.flatnonzero(np.diff(k * free_joints.size + i, prepend=-1))
+    return k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
+
+
 class _ParamVector:
     """The free entries of the flat `WholeBodyParams.vector` layout.
 
@@ -109,6 +126,7 @@ class _ParamVector:
         # Skeleton joints whose axis-angles lead the packed vector, in order.
         self.free_joints = np.concatenate(
             [[0] if config.free_global_orient else [], self.free_rows + 1]).astype(np.int64)
+        self.blocks = _pair_blocks(model, self.free_joints)
         self.num_betas = init.beta_w.beta.shape[0]
         self.base = init.vector(cam_init)
         mask = np.zeros((1, self.base.size), dtype=bool)
@@ -175,23 +193,28 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
 
 
 def _jacobian(model, packer, kp, config, x, fk=None):
-    """Exact Jacobian (m, n) of `_residuals` at a packed vector x (n,), or one
-    per column of x (n, T), stacked to (T, m, n).  `fk` is the FkResult of
-    the columns of x, as `_residuals` keeps it; None poses them here.
+    """Exact Jacobian (2K, n) of the 2K reprojection rows of `_residuals` at a
+    packed vector x (n,), or one per column of x (n, T), stacked to
+    (T, 2K, n).  `fk` is the FkResult of the columns of x, as `_residuals`
+    keeps it; None poses them here.  The prior rows are constant; see
+    `_prior_entries`.
 
     With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
-    posed joint k is ``P_k = sum_j T_kj``, ``T_kj = R_j U_kj + C_kj t_j``.
-    Perturbing the axis-angle theta_a of joint a (theta_0 is the global
-    orientation) by d rotates every transform below a by
-    ``omega = R_a Jr(theta_a) d`` about the joint's world centre
+    posed joint k is ``P_k = sum_p T_p`` over its (joint k, bone j) pairs,
+    ``T_p = R_j U_p + C_kj t_j``.  Perturbing the axis-angle theta_a of joint
+    a (theta_0 is the global orientation) by d rotates every transform below
+    a by ``omega = R_a Jr(theta_a) d`` about the joint's world centre
     ``c_a = R_a rest_a + t_a``, so
 
         dP_k / d theta_a = -[S_ka - D_ka c_a]x R_a Jr(theta_a),
 
-    with S_ka the sum of T_kj and D_ka the sum of C_kj over j at or below a.
-    At a fixed pose the joints are affine in beta: ``t_j`` is the sum of
-    ``(R_parent(i) - R_i) rest_i`` over i at or above j, which gives d t /
-    d beta from the rest basis, and ``U`` has its own basis.
+    with S_ka the sum of T_p and D_ka the sum of C_kj over the pairs of k
+    whose bone is at or below a; only the blocks of `_pair_blocks` have
+    such pairs.  At a fixed pose the joints are affine in beta: ``t_j`` is
+    the sum of ``(R_parent(i) - R_i) rest_i`` over i at or above j, which
+    gives d t / d beta from the rest basis, and ``U`` has its own basis.
+    Every sum runs over one frame's pairs, so a frame's Jacobian has the same
+    bits however many frames come with it.
     """
     fold = model.joint_fold
     K = model.num_joints
@@ -205,76 +228,70 @@ def _jacobian(model, packer, kp, config, x, fk=None):
         fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     R, t = fk.rotations, fk.translations
 
-    T = fold.blend[:, :, None] * t[:, None]
-    T[:, fold.pair_joint, fold.pair_bone] += (R[:, fold.pair_bone] @ verts[..., None])[..., 0]
-    T = T[:, :K]
+    bone, blend = fold.pair_bone, fold.pair_blend[:, None]
+    T = blend * t[:, bone] + (R[:, bone] @ verts[..., None])[..., 0]
+    # Every regressor row has pairs, as it sums to 1.
+    joint_starts = np.searchsorted(fold.pair_joint, np.arange(model.joint_regressor.shape[0]))
 
     a = packer.free_joints
+    k, f, members, starts, depth = packer.blocks
     aa = np.concatenate([phi[:, None], theta], axis=1)[:, a]
     centre = (R[:, a] @ rest[:, a, :, None])[..., 0] + t[:, a]
-    v = fold.subtree[:, a].T @ T - fold.blend_subtree[:K, a, None] * centre[:, None]
-    A = (R[:, a] @ right_jacobian(aa))[:, None]
+    v = np.add.reduceat(T[:, members], starts, axis=1) - depth[:, None] * centre[:, f]
+    A = (R[:, a] @ right_jacobian(aa))[:, f]
     # x and y rows of -[v]x A
     dxy = np.stack([v[..., 2, None] * A[..., 1, :] - v[..., 1, None] * A[..., 2, :],
                     v[..., 0, None] * A[..., 2, :] - v[..., 2, None] * A[..., 0, :]], axis=2)
 
     w = np.sqrt(kp.confidence)
     sw = scale[:, None] * w
-    m2 = 2 * K
-    n_pose = 3 * a.size
-    m = m2 + 3 * (K - 1) + packer.num_betas
-    jac = np.zeros((B, m, cols.shape[1]))
-    jac[:, :m2, :n_pose] = (sw[..., None, None, None] * dxy).reshape(B, m2, n_pose)
-    prior_rows = (m2 + 3 * packer.free_rows[:, None] + np.arange(3)).ravel()
-    prior_cols = np.arange(n_pose - prior_rows.size, n_pose)
-    jac[:, prior_rows, prior_cols] = np.sqrt(config.weight_prior_pose)
-    i = n_pose
+    jac = np.zeros((B, 2 * K, cols.shape[1]))
+    jac[:, 2 * k[:, None, None] + np.arange(2)[:, None], 3 * f[:, None, None] + np.arange(3)] = (
+        sw[:, k, None, None] * dxy)
+    i = 3 * a.size
     if config.free_shape:
         nb = packer.num_betas
         parent_rots = np.concatenate(
             [np.broadcast_to(np.eye(3), (B, 1, 3, 3)), R[:, model.tree.parents[1:]]], axis=1)
         q = np.einsum("tjcd,bjd->tbjc", parent_rots - R, fold.rest_basis)
         dt = fold.subtree @ q
-        du = np.einsum("tpcd,bpd->tbpc", R[:, fold.pair_bone], fold.vertex_basis)
-        dP = fold.pair_rows[:K] @ du + fold.blend[:K] @ dt
-        dxy_beta = dP[..., :2].transpose(0, 2, 3, 1)
-        jac[:, :m2, i:i + nb] = (sw[..., None, None] * dxy_beta).reshape(B, m2, nb)
-        jac[:, m - nb + np.arange(nb), i + np.arange(nb)] = np.sqrt(config.weight_prior_shape)
+        du = np.einsum("tpcd,bpd->tbpc", R[:, bone], fold.vertex_basis)
+        dP = np.add.reduceat(du + blend * dt[:, :, bone], joint_starts, axis=2)[:, :, :K]
+        jac[:, :, i:i + nb] = (sw[..., None, None] * dP[..., :2].transpose(0, 2, 3, 1)).reshape(
+            B, 2 * K, nb)
         i += nb
     if config.free_camera:
-        jac[:, :m2, i] = (w[..., None] * T.sum(axis=2)[..., :2]).reshape(B, m2)
-        jac[:, 0:m2:2, i + 1] = w
-        jac[:, 1:m2:2, i + 2] = w
+        joints = np.add.reduceat(T, joint_starts, axis=1)[:, :K]
+        jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
+        jac[:, 0::2, i + 1] = w
+        jac[:, 1::2, i + 2] = w
     return jac[0] if x.ndim == 1 else jac
 
 
-def _fit_residuals(model, packer, anchor, kp, config, fk=None):
-    """`_residuals` of one fit as a function of x, carrying its exact Jacobian;
-    `fk`, if given, is the FkResult of the x the Jacobian will be taken at."""
-
-    def residuals(x):
-        return _residuals(model, packer, anchor, kp, config, x)
-
-    residuals.jacobian = lambda x: _jacobian(model, packer, kp, config, x, fk)
-    return residuals
+def _prior_entries(model, packer, config):
+    """The prior rows of `_residuals` that vary with the packed vector: the
+    residual row, packed column and weight sqrt(w) of each.  Each holds its
+    one entry in its own column, so the fit adds w to the diagonal of JᵀJ
+    and sqrt(w) r_row to Jᵀr instead of differentiating them."""
+    # The prior rows follow theta and then beta in the flat layout, after phi.
+    num_theta = 3 * (model.num_joints - 1)
+    cols = np.flatnonzero((packer.free >= 3) & (packer.free < 3 + num_theta + packer.num_betas))
+    offset = packer.free[cols] - 3
+    weights = np.sqrt(np.where(offset < num_theta, config.weight_prior_pose,
+                               config.weight_prior_shape))
+    return 2 * model.num_joints + offset, cols, weights
 
 
 def fit_jacobian(residual_fn, x, step):
-    """Central-difference reference Jacobian (m, n) of a residual function at x (n,).
+    """Central-difference Jacobian (m, n) of a residual function at x (n,):
+    the reference the tests check `_jacobian` and `_prior_entries` against.
 
     The result is ``(f(+) - f(-)) / (2 step)``, with `residual_fn` called on
     column stacks: given an (n, n) array whose column i is ``x + step e_i``
     (then ``x - step e_i``), it returns the (m, n) array whose column i is
-    the residual vector of that column.  If `residual_fn` has a ``jacobian``
-    attribute, the result is ``residual_fn.jacobian(x)`` instead: the fit
-    reaches `_jacobian` this way, through `_fit_residuals`, with x as one
-    column per frame (n, T) and one Jacobian per frame (T, m, n) back.  The
-    tests check that exact Jacobian against the difference.
+    the residual vector of that column.
     """
     x = np.asarray(x, dtype=np.float64)
-    exact = getattr(residual_fn, "jacobian", None)
-    if exact is not None:
-        return exact(x)
     h = step * np.eye(x.shape[0])
     jac = residual_fn(x[:, None] + h)
     jac -= residual_fn(x[:, None] - h)
@@ -344,21 +361,20 @@ def _fit_lockstep(model, frames, config, first):
 
     T, n = x.shape
     m2 = 2 * model.num_joints
-    diag = np.arange(n)
+    prior_rows, prior_cols, prior_w = _prior_entries(model, packer, config)
     trace = np.empty((T, config.iterations))
     accepted = np.zeros(T, dtype=np.int64)
     rejected = np.zeros(T, dtype=np.int64)
     stalled = np.zeros(T, dtype=bool)
     eye = np.eye(n)
     for it in range(config.iterations):
-        J = fit_jacobian(_fit_residuals(model, packer, None, kp, config, fk), x.T, config.fd_step)
-        # Each prior row holds one entry, each in its own column, so the prior
-        # rows add only a diagonal to the reprojection rows' JᵀJ.
-        JtJ = J[:, :m2].transpose(0, 2, 1) @ J[:, :m2]
-        JtJ[:, diag, diag] += (J[:, m2:] * J[:, m2:]).sum(axis=1)
-        Jtr = (J.transpose(0, 2, 1) @ r[..., None])[..., 0]
+        J = _jacobian(model, packer, kp, config, x.T, fk)
+        JtJ = J.transpose(0, 2, 1) @ J
+        JtJ[:, prior_cols, prior_cols] += prior_w * prior_w
+        Jtr = (J.transpose(0, 2, 1) @ r[:, :m2, None])[..., 0]
+        Jtr[:, prior_cols] += prior_w * r[:, prior_rows]
         if it == 0:
-            lam = np.clip(1e-6 * JtJ[:, diag, diag].max(axis=1), 1e-12, 1e12)
+            lam = np.clip(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1), 1e-12, 1e12)
         pending = np.arange(T)
         for _ in range(config.max_retries):
             step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
@@ -391,7 +407,7 @@ def _fit_lockstep(model, frames, config, first):
         trace[:, it] = cost
 
     # The leading 2K residuals of the accepted x are its weighted 2D errors.
-    r2d = r[:, : 2 * model.num_joints]
+    r2d = r[:, :m2]
     rows = packer.rows(x)
     return [FitResult(params=WholeBodyParams.from_vector(rows[t], packer.num_betas),
                       cost_trace=trace[t],

@@ -112,9 +112,10 @@ class JointFold:
     are linear in the shape coefficients, so both are kept as a constant plus
     a basis.  This is exact algebra, not an approximation.
 
-    The fit's exact Jacobian sums the terms ``R_j U_kj + C_kj t_j`` over the
-    subtree below each joint, so the fold also keeps the pair indices, C,
-    the subtree matrix and C @ subtree.
+    The fit's exact Jacobian works on the same pairs: it sums the terms
+    ``R_j U_kj + C_kj t_j`` over the pairs whose bone lies below each joint,
+    so the fold also keeps each pair's joint, bone and C_kj, and the subtree
+    matrix.
     """
 
     weights: np.ndarray         # (P, J) one-hot bone of each pair
@@ -124,11 +125,10 @@ class JointFold:
     trans_rows: np.ndarray      # (J_reg, J)
     rest: np.ndarray            # (J, 3) rest joints of the unshaped template
     rest_basis: np.ndarray      # (num_betas, J, 3) d rest / d beta
-    pair_joint: np.ndarray      # (P,) regressor row k of each pair
-    pair_bone: np.ndarray       # (P,) bone j of each pair
-    blend: np.ndarray           # (J_reg, J) C
+    pair_joint: np.ndarray      # (P,) regressor row k of each pair, ascending
+    pair_bone: np.ndarray       # (P,) bone j of each pair, ascending within a row
+    pair_blend: np.ndarray      # (P,) C_kj of each pair
     subtree: np.ndarray         # (J, J) 0/1; [j, a] = 1 when j is a or lies below a
-    blend_subtree: np.ndarray   # (J_reg, J) C @ subtree
 
     @staticmethod
     def of(model):
@@ -154,9 +154,8 @@ class JointFold:
             rest_basis=np.einsum("jn,nab->bja", skel, model.shape_basis),
             pair_joint=k,
             pair_bone=j,
-            blend=blend,
+            pair_blend=blend[k, j],
             subtree=subtree,
-            blend_subtree=blend @ subtree,
         )
 
     def shaped(self, beta):

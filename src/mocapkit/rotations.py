@@ -27,21 +27,23 @@ def canonicalize(aa):
     aa = np.asarray(aa, dtype=np.float64)
     norm = np.linalg.norm(aa, axis=-1, keepdims=True)
     axis = np.divide(aa, norm, out=np.zeros_like(aa), where=norm >= 1e-12)
+    lead = _leading_component(axis)
     kept = ((norm >= 1e-12) & (norm <= np.pi + 4 * np.spacing(np.pi))
-            & ~((np.abs(norm - np.pi) < 1e-12) & _leads_negative(axis)))
+            & ~((np.abs(norm - np.pi) < 1e-12) & (lead < -1e-12)))
+    if kept.all():
+        return aa.copy()
     angle = np.fmod(norm, 2.0 * np.pi)
     over = angle > np.pi
     angle = np.where(over, 2.0 * np.pi - angle, angle)
-    axis = np.where(over, -axis, axis)
-    axis = np.where((np.abs(angle - np.pi) < 1e-12) & _leads_negative(axis), -axis, axis)
-    return np.where(kept, aa, np.where(angle < 1e-12, 0.0, axis * angle))
+    # -axis leads negative where axis leads positive.
+    flip = over != ((np.abs(angle - np.pi) < 1e-12) & np.where(over, lead > 1e-12, lead < -1e-12))
+    return np.where(kept, aa, np.where(angle < 1e-12, 0.0, np.where(flip, -axis, axis) * angle))
 
 
-def _leads_negative(axis):
-    """The at-pi sign rule: whether the first component of each axis (..., 3)
-    beyond 1e-12 in magnitude is negative, as (..., 1)."""
-    lead = np.take_along_axis(axis, np.argmax(np.abs(axis) > 1e-12, axis=-1)[..., None], -1)
-    return lead < -1e-12
+def _leading_component(axis):
+    """The at-pi sign rule's test: the first component of each axis (..., 3)
+    beyond 1e-12 in magnitude, as (..., 1); the first component if none is."""
+    return np.take_along_axis(axis, np.argmax(np.abs(axis) > 1e-12, axis=-1)[..., None], -1)
 
 
 def unwrap(seq):
@@ -126,6 +128,6 @@ def rotation_to_axis_angle(r):
     sym = sym / np.linalg.norm(sym, axis=-1, keepdims=True)
     # The skew part still gives the sign unless it has vanished too.
     flip = np.where(s > 1e-9, (skew * sym).sum(axis=-1, keepdims=True) < 0.0,
-                    _leads_negative(sym))
+                    _leading_component(sym) < -1e-12)
     axis = np.where(np.pi - angle > 1e-7, axis, np.where(flip, -sym, sym))
     return np.where(angle < 1e-12, 0.0, axis * angle)

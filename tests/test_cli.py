@@ -356,6 +356,21 @@ def test_fit_rejects_3d_keypoints_naming_the_frame(asset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_names_the_frame_without_keypoints(asset, tmp_path, capsys):
+    model = formats.load_model(asset)
+    params = WholeBodyParams.identity(model)
+    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc([(0, pts, None)]))
+    init_path = params_file(tmp_path, model, "init.json", [(0, params, None), (7, params, None)])
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SchemaError"
+    assert err["message"].startswith("frame 7: ")
+    assert not out.exists()
+
+
 PREP_FAULTS = {
     # config, the good frames' dimension, the bad frame's points, error
     "flip_3d": ({"flip_width": 100.0}, 2, np.ones((6, 3)),

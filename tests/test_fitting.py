@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
-from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
-                              _jacobian, _ParamVector, _residuals, fit, fit_jacobian,
+from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _jacobian,
+                              _ParamVector, _prior_entries, _residuals, fit, fit_jacobian,
                               temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
@@ -132,17 +134,45 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
     kp = render_keypoints(toy, anchor, cam, conf=conf)
     kp = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
     packer = _ParamVector(toy, anchor, cam, config)
-    residuals = _fit_residuals(toy, packer, anchor, kp, config)
+    m2 = 2 * toy.num_joints
+    rows, cols, weights = _prior_entries(toy, packer, config)
     x0 = packer.pack(anchor, cam)
     for x in (x0, x0 + rng.normal(scale=0.05, size=x0.size)):
-        exact = fit_jacobian(residuals, x, config.fd_step)
-        fd = fit_jacobian(lambda cols: residuals(cols), x, config.fd_step)
-        assert exact.shape == fd.shape == (residuals(x).size, x.size)
+        fd = fit_jacobian(lambda c: _residuals(toy, packer, anchor, kp, config, c), x,
+                          config.fd_step)
+        # the 2K reprojection rows, then the prior rows' constant entries
+        exact = np.zeros_like(fd)
+        exact[:m2] = _jacobian(toy, packer, kp, config, x)
+        exact[rows, cols] = weights
         rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
         # every column is checked on its own, so a wrong small block shows
         col_rel = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
         assert col_rel.max() < 1e-6
+        # the prior rows add to JᵀJ only the diagonal the fit adds
+        diag = np.zeros(x.size)
+        diag[cols] = weights * weights
+        np.testing.assert_allclose(fd[m2:].T @ fd[m2:], np.diag(diag), atol=1e-8)
+
+
+def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
+    # Rows past the skeleton joints have folded pairs too, which no
+    # reprojection row reads.
+    extra = np.zeros((4, toy.num_vertices))
+    extra[np.arange(4), rng.choice(toy.num_vertices, size=4, replace=False)] = 1.0
+    model = dataclasses.replace(toy, joint_regressor=np.vstack([toy.joint_regressor, extra]))
+    config = FitConfig(free_fingers=True, free_shape=True)
+    cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
+    init = WholeBodyParams(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=(51, 3)),
+                           ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+    kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
+                       rng.uniform(0.2, 1.0, size=model.num_joints))
+    packer = _ParamVector(model, init, cam, config)
+    x = packer.pack(init, cam)
+    fd = fit_jacobian(lambda c: _residuals(model, packer, init, kp, config, c), x,
+                      config.fd_step)[:2 * model.num_joints]
+    exact = _jacobian(model, packer, kp, config, x)
+    assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) < 1e-6
 
 
 @pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
@@ -273,9 +303,9 @@ def test_lockstep_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch)
 
 def test_fit_reports_a_stall(toy, rng, monkeypatch):
     init, cam, kp = _noisy_fit_problem(toy, rng)
-    exact = fitting.fit_jacobian
+    exact = fitting._jacobian
     # A Jacobian of the wrong sign makes every damped step climb the cost.
-    monkeypatch.setattr(fitting, "fit_jacobian", lambda fn, x, step: -exact(fn, x, step))
+    monkeypatch.setattr(fitting, "_jacobian", lambda *args: -exact(*args))
     config = FitConfig(iterations=4, max_retries=3)
     result = fit(toy, init, cam, kp, config)
     assert result.status == "stalled"
@@ -287,6 +317,26 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
     assert result.cost_trace[0] == initial @ initial
     np.testing.assert_array_equal(result.params.theta_w, init.theta_w)
+
+
+@pytest.mark.parametrize("config", [FitConfig(iterations=1, max_retries=1),
+                                    FitConfig(iterations=1, max_retries=1, free_fingers=True,
+                                              free_shape=True)])
+def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, config):
+    init, cam, kp = _noisy_fit_problem(toy, rng)
+    packer = _ParamVector(toy, init, cam, config)
+    x = packer.pack(init, cam)
+    r = _residuals(toy, packer, None, kp, config, x)
+    rows, cols, weights = _prior_entries(toy, packer, config)
+    J = np.zeros((r.size, x.size))
+    J[:2 * toy.num_joints] = _jacobian(toy, packer, kp, config, x)
+    J[rows, cols] = weights
+    JtJ = J.T @ J
+    step = np.linalg.solve(JtJ + 1e-6 * JtJ.diagonal().max() * np.eye(x.size), J.T @ r)
+    result = fit(toy, init, cam, kp, config)
+    assert result.accepted_steps == 1
+    np.testing.assert_allclose(packer.pack(result.params, result.params.cam_w), x - step,
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_fit_rejects_all_zero_confidence(toy):
@@ -364,7 +414,8 @@ def _clip(toy, rng):
     return frames
 
 
-@pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1)])
+@pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1),
+                                    FitConfig(iterations=8, free_fingers=True, free_shape=True)])
 def test_lockstep_fit_equals_frame_by_frame(toy, rng, config):
     frames = _clip(toy, rng)
     together = fitting.fit_frames(toy, frames, config)
@@ -407,7 +458,7 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
-    counts = dict.fromkeys(["residuals", "fit_jacobian", "posing_fk", "jacobian_fk"], 0)
+    counts = dict.fromkeys(["residuals", "jacobian", "posing_fk", "jacobian_fk"], 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -418,12 +469,12 @@ def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
     frames = _clip(toy, rng)
     fk = fitting.forward_kinematics
     monkeypatch.setattr(fitting, "_residuals", counting("residuals", fitting._residuals))
-    monkeypatch.setattr(fitting, "fit_jacobian", counting("fit_jacobian", fitting.fit_jacobian))
+    monkeypatch.setattr(fitting, "_jacobian", counting("jacobian", fitting._jacobian))
     monkeypatch.setattr("mocapkit.model.forward_kinematics", counting("posing_fk", fk))
     monkeypatch.setattr(fitting, "forward_kinematics", counting("jacobian_fk", fk))
     config = FitConfig(iterations=8)
     fitting.fit_frames(toy, frames, config)
-    assert counts["fit_jacobian"] == config.iterations
+    assert counts["jacobian"] == config.iterations
     assert counts["posing_fk"] == counts["residuals"] > config.iterations
     assert counts["jacobian_fk"] == 0
 

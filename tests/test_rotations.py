@@ -151,6 +151,7 @@ def test_canonicalize_keeps_the_bits_of_canonical_vectors(rng):
     at_pi = np.where(axes[:7, :1] < 0, -axes[:7], axes[:7]) * np.pi
     canonical = np.concatenate([axes[:493] * angles[:, None], at_pi, [[0.0, 0.0, np.pi]]])
     assert canonicalize(canonical).tobytes() == canonical.tobytes()
+    assert not np.shares_memory(canonicalize(canonical), canonical)
     for v in canonical[::50]:
         assert canonicalize(v).tobytes() == v.tobytes()
 

@@ -87,20 +87,24 @@ def _check_frame(model, init, kp):
 
 
 def _pair_blocks(model, free_joints):
-    """The (joint k, free joint a) blocks of `_jacobian` that can be nonzero,
-    as ``(joint, free, members, starts, depth)``: block b is joint
-    ``joint[b]`` and free joint ``free_joints[free[b]]``, its pairs in
-    `model.JointFold` are ``members[starts[b]:starts[b + 1]]``, those of k
-    whose bone lies at or below a, and ``depth[b]`` is the sum of their C_kj.
+    """The `model.JointFold` pairs `_jacobian` reads, grouped once per fit, as
+    ``(bounds, joint, free, members, starts, depth)``.  The pairs of skeleton
+    joint k are ``bounds[k]:bounds[k + 1]``; the regressor rows past the
+    skeleton, whose pairs follow, reach no residual.  Block b of the (joint
+    k, free joint a) blocks that can be nonzero is joint ``joint[b]`` and
+    free joint ``free_joints[free[b]]``, its pairs are
+    ``members[starts[b]:starts[b + 1]]``, those of k whose bone lies at or
+    below a, and ``depth[b]`` is the sum of their C_kj.
     """
     fold = model.joint_fold
-    p, i = np.nonzero(fold.subtree[fold.pair_bone][:, free_joints]
-                      * (fold.pair_joint < model.num_joints)[:, None])
+    # pair_joint ascends, and every regressor row has pairs, as it sums to 1.
+    bounds = np.searchsorted(fold.pair_joint, np.arange(model.num_joints + 1))
+    p, i = np.nonzero(fold.subtree[fold.pair_bone[:bounds[-1]]][:, free_joints])
     k = fold.pair_joint[p]
     order = np.lexsort((p, i, k))
     p, i, k = p[order], i[order], k[order]
     starts = np.flatnonzero(np.diff(k * free_joints.size + i, prepend=-1))
-    return k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
+    return bounds, k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
 
 
 class _ParamVector:
@@ -228,13 +232,12 @@ def _jacobian(model, packer, kp, config, x, fk=None):
         fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     R, t = fk.rotations, fk.translations
 
-    bone, blend = fold.pair_bone, fold.pair_blend[:, None]
-    T = blend * t[:, bone] + (R[:, bone] @ verts[..., None])[..., 0]
-    # Every regressor row has pairs, as it sums to 1.
-    joint_starts = np.searchsorted(fold.pair_joint, np.arange(model.joint_regressor.shape[0]))
+    bounds, k, f, members, starts, depth = packer.blocks
+    skel = slice(0, bounds[-1])
+    bone, blend = fold.pair_bone[skel], fold.pair_blend[skel, None]
+    T = blend * t[:, bone] + (R[:, bone] @ verts[:, skel, :, None])[..., 0]
 
     a = packer.free_joints
-    k, f, members, starts, depth = packer.blocks
     aa = np.concatenate([phi[:, None], theta], axis=1)[:, a]
     centre = (R[:, a] @ rest[:, a, :, None])[..., 0] + t[:, a]
     v = np.add.reduceat(T[:, members], starts, axis=1) - depth[:, None] * centre[:, f]
@@ -255,13 +258,13 @@ def _jacobian(model, packer, kp, config, x, fk=None):
             [np.broadcast_to(np.eye(3), (B, 1, 3, 3)), R[:, model.tree.parents[1:]]], axis=1)
         q = np.einsum("tjcd,bjd->tbjc", parent_rots - R, fold.rest_basis)
         dt = fold.subtree @ q
-        du = np.einsum("tpcd,bpd->tbpc", R[:, bone], fold.vertex_basis)
-        dP = np.add.reduceat(du + blend * dt[:, :, bone], joint_starts, axis=2)[:, :, :K]
+        du = np.einsum("tpcd,bpd->tbpc", R[:, bone], fold.vertex_basis[:, skel])
+        dP = np.add.reduceat(du + blend * dt[:, :, bone], bounds[:-1], axis=2)
         jac[:, :, i:i + nb] = (sw[..., None, None] * dP[..., :2].transpose(0, 2, 3, 1)).reshape(
             B, 2 * K, nb)
         i += nb
     if config.free_camera:
-        joints = np.add.reduceat(T, joint_starts, axis=1)[:, :K]
+        joints = np.add.reduceat(T, bounds[:-1], axis=1)
         jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
         jac[:, 0::2, i + 1] = w
         jac[:, 1::2, i + 2] = w
@@ -273,25 +276,48 @@ def _prior_entries(model, packer, config):
     residual row, packed column and weight sqrt(w) of each.  Each holds its
     one entry in its own column, so the fit adds w to the diagonal of JᵀJ
     and sqrt(w) r_row to Jᵀr instead of differentiating them."""
-    # The prior rows follow theta and then beta in the flat layout, after phi.
-    num_theta = 3 * (model.num_joints - 1)
-    cols = np.flatnonzero((packer.free >= 3) & (packer.free < 3 + num_theta + packer.num_betas))
-    offset = packer.free[cols] - 3
-    weights = np.sqrt(np.where(offset < num_theta, config.weight_prior_pose,
+    # The prior rows follow the reprojection rows: all of theta, then beta.
+    D = packer.base.shape[-1]
+    _, theta, beta, _, _ = WholeBodyParams.split(np.arange(D), packer.num_betas)
+    prior_row = np.full(D, -1)
+    prior_row[np.concatenate([theta.ravel(), beta])] = np.arange(theta.size + beta.size)
+    rows = prior_row[packer.free]
+    cols = np.flatnonzero(rows >= 0)
+    weights = np.sqrt(np.where(rows[cols] < theta.size, config.weight_prior_pose,
                                config.weight_prior_shape))
-    return 2 * model.num_joints + offset, cols, weights
+    return 2 * model.num_joints + rows[cols], cols, weights
+
+
+def _fit_residuals(model, packer, kp, config, fk=None):
+    """The 2K reprojection rows of `_residuals` as a function of x, carrying
+    their exact Jacobian `_jacobian`; `fk`, if given, is the FkResult of the
+    x the Jacobian will be taken at."""
+    m2 = 2 * model.num_joints
+
+    def reprojection(x):
+        return _residuals(model, packer, None, kp, config, x)[:m2]
+
+    reprojection.jacobian = lambda x: _jacobian(model, packer, kp, config, x, fk)
+    return reprojection
 
 
 def fit_jacobian(residual_fn, x, step):
-    """Central-difference Jacobian (m, n) of a residual function at x (n,):
-    the reference the tests check `_jacobian` and `_prior_entries` against.
+    """Central-difference reference Jacobian (m, n) of a residual function at x (n,).
 
     The result is ``(f(+) - f(-)) / (2 step)``, with `residual_fn` called on
     column stacks: given an (n, n) array whose column i is ``x + step e_i``
     (then ``x - step e_i``), it returns the (m, n) array whose column i is
-    the residual vector of that column.
+    the residual vector of that column.  If `residual_fn` has a ``jacobian``
+    attribute, the result is ``residual_fn.jacobian(x)`` instead: the fit
+    reaches `_jacobian` this way, through `_fit_residuals`, with x as one
+    column per frame (n, T) and one Jacobian of the reprojection rows per
+    frame (T, 2K, n) back.  The tests check that exact Jacobian, and the
+    prior entries of `_prior_entries`, against the difference.
     """
     x = np.asarray(x, dtype=np.float64)
+    exact = getattr(residual_fn, "jacobian", None)
+    if exact is not None:
+        return exact(x)
     h = step * np.eye(x.shape[0])
     jac = residual_fn(x[:, None] + h)
     jac -= residual_fn(x[:, None] - h)
@@ -368,7 +394,7 @@ def _fit_lockstep(model, frames, config, first):
     stalled = np.zeros(T, dtype=bool)
     eye = np.eye(n)
     for it in range(config.iterations):
-        J = _jacobian(model, packer, kp, config, x.T, fk)
+        J = fit_jacobian(_fit_residuals(model, packer, kp, config, fk), x.T, config.fd_step)
         JtJ = J.transpose(0, 2, 1) @ J
         JtJ[:, prior_cols, prior_cols] += prior_w * prior_w
         Jtr = (J.transpose(0, 2, 1) @ r[:, :m2, None])[..., 0]

@@ -6,9 +6,9 @@ import pytest
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
-from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _jacobian,
-                              _ParamVector, _prior_entries, _residuals, fit, fit_jacobian,
-                              temporal_smooth)
+from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
+                              _jacobian, _ParamVector, _prior_entries, _residuals, fit,
+                              fit_jacobian, temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.model import ShapeParams, pose_joints
 
@@ -153,6 +153,11 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
         diag = np.zeros(x.size)
         diag[cols] = weights * weights
         np.testing.assert_allclose(fd[m2:].T @ fd[m2:], np.diag(diag), atol=1e-8)
+        # the fit's seam: fit_jacobian hands back `_jacobian` of the rows it differences
+        reprojection = _fit_residuals(toy, packer, kp, config)
+        np.testing.assert_array_equal(fit_jacobian(reprojection, x, config.fd_step), exact[:m2])
+        np.testing.assert_array_equal(fit_jacobian(lambda c: reprojection(c), x, config.fd_step),
+                                      fd[:m2])
 
 
 def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
@@ -458,7 +463,8 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
-    counts = dict.fromkeys(["residuals", "jacobian", "posing_fk", "jacobian_fk"], 0)
+    counts = dict.fromkeys(["residuals", "fit_jacobian", "jacobian", "posing_fk", "jacobian_fk"],
+                           0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -469,12 +475,13 @@ def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
     frames = _clip(toy, rng)
     fk = fitting.forward_kinematics
     monkeypatch.setattr(fitting, "_residuals", counting("residuals", fitting._residuals))
+    monkeypatch.setattr(fitting, "fit_jacobian", counting("fit_jacobian", fitting.fit_jacobian))
     monkeypatch.setattr(fitting, "_jacobian", counting("jacobian", fitting._jacobian))
     monkeypatch.setattr("mocapkit.model.forward_kinematics", counting("posing_fk", fk))
     monkeypatch.setattr(fitting, "forward_kinematics", counting("jacobian_fk", fk))
     config = FitConfig(iterations=8)
     fitting.fit_frames(toy, frames, config)
-    assert counts["jacobian"] == config.iterations
+    assert counts["fit_jacobian"] == counts["jacobian"] == config.iterations
     assert counts["posing_fk"] == counts["residuals"] > config.iterations
     assert counts["jacobian_fk"] == 0
 

@@ -13,21 +13,12 @@ import sys
 import numpy as np
 
 from . import dataprep, formats, metrics
-from .errors import MocapkitError, SchemaError, check_each
-from .fitting import FitConfig, fit_frames, temporal_smooth
+from .errors import MocapkitError, SchemaError, map_frames
+from .fitting import FitConfig, KeypointSet2D, fit_frames, temporal_smooth
 from .integration import WholeBodyParams, copy_paste
 from .model import FRAME_GROUP, PoseParams, check_pose, pose_mesh
 from .rotations import canonicalize, unwrap
 from .toymodel import gen_toy_model
-
-
-@contextlib.contextmanager
-def _naming_frame(i):
-    """Re-raise an error with the prefix ``frame {i}: ``."""
-    try:
-        yield
-    except MocapkitError as e:
-        raise type(e)(f"frame {i}: {e}") from e
 
 
 @contextlib.contextmanager
@@ -53,7 +44,7 @@ def cmd_pose(args):
     model = formats.load_model(args.asset)
     frames = formats.params_from_doc(formats.read_json(args.params))
     with _naming_frames([i for i, _, _ in frames]):
-        check_each(frames, lambda f: check_pose(model, f[1].pose(), f[1].beta_w))
+        map_frames(lambda f: check_pose(model, f[1].pose(), f[1].beta_w), frames)
     root, ext = os.path.splitext(args.obj or "")
     joints_out = []
     for first in range(0, len(frames), FRAME_GROUP):
@@ -91,17 +82,19 @@ def cmd_fit(args):
     kp_by_frame = {i: (pts, conf) for i, pts, conf in kp_frames}
     config = FitConfig(iterations=args.iters)
 
-    inputs = []
-    for i, params, _extras in init_frames:
-        with _naming_frame(i):
-            if i not in kp_by_frame:
-                raise SchemaError("no keypoints")
-            pts, conf = kp_by_frame[i]
-            if pts.shape[1] != 2:
-                raise SchemaError("fit requires 2D keypoints")
-            inputs.append((params, params.cam_w, formats.keypoint_set(pts, conf)))
+    def fit_input(frame):
+        i, params, _ = frame
+        if i not in kp_by_frame:
+            raise SchemaError("no keypoints")
+        pts, conf = kp_by_frame[i]
+        if pts.shape[1] != 2:
+            raise SchemaError("fit requires 2D keypoints")
+        if conf is None:
+            conf = np.ones(len(pts))
+        return params, params.cam_w, KeypointSet2D(pts, conf)
+
     with _naming_frames([i for i, _, _ in init_frames]):
-        results = fit_frames(model, inputs, config)
+        results = fit_frames(model, map_frames(fit_input, init_frames), config)
     out = [(i, r.params, {"cost_trace": r.cost_trace, "final_rms_px": r.final_rms_px})
            for (i, _, _), r in zip(init_frames, results)]
 
@@ -167,24 +160,26 @@ def cmd_prep(args):
     if config.get("reorder") is not None:
         joint_map = dataprep.JointMap(np.asarray(config["reorder"], dtype=np.int64))
 
-    out = []
-    for i, pts, conf in frames:
-        with _naming_frame(i):
-            if joint_map is not None:
-                pts = dataprep.reorder_joints(pts, joint_map)
-                if conf is not None:
-                    conf = dataprep.reorder_joints(conf, joint_map)
-            if config.get("rescale_reference") is not None:
-                if pts.shape[1] != 3:
-                    raise SchemaError("rescaling requires 3D keypoints")
-                pts = dataprep.rescale_keypoints(pts, float(config["rescale_reference"]))
-            if config.get("flip_width") is not None:
-                if pts.shape[1] != 2:
-                    raise SchemaError("flipping requires 2D keypoints")
-                pts, conf = dataprep.flip_keypoints_2d(
-                    pts, conf if conf is not None else np.ones(pts.shape[0]),
-                    float(config["flip_width"]))
-        out.append((i, pts, conf))
+    def prep(frame):
+        i, pts, conf = frame
+        if joint_map is not None:
+            pts = dataprep.reorder_joints(pts, joint_map)
+            if conf is not None:
+                conf = dataprep.reorder_joints(conf, joint_map)
+        if config.get("rescale_reference") is not None:
+            if pts.shape[1] != 3:
+                raise SchemaError("rescaling requires 3D keypoints")
+            pts = dataprep.rescale_keypoints(pts, float(config["rescale_reference"]))
+        if config.get("flip_width") is not None:
+            if pts.shape[1] != 2:
+                raise SchemaError("flipping requires 2D keypoints")
+            pts, conf = dataprep.flip_keypoints_2d(
+                pts, conf if conf is not None else np.ones(pts.shape[0]),
+                float(config["flip_width"]))
+        return i, pts, conf
+
+    with _naming_frames([i for i, _, _ in frames]):
+        out = map_frames(prep, frames)
     formats.write_json(args.output, formats.keypoints_to_doc(out))
     print(f"prepped {len(out)} frame(s) -> {args.output}")
     return 0

@@ -8,15 +8,17 @@ class MocapkitError(ValueError):
     frame = None
 
 
-def check_each(frames, check):
-    """Call `check` on every item of `frames`; an error it raises about the
-    item at position t gets ``frame = t``."""
+def map_frames(fn, frames):
+    """``[fn(item) for item in frames]``; an error `fn` raises about the item
+    at position t gets ``frame = t``."""
+    out = []
     for t, item in enumerate(frames):
         try:
-            check(item)
+            out.append(fn(item))
         except MocapkitError as e:
             e.frame = t
             raise
+    return out
 
 
 class DimensionError(MocapkitError):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FitError, check_each
+from .errors import DimensionError, FitError, map_frames
 from .integration import PoseLayout, WholeBodyParams
 from .kinematics import forward_kinematics
 from .model import PoseParams, check_pose, pose_joints
@@ -331,9 +331,10 @@ def fit(model, init, cam_init, kp, config=None):
     Runs `config.iterations` Levenberg-Marquardt iterations, each with the
     exact Jacobian J at the current residuals r.  The damping starts at
     1e-6 times the largest diagonal entry of JᵀJ.  A trial step that would
-    raise the cost is rejected: the damping goes up 10× and the step is
-    retried, up to `config.max_retries` times; an iteration that runs out of
-    retries keeps its parameters and makes the result's status "stalled".
+    raise the cost, or make the camera scale ≤ 0, is rejected: the damping
+    goes up 10× and the step is retried, up to `config.max_retries` times;
+    an iteration that runs out of retries keeps its parameters and makes the
+    result's status "stalled".
     An accepted step scales the damping by ``max(1/3, 1 - (2 rho - 1)^3)``,
     where the gain ratio rho is the cost decrease over the decrease the
     linearised model predicts (Madsen, Nielsen & Tingleff 2004, §3.2).  The
@@ -360,7 +361,7 @@ def fit_frames(model, frames, config=None):
     """
     config = config or FitConfig()
     frames = list(frames)
-    check_each(frames, lambda frame: _check_frame(model, frame[0], frame[2]))
+    map_frames(lambda frame: _check_frame(model, frame[0], frame[2]), frames)
     results = []
     for first in range(0, len(frames), FIT_GROUP):
         results += _fit_lockstep(model, frames[first:first + FIT_GROUP], config, first)
@@ -407,11 +408,14 @@ def _fit_lockstep(model, frames, config, first):
                                    Jtr[pending, :, None])[..., 0]
             x_new = packer.canonicalized(x[pending] - step)
             kp_new = KeypointSet2D(kp.points[pending], kp.confidence[pending])
+            trial = packer.with_base(packer.base[pending])
             kept = []
-            r_new = _residuals(model, packer.with_base(packer.base[pending]), None, kp_new,
-                               config, x_new.T, kept).T
+            r_new = _residuals(model, trial, None, kp_new, config, x_new.T, kept).T
             cost_new = np.array([rt @ rt for rt in r_new])
-            ok = np.isfinite(cost_new) & (cost_new <= cost[pending])
+            # A step that leaves no valid camera is rejected like one whose
+            # cost is not finite.
+            scale_new = trial.decode(x_new)[3]
+            ok = np.isfinite(cost_new) & (scale_new > 0) & (cost_new <= cost[pending])
             done, pending = pending[ok], pending[~ok]
             # Gain ratio: the cost decrease over the linearised model's,
             # stepᵀ(lam step + Jᵀr).  rho >= 1 scales the damping as rho = 1

@@ -12,7 +12,6 @@ import numpy as np
 
 from .camera import WeakPerspectiveCamera
 from .errors import SchemaError
-from .fitting import KeypointSet2D
 from .integration import BodyPrediction, HandPrediction, WholeBodyParams
 from .kinematics import SkeletonTree
 from .model import ParametricModel, ShapeParams
@@ -163,6 +162,23 @@ def _cam_from_doc(doc):
     return WeakPerspectiveCamera(doc["scale"], np.asarray(doc["translation"], dtype=np.float64))
 
 
+def _pose_to_doc(phi, theta, beta, cam):
+    return {"phi": _floats(phi), "theta": _floats(theta), "beta": _floats(beta.beta),
+            "camera": _cam_to_doc(cam)}
+
+
+def _pose_from_doc(record):
+    """``(phi, theta, ShapeParams, camera)`` of a body, hand or params record."""
+    return (np.asarray(record["phi"], dtype=np.float64),
+            np.asarray(record["theta"], dtype=np.float64),
+            ShapeParams(np.asarray(record["beta"], dtype=np.float64)),
+            _cam_from_doc(record["camera"]))
+
+
+def _frames_doc(fmt, records):
+    return {"format": fmt, "schema_version": SCHEMA_VERSION, "frames": records}
+
+
 def _read_frames(doc, expected_format, read):
     """`read(record)` of every frame record of `doc`, in order.
 
@@ -194,72 +210,27 @@ def _read_frames(doc, expected_format, read):
 # ---------------------------------------------------------------------------
 # Predictions
 
-def _body_to_doc(body):
-    return {
-        "phi": _floats(body.phi_b),
-        "theta": _floats(body.theta_b),
-        "beta": _floats(body.beta_b.beta),
-        "camera": _cam_to_doc(body.cam_b),
-    }
-
-
-def _body_from_doc(doc):
-    return BodyPrediction(
-        phi_b=np.asarray(doc["phi"], dtype=np.float64),
-        theta_b=np.asarray(doc["theta"], dtype=np.float64),
-        beta_b=ShapeParams(np.asarray(doc["beta"], dtype=np.float64)),
-        cam_b=_cam_from_doc(doc["camera"]),
-    )
-
-
 def _hand_to_doc(hand):
-    return {
-        "side": hand.side,
-        "phi": _floats(hand.phi_h),
-        "theta": _floats(hand.theta_h),
-        "beta": _floats(hand.beta_h.beta),
-        "camera": _cam_to_doc(hand.cam_h),
-    }
-
-
-def _hand_from_doc(doc):
-    return HandPrediction(
-        side=doc["side"],
-        phi_h=np.asarray(doc["phi"], dtype=np.float64),
-        theta_h=np.asarray(doc["theta"], dtype=np.float64),
-        beta_h=ShapeParams(np.asarray(doc["beta"], dtype=np.float64)),
-        cam_h=_cam_from_doc(doc["camera"]),
-    )
+    return {"side": hand.side, **_pose_to_doc(hand.phi_h, hand.theta_h, hand.beta_h, hand.cam_h)}
 
 
 def predictions_to_doc(frames):
     """frames: list of (frame_index, BodyPrediction, left HandPrediction?, right?)."""
-    return {
-        "format": PREDICTIONS_FORMAT,
-        "schema_version": SCHEMA_VERSION,
-        "frames": [
-            {
-                "frame": int(i),
-                "body": _body_to_doc(body),
-                "left_hand": None if left is None else _hand_to_doc(left),
-                "right_hand": None if right is None else _hand_to_doc(right),
-            }
-            for i, body, left, right in frames
-        ],
-    }
+    return _frames_doc(PREDICTIONS_FORMAT, [
+        {"frame": int(i),
+         "body": _pose_to_doc(body.phi_b, body.theta_b, body.beta_b, body.cam_b),
+         "left_hand": None if left is None else _hand_to_doc(left),
+         "right_hand": None if right is None else _hand_to_doc(right)}
+        for i, body, left, right in frames])
 
 
 def _prediction_from_doc(f):
     if f.get("body") is None:
         raise SchemaError("body prediction is required")
-    left = f.get("left_hand")
-    right = f.get("right_hand")
-    return (
-        f["frame"],
-        _body_from_doc(f["body"]),
-        None if left is None else _hand_from_doc(left),
-        None if right is None else _hand_from_doc(right),
-    )
+    body = BodyPrediction(*_pose_from_doc(f["body"]))
+    hands = [None if f.get(k) is None else HandPrediction(f[k]["side"], *_pose_from_doc(f[k]))
+             for k in ("left_hand", "right_hand")]
+    return (f["frame"], body, *hands)
 
 
 def predictions_from_doc(doc):
@@ -271,18 +242,10 @@ def predictions_from_doc(doc):
 
 def keypoints_to_doc(frames):
     """frames: list of (frame_index, points (K,2|3), confidence (K,) or None)."""
-    return {
-        "format": KEYPOINTS_FORMAT,
-        "schema_version": SCHEMA_VERSION,
-        "frames": [
-            {
-                "frame": int(i),
-                "points": _floats(points),
-                "confidence": None if conf is None else _floats(conf),
-            }
-            for i, points, conf in frames
-        ],
-    }
+    return _frames_doc(KEYPOINTS_FORMAT, [
+        {"frame": int(i), "points": _floats(points),
+         "confidence": None if conf is None else _floats(conf)}
+        for i, points, conf in frames])
 
 
 def _keypoints_from_doc(f):
@@ -300,12 +263,6 @@ def keypoints_from_doc(doc):
     return _read_frames(doc, KEYPOINTS_FORMAT, _keypoints_from_doc)
 
 
-def keypoint_set(points, conf):
-    if conf is None:
-        conf = np.ones(points.shape[0])
-    return KeypointSet2D(points, conf)
-
-
 # ---------------------------------------------------------------------------
 # Whole-body parameters
 
@@ -315,33 +272,19 @@ def params_to_doc(frames):
     extras may carry 'cost_trace' and 'final_rms_px' from a fit.
     """
     out = []
-    for item in frames:
-        i, params, extras = item
-        rec = {
+    for i, params, extras in frames:
+        extras = extras or {}
+        out.append({
             "frame": int(i),
-            "phi": _floats(params.phi_w),
-            "theta": _floats(params.theta_w),
-            "beta": _floats(params.beta_w.beta),
-            "camera": _cam_to_doc(params.cam_w),
-            "cost_trace": None,
-            "final_rms_px": None,
-        }
-        if extras:
-            if "cost_trace" in extras:
-                rec["cost_trace"] = _floats(extras["cost_trace"])
-            if "final_rms_px" in extras:
-                rec["final_rms_px"] = float(extras["final_rms_px"])
-        out.append(rec)
-    return {"format": PARAMS_FORMAT, "schema_version": SCHEMA_VERSION, "frames": out}
+            **_pose_to_doc(params.phi_w, params.theta_w, params.beta_w, params.cam_w),
+            "cost_trace": _floats(extras["cost_trace"]) if "cost_trace" in extras else None,
+            "final_rms_px": float(extras["final_rms_px"]) if "final_rms_px" in extras else None,
+        })
+    return _frames_doc(PARAMS_FORMAT, out)
 
 
 def _params_from_doc(f):
-    params = WholeBodyParams(
-        phi_w=np.asarray(f["phi"], dtype=np.float64),
-        theta_w=np.asarray(f["theta"], dtype=np.float64),
-        beta_w=ShapeParams(np.asarray(f["beta"], dtype=np.float64)),
-        cam_w=_cam_from_doc(f["camera"]),
-    )
+    params = WholeBodyParams(*_pose_from_doc(f))
     extras = {}
     if f.get("cost_trace") is not None:
         extras["cost_trace"] = np.asarray(f["cost_trace"], dtype=np.float64)
@@ -358,11 +301,7 @@ def params_from_doc(doc):
 # Joints (3D joint locations per frame, e.g. cmd_pose output / cmd_eval input)
 
 def joints_to_doc(frames):
-    return {
-        "format": JOINTS_FORMAT,
-        "schema_version": SCHEMA_VERSION,
-        "frames": [{"frame": int(i), "joints": _floats(j)} for i, j in frames],
-    }
+    return _frames_doc(JOINTS_FORMAT, [{"frame": int(i), "joints": _floats(j)} for i, j in frames])
 
 
 def _joints_from_doc(f):

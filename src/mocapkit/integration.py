@@ -7,7 +7,7 @@ import numpy as np
 
 from .camera import WeakPerspectiveCamera, project
 from ._kernels import rodrigues_batch
-from .errors import DimensionError, MocapkitError, check_each
+from .errors import DimensionError, MocapkitError, map_frames
 from .kinematics import gamma_global_to_local
 from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array, pose_joints
 
@@ -153,7 +153,7 @@ def copy_paste(model, frames):
     """
     layout = PoseLayout.from_model(model)
     frames = list(frames)
-    check_each(frames, lambda f: _check_prediction(model, *f))
+    map_frames(lambda f: _check_prediction(model, *f), frames)
     fused = []
     for first in range(0, len(frames), FRAME_GROUP):
         fused += _fuse(model, layout, frames[first:first + FRAME_GROUP])

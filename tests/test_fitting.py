@@ -421,23 +421,41 @@ def _clip(toy, rng):
 
 @pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1),
                                     FitConfig(iterations=8, free_fingers=True, free_shape=True)])
-def test_lockstep_fit_equals_frame_by_frame(toy, rng, config):
+def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, config):
     frames = _clip(toy, rng)
-    together = fitting.fit_frames(toy, frames, config)
     alone = [fit(toy, init, cam, kp, config) for init, cam, kp in frames]
-    assert len(together) == len(frames)
-    for a, b in zip(together, alone):
-        assert a.params.vector().tobytes() == b.params.vector().tobytes()
-        assert a.cost_trace.tobytes() == b.cost_trace.tobytes()
-        assert a.final_rms_px == b.final_rms_px
-        assert (a.status, a.accepted_steps, a.rejected_steps) == (b.status, b.accepted_steps,
-                                                                  b.rejected_steps)
+    # The default group holds the whole clip; groups of 2 split it in three.
+    for group in (fitting.FIT_GROUP, 2):
+        monkeypatch.setattr(fitting, "FIT_GROUP", group)
+        together = fitting.fit_frames(toy, frames, config)
+        assert len(together) == len(frames)
+        for a, b in zip(together, alone):
+            assert a.params.vector().tobytes() == b.params.vector().tobytes()
+            assert a.cost_trace.tobytes() == b.cost_trace.tobytes()
+            assert a.final_rms_px == b.final_rms_px
+            assert (a.status, a.accepted_steps, a.rejected_steps) == (
+                b.status, b.accepted_steps, b.rejected_steps)
     assert len({r.rejected_steps for r in alone}) > 2
     if config.max_retries == 1:
         assert {r.status for r in alone} == {"ok", "stalled"}
     # Frame 0 starts at its optimum, where Jᵀr = 0 and every step predicts a
     # decrease of 0; its damping must stay finite.
     assert (alone[0].status, alone[0].rejected_steps) == ("ok", 0)
+
+
+@pytest.mark.parametrize("config, seeds", [(FitConfig(), range(1, 5)),
+                                           (FitConfig(free_fingers=True, free_shape=True), [0])])
+def test_fit_keeps_the_camera_scale_positive(toy, config, seeds):
+    # Random keypoints far from the identity pose; without the scale check
+    # an accepted step drives each of these fits' camera scale below 0.
+    init = WholeBodyParams.identity(toy)
+    cam = WeakPerspectiveCamera(100.0, np.zeros(2))
+    frames = [(init, cam, KeypointSet2D(np.random.default_rng(s).normal(scale=20, size=(52, 2)),
+                                        np.ones(52)))
+              for s in seeds]
+    for result in fitting.fit_frames(toy, frames, config):
+        assert result.params.cam_w.scale > 0
+        assert np.all(np.diff(result.cost_trace) <= 0)
 
 
 def test_noisy_clip_frames_all_fit_within_2px(toy):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,19 +73,50 @@ def test_sparse_round_trip_dense_matrix(rng):
         formats._from_triplets(formats._triplets(m), m.shape), m)
 
 
+def _camera(rng):
+    return WeakPerspectiveCamera(rng.uniform(1.0, 5.0), rng.normal(size=2))
+
+
+def _assert_same_fields(a, b):
+    """Every field of two predictions or params is equal, bit for bit."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, ShapeParams):
+            x, y = x.beta, y.beta
+        if isinstance(x, WeakPerspectiveCamera):
+            assert x.scale == y.scale
+            x, y = x.translation, y.translation
+        if isinstance(x, str):
+            assert x == y
+        else:
+            np.testing.assert_array_equal(x, y)
+            assert x.shape == y.shape
+
+
 def test_predictions_round_trip(rng):
-    body = BodyPrediction(rng.normal(size=3), rng.normal(size=(21, 3)),
-                          ShapeParams(rng.normal(size=10)),
-                          WeakPerspectiveCamera(2.0, np.array([1.0, 2.0])))
-    hand = HandPrediction("left", rng.normal(size=3), rng.normal(size=(15, 3)),
-                          ShapeParams(rng.normal(size=10)),
-                          WeakPerspectiveCamera(3.0, np.zeros(2)))
-    doc = formats.predictions_to_doc([(0, body, hand, None)])
-    [(i, b2, l2, r2)] = formats.predictions_from_doc(doc)
-    assert i == 0 and r2 is None
-    np.testing.assert_array_equal(b2.theta_b, body.theta_b)
-    np.testing.assert_array_equal(l2.phi_h, hand.phi_h)
-    assert l2.side == "left"
+    def body():
+        return BodyPrediction(rng.normal(size=3), rng.normal(size=(21, 3)),
+                              ShapeParams(rng.normal(size=10)), _camera(rng))
+
+    def hand(side):
+        return HandPrediction(side, rng.normal(size=3), rng.normal(size=(15, 3)),
+                              ShapeParams(rng.normal(size=10)), _camera(rng))
+
+    # both hands, the left only, the right only, none
+    frames = [(0, body(), hand("left"), hand("right")), (2, body(), hand("left"), None),
+              (3, body(), None, hand("right")), (9, body(), None, None)]
+    doc = formats.predictions_to_doc(frames)
+    read = formats.predictions_from_doc(doc)
+    assert [i for i, _, _, _ in read] == [0, 2, 3, 9]
+    for original, copy in zip(frames, read):
+        for a, b in zip(original[1:], copy[1:]):
+            if a is None:
+                assert b is None
+            else:
+                _assert_same_fields(a, b)
+    assert (formats.canonical_dumps(formats.predictions_to_doc(read))
+            == formats.canonical_dumps(doc))
 
 
 def test_predictions_require_body(rng):
@@ -150,16 +183,22 @@ def test_keypoints_shape_validation():
 
 
 def test_params_round_trip(rng):
-    params = WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
-                             ShapeParams(rng.normal(size=10)),
-                             WeakPerspectiveCamera(5.0, np.array([0.5, -0.5])))
-    extras = {"cost_trace": np.array([3.0, 2.0, 1.0]), "final_rms_px": 0.25}
-    doc = formats.params_to_doc([(7, params, extras)])
-    [(i, p2, e2)] = formats.params_from_doc(doc)
-    assert i == 7
-    np.testing.assert_array_equal(p2.theta_w, params.theta_w)
-    np.testing.assert_array_equal(e2["cost_trace"], extras["cost_trace"])
-    assert e2["final_rms_px"] == 0.25
+    trace = np.array([3.0, 2.0, 1.0])
+    all_extras = [None, {}, {"cost_trace": trace}, {"cost_trace": trace, "final_rms_px": 0.25}]
+    frames = [(i, WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
+                                  ShapeParams(rng.normal(size=10)), _camera(rng)), extras)
+              for i, extras in zip((1, 4, 5, 7), all_extras)]
+    doc = formats.params_to_doc(frames)
+    read = formats.params_from_doc(doc)
+    assert [i for i, _, _ in read] == [1, 4, 5, 7]
+    for (_, params, extras), (_, p2, e2) in zip(frames, read):
+        _assert_same_fields(params, p2)
+        extras = extras or {}
+        assert sorted(e2) == sorted(extras)
+        if "cost_trace" in extras:
+            np.testing.assert_array_equal(e2["cost_trace"], extras["cost_trace"])
+        assert e2.get("final_rms_px") == extras.get("final_rms_px")
+    assert formats.canonical_dumps(formats.params_to_doc(read)) == formats.canonical_dumps(doc)
 
 
 def test_joints_round_trip(rng):

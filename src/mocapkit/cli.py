@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import dataprep, formats, metrics
-from .errors import MocapkitError, SchemaError, map_frames
+from .errors import DimensionError, MocapkitError, SchemaError, map_frames
 from .fitting import FitConfig, KeypointSet2D, fit_frames, temporal_smooth
-from .integration import WholeBodyParams, copy_paste
+from .integration import WholeBodyParams, copy_paste, finite_pose
 from .model import FRAME_GROUP, PoseParams, check_pose, pose_mesh
 from .rotations import canonicalize, unwrap
 from .toymodel import gen_toy_model
@@ -43,8 +43,15 @@ def cmd_gen_toy(args):
 def cmd_pose(args):
     model = formats.load_model(args.asset)
     frames = formats.params_from_doc(formats.read_json(args.params))
+
+    def check(frame):
+        params = frame[1]
+        check_pose(model, params.pose(), params.beta_w)
+        if not finite_pose(params.phi_w, params.theta_w):
+            raise DimensionError("phi and theta must be finite")
+
     with _naming_frames([i for i, _, _ in frames]):
-        map_frames(lambda f: check_pose(model, f[1].pose(), f[1].beta_w), frames)
+        map_frames(check, frames)
     root, ext = os.path.splitext(args.obj or "")
     joints_out = []
     for first in range(0, len(frames), FRAME_GROUP):

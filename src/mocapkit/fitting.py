@@ -7,7 +7,6 @@ import numpy as np
 
 from .errors import DimensionError, FitError, map_frames
 from .integration import PoseLayout, WholeBodyParams
-from .kinematics import forward_kinematics
 from .model import PoseParams, check_pose, pose_joints
 from .rotations import canonicalize, right_jacobian
 
@@ -45,10 +44,6 @@ class FitConfig:
     # Prior weights relative to the unit weight of the 2D reprojection terms.
     weight_prior_pose: float = 1e-2
     weight_prior_shape: float = 1e-1
-    max_retries: int = 50
-    # Central-difference step for checking the exact Jacobian; `fit` itself
-    # does not difference.
-    fd_step: float = 1e-6
     # Free-parameter mask; the default optimizes global orientation, body pose
     # (wrists included), and camera, freezing fingers and shape.
     free_global_orient: bool = True
@@ -57,6 +52,9 @@ class FitConfig:
     free_fingers: bool = False
     free_shape: bool = False
     free_camera: bool = True
+    # Central-difference step for checking the exact Jacobian; `fit` itself
+    # does not difference.
+    fd_step = 1e-6
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -126,17 +124,17 @@ class _ParamVector:
         if config.free_fingers:
             rows.extend(layout.left_finger_rows.tolist())
             rows.extend(layout.right_finger_rows.tolist())
-        self.free_rows = np.asarray(sorted(rows), dtype=np.int64)
+        rows = np.asarray(sorted(rows), dtype=np.int64)
         # Skeleton joints whose axis-angles lead the packed vector, in order.
         self.free_joints = np.concatenate(
-            [[0] if config.free_global_orient else [], self.free_rows + 1]).astype(np.int64)
+            [[0] if config.free_global_orient else [], rows + 1]).astype(np.int64)
         self.blocks = _pair_blocks(model, self.free_joints)
         self.num_betas = init.beta_w.beta.shape[0]
         self.base = init.vector(cam_init)
         mask = np.zeros((1, self.base.size), dtype=bool)
         phi, theta, beta, scale, trans = WholeBodyParams.split(mask, self.num_betas)
         phi[:] = config.free_global_orient
-        theta[:, self.free_rows] = True
+        theta[:, rows] = True
         beta[:] = config.free_shape
         scale[:] = trans[:] = config.free_camera
         self.free = np.flatnonzero(mask)
@@ -196,12 +194,11 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     return r[0] if x.ndim == 1 else r.T
 
 
-def _jacobian(model, packer, kp, config, x, fk=None):
+def _jacobian(model, packer, kp, config, x, fk):
     """Exact Jacobian (2K, n) of the 2K reprojection rows of `_residuals` at a
     packed vector x (n,), or one per column of x (n, T), stacked to
     (T, 2K, n).  `fk` is the FkResult of the columns of x, as `_residuals`
-    keeps it; None poses them here.  The prior rows are constant; see
-    `_prior_entries`.
+    keeps it.  The prior rows are constant; see `_prior_entries`.
 
     With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
     posed joint k is ``P_k = sum_p T_p`` over its (joint k, bone j) pairs,
@@ -227,9 +224,6 @@ def _jacobian(model, packer, kp, config, x, fk=None):
     B = cols.shape[0]
     phi, theta, beta, scale, _ = packer.decode(cols)
     verts, rest = fold.shaped(beta)
-    if fk is None:
-        pose = PoseParams(phi, theta)
-        fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     R, t = fk.rotations, fk.translations
 
     bounds, k, f, members, starts, depth = packer.blocks
@@ -288,10 +282,10 @@ def _prior_entries(model, packer, config):
     return 2 * model.num_joints + rows[cols], cols, weights
 
 
-def _fit_residuals(model, packer, kp, config, fk=None):
+def _fit_residuals(model, packer, kp, config, fk):
     """The 2K reprojection rows of `_residuals` as a function of x, carrying
-    their exact Jacobian `_jacobian`; `fk`, if given, is the FkResult of the
-    x the Jacobian will be taken at."""
+    their exact Jacobian `_jacobian`; `fk` is the FkResult of the x the
+    Jacobian will be taken at."""
     m2 = 2 * model.num_joints
 
     def reprojection(x):
@@ -332,7 +326,7 @@ def fit(model, init, cam_init, kp, config=None):
     exact Jacobian J at the current residuals r.  The damping starts at
     1e-6 times the largest diagonal entry of JᵀJ.  A trial step that would
     raise the cost, or make the camera scale ≤ 0, is rejected: the damping
-    goes up 10× and the step is retried, up to `config.max_retries` times;
+    goes up 10× and the step is retried, up to `MAX_RETRIES` times;
     an iteration that runs out of retries keeps its parameters and makes the
     result's status "stalled".
     An accepted step scales the damping by ``max(1/3, 1 - (2 rho - 1)^3)``,
@@ -346,6 +340,8 @@ def fit(model, init, cam_init, kp, config=None):
 # `fit_frames` runs at most this many frames in one lockstep loop, which
 # bounds the memory of its batched Jacobian on long inputs.
 FIT_GROUP = 32
+# Trial steps an iteration may reject before it gives up as stalled.
+MAX_RETRIES = 50
 
 
 def fit_frames(model, frames, config=None):
@@ -403,7 +399,7 @@ def _fit_lockstep(model, frames, config, first):
         if it == 0:
             lam = np.clip(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1), 1e-12, 1e12)
         pending = np.arange(T)
-        for _ in range(config.max_retries):
+        for _ in range(MAX_RETRIES):
             step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
                                    Jtr[pending, :, None])[..., 0]
             x_new = packer.canonicalized(x[pending] - step)

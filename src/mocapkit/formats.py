@@ -308,6 +308,8 @@ def _joints_from_doc(f):
     joints = np.asarray(f["joints"], dtype=np.float64)
     if joints.ndim != 2 or joints.shape[1] not in (2, 3):
         raise SchemaError("joints must be (K, 2) or (K, 3)")
+    if not np.isfinite(joints).all():
+        raise SchemaError("joints must be finite")
     return f["frame"], joints
 
 

@@ -1,6 +1,5 @@
 """Copy-and-paste fusion of body and hand predictions, and body-driven hand boxes."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +9,6 @@ from ._kernels import rodrigues_batch
 from .errors import DimensionError, MocapkitError, map_frames
 from .kinematics import gamma_global_to_local
 from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array, pose_joints
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,11 @@ class PoseLayout:
         return self.left_finger_rows if side == "left" else self.right_finger_rows
 
 
+def finite_pose(phi, theta):
+    """Whether every entry of an orientation `phi` and a pose block `theta` is finite."""
+    return bool(np.isfinite(phi).all() and np.isfinite(theta).all())
+
+
 @dataclass(frozen=True)
 class BodyPrediction:
     phi_b: np.ndarray          # (3,)
@@ -66,6 +68,8 @@ class BodyPrediction:
         object.__setattr__(self, "theta_b", np.asarray(self.theta_b, dtype=np.float64))
         if self.phi_b.shape != (3,) or self.theta_b.shape != (21, 3):
             raise DimensionError("body prediction must have phi (3,) and theta (21, 3)")
+        if not finite_pose(self.phi_b, self.theta_b):
+            raise DimensionError("body prediction phi and theta must be finite")
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,8 @@ class HandPrediction:
             raise DimensionError("side must be 'left' or 'right'")
         if self.phi_h.shape != (3,) or self.theta_h.shape != (15, 3):
             raise DimensionError("hand prediction must have phi (3,) and theta (15, 3)")
+        if not finite_pose(self.phi_h, self.theta_h):
+            raise DimensionError("hand prediction phi and theta must be finite")
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,6 @@ def _fuse(model, layout, frames):
     phi = np.stack([body.phi_b for body in bodies])
     theta = np.zeros((len(frames), model.num_joints - 1, 3))
     theta[:, layout.body_rows] = np.stack([body.theta_b for body in bodies])
-    rest = model.rest_joints(np.stack([body.beta_b.beta for body in bodies]))
     # Both wrists' parents are posed by the body alone.
     body_local = np.concatenate([np.zeros((len(frames), 1, 3)), theta], axis=1)
 
@@ -184,12 +189,8 @@ def _fuse(model, layout, frames):
         theta[np.ix_(ts, layout.finger_rows(side))] = np.stack([h.theta_h for h in hands])
         wrist = layout.wrist_row(side)
         theta[ts, wrist] = gamma_global_to_local(
-            model.tree, rest[ts], phi[ts], body_local[ts], wrist + 1,
+            model.tree, phi[ts], body_local[ts], wrist + 1,
             rodrigues_batch(np.stack([h.phi_h for h in hands])))
-        shaped = sum(bool(np.any(h.beta_h.beta)) for h in hands)
-        if shaped:
-            log.debug("discarding %s-hand shape in %d frame(s); whole-body shape is the body's",
-                      side, shaped)
     return [WholeBodyParams(body.phi_b.copy(), th, body.beta_b, body.cam_b)
             for body, th in zip(bodies, theta)]
 

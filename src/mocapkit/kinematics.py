@@ -74,7 +74,7 @@ def forward_kinematics(tree, rest_joints, global_orient, local_poses):
     return FkResult(world_rots, world_trans)
 
 
-def gamma_global_to_local(tree, rest_joints, global_orient, local_poses, target_joint, target_global):
+def gamma_global_to_local(tree, global_orient, local_poses, target_joint, target_global):
     """Local pose (..., 3) at `target_joint` whose FK world rotation equals
     `target_global` (..., 3, 3).
 
@@ -85,6 +85,8 @@ def gamma_global_to_local(tree, rest_joints, global_orient, local_poses, target_
     """
     if target_joint <= 0 or target_joint >= tree.num_joints:
         raise InvalidJointError("target_joint must be a non-root joint index")
-    fk = forward_kinematics(tree, rest_joints, global_orient, local_poses)
+    # World rotations are products of the ancestors' rotations alone; rest
+    # joints move only the translations, so zeros serve as well as any.
+    fk = forward_kinematics(tree, np.zeros((tree.num_joints, 3)), global_orient, local_poses)
     parent = fk.rotations[..., tree.parents[target_joint], :, :]
     return rotations.rotation_to_axis_angle(np.swapaxes(parent, -1, -2) @ target_global)

@@ -86,8 +86,9 @@ def _joint_errors(pred, gt, alignment):
     if pred.shape != gt.shape:
         raise DimensionError(f"shape mismatch: {pred.shape} vs {gt.shape}")
     if alignment == "root-relative":
-        pred = pred - pred[0]
-        gt = gt - gt[0]
+        # Each frame's joints relative to that frame's first joint.
+        pred = pred - pred[..., :1, :]
+        gt = gt - gt[..., :1, :]
     elif alignment != "none":
         raise DimensionError(f"unknown alignment mode {alignment!r}")
     return np.linalg.norm(pred - gt, axis=-1).ravel()

@@ -96,6 +96,12 @@ def random_params(rng):
                            ShapeParams(rng.normal(scale=0.1, size=10)), WeakPerspectiveCamera.identity())
 
 
+def _with_nan(values, index):
+    values = np.array(values, dtype=np.float64)
+    values[index] = np.nan
+    return values
+
+
 POSE_FAULTS = {
     "theta_rows": (lambda p: WholeBodyParams(p.phi_w, p.theta_w[:50], p.beta_w, p.cam_w),
                    "pose has wrong number of joints for this model"),
@@ -104,6 +110,11 @@ POSE_FAULTS = {
                      "pose has wrong number of joints for this model"),
     "beta_length": (lambda p: WholeBodyParams(p.phi_w, p.theta_w, ShapeParams.zeros(9), p.cam_w),
                     "beta must have length 10"),
+    "nan_theta": (lambda p: WholeBodyParams(p.phi_w, _with_nan(p.theta_w, (4, 1)), p.beta_w,
+                                            p.cam_w),
+                  "phi and theta must be finite"),
+    "inf_phi": (lambda p: WholeBodyParams([0.0, np.inf, 0.0], p.theta_w, p.beta_w, p.cam_w),
+                "phi and theta must be finite"),
 }
 
 
@@ -139,6 +150,12 @@ INTEGRATE_FAULTS = {
                  "hand prediction must have phi (3,) and theta (15, 3)"),
     "hand_side": (lambda r: _spoil(r, "left_hand", "side", "right"), "MocapkitError",
                   "prediction passed as left hand has side 'right'"),
+    "body_theta_nan": (lambda r: r["body"]["theta"][3].__setitem__(1, np.nan), "SchemaError",
+                       "body prediction phi and theta must be finite"),
+    "hand_phi_nan": (lambda r: _spoil(r, "right_hand", "phi", [0.0, np.nan, 1.0]), "SchemaError",
+                     "hand prediction phi and theta must be finite"),
+    "hand_theta_inf": (lambda r: r["left_hand"]["theta"][7].__setitem__(0, -np.inf), "SchemaError",
+                       "hand prediction phi and theta must be finite"),
 }
 
 
@@ -438,6 +455,9 @@ EVAL_FAULTS = {
     "gt_joint_count": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
                        [(0, np.zeros((4, 3))), (2, np.zeros((6, 3)))],
                        "gt frame 2: joints are (6, 3), not (4, 3)"),
+    "pred_nan": ([(0, np.zeros((4, 3))), (2, _with_nan(np.zeros((4, 3)), (1, 2)))],
+                 [(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
+                 "frame 2: joints must be finite"),
 }
 
 
@@ -452,3 +472,16 @@ def test_eval_rejects_frames_it_cannot_stack(tmp_path, capsys, fault):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "SchemaError", "message": message}
     assert not out.exists()
+
+
+def test_eval_root_relative_aligns_each_frame(tmp_path, rng):
+    # Every prediction frame is its ground truth moved rigidly, each by its own offset.
+    gt = [(t, rng.normal(scale=50.0, size=(6, 3))) for t in range(2)]
+    pred = [(t, g + rng.normal(scale=100.0, size=3)) for t, g in gt]
+    pred_path, gt_path = tmp_path / "pred.json", tmp_path / "gt.json"
+    formats.write_json(pred_path, formats.joints_to_doc(pred))
+    formats.write_json(gt_path, formats.joints_to_doc(gt))
+    out = tmp_path / "report.json"
+    assert main(["eval", str(pred_path), str(gt_path), str(out),
+                 "--alignment", "root-relative"]) == 0
+    assert formats.read_json(out)["auc"] == 1.0

@@ -10,7 +10,15 @@ from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_resi
                               _jacobian, _ParamVector, _prior_entries, _residuals, fit,
                               fit_jacobian, temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
-from mocapkit.model import ShapeParams, pose_joints
+from mocapkit.kinematics import forward_kinematics
+from mocapkit.model import PoseParams, ShapeParams, pose_joints
+
+
+def kept_fk(model, packer, kp, config, x):
+    """The FkResult that `_residuals` keeps for x, as the fit hands it to `_jacobian`."""
+    kept = []
+    _residuals(model, packer, None, kp, config, x, kept)
+    return kept[0]
 
 
 def render_keypoints(model, params, cam, conf=None):
@@ -142,7 +150,8 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
                           config.fd_step)
         # the 2K reprojection rows, then the prior rows' constant entries
         exact = np.zeros_like(fd)
-        exact[:m2] = _jacobian(toy, packer, kp, config, x)
+        fk = kept_fk(toy, packer, kp, config, x)
+        exact[:m2] = _jacobian(toy, packer, kp, config, x, fk)
         exact[rows, cols] = weights
         rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
@@ -154,7 +163,7 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
         diag[cols] = weights * weights
         np.testing.assert_allclose(fd[m2:].T @ fd[m2:], np.diag(diag), atol=1e-8)
         # the fit's seam: fit_jacobian hands back `_jacobian` of the rows it differences
-        reprojection = _fit_residuals(toy, packer, kp, config)
+        reprojection = _fit_residuals(toy, packer, kp, config, fk)
         np.testing.assert_array_equal(fit_jacobian(reprojection, x, config.fd_step), exact[:m2])
         np.testing.assert_array_equal(fit_jacobian(lambda c: reprojection(c), x, config.fd_step),
                                       fd[:m2])
@@ -176,7 +185,7 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
     x = packer.pack(init, cam)
     fd = fit_jacobian(lambda c: _residuals(model, packer, init, kp, config, c), x,
                       config.fd_step)[:2 * model.num_joints]
-    exact = _jacobian(model, packer, kp, config, x)
+    exact = _jacobian(model, packer, kp, config, x, kept_fk(model, packer, kp, config, x))
     assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) < 1e-6
 
 
@@ -311,11 +320,12 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     exact = fitting._jacobian
     # A Jacobian of the wrong sign makes every damped step climb the cost.
     monkeypatch.setattr(fitting, "_jacobian", lambda *args: -exact(*args))
-    config = FitConfig(iterations=4, max_retries=3)
+    monkeypatch.setattr(fitting, "MAX_RETRIES", 3)
+    config = FitConfig(iterations=4)
     result = fit(toy, init, cam, kp, config)
     assert result.status == "stalled"
     assert result.accepted_steps == 0
-    assert result.rejected_steps == config.iterations * config.max_retries
+    assert result.rejected_steps == config.iterations * 3
     assert result.cost_trace.shape == (4,)
     assert np.all(result.cost_trace == result.cost_trace[0])
     packer = _ParamVector(toy, init, cam, config)
@@ -324,17 +334,18 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     np.testing.assert_array_equal(result.params.theta_w, init.theta_w)
 
 
-@pytest.mark.parametrize("config", [FitConfig(iterations=1, max_retries=1),
-                                    FitConfig(iterations=1, max_retries=1, free_fingers=True,
-                                              free_shape=True)])
-def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, config):
+@pytest.mark.parametrize("config", [FitConfig(iterations=1),
+                                    FitConfig(iterations=1, free_fingers=True, free_shape=True)])
+def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypatch, config):
+    monkeypatch.setattr(fitting, "MAX_RETRIES", 1)
     init, cam, kp = _noisy_fit_problem(toy, rng)
     packer = _ParamVector(toy, init, cam, config)
     x = packer.pack(init, cam)
     r = _residuals(toy, packer, None, kp, config, x)
     rows, cols, weights = _prior_entries(toy, packer, config)
     J = np.zeros((r.size, x.size))
-    J[:2 * toy.num_joints] = _jacobian(toy, packer, kp, config, x)
+    fk = kept_fk(toy, packer, kp, config, x)
+    J[:2 * toy.num_joints] = _jacobian(toy, packer, kp, config, x, fk)
     J[rows, cols] = weights
     JtJ = J.T @ J
     step = np.linalg.solve(JtJ + 1e-6 * JtJ.diagonal().max() * np.eye(x.size), J.T @ r)
@@ -419,9 +430,13 @@ def _clip(toy, rng):
     return frames
 
 
-@pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1),
-                                    FitConfig(iterations=8, free_fingers=True, free_shape=True)])
-def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, config):
+@pytest.mark.parametrize("config, retries", [
+    (FitConfig(iterations=8), fitting.MAX_RETRIES),
+    (FitConfig(iterations=8), 1),
+    (FitConfig(iterations=8, free_fingers=True, free_shape=True), fitting.MAX_RETRIES),
+], ids=["config0", "config1", "config2"])
+def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, config, retries):
+    monkeypatch.setattr(fitting, "MAX_RETRIES", retries)
     frames = _clip(toy, rng)
     alone = [fit(toy, init, cam, kp, config) for init, cam, kp in frames]
     # The default group holds the whole clip; groups of 2 split it in three.
@@ -436,7 +451,7 @@ def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, config):
             assert (a.status, a.accepted_steps, a.rejected_steps) == (
                 b.status, b.accepted_steps, b.rejected_steps)
     assert len({r.rejected_steps for r in alone}) > 2
-    if config.max_retries == 1:
+    if retries == 1:
         assert {r.status for r in alone} == {"ok", "stalled"}
     # Frame 0 starts at its optimum, where Jᵀr = 0 and every step predicts a
     # decrease of 0; its damping must stay finite.
@@ -474,15 +489,18 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
     kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
                        np.stack([k.confidence for _, _, k in frames]))
     x = packer.base[:, packer.free].T + rng.normal(scale=0.05, size=(packer.free.size, 3))
-    kept = []
-    _residuals(toy, packer, None, kp, config, x, kept)
-    np.testing.assert_array_equal(_jacobian(toy, packer, kp, config, x, kept[0]),
-                                  _jacobian(toy, packer, kp, config, x))
+    # the FK of x posed afresh from its decoded parameters
+    phi, theta, beta, _, _ = packer.decode(x.T)
+    pose = PoseParams(phi, theta)
+    posed = forward_kinematics(toy.tree, toy.joint_fold.shaped(beta)[1], pose.global_orient,
+                               pose.full_local_poses())
+    np.testing.assert_array_equal(_jacobian(toy, packer, kp, config, x,
+                                            kept_fk(toy, packer, kp, config, x)),
+                                  _jacobian(toy, packer, kp, config, x, posed))
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
-    counts = dict.fromkeys(["residuals", "fit_jacobian", "jacobian", "posing_fk", "jacobian_fk"],
-                           0)
+    counts = dict.fromkeys(["residuals", "fit_jacobian", "jacobian", "posing_fk"], 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -491,17 +509,14 @@ def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
         return wrapper
 
     frames = _clip(toy, rng)
-    fk = fitting.forward_kinematics
     monkeypatch.setattr(fitting, "_residuals", counting("residuals", fitting._residuals))
     monkeypatch.setattr(fitting, "fit_jacobian", counting("fit_jacobian", fitting.fit_jacobian))
     monkeypatch.setattr(fitting, "_jacobian", counting("jacobian", fitting._jacobian))
-    monkeypatch.setattr("mocapkit.model.forward_kinematics", counting("posing_fk", fk))
-    monkeypatch.setattr(fitting, "forward_kinematics", counting("jacobian_fk", fk))
+    monkeypatch.setattr("mocapkit.model.forward_kinematics", counting("posing_fk", forward_kinematics))
     config = FitConfig(iterations=8)
     fitting.fit_frames(toy, frames, config)
     assert counts["fit_jacobian"] == counts["jacobian"] == config.iterations
     assert counts["posing_fk"] == counts["residuals"] > config.iterations
-    assert counts["jacobian_fk"] == 0
 
 
 def test_fit_frames_names_the_frame_it_rejects(toy, rng):
@@ -514,11 +529,12 @@ def test_fit_frames_names_the_frame_it_rejects(toy, rng):
     assert fitting.fit_frames(toy, []) == []
 
 
-@pytest.mark.parametrize("config", [FitConfig(iterations=8), FitConfig(iterations=8, max_retries=1)])
-def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, config):
+@pytest.mark.parametrize("retries", [fitting.MAX_RETRIES, 1], ids=["config0", "config1"])
+def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monkeypatch, retries):
+    monkeypatch.setattr(fitting, "MAX_RETRIES", retries)
     frames = _clip(toy, rng)
-    results = fitting.fit_frames(toy, frames, config)
-    if config.max_retries == 1:
+    results = fitting.fit_frames(toy, frames, FitConfig(iterations=8))
+    if retries == 1:
         assert "stalled" in {r.status for r in results}
     for (_, _, kp), result in zip(frames, results):
         params = result.params

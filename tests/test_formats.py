@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +253,25 @@ def test_canonical_dumps_sorted_keys():
     text = formats.canonical_dumps({"b": 1, "a": 2})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def test_docs_examples_are_the_writers_bytes():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    examples = {}
+    for block in re.findall(r"```json\n(.*?)```", text, flags=re.S):
+        try:
+            examples[json.loads(block)["format"]] = block
+        except ValueError:
+            continue    # an elided sketch, not a whole file
+    written = {
+        formats.KEYPOINTS_FORMAT: formats.keypoints_to_doc(
+            [(0, [[12.5, 40.0], [13.25, 41.5]], [1.0, 0.5])]),
+        formats.PARAMS_FORMAT: formats.params_to_doc(
+            [(0, WholeBodyParams([0.0, 0.0, 0.1], np.zeros((2, 3)), ShapeParams([0.25]),
+                                 WeakPerspectiveCamera(300.0, [128.0, 128.0])),
+              {"final_rms_px": 0.125})]),
+        formats.JOINTS_FORMAT: formats.joints_to_doc([(0, [[0.0, 0.1, 0.2]])]),
+    }
+    assert sorted(examples) == sorted(written)
+    for fmt, doc in written.items():
+        assert examples[fmt] == formats.canonical_dumps(doc)

@@ -80,21 +80,19 @@ def test_length_mismatch():
         forward_kinematics(tree, np.zeros((2, 3)), np.zeros(3), np.zeros((3, 3)))
 
 
-def test_gamma_identity_ancestors(rng):
+def test_gamma_identity_ancestors():
     tree = two_joint_chain()
-    rest = rng.normal(size=(2, 3))
     target = Rotation.random(random_state=np.random.RandomState(3)).as_matrix()
-    aa = gamma_global_to_local(tree, rest, np.zeros(3), np.zeros((2, 3)), 1, target)
+    aa = gamma_global_to_local(tree, np.zeros(3), np.zeros((2, 3)), 1, target)
     np.testing.assert_allclose(rodrigues(aa), target, atol=1e-9)
 
 
 def test_gamma_matches_direct_matrix_product(rng):
     tree = two_joint_chain()
-    rest = rng.normal(size=(2, 3))
     root_pose = rng.normal(size=3)
     target = Rotation.random(random_state=np.random.RandomState(7)).as_matrix()
     poses = np.vstack([root_pose, np.zeros(3)])
-    aa = gamma_global_to_local(tree, rest, np.zeros(3), poses, 1, target)
+    aa = gamma_global_to_local(tree, np.zeros(3), poses, 1, target)
     Rp = rodrigues(root_pose)
     np.testing.assert_allclose(rodrigues(aa), Rp.T @ target, atol=1e-9)
 
@@ -108,7 +106,7 @@ def test_gamma_fk_round_trip_random(rng):
         orient = rng.normal(scale=0.7, size=3)
         j = int(rng.integers(1, n))
         target = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
-        aa = gamma_global_to_local(tree, rest, orient, poses, j, target)
+        aa = gamma_global_to_local(tree, orient, poses, j, target)
         poses[j] = aa
         fk = forward_kinematics(tree, rest, orient, poses)
         assert np.abs(fk.rotations[j] - target).max() < 1e-6
@@ -118,22 +116,21 @@ def test_batched_gamma_equals_per_frame_calls(rng):
     tree = random_tree(rng, max_joints=12)
     n = tree.num_joints
     j = n - 1
-    rest = rng.normal(size=(6, n, 3))
     orient = rng.normal(scale=0.7, size=(6, 3))
     poses = rng.normal(scale=0.7, size=(6, n, 3))
     aa = rng.normal(size=(6, 3))
     aa[2] *= (np.pi - 1e-9) / np.linalg.norm(aa[2])      # near pi
     aa[3] = 0.0
     targets = np.array([rodrigues(a) for a in aa])
-    batched = gamma_global_to_local(tree, rest, orient, poses, j, targets)
+    batched = gamma_global_to_local(tree, orient, poses, j, targets)
     assert batched.shape == (6, 3)
     for t in range(6):
-        single = gamma_global_to_local(tree, rest[t], orient[t], poses[t], j, targets[t])
+        single = gamma_global_to_local(tree, orient[t], poses[t], j, targets[t])
         np.testing.assert_array_equal(batched[t], single)
 
 
 def test_gamma_rejects_root():
     tree = two_joint_chain()
     with pytest.raises(InvalidJointError):
-        gamma_global_to_local(tree, np.zeros((2, 3)), np.zeros(3), np.zeros((2, 3)), 0, np.eye(3))
+        gamma_global_to_local(tree, np.zeros(3), np.zeros((2, 3)), 0, np.eye(3))
 

@@ -3,7 +3,7 @@ import pytest
 
 from mocapkit.errors import DimensionError
 from mocapkit.metrics import (RANGE_2D_PX, RANGE_3D_MM, LossWeights, PckCurve,
-                              auc, loss_2d, loss_3d, loss_reg, loss_theta,
+                              _joint_errors, auc, loss_2d, loss_3d, loss_reg, loss_theta,
                               overall_loss, pck, pck_curve)
 
 
@@ -31,6 +31,14 @@ def test_pck_matches_brute_force(rng):
         assert pck(pred, gt, t) == brute_force_pck(pred, gt, t)
         assert pck(pred, gt, t, alignment="root-relative") == brute_force_pck(
             pred, gt, t, root_relative=True)
+
+
+@pytest.mark.parametrize("alignment", ["none", "root-relative"])
+def test_stacked_errors_are_the_per_frame_errors(rng, alignment):
+    pred = rng.normal(scale=10.0, size=(5, 7, 3))
+    gt = pred + rng.normal(scale=5.0, size=(5, 7, 3))
+    per_frame = np.concatenate([_joint_errors(p, g, alignment) for p, g in zip(pred, gt)])
+    np.testing.assert_array_equal(_joint_errors(pred, gt, alignment), per_frame)
 
 
 def test_pck_strict_inequality_at_threshold():

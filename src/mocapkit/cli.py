@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dataprep, formats, metrics
 from .errors import DimensionError, MocapkitError, SchemaError, map_frames
-from .fitting import FitConfig, KeypointSet2D, fit_frames, temporal_smooth
+from .fitting import FitConfig, KeypointSet2D, check_keypoints, fit_frames, temporal_smooth
 from .integration import WholeBodyParams, copy_paste, finite_pose
 from .model import FRAME_GROUP, PoseParams, check_pose, pose_mesh
 from .rotations import canonicalize, unwrap
@@ -123,8 +123,13 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    pred = formats.joints_from_doc(formats.read_json(args.pred))
-    gt = formats.joints_from_doc(formats.read_json(args.gt))
+    frames = []
+    for name in ("pred", "gt"):
+        try:
+            frames.append(formats.joints_from_doc(formats.read_json(getattr(args, name))))
+        except SchemaError as e:
+            raise SchemaError(f"{name} {e}") from e
+    pred, gt = frames
     if [i for i, _ in pred] != [i for i, _ in gt]:
         raise SchemaError("pred and gt frame indices differ")
     if not pred:
@@ -169,6 +174,7 @@ def cmd_prep(args):
 
     def prep(frame):
         i, pts, conf = frame
+        check_keypoints(pts, np.ones(len(pts)) if conf is None else conf)
         if joint_map is not None:
             pts = dataprep.reorder_joints(pts, joint_map)
             if conf is not None:

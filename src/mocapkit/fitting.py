@@ -30,12 +30,18 @@ class KeypointSet2D:
             raise DimensionError("points must be (K, 2)")
         if c.shape != p.shape[:-1]:
             raise DimensionError("confidence must be (K,)")
-        bad = ~(np.isfinite(p).all(axis=-1) & np.isfinite(c))
-        if bad.any():
-            raise DimensionError(
-                f"joint {int(np.argwhere(bad)[0, -1])}: keypoint or confidence is not finite")
-        if np.any(c < 0) or np.any(c > 1):
-            raise DimensionError("confidences must lie in [0, 1]")
+        check_keypoints(p, c)
+
+
+def check_keypoints(points, confidence):
+    """Raise a DimensionError unless keypoints (..., K, D) and confidences (..., K) are
+    finite, naming the first bad joint, and the confidences lie in [0, 1]."""
+    bad = ~(np.isfinite(points).all(axis=-1) & np.isfinite(confidence))
+    if bad.any():
+        raise DimensionError(
+            f"joint {int(np.argwhere(bad)[0, -1])}: keypoint or confidence is not finite")
+    if np.any(confidence < 0) or np.any(confidence > 1):
+        raise DimensionError("confidences must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -86,23 +92,20 @@ def _check_frame(model, init, kp):
 
 def _pair_blocks(model, free_joints):
     """The `model.JointFold` pairs `_jacobian` reads, grouped once per fit, as
-    ``(bounds, joint, free, members, starts, depth)``.  The pairs of skeleton
-    joint k are ``bounds[k]:bounds[k + 1]``; the regressor rows past the
-    skeleton, whose pairs follow, reach no residual.  Block b of the (joint
-    k, free joint a) blocks that can be nonzero is joint ``joint[b]`` and
-    free joint ``free_joints[free[b]]``, its pairs are
+    ``(joint, free, members, starts, depth)``.  Block b of the (skeleton
+    joint k, free joint a) blocks that can be nonzero is joint ``joint[b]``
+    and free joint ``free_joints[free[b]]``, its pairs are
     ``members[starts[b]:starts[b + 1]]``, those of k whose bone lies at or
-    below a, and ``depth[b]`` is the sum of their C_kj.
+    below a, and ``depth[b]`` is the sum of their C_kj.  The regressor rows
+    past the skeleton reach no residual.
     """
     fold = model.joint_fold
-    # pair_joint ascends, and every regressor row has pairs, as it sums to 1.
-    bounds = np.searchsorted(fold.pair_joint, np.arange(model.num_joints + 1))
-    p, i = np.nonzero(fold.subtree[fold.pair_bone[:bounds[-1]]][:, free_joints])
+    p, i = np.nonzero(fold.subtree[fold.pair_bone[:fold.bounds[model.num_joints]]][:, free_joints])
     k = fold.pair_joint[p]
     order = np.lexsort((p, i, k))
     p, i, k = p[order], i[order], k[order]
     starts = np.flatnonzero(np.diff(k * free_joints.size + i, prepend=-1))
-    return bounds, k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
+    return k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
 
 
 class _ParamVector:
@@ -201,21 +204,21 @@ def _jacobian(model, packer, kp, config, x, fk):
     keeps it.  The prior rows are constant; see `_prior_entries`.
 
     With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
-    posed joint k is ``P_k = sum_p T_p`` over its (joint k, bone j) pairs,
-    ``T_p = R_j U_p + C_kj t_j``.  Perturbing the axis-angle theta_a of joint
-    a (theta_0 is the global orientation) by d rotates every transform below
-    a by ``omega = R_a Jr(theta_a) d`` about the joint's world centre
+    posed joint k is the sum of its pair terms ``T_p = R_j U_p + C_kj t_j``.
+    Perturbing the axis-angle theta_a of joint a (theta_0 is the global
+    orientation) by d rotates every transform below a by
+    ``omega = R_a Jr(theta_a) d`` about the joint's world centre
     ``c_a = R_a rest_a + t_a``, so
 
         dP_k / d theta_a = -[S_ka - D_ka c_a]x R_a Jr(theta_a),
 
     with S_ka the sum of T_p and D_ka the sum of C_kj over the pairs of k
     whose bone is at or below a; only the blocks of `_pair_blocks` have
-    such pairs.  At a fixed pose the joints are affine in beta: ``t_j`` is
-    the sum of ``(R_parent(i) - R_i) rest_i`` over i at or above j, which
-    gives d t / d beta from the rest basis, and ``U`` has its own basis.
-    Every sum runs over one frame's pairs, so a frame's Jacobian has the same
-    bits however many frames come with it.
+    such pairs.  At a fixed pose the terms are linear in (U, t), so the shape
+    columns are the terms of the bases of U and of t, ``t_j`` being the sum
+    of ``(R_parent(i) - R_i) rest_i`` over i at or above j.  Every sum runs
+    over one frame's pairs, so a frame's Jacobian has the same bits however
+    many frames come with it.
     """
     fold = model.joint_fold
     K = model.num_joints
@@ -223,14 +226,11 @@ def _jacobian(model, packer, kp, config, x, fk):
     cols = x.reshape(x.shape[0], -1).T
     B = cols.shape[0]
     phi, theta, beta, scale, _ = packer.decode(cols)
-    verts, rest = fold.shaped(beta)
+    verts, rest = fold.shaped(beta), model.rest_joints(beta)
     R, t = fk.rotations, fk.translations
+    T = fold.terms(verts, R, t)
 
-    bounds, k, f, members, starts, depth = packer.blocks
-    skel = slice(0, bounds[-1])
-    bone, blend = fold.pair_bone[skel], fold.pair_blend[skel, None]
-    T = blend * t[:, bone] + (R[:, bone] @ verts[:, skel, :, None])[..., 0]
-
+    k, f, members, starts, depth = packer.blocks
     a = packer.free_joints
     aa = np.concatenate([phi[:, None], theta], axis=1)[:, a]
     centre = (R[:, a] @ rest[:, a, :, None])[..., 0] + t[:, a]
@@ -250,15 +250,14 @@ def _jacobian(model, packer, kp, config, x, fk):
         nb = packer.num_betas
         parent_rots = np.concatenate(
             [np.broadcast_to(np.eye(3), (B, 1, 3, 3)), R[:, model.tree.parents[1:]]], axis=1)
-        q = np.einsum("tjcd,bjd->tbjc", parent_rots - R, fold.rest_basis)
-        dt = fold.subtree @ q
-        du = np.einsum("tpcd,bpd->tbpc", R[:, bone], fold.vertex_basis[:, skel])
-        dP = np.add.reduceat(du + blend * dt[:, :, bone], bounds[:-1], axis=2)
+        q = np.einsum("tjcd,bjd->tbjc", parent_rots - R, model.rest_blend[1])
+        dT = fold.terms(fold.vertex_basis, R[:, None], fold.subtree @ q)
+        dP = np.add.reduceat(dT, fold.bounds[:-1], axis=2)[:, :, :K]
         jac[:, :, i:i + nb] = (sw[..., None, None] * dP[..., :2].transpose(0, 2, 3, 1)).reshape(
             B, 2 * K, nb)
         i += nb
     if config.free_camera:
-        joints = np.add.reduceat(T, bounds[:-1], axis=1)
+        joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)[:, :K]
         jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
         jac[:, 0::2, i + 1] = w
         jac[:, 1::2, i + 2] = w

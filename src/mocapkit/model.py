@@ -85,10 +85,17 @@ class ParametricModel:
         return self.shape_basis.shape[2]
 
     def rest_joints(self, beta=None):
-        """Skeleton joint rest positions (..., J, 3) regressed from the
-        shaped template; `beta` as in `shape_template`."""
-        verts = shape_template(self, beta) if beta is not None else self.template_vertices
-        return self.joint_regressor[: self.num_joints] @ verts
+        """Skeleton joint rest positions (..., J, 3); `beta` as in `shape_template`."""
+        rest, basis = self.rest_blend
+        if beta is None:
+            return rest.copy()
+        return rest + _blend(basis, beta_array(self, beta))
+
+    @functools.cached_property
+    def rest_blend(self):
+        """The rest joints (J, 3) of the unshaped template and their shape basis (B, J, 3)."""
+        skel = self.joint_regressor[: self.num_joints]
+        return skel @ self.template_vertices, skel @ np.moveaxis(self.shape_basis, -1, 0)
 
     @functools.cached_property
     def joint_fold(self):
@@ -107,27 +114,20 @@ class JointFold:
 
     so each (joint k, bone j) pair whose regressor and skinning supports
     overlap acts as one rigid virtual vertex U_kj bound to bone j alone, and
-    the joints are ``pair_rows @ lbs(weights, U, R, t) + trans_rows @ t``
-    with ``trans_rows = C - pair_rows @ weights``.  U_kj and the rest joints
-    are linear in the shape coefficients, so both are kept as a constant plus
-    a basis.  This is exact algebra, not an approximation.
-
-    The fit's exact Jacobian works on the same pairs: it sums the terms
-    ``R_j U_kj + C_kj t_j`` over the pairs whose bone lies below each joint,
-    so the fold also keeps each pair's joint, bone and C_kj, and the subtree
-    matrix.
+    joint k is the sum of the pair terms ``R_j U_kj + C_kj t_j`` (`terms`)
+    of its pairs ``bounds[k]:bounds[k + 1]``.  U is linear in the shape
+    coefficients, so it is kept as a constant plus a basis.  This is exact
+    algebra, not an approximation.  The fit's exact Jacobian sums the same
+    terms over the pairs below each joint (`subtree`).
     """
 
     weights: np.ndarray         # (P, J) one-hot bone of each pair
     vertices: np.ndarray        # (P, 3) U of the unshaped template
     vertex_basis: np.ndarray    # (num_betas, P, 3) d U / d beta
-    pair_rows: np.ndarray       # (J_reg, P) 0/1 joint of each pair
-    trans_rows: np.ndarray      # (J_reg, J)
-    rest: np.ndarray            # (J, 3) rest joints of the unshaped template
-    rest_basis: np.ndarray      # (num_betas, J, 3) d rest / d beta
     pair_joint: np.ndarray      # (P,) regressor row k of each pair, ascending
     pair_bone: np.ndarray       # (P,) bone j of each pair, ascending within a row
     pair_blend: np.ndarray      # (P,) C_kj of each pair
+    bounds: np.ndarray          # (J_reg + 1,) the pairs of row k are bounds[k]:bounds[k + 1]
     subtree: np.ndarray         # (J, J) 0/1; [j, a] = 1 when j is a or lies below a
 
     @staticmethod
@@ -135,41 +135,38 @@ class JointFold:
         reg, W = model.joint_regressor, model.skin_weights
         k, j = np.nonzero((reg != 0).astype(np.float64) @ (W != 0).astype(np.float64))
         mix = reg[k] * W[:, j].T                       # (P, N)
-        weights = np.zeros((k.size, W.shape[1]))
-        weights[np.arange(k.size), j] = 1.0
-        pair_rows = np.zeros((reg.shape[0], k.size))
-        pair_rows[k, np.arange(k.size)] = 1.0
-        skel = reg[: model.num_joints]
-        blend = reg @ W
         subtree = np.eye(W.shape[1])
         for b in range(1, W.shape[1]):
             subtree[b] += subtree[model.tree.parents[b]]
         return JointFold(
-            weights=weights,
+            weights=np.eye(W.shape[1])[j],
             vertices=mix @ model.template_vertices,
-            vertex_basis=np.einsum("pn,nab->bpa", mix, model.shape_basis),
-            pair_rows=pair_rows,
-            trans_rows=blend - pair_rows @ weights,
-            rest=skel @ model.template_vertices,
-            rest_basis=np.einsum("jn,nab->bja", skel, model.shape_basis),
+            vertex_basis=mix @ np.moveaxis(model.shape_basis, -1, 0),
             pair_joint=k,
             pair_bone=j,
-            pair_blend=blend[k, j],
+            pair_blend=(reg @ W)[k, j],
+            # Every row has pairs, as its regressor and skinning rows sum to 1.
+            bounds=np.searchsorted(k, np.arange(reg.shape[0] + 1)),
             subtree=subtree,
         )
 
     def shaped(self, beta):
-        """Virtual vertices (..., P, 3) and rest joints (..., J, 3) at shape
-        coefficients `beta` (..., B).
+        """Virtual vertices (..., P, 3) at shape coefficients `beta` (..., B)."""
+        return self.vertices + _blend(self.vertex_basis, beta)
 
-        Each leading index is blended by its own matrix-vector product, so a
-        pose's result has the same bits however many poses are blended with it.
-        """
-        def blend(basis):
-            flat = basis.reshape(basis.shape[0], -1)
-            return (beta[..., None, :] @ flat)[..., 0, :].reshape(beta.shape[:-1] + basis.shape[1:])
+    def terms(self, vertices, rots, trans):
+        """Pair terms ``R_j U_p + C_kj t_j`` (..., P, 3) of virtual vertices U
+        (..., P, 3) and bone transforms R (..., J, 3, 3), t (..., J, 3).  They
+        are linear in (U, t), so they also map (d U, d t) to d T at a fixed R."""
+        return (_kernels.lbs(self.weights, vertices, rots, trans)
+                + (self.pair_blend[:, None] - 1.0) * trans[..., self.pair_bone, :])
 
-        return self.vertices + blend(self.vertex_basis), self.rest + blend(self.rest_basis)
+
+def _blend(basis, beta):
+    """``sum_b beta[..., b] basis[b]`` for a basis (B, ...): one matrix-vector
+    product per leading index of `beta`, so each has the bits of a (B,) call."""
+    flat = basis.reshape(basis.shape[0], -1)
+    return (beta[..., None, :] @ flat)[..., 0, :].reshape(beta.shape[:-1] + basis.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -239,14 +236,12 @@ def beta_array(model, beta):
 def shape_template(model, beta):
     """Template vertices (..., N, 3) displaced by the linear shape basis.
 
-    `beta` is None, a ShapeParams, or an array (..., B).  Each leading index
-    is blended by its own matrix-vector product, so its vertices have the
-    bits of a (B,) call.
+    `beta` is None, a ShapeParams, or an array (..., B); see `_blend`.
     """
     if beta is None:
         return model.template_vertices.copy()
     beta = beta_array(model, beta)
-    return model.template_vertices + (model.shape_basis @ beta[..., None, :, None])[..., 0]
+    return model.template_vertices + _blend(np.moveaxis(model.shape_basis, -1, 0), beta)
 
 
 def regress_joints(regressor, vertices):
@@ -266,7 +261,7 @@ def check_pose(model, pose, beta=None):
 
 
 def pose_mesh(model, pose, beta=None, return_fk=False):
-    """Pose the model: shape, regress rest joints, FK, linear blend skinning.
+    """Pose the model: shape, rest joints, FK, linear blend skinning.
 
     `pose` may carry leading batch axes, with `beta` None, a ShapeParams, or
     an array (..., B) broadcasting against them; the vertices are
@@ -274,7 +269,7 @@ def pose_mesh(model, pose, beta=None, return_fk=False):
     """
     check_pose(model, pose)
     shaped = shape_template(model, beta)
-    rest = model.joint_regressor[: model.num_joints] @ shaped
+    rest = model.rest_joints(beta)
     fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
     verts = _kernels.lbs(model.skin_weights, shaped, fk.rotations, fk.translations)
     if return_fk:
@@ -285,20 +280,19 @@ def pose_mesh(model, pose, beta=None, return_fk=False):
 def pose_joints(model, pose, beta=None, return_fk=False):
     """Posed joint locations (..., J_reg, 3) of the full regressor (skeleton + extra rows).
 
-    Equal to ``joint_regressor @ pose_mesh(model, pose, beta)``, but skins
-    only the virtual vertices of `model.joint_fold`.  `pose` may carry
-    leading batch axes; `beta` is None, a ShapeParams, or an array (..., B)
-    broadcasting against them.  With `return_fk`, the FkResult of the pose
-    comes back too.
+    Equal to ``joint_regressor @ pose_mesh(model, pose, beta)``, but sums
+    the pair terms of `model.joint_fold` instead of skinning every vertex.
+    `pose` may carry leading batch axes; `beta` is None, a ShapeParams, or an
+    array (..., B) broadcasting against them.  With `return_fk`, the FkResult
+    of the pose comes back too.
     """
     check_pose(model, pose)
     fold = model.joint_fold
-    verts, rest = fold.vertices, fold.rest
-    if beta is not None:
-        verts, rest = fold.shaped(beta_array(model, beta))
-    fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
-    posed = _kernels.lbs(fold.weights, verts, fk.rotations, fk.translations)
-    joints = fold.pair_rows @ posed + fold.trans_rows @ fk.translations
+    verts = fold.vertices if beta is None else fold.shaped(beta_array(model, beta))
+    fk = forward_kinematics(model.tree, model.rest_joints(beta), pose.global_orient,
+                            pose.full_local_poses())
+    joints = np.add.reduceat(fold.terms(verts, fk.rotations, fk.translations),
+                             fold.bounds[:-1], axis=-2)
     if return_fk:
         return joints, fk
     return joints

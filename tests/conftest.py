@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,18 @@ def toy():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def signed_regressor(model, row):
+    """`model` with joint regressor row `row` replaced by -0.2 times itself
+    plus 1.2 times row `row + 1`: still affine, but with negative entries, so
+    some folded pairs of that row have C_kj outside (0, 1]."""
+    reg = model.joint_regressor.copy()
+    reg[row] = -0.2 * reg[row] + 1.2 * reg[row + 1]
+    model = dataclasses.replace(model, joint_regressor=reg)
+    blend = model.joint_fold.pair_blend
+    assert (blend < 0).any() and (blend > 1).any()
+    return model
 
 
 def random_tree(rng, max_joints=20):

@@ -401,16 +401,26 @@ PREP_FAULTS = {
                     ("DimensionError", "joint map does not cover the input joints")),
     "knuckle": ({"rescale_reference": 0.03}, 3, np.arange(18.0).reshape(6, 3) % 3,
                 ("DegenerateKeypointsError", "knuckle joints are coincident")),
+    # the same checks and messages as `fit`; the bad frame may carry confidences
+    "nan_point": ({"flip_width": 100.0}, 2, _with_nan(np.ones((6, 2)), (3, 1)),
+                  ("DimensionError", "joint 3: keypoint or confidence is not finite")),
+    "nan_3d_point": ({"rescale_reference": 0.03}, 3, _with_nan(np.ones((6, 3)), (4, 2)),
+                     ("DimensionError", "joint 4: keypoint or confidence is not finite")),
+    "nan_confidence": ({"flip_width": 100.0}, 2, (np.ones((6, 2)), _with_nan(np.ones(6), 5)),
+                       ("DimensionError", "joint 5: keypoint or confidence is not finite")),
+    "confidence_above_one": ({"flip_width": 100.0}, 2, (np.ones((6, 2)), np.full(6, 7.0)),
+                             ("DimensionError", "confidences must lie in [0, 1]")),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(PREP_FAULTS))
 def test_prep_error_names_the_frame(tmp_path, capsys, rng, fault):
     config, dim, bad, (kind, message) = PREP_FAULTS[fault]
+    bad_points, bad_conf = bad if isinstance(bad, tuple) else (bad, None)
     good = rng.uniform(0, 100, size=(6, dim))
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc(
-        [(0, good, None), (4, good, None), (9, bad, None)]))
+        [(0, good, None), (4, good, None), (9, bad_points, bad_conf)]))
     config_path = tmp_path / "config.json"
     formats.write_json(config_path, config)
     out = tmp_path / "out.json"
@@ -457,7 +467,10 @@ EVAL_FAULTS = {
                        "gt frame 2: joints are (6, 3), not (4, 3)"),
     "pred_nan": ([(0, np.zeros((4, 3))), (2, _with_nan(np.zeros((4, 3)), (1, 2)))],
                  [(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
-                 "frame 2: joints must be finite"),
+                 "pred frame 2: joints must be finite"),
+    "gt_nan": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
+               [(0, np.zeros((4, 3))), (2, _with_nan(np.zeros((4, 3)), (3, 0)))],
+               "gt frame 2: joints must be finite"),
 }
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import signed_regressor
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
@@ -171,10 +172,12 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
 
 def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
     # Rows past the skeleton joints have folded pairs too, which no
-    # reprojection row reads.
+    # reprojection row reads; a signed skeleton row has pairs whose C_kj lies
+    # outside (0, 1].
     extra = np.zeros((4, toy.num_vertices))
     extra[np.arange(4), rng.choice(toy.num_vertices, size=4, replace=False)] = 1.0
-    model = dataclasses.replace(toy, joint_regressor=np.vstack([toy.joint_regressor, extra]))
+    signed = signed_regressor(toy, 5)
+    model = dataclasses.replace(signed, joint_regressor=np.vstack([signed.joint_regressor, extra]))
     config = FitConfig(free_fingers=True, free_shape=True)
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
     init = WholeBodyParams(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=(51, 3)),
@@ -187,6 +190,8 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
                       config.fd_step)[:2 * model.num_joints]
     exact = _jacobian(model, packer, kp, config, x, kept_fk(model, packer, kp, config, x))
     assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) < 1e-6
+    col_rel = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
+    assert col_rel.max() < 1e-6
 
 
 @pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
@@ -492,7 +497,7 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
     # the FK of x posed afresh from its decoded parameters
     phi, theta, beta, _, _ = packer.decode(x.T)
     pose = PoseParams(phi, theta)
-    posed = forward_kinematics(toy.tree, toy.joint_fold.shaped(beta)[1], pose.global_orient,
+    posed = forward_kinematics(toy.tree, toy.rest_joints(beta), pose.global_orient,
                                pose.full_local_poses())
     np.testing.assert_array_equal(_jacobian(toy, packer, kp, config, x,
                                             kept_fk(toy, packer, kp, config, x)),

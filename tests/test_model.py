@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import signed_regressor
 from mocapkit.errors import DegenerateModelError, DimensionError
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
 from mocapkit.model import (ParametricModel, PoseParams, ShapeParams,
@@ -194,11 +195,13 @@ def test_submodel_wrist_carries_global_orientation(toy, rng):
     np.testing.assert_allclose(sub_posed, parent_posed[sub.vertex_index_map], atol=1e-9)
 
 
-@pytest.mark.parametrize("hand", [False, True])
+@pytest.mark.parametrize("hand", [False, True, "signed"])
 def test_batched_pose_joints_match_regressed_mesh(toy, rng, hand):
     model = extract_hand_submodel(toy, "left").model if hand else toy
     if hand:  # 5 fingertip rows beyond the skeleton joints
         assert model.joint_regressor.shape[0] == model.num_joints + 5
+    if hand == "signed":
+        model = signed_regressor(model, 2)
     batch, n = 4, model.num_joints - 1
     pose = PoseParams(rng.normal(scale=0.5, size=(batch, 3)), rng.normal(scale=0.5, size=(batch, n, 3)))
     betas = rng.normal(scale=0.5, size=(batch, model.num_betas))

@@ -8,9 +8,10 @@ vectorised numpy:
 * Rodrigues writes the nine entries of each rotation matrix directly from the
   unit axis, with no skew-matrix temporaries;
 * forward kinematics walks the tree one depth level at a time (10 levels on
-  the 52-joint toy skeleton), with one batched rotation product and one
-  translation update per level; the level grouping is computed once per
-  ``parents`` array and cached;
+  the 52-joint toy skeleton) for the rotations only, one batched product
+  per level, and then gets every translation from one ancestor sum
+  (`translations`); the level grouping and the ancestor matrix are built
+  once per ``parents`` array and cached;
 * skinning blends the per-joint transforms with (N, J) @ (..., J, 3) GEMMs,
   one for the translations and one per rotation column, each column scaled
   by the matching vertex coordinate.
@@ -95,26 +96,45 @@ def _rodrigues_batch_loops(aa):
 
 
 @functools.lru_cache(maxsize=64)
-def _depth_levels(parents_bytes):
-    """``(joints, their parents)`` index pairs per tree depth below the root.
-
-    Cached per ``parents`` array, so the grouping is built once per tree.
-    """
+def _tree(parents_bytes):
+    """The ``(joints, their parents)`` index pairs of each depth below the
+    root, and the read-only `ancestor_matrix`, built once per tree."""
     parents = np.frombuffer(parents_bytes, dtype=np.int64)
     depth = np.zeros(parents.shape[0], dtype=np.int64)
+    ancestors = np.eye(parents.shape[0])
     for j in range(1, parents.shape[0]):
         depth[j] = depth[parents[j]] + 1
+        ancestors[j] += ancestors[parents[j]]
+    ancestors.flags.writeable = False
     levels = (np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1))
-    return tuple((idx, parents[idx]) for idx in levels)
+    return tuple((idx, parents[idx]) for idx in levels), ancestors
+
+
+def ancestor_matrix(parents):
+    """The (J, J) 0/1 matrix A with A[j, a] = 1 when a is j or an ancestor of j."""
+    return _tree(np.ascontiguousarray(parents, dtype=np.int64).tobytes())[1]
+
+
+def translations(parents, world_rots, rest):
+    """FK translations ``t = A @ ((R_parent - R) rest)`` (..., J, 3) of world
+    rotations R (..., J, 3, 3): ``t_j = t_p + (R_p - R_j) rest_j`` summed
+    from the root down, with A the `ancestor_matrix` and R_parent the
+    identity at the root.  Linear in `rest` (..., J, 3), which broadcasts
+    against R, so at fixed R it also maps a basis of the rest joints."""
+    diff = np.empty(world_rots.shape)
+    diff[..., 0, :, :] = np.eye(3)
+    diff[..., 1:, :, :] = world_rots[..., parents[1:], :, :]
+    diff -= world_rots
+    return ancestor_matrix(parents) @ _apply(diff, rest)
 
 
 def fk_chain(parents, rest, local_rots, root_rot):
     """Forward kinematics over a topologically ordered tree.
 
-    Joints are processed one tree-depth level at a time: every joint of a
-    level depends only on its parent in the previous level, so each level is
-    one batched ``Rp @ R_local`` and one translation update
-    ``t_j = t_p + Rp (rest_j - R_local rest_j)``.
+    The rotations are built one tree-depth level at a time: every joint of
+    a level depends only on its parent in the previous level, so each level
+    is one batched ``R_p @ R_local``.  The translations then come from one
+    ancestor sum over the whole tree (`translations`).
 
     Parameters
     ----------
@@ -127,20 +147,14 @@ def fk_chain(parents, rest, local_rots, root_rot):
     -------
     world_rots : (..., J, 3, 3), world_trans : (..., J, 3) with
     G_j(x) = R_j x + t_j, over the broadcast leading axes of the inputs.
+    Each index of the leading axes has the bits of its own unbatched call.
     """
-    J = parents.shape[0]
     lead = np.broadcast_shapes(rest.shape[:-2], local_rots.shape[:-3], root_rot.shape[:-2])
-    world_rots = np.empty(lead + (J, 3, 3))
-    world_trans = np.empty(lead + (J, 3))
-    R0 = root_rot @ local_rots[..., 0, :, :]
-    world_rots[..., 0, :, :] = R0
-    world_trans[..., 0, :] = rest[..., 0, :] - _apply(R0, rest[..., 0, :])
-    offsets = rest - _apply(local_rots, rest)
-    for idx, p in _depth_levels(np.ascontiguousarray(parents, dtype=np.int64).tobytes()):
-        Rp = world_rots[..., p, :, :]
-        world_rots[..., idx, :, :] = Rp @ local_rots[..., idx, :, :]
-        world_trans[..., idx, :] = world_trans[..., p, :] + _apply(Rp, offsets[..., idx, :])
-    return world_rots, world_trans
+    world_rots = np.empty(lead + (parents.shape[0], 3, 3))
+    world_rots[..., 0, :, :] = root_rot @ local_rots[..., 0, :, :]
+    for idx, p in _tree(np.ascontiguousarray(parents, dtype=np.int64).tobytes())[0]:
+        world_rots[..., idx, :, :] = world_rots[..., p, :, :] @ local_rots[..., idx, :, :]
+    return world_rots, translations(parents, world_rots, rest)
 
 
 def _fk_chain_loops(parents, rest, local_rots, root_rot):

@@ -2,9 +2,11 @@
 
 import copy
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionError, FitError, map_frames
 from .integration import PoseLayout, WholeBodyParams
 from .model import PoseParams, check_pose, pose_joints
@@ -215,8 +217,10 @@ def _jacobian(model, packer, kp, config, x, fk):
     with S_ka the sum of T_p and D_ka the sum of C_kj over the pairs of k
     whose bone is at or below a; only the blocks of `_pair_blocks` have
     such pairs.  At a fixed pose the terms are linear in (U, t), so the shape
-    columns are the terms of the bases of U and of t, ``t_j`` being the sum
-    of ``(R_parent(i) - R_i) rest_i`` over i at or above j.  Every sum runs
+    columns are the terms of the bases of U and of t; t is linear in the
+    rest joints, ``t = A @ ((R_parent - R) rest)`` with A the tree's shared
+    ancestor matrix (`_kernels.translations`, which FK uses too), so its
+    basis is that of the rest joints mapped the same way.  Every sum runs
     over one frame's pairs, so a frame's Jacobian has the same bits however
     many frames come with it.
     """
@@ -248,10 +252,8 @@ def _jacobian(model, packer, kp, config, x, fk):
     i = 3 * a.size
     if config.free_shape:
         nb = packer.num_betas
-        parent_rots = np.concatenate(
-            [np.broadcast_to(np.eye(3), (B, 1, 3, 3)), R[:, model.tree.parents[1:]]], axis=1)
-        q = np.einsum("tjcd,bjd->tbjc", parent_rots - R, model.rest_blend[1])
-        dT = fold.terms(fold.vertex_basis, R[:, None], fold.subtree @ q)
+        dt = _kernels.translations(model.tree.parents, R[:, None], model.rest_blend[1])
+        dT = fold.terms(fold.vertex_basis, R[:, None], dt)
         dP = np.add.reduceat(dT, fold.bounds[:-1], axis=2)[:, :, :K]
         jac[:, :, i:i + nb] = (sw[..., None, None] * dP[..., :2].transpose(0, 2, 3, 1)).reshape(
             B, 2 * K, nb)
@@ -389,11 +391,15 @@ def _fit_lockstep(model, frames, config, first):
     rejected = np.zeros(T, dtype=np.int64)
     stalled = np.zeros(T, dtype=bool)
     eye = np.eye(n)
+    # A trial round poses the pending frames with `trial`, whose base vectors
+    # it sets, against their rows of `kp`, which is checked once, above.
+    trial = packer.with_base(packer.base)
     for it in range(config.iterations):
         J = fit_jacobian(_fit_residuals(model, packer, kp, config, fk), x.T, config.fd_step)
-        JtJ = J.transpose(0, 2, 1) @ J
+        Jt = np.ascontiguousarray(J.transpose(0, 2, 1))
+        JtJ = Jt @ J
         JtJ[:, prior_cols, prior_cols] += prior_w * prior_w
-        Jtr = (J.transpose(0, 2, 1) @ r[:, :m2, None])[..., 0]
+        Jtr = (Jt @ r[:, :m2, None])[..., 0]
         Jtr[:, prior_cols] += prior_w * r[:, prior_rows]
         if it == 0:
             lam = np.clip(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1), 1e-12, 1e12)
@@ -402,15 +408,17 @@ def _fit_lockstep(model, frames, config, first):
             step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
                                    Jtr[pending, :, None])[..., 0]
             x_new = packer.canonicalized(x[pending] - step)
-            kp_new = KeypointSet2D(kp.points[pending], kp.confidence[pending])
-            trial = packer.with_base(packer.base[pending])
+            trial.base = packer.base[pending]
+            kp_new = SimpleNamespace(points=kp.points[pending], confidence=kp.confidence[pending])
             kept = []
             r_new = _residuals(model, trial, None, kp_new, config, x_new.T, kept).T
             cost_new = np.array([rt @ rt for rt in r_new])
             # A step that leaves no valid camera is rejected like one whose
-            # cost is not finite.
-            scale_new = trial.decode(x_new)[3]
-            ok = np.isfinite(cost_new) & (scale_new > 0) & (cost_new <= cost[pending])
+            # cost is not finite.  A free camera scale is packed third from
+            # last; a frozen one keeps the valid scale of `cam_init`.
+            ok = np.isfinite(cost_new) & (cost_new <= cost[pending])
+            if config.free_camera:
+                ok &= x_new[:, -3] > 0
             done, pending = pending[ok], pending[~ok]
             # Gain ratio: the cost decrease over the linearised model's,
             # stepᵀ(lam step + Jᵀr).  rho >= 1 scales the damping as rho = 1

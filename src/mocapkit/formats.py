@@ -36,8 +36,13 @@ def write_json(path, doc):
 
 
 def read_json(path):
+    """The JSON document in the file `path`.  A file that is not UTF-8 JSON
+    raises a SchemaError naming it."""
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise SchemaError(f"{path}: not a UTF-8 JSON document ({e})") from e
 
 
 def resolve_asset_path(path):

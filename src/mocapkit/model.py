@@ -128,16 +128,14 @@ class JointFold:
     pair_bone: np.ndarray       # (P,) bone j of each pair, ascending within a row
     pair_blend: np.ndarray      # (P,) C_kj of each pair
     bounds: np.ndarray          # (J_reg + 1,) the pairs of row k are bounds[k]:bounds[k + 1]
-    subtree: np.ndarray         # (J, J) 0/1; [j, a] = 1 when j is a or lies below a
+    subtree: np.ndarray         # (J, J) 0/1; [j, a] = 1 when j is a or lies below a;
+                                # `_kernels.ancestor_matrix`, shared and read-only
 
     @staticmethod
     def of(model):
         reg, W = model.joint_regressor, model.skin_weights
         k, j = np.nonzero((reg != 0).astype(np.float64) @ (W != 0).astype(np.float64))
         mix = reg[k] * W[:, j].T                       # (P, N)
-        subtree = np.eye(W.shape[1])
-        for b in range(1, W.shape[1]):
-            subtree[b] += subtree[model.tree.parents[b]]
         return JointFold(
             weights=np.eye(W.shape[1])[j],
             vertices=mix @ model.template_vertices,
@@ -147,7 +145,7 @@ class JointFold:
             pair_blend=(reg @ W)[k, j],
             # Every row has pairs, as its regressor and skinning rows sum to 1.
             bounds=np.searchsorted(k, np.arange(reg.shape[0] + 1)),
-            subtree=subtree,
+            subtree=_kernels.ancestor_matrix(model.tree.parents),
         )
 
     def shaped(self, beta):

@@ -26,6 +26,10 @@ def canonicalize(aa):
     """
     aa = np.asarray(aa, dtype=np.float64)
     norm = np.linalg.norm(aa, axis=-1, keepdims=True)
+    # Away from 0 and pi every vector is canonical, as in most calls of a fit.
+    # ``pi - norm`` is the at-pi test's ``|norm - pi|`` below pi, bit for bit.
+    if ((norm >= 1e-12) & (np.pi - norm >= 1e-12)).all():
+        return aa.copy()
     axis = np.divide(aa, norm, out=np.zeros_like(aa), where=norm >= 1e-12)
     lead = _leading_component(axis)
     kept = ((norm >= 1e-12) & (norm <= np.pi + 4 * np.spacing(np.pi))

@@ -304,6 +304,23 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert err["error"]["type"] == "SchemaError"
 
 
+UNREADABLE_JSON = {"truncated": b'{"format": ', "not_utf8": b'{"format": "\xff"}\n'}
+
+
+@pytest.mark.parametrize("command", ["eval", "fit", "pose"])
+@pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
+def test_unreadable_json_exits_2_naming_the_file(asset, tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_JSON[content])
+    out = tmp_path / "out.json"
+    args = {"eval": [bad, bad, out], "fit": [asset, bad, bad, out], "pose": [bad, bad, out]}
+    assert main([command] + [str(a) for a in args[command]]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SchemaError"
+    assert f"{bad}: not a UTF-8 JSON document (" in err["message"]
+    assert not out.exists()
+
+
 def test_fit_rejects_keypoint_count_mismatch_naming_the_frame(asset, tmp_path, capsys):
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)

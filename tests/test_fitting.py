@@ -524,6 +524,22 @@ def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
     assert counts["posing_fk"] == counts["residuals"] > config.iterations
 
 
+def test_fit_checks_the_keypoints_once_per_fit(toy, rng, monkeypatch):
+    frames = _clip(toy, rng)
+    calls = []
+    check = fitting.check_keypoints
+
+    def counting(points, confidence):
+        calls.append(points.shape)
+        return check(points, confidence)
+
+    monkeypatch.setattr(fitting, "check_keypoints", counting)
+    results = fitting.fit_frames(toy, frames, FitConfig(iterations=8))
+    assert sum(r.rejected_steps for r in results) > 0
+    # the stacked keypoints of the whole clip, and nothing in a trial round
+    assert calls == [(len(frames), toy.num_joints, 2)]
+
+
 def test_fit_frames_names_the_frame_it_rejects(toy, rng):
     frames = _clip(toy, rng)[:3]
     init, cam, kp = frames[2]

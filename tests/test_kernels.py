@@ -32,6 +32,23 @@ def test_fk_paths_agree(rng):
         np.testing.assert_allclose(ta, tb, rtol=0, atol=1e-12)
 
 
+def test_fk_frame_has_the_bits_of_its_own_call(rng):
+    # The lockstep fit's bit-for-bit promise rests on this: a frame's
+    # transforms, translations summed over ancestors included, have the same
+    # bytes alone as in a stack.
+    batch, n = 5, 52
+    parents = _random_deep_tree(rng, n)
+    local_rots = _kernels.rodrigues_batch(rng.normal(scale=0.8, size=(batch, n, 3)))
+    root_rot = _kernels.rodrigues_batch(rng.normal(size=(batch, 3)))
+    for rest in (rng.normal(size=(batch, n, 3)), rng.normal(size=(n, 3))):
+        stacked = _kernels.fk_chain(parents, rest, local_rots, root_rot)
+        for t in range(batch):
+            alone = _kernels.fk_chain(parents, rest if rest.ndim == 2 else rest[t],
+                                      local_rots[t], root_rot[t])
+            for one, many in zip(alone, stacked):
+                assert one.tobytes() == many[t].tobytes()
+
+
 def test_lbs_paths_agree(rng):
     batch, n_verts, n_joints = 5, 50, 8
     w = rng.uniform(size=(n_verts, n_joints))

@@ -156,6 +156,39 @@ def test_canonicalize_keeps_the_bits_of_canonical_vectors(rng):
         assert canonicalize(v).tobytes() == v.tobytes()
 
 
+def test_canonicalize_early_out_edges(rng):
+    # A stack whose angles all lie in [1e-12, pi - 1e-12] is returned as it
+    # is; one edge vector sends the whole stack down the full rule, which
+    # must give the interior vectors the same bytes and the edge vector the
+    # scalar reference's.  The edge vectors lie on an axis, so the
+    # reference's ``axis * angle`` rebuild is exact.
+    axes = rng.normal(size=(6, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    interior = axes * rng.uniform(0.1, 3.0, size=(6, 1))
+    below_pi = np.pi - 1e-12
+    above_pi = np.pi + 2 * np.spacing(np.pi)
+    edges = np.array([
+        [0.0, 0.0, 0.0], [np.nextafter(1e-12, 0.0), 0.0, 0.0], [0.0, 1e-12, 0.0],
+        [0.0, 0.0, -1e-12],
+        [below_pi, 0.0, 0.0], [-below_pi, 0.0, 0.0], [0.0, -np.nextafter(below_pi, 4.0), 0.0],
+        [0.0, -np.pi, 0.0], [-np.pi, 0.0, 0.0],
+        [above_pi, 0.0, 0.0], [-above_pi, 0.0, 0.0],
+        [0.0, 0.0, 7.0], [-7.0, 0.0, 0.0],
+    ])
+    expected = np.array([_canonicalize_one(v) for v in edges])
+    # Within 4 ulps above pi a vector leading positive is kept, where the
+    # reference folds it to pi - 2 ulps.
+    expected[9] = edges[9]
+    assert canonicalize(interior).tobytes() == interior.tobytes()
+    for edge, want in zip(edges, expected):
+        got = canonicalize(np.concatenate([interior[:3], edge[None], interior[3:]]))
+        assert np.delete(got, 3, axis=0).tobytes() == interior.tobytes()
+        assert got[3].tobytes() == want.tobytes()
+    mixed = np.stack([np.concatenate([interior, edges]), np.concatenate([edges, interior])])
+    want = np.stack([np.concatenate([interior, expected]), np.concatenate([expected, interior])])
+    assert canonicalize(mixed).tobytes() == want.tobytes()
+
+
 def test_canonicalize_is_bitwise_idempotent(rng):
     # random, zero, tiny, multiples of pi, above 2 pi and within 1e-12 of pi
     axes = rng.normal(size=(40, 3))

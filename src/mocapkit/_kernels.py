@@ -16,8 +16,8 @@ vectorised numpy:
   one for the translations and one per rotation column, each column scaled
   by the matching vertex coordinate.
 
-The plain-loop references ``_*_loops`` pose one unbatched input; the tests
-check the kernels against them to 1e-12.
+`tests/test_kernels.py` holds plain-loop references that pose one unbatched
+input, and checks the kernels against them to 1e-12.
 
 Conventions
 -----------
@@ -61,37 +61,6 @@ def rodrigues_batch(aa):
     out[..., 2, 0] = xz - ys
     out[..., 2, 1] = yz + xs
     out[..., 2, 2] = c + z * z * ic
-    return out
-
-
-def _rodrigues_batch_loops(aa):
-    n = aa.shape[0]
-    out = np.empty((n, 3, 3))
-    for i in range(n):
-        x = aa[i, 0]
-        y = aa[i, 1]
-        z = aa[i, 2]
-        angle = np.sqrt(x * x + y * y + z * z)
-        if angle < 1e-12:
-            for r in range(3):
-                for c in range(3):
-                    out[i, r, c] = 1.0 if r == c else 0.0
-            continue
-        x /= angle
-        y /= angle
-        z /= angle
-        ca = np.cos(angle)
-        sa = np.sin(angle)
-        ic = 1.0 - ca
-        out[i, 0, 0] = ca + x * x * ic
-        out[i, 0, 1] = x * y * ic - z * sa
-        out[i, 0, 2] = x * z * ic + y * sa
-        out[i, 1, 0] = y * x * ic + z * sa
-        out[i, 1, 1] = ca + y * y * ic
-        out[i, 1, 2] = y * z * ic - x * sa
-        out[i, 2, 0] = z * x * ic - y * sa
-        out[i, 2, 1] = z * y * ic + x * sa
-        out[i, 2, 2] = ca + z * z * ic
     return out
 
 
@@ -157,20 +126,6 @@ def fk_chain(parents, rest, local_rots, root_rot):
     return world_rots, translations(parents, world_rots, rest)
 
 
-def _fk_chain_loops(parents, rest, local_rots, root_rot):
-    J = parents.shape[0]
-    world_rots = np.empty((J, 3, 3))
-    world_trans = np.empty((J, 3))
-    world_rots[0] = root_rot @ local_rots[0]
-    world_trans[0] = rest[0] - world_rots[0] @ rest[0]
-    for j in range(1, J):
-        p = parents[j]
-        Rj = world_rots[p] @ local_rots[j]
-        world_rots[j] = Rj
-        world_trans[j] = world_trans[p] + world_rots[p] @ rest[j] - Rj @ rest[j]
-    return world_rots, world_trans
-
-
 def lbs(weights, vertices, world_rots, world_trans):
     """Linear blend skinning: (N, J) weights blend per-joint affine transforms.
 
@@ -184,24 +139,4 @@ def lbs(weights, vertices, world_rots, world_trans):
     out = weights @ world_trans
     for c in range(3):
         out += (weights @ world_rots[..., c]) * vertices[..., c, None]
-    return out
-
-
-def _lbs_loops(weights, vertices, world_rots, world_trans):
-    N = vertices.shape[0]
-    J = weights.shape[1]
-    out = np.zeros((N, 3))
-    for n in range(N):
-        vx = vertices[n, 0]
-        vy = vertices[n, 1]
-        vz = vertices[n, 2]
-        for j in range(J):
-            w = weights[n, j]
-            if w == 0.0:
-                continue
-            R = world_rots[j]
-            t = world_trans[j]
-            out[n, 0] += w * (R[0, 0] * vx + R[0, 1] * vy + R[0, 2] * vz + t[0])
-            out[n, 1] += w * (R[1, 0] * vx + R[1, 1] * vy + R[1, 2] * vz + t[1])
-            out[n, 2] += w * (R[2, 0] * vx + R[2, 1] * vy + R[2, 2] * vz + t[2])
     return out

@@ -162,11 +162,27 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_prep(args):
-    config = formats.read_json(args.config)
+def _check_prep_config(config):
+    """Raise a SchemaError naming the first field of the prep config that is
+    not null and not what `cmd_prep` needs."""
+    if not isinstance(config, dict):
+        raise SchemaError("prep config root must be an object")
     unknown = set(config) - {"reorder", "rescale_reference", "flip_width"}
     if unknown:
         raise SchemaError(f"unknown prep config fields: {sorted(unknown)}")
+    reorder = config.get("reorder")
+    if reorder is not None and not (isinstance(reorder, list)
+                                    and all(type(j) is int and j >= -1 for j in reorder)):
+        raise SchemaError("prep config 'reorder' must be a list of integers >= -1")
+    for name in ("rescale_reference", "flip_width"):
+        value = config.get(name)
+        if value is not None and not (type(value) in (int, float) and 0 < value < float("inf")):
+            raise SchemaError(f"prep config {name!r} must be a finite number > 0")
+
+
+def cmd_prep(args):
+    config = formats.read_json(args.config)
+    _check_prep_config(config)
     frames = formats.keypoints_from_doc(formats.read_json(args.keypoints))
     joint_map = None
     if config.get("reorder") is not None:

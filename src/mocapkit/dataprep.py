@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateKeypointsError, DimensionError
 
@@ -132,16 +131,20 @@ def motion_blur_kernel(length, angle):
 
 
 def convolve2d(image, kernel):
-    """Filter an H×W or H×W×C image with reflect padding; output size unchanged."""
+    """Filter an H×W or H×W×C image with reflect padding (``d c b a | a b c d |
+    d c b a``); output size unchanged.  `kernel` is a BlurKernel or an array
+    that BlurKernel accepts."""
     image = np.asarray(image, dtype=np.float64)
     if not np.all(np.isfinite(image)):
         raise DimensionError("image must be finite")
-    k = kernel.k if isinstance(kernel, BlurKernel) else np.asarray(kernel, dtype=np.float64)
-    if image.ndim == 2:
-        return ndimage.convolve(image, k, mode="reflect")
-    if image.ndim == 3:
-        return np.stack(
-            [ndimage.convolve(image[:, :, c], k, mode="reflect") for c in range(image.shape[2])],
-            axis=2,
-        )
-    raise DimensionError("image must be H×W or H×W×C")
+    if image.ndim not in (2, 3):
+        raise DimensionError("image must be H×W or H×W×C")
+    k = (kernel if isinstance(kernel, BlurKernel) else BlurKernel(kernel)).k[::-1, ::-1]
+    h = k.shape[0] // 2
+    padded = np.pad(image, [(h, h), (h, h)] + [(0, 0)] * (image.ndim - 2), mode="symmetric")
+    out = np.zeros_like(image)
+    # Convolution is correlation with the flipped kernel `k`; its taps are
+    # summed in C order, as ndimage sums them.
+    for a, b in zip(*np.nonzero(k)):
+        out += k[a, b] * padded[a:a + image.shape[0], b:b + image.shape[1]]
+    return out

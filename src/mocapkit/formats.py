@@ -75,10 +75,15 @@ def _triplets(matrix):
 
 
 def _from_triplets(triplets, shape):
+    """The dense matrix of `shape` with the (row, col, value) `triplets`.
+    A shape that is not two integers >= 0, or an index that is not an
+    integer within it, raises a ValueError."""
+    if len(shape) != 2 or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"sparse shape {list(shape)} is not two integers >= 0")
     m = np.zeros(shape)
     for r, c, v in triplets:
-        if not (0 <= r < shape[0] and 0 <= c < shape[1]):
-            raise SchemaError(f"triplet index ({r}, {c}) out of range for {shape}")
+        if not (type(r) is int and type(c) is int and 0 <= r < shape[0] and 0 <= c < shape[1]):
+            raise ValueError(f"triplet index ({r!r}, {c!r}) is not an integer pair within {shape}")
         m[r, c] = v
     return m
 

@@ -114,24 +114,21 @@ def rotation_to_axis_angle(r):
     r = np.asarray(r, dtype=np.float64)
     if not is_rotation(r):
         raise InvalidRotationError("matrix is not a rotation within tolerance")
+    # Markley (J. Guid. Control Dyn., 2008): K = 4 q q^T for the unit
+    # quaternion q = (v, w) of R, so the column of K with the largest
+    # diagonal entry is the best-conditioned multiple of q at every angle.
+    # The axis and the angle 2 atan2(|v|, w) need only its direction.
+    tr = np.trace(r, axis1=-2, axis2=-1)[..., None, None]
     skew = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
                      r[..., 1, 0] - r[..., 0, 1]], axis=-1)
-    s = np.linalg.norm(skew, axis=-1, keepdims=True)
-    # |skew| = 2 sin(angle) and trace - 1 = 2 cos(angle); unlike arccos of the
-    # trace alone, this gives angle 0 whenever the skew part is exactly 0.
-    angle = np.arctan2(s / 2.0, (np.trace(r, axis1=-2, axis2=-1)[..., None] - 1.0) / 2.0)
-    axis = np.divide(skew, s, out=np.zeros_like(skew), where=s > 0)
-    # Within 1e-7 of pi the skew part has too few significant bits to give
-    # the axis, and the symmetric part of R has only O(pi - angle)
-    # contamination from the skew term: take the axis from its largest column.
-    B = (r + np.eye(3)) / 2.0
-    diag = np.diagonal(B, axis1=-2, axis2=-1)
-    k = np.argmax(diag, axis=-1)[..., None]
-    sym = np.take_along_axis(B, k[..., None], -1)[..., 0]
-    sym = sym / np.sqrt(np.maximum(np.take_along_axis(diag, k, -1), 1e-300))
-    sym = sym / np.linalg.norm(sym, axis=-1, keepdims=True)
-    # The skew part still gives the sign unless it has vanished too.
-    flip = np.where(s > 1e-9, (skew * sym).sum(axis=-1, keepdims=True) < 0.0,
-                    _leading_component(sym) < -1e-12)
-    axis = np.where(np.pi - angle > 1e-7, axis, np.where(flip, -sym, sym))
-    return np.where(angle < 1e-12, 0.0, axis * angle)
+    K = np.empty(r.shape[:-2] + (4, 4))
+    K[..., :3, :3] = r + np.swapaxes(r, -1, -2) + (1.0 - tr) * np.eye(3)
+    K[..., :3, 3] = K[..., 3, :3] = skew
+    K[..., 3, 3] = 1.0 + tr[..., 0, 0]
+    k = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(K, k[..., None, None], -1)[..., 0]
+    q = np.where(q[..., 3:] < 0.0, -q, q)
+    v = q[..., :3]
+    s = np.linalg.norm(v, axis=-1, keepdims=True)
+    axis = np.divide(v, s, out=np.zeros_like(v), where=s > 0)
+    return canonicalize(axis * (2.0 * np.arctan2(s, q[..., 3:])))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mocapkit
 from mocapkit import fitting, formats
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.cli import main
@@ -22,6 +26,17 @@ def params_file(tmp_path, model, name, frames):
     path = tmp_path / name
     formats.write_json(path, formats.params_to_doc(frames))
     return path
+
+
+def test_cli_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests alone.
+    src = os.path.dirname(os.path.dirname(mocapkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, mocapkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_gen_toy_deterministic(tmp_path):
@@ -444,6 +459,36 @@ def test_prep_error_names_the_frame(tmp_path, capsys, rng, fault):
     assert main(["prep", str(kp_path), str(config_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": kind, "message": f"frame 9: {message}"}
+    assert not out.exists()
+
+
+BAD_PREP_CONFIGS = {
+    # config, the keypoints' dimension, the field the error names
+    "null_root": (None, 2, "root"),
+    "number_root": (5, 2, "root"),
+    "reorder_strings": ({"reorder": ["a", "b"]}, 2, "'reorder'"),
+    "reorder_floats": ({"reorder": [1.7, 0]}, 2, "'reorder'"),
+    "reorder_bools": ({"reorder": [True, False]}, 2, "'reorder'"),
+    "reorder_below_minus_one": ({"reorder": [-2, 0]}, 2, "'reorder'"),
+    "flip_width_string": ({"flip_width": "wide"}, 2, "'flip_width'"),
+    "flip_width_nan": ({"flip_width": float("nan")}, 2, "'flip_width'"),
+    "flip_width_inf": ({"flip_width": float("inf")}, 2, "'flip_width'"),
+    "rescale_reference_string": ({"rescale_reference": "x"}, 3, "'rescale_reference'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PREP_CONFIGS))
+def test_prep_rejects_a_bad_config_naming_the_field(tmp_path, capsys, rng, case):
+    config, dim, field = BAD_PREP_CONFIGS[case]
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc([(0, rng.uniform(0, 100, size=(2, dim)), None)]))
+    config_path = tmp_path / "config.json"
+    formats.write_json(config_path, config)
+    out = tmp_path / "out.json"
+    assert main(["prep", str(kp_path), str(config_path), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SchemaError"
+    assert err["message"].startswith(f"prep config {field}")
     assert not out.exists()
 
 

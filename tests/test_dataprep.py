@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mocapkit.dataprep import (KNUCKLE_JOINTS, BlurKernel, JointMap,
                                convolve2d, flip_axis_angle, flip_hand_params,
@@ -169,6 +170,22 @@ def test_convolve_channels_independent(rng):
         np.testing.assert_array_equal(out[:, :, c], convolve2d(img[:, :, c], k))
 
 
+def test_convolve_matches_ndimage_reflect(rng):
+    # Images with and without channels, with kernels up to 11 px: many
+    # larger than the image, where the padding reflects more than once.
+    for _ in range(200):
+        rows, cols = rng.integers(1, 20, size=2)
+        channels = int(rng.integers(0, 4))
+        img = rng.uniform(-1.0, 1.0, size=(rows, cols) + ((channels,) if channels else ()))
+        n = 2 * int(rng.integers(0, 6)) + 1
+        k = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        k[n // 2, n // 2] += 0.1
+        k /= k.sum()
+        expected = ndimage.convolve(img, k.reshape(k.shape + (1,) * (img.ndim - 2)), mode="reflect")
+        np.testing.assert_allclose(convolve2d(img, BlurKernel(k)), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(convolve2d(img, k), expected, rtol=0, atol=1e-12)
+
+
 def test_convolve_preserves_mass_of_constant(rng):
     img = np.full((10, 10), 3.25)
     k = motion_blur_kernel(5, 0.3)
@@ -180,3 +197,7 @@ def test_convolve_rejects_bad_input():
         convolve2d(np.full((4, 4), np.nan), motion_blur_kernel(1, 0.0))
     with pytest.raises(DimensionError):
         convolve2d(np.zeros(5), motion_blur_kernel(1, 0.0))
+    # A raw kernel is checked as a BlurKernel is.
+    for bad in (np.full((2, 2), 0.25), np.full((3, 3), 0.2), np.array([[1.5, 0.0, -0.5]] * 3) / 3.0):
+        with pytest.raises(DimensionError):
+            convolve2d(np.zeros((4, 4)), bad)

@@ -69,6 +69,22 @@ def test_triplet_bounds_checked(toy):
         formats.model_from_doc(doc)
 
 
+@pytest.mark.parametrize("triplet", [[0.5, 0, 1.0], [0, 1.0, 1.0], [True, 0, 1.0], ["0", 0, 1.0]])
+def test_triplet_indices_must_be_integers(toy, triplet):
+    doc = formats.model_to_doc(toy)
+    doc["skin_weights"]["triplets"].append(triplet)
+    with pytest.raises(SchemaError, match=r"^invalid model asset: triplet index "):
+        formats.model_from_doc(doc)
+
+
+@pytest.mark.parametrize("shape", [[10], [10, 2, 1], [10.0, 2], [-1, 2], [True, 2], 10])
+def test_sparse_shape_must_be_two_non_negative_integers(toy, shape):
+    doc = formats.model_to_doc(toy)
+    doc["joint_regressor"]["shape"] = shape
+    with pytest.raises(SchemaError, match=r"^invalid model asset: "):
+        formats.model_from_doc(doc)
+
+
 def test_sparse_round_trip_dense_matrix(rng):
     m = rng.uniform(size=(7, 5))
     m[m < 0.5] = 0.0

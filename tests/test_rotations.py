@@ -93,6 +93,16 @@ def test_round_trip_near_pi(rng):
         assert np.abs(rodrigues(rotation_to_axis_angle(R)) - R).max() < 1e-6
 
 
+def test_axis_angle_round_trip_is_exact_to_a_few_ulps_near_pi(rng):
+    # Angles outside the at-pi rule's 1e-12 window keep their axis sign.
+    axes = rng.normal(size=(100, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    for gap in 10.0 ** -np.arange(3, 12):
+        aa = axes * (np.pi - gap)
+        err = np.abs(rotation_to_axis_angle(rodrigues_batch(aa)) - aa).max()
+        assert err <= 4 * np.finfo(float).eps * np.pi, gap
+
+
 def test_canonicalize_idempotent(rng):
     for _ in range(100):
         aa = rng.normal(scale=4.0, size=3)
@@ -206,32 +216,9 @@ def test_canonicalize_is_bitwise_idempotent(rng):
     assert canonicalize(once).tobytes() == once.tobytes()
 
 
-def _rotation_to_axis_angle_one(r):
-    """Scalar reference: one matrix at a time, then canonicalized."""
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    angle = np.arctan2(np.linalg.norm(skew) / 2.0, (np.trace(r) - 1.0) / 2.0)
-    if angle < 1e-12:
-        return np.zeros(3)
-    if np.pi - angle > 1e-7:
-        return skew / np.linalg.norm(skew) * angle
-    B = (r + np.eye(3)) / 2.0
-    k = int(np.argmax(np.diag(B)))
-    axis = B[:, k] / np.sqrt(max(B[k, k], 1e-300))
-    axis /= np.linalg.norm(axis)
-    if np.linalg.norm(skew) > 1e-9:
-        if np.dot(skew, axis) < 0.0:
-            axis = -axis
-    else:
-        for c in axis:
-            if c > 1e-12:
-                break
-            if c < -1e-12:
-                axis = -axis
-                break
-    return axis * angle
-
-
 def test_rotation_to_axis_angle_batch_matches_scalar_reference(rng):
+    # The reference is scipy's rotation vector, canonicalized; single
+    # matrices must then give the batch's bytes.
     axes = rng.normal(size=(60, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     negative = -np.abs(axes[:10])
@@ -245,10 +232,10 @@ def test_rotation_to_axis_angle_batch_matches_scalar_reference(rng):
     ])
     Rs = rodrigues_batch(aa)
     Rs = np.concatenate([Rs, np.eye(3)[None], np.swapaxes(Rs[:50], -1, -2) @ Rs[:50]])
-    expected = np.array([_rotation_to_axis_angle_one(r) for r in Rs])
+    expected = canonicalize(Rotation.from_matrix(Rs).as_rotvec())
     got = rotation_to_axis_angle(Rs)
     assert got.shape == expected.shape
-    # The batched norm need not round as the scalar one does: a few ulps.
+    # Both extract the same quaternion; the rounding may differ by a few ulps.
     err = np.abs(got - expected).max(axis=-1)
     bound = 4 * np.finfo(float).eps * np.linalg.norm(expected, axis=-1)
     assert np.all(err <= bound)

@@ -88,8 +88,7 @@ def translations(parents, world_rots, rest):
     """FK translations ``t = A @ ((R_parent - R) rest)`` (..., J, 3) of world
     rotations R (..., J, 3, 3): ``t_j = t_p + (R_p - R_j) rest_j`` summed
     from the root down, with A the `ancestor_matrix` and R_parent the
-    identity at the root.  Linear in `rest` (..., J, 3), which broadcasts
-    against R, so at fixed R it also maps a basis of the rest joints."""
+    identity at the root; `rest` (..., J, 3) broadcasts against R."""
     diff = np.empty(world_rots.shape)
     diff[..., 0, :, :] = np.eye(3)
     diff[..., 1:, :, :] = world_rots[..., parents[1:], :, :]

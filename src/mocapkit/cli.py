@@ -123,6 +123,8 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
+    if args.range is not None and not 0 <= args.range[0] < args.range[1] < float("inf"):
+        raise DimensionError("--range LO HI must be finite with 0 <= LO < HI")
     frames = []
     for name in ("pred", "gt"):
         try:
@@ -172,8 +174,9 @@ def _check_prep_config(config):
         raise SchemaError(f"unknown prep config fields: {sorted(unknown)}")
     reorder = config.get("reorder")
     if reorder is not None and not (isinstance(reorder, list)
-                                    and all(type(j) is int and j >= -1 for j in reorder)):
-        raise SchemaError("prep config 'reorder' must be a list of integers >= -1")
+                                    and all(type(j) is int and j >= -1 for j in reorder)
+                                    and any(j >= 0 for j in reorder)):
+        raise SchemaError("prep config 'reorder' must be a list of integers >= -1 keeping a joint")
     for name in ("rescale_reference", "flip_width"):
         value = config.get(name)
         if value is not None and not (type(value) in (int, float) and 0 < value < float("inf")):

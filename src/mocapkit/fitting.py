@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionError, FitError, map_frames
 from .integration import PoseLayout, WholeBodyParams
 from .model import PoseParams, check_pose, pose_joints
@@ -52,14 +51,6 @@ class FitConfig:
     # Prior weights relative to the unit weight of the 2D reprojection terms.
     weight_prior_pose: float = 1e-2
     weight_prior_shape: float = 1e-1
-    # Free-parameter mask; the default optimizes global orientation, body pose
-    # (wrists included), and camera, freezing fingers and shape.
-    free_global_orient: bool = True
-    free_body_pose: bool = True
-    free_wrists: bool = True
-    free_fingers: bool = False
-    free_shape: bool = False
-    free_camera: bool = True
     # Central-difference step for checking the exact Jacobian; `fit` itself
     # does not difference.
     fd_step = 1e-6
@@ -92,57 +83,49 @@ def _check_frame(model, init, kp):
     check_pose(model, init.pose(), init.beta_w)
 
 
-def _pair_blocks(model, free_joints):
+def _pair_blocks(model, fitted):
     """The `model.JointFold` pairs `_jacobian` reads, grouped once per fit, as
     ``(joint, free, members, starts, depth)``.  Block b of the (skeleton
-    joint k, free joint a) blocks that can be nonzero is joint ``joint[b]``
-    and free joint ``free_joints[free[b]]``, its pairs are
+    joint k, fitted joint a) blocks that can be nonzero is joint ``joint[b]``
+    and fitted joint ``fitted[free[b]]``, its pairs are
     ``members[starts[b]:starts[b + 1]]``, those of k whose bone lies at or
     below a, and ``depth[b]`` is the sum of their C_kj.  The regressor rows
     past the skeleton reach no residual.
     """
     fold = model.joint_fold
-    p, i = np.nonzero(fold.subtree[fold.pair_bone[:fold.bounds[model.num_joints]]][:, free_joints])
+    p, i = np.nonzero(fold.subtree[fold.pair_bone[:fold.bounds[model.num_joints]]][:, fitted])
     k = fold.pair_joint[p]
     order = np.lexsort((p, i, k))
     p, i, k = p[order], i[order], k[order]
-    starts = np.flatnonzero(np.diff(k * free_joints.size + i, prepend=-1))
+    starts = np.flatnonzero(np.diff(k * fitted.size + i, prepend=-1))
     return k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
 
 
 class _ParamVector:
-    """The free entries of the flat `WholeBodyParams.vector` layout.
-
-    A packed vector holds the free positions of ``init.vector(cam_init)`` in
-    ascending order; frozen positions keep their initial values.  `base` is
-    that full vector (D,), or one per frame (T, D) after `with_base`.
+    """The entries of the flat `WholeBodyParams.vector` layout that the fit
+    frees: the global orientation, the body rows of theta (wrists included)
+    and the camera, in ascending order.  The fingers and beta keep the values
+    of `base`, ``init.vector(cam_init)`` (D,), or one per frame (T, D) after
+    `with_base`.  Prior row ``prior_rows[i]`` of `_residuals` is
+    `prior_weight` times packed column ``prior_cols[i]`` less its anchor, so
+    the fit adds those entries to JᵀJ and Jᵀr without differentiating them.
     """
 
     def __init__(self, model, init, cam_init, config):
-        layout = PoseLayout.from_model(model)
-        rows = []
-        if config.free_body_pose:
-            rows.extend(r for r in layout.body_rows
-                        if config.free_wrists or r not in (layout.left_wrist_row, layout.right_wrist_row))
-        elif config.free_wrists:
-            rows.extend([layout.left_wrist_row, layout.right_wrist_row])
-        if config.free_fingers:
-            rows.extend(layout.left_finger_rows.tolist())
-            rows.extend(layout.right_finger_rows.tolist())
-        rows = np.asarray(sorted(rows), dtype=np.int64)
+        rows = PoseLayout.from_model(model).body_rows
         # Skeleton joints whose axis-angles lead the packed vector, in order.
-        self.free_joints = np.concatenate(
-            [[0] if config.free_global_orient else [], rows + 1]).astype(np.int64)
-        self.blocks = _pair_blocks(model, self.free_joints)
+        self.fitted_joints = np.concatenate([[0], rows + 1])
+        self.blocks = _pair_blocks(model, self.fitted_joints)
         self.num_betas = init.beta_w.beta.shape[0]
         self.base = init.vector(cam_init)
         mask = np.zeros((1, self.base.size), dtype=bool)
-        phi, theta, beta, scale, trans = WholeBodyParams.split(mask, self.num_betas)
-        phi[:] = config.free_global_orient
-        theta[:, rows] = True
-        beta[:] = config.free_shape
-        scale[:] = trans[:] = config.free_camera
+        phi, theta, _, scale, trans = WholeBodyParams.split(mask, self.num_betas)
+        phi[:] = theta[:, rows] = scale[:] = trans[:] = True
         self.free = np.flatnonzero(mask)
+        # The prior rows follow the 2K reprojection rows, one per entry of theta.
+        self.prior_rows = 2 * model.num_joints + (3 * rows[:, None] + np.arange(3)).ravel()
+        self.prior_cols = 3 + np.arange(3 * rows.size)
+        self.prior_weight = np.sqrt(config.weight_prior_pose)
 
     def with_base(self, base):
         """The same free positions over other base vectors, e.g. one per frame (T, D)."""
@@ -166,7 +149,7 @@ class _ParamVector:
     def canonicalized(self, x):
         """Packed vectors (..., n) with each axis-angle block made canonical."""
         x = x.copy()
-        blocks = x[..., :3 * self.free_joints.size].reshape(x.shape[:-1] + (-1, 3))
+        blocks = x[..., :3 * self.fitted_joints.size].reshape(x.shape[:-1] + (-1, 3))
         blocks[...] = canonicalize(blocks)
         return x
 
@@ -199,11 +182,11 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     return r[0] if x.ndim == 1 else r.T
 
 
-def _jacobian(model, packer, kp, config, x, fk):
+def _jacobian(model, packer, kp, x, fk):
     """Exact Jacobian (2K, n) of the 2K reprojection rows of `_residuals` at a
     packed vector x (n,), or one per column of x (n, T), stacked to
     (T, 2K, n).  `fk` is the FkResult of the columns of x, as `_residuals`
-    keeps it.  The prior rows are constant; see `_prior_entries`.
+    keeps it.  The prior rows are constant; see `_ParamVector`.
 
     With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
     posed joint k is the sum of its pair terms ``T_p = R_j U_p + C_kj t_j``.
@@ -216,13 +199,10 @@ def _jacobian(model, packer, kp, config, x, fk):
 
     with S_ka the sum of T_p and D_ka the sum of C_kj over the pairs of k
     whose bone is at or below a; only the blocks of `_pair_blocks` have
-    such pairs.  At a fixed pose the terms are linear in (U, t), so the shape
-    columns are the terms of the bases of U and of t; t is linear in the
-    rest joints, ``t = A @ ((R_parent - R) rest)`` with A the tree's shared
-    ancestor matrix (`_kernels.translations`, which FK uses too), so its
-    basis is that of the rest joints mapped the same way.  Every sum runs
-    over one frame's pairs, so a frame's Jacobian has the same bits however
-    many frames come with it.
+    such pairs.  The camera columns are the weighted posed joints (scale)
+    and the weights (translation).  Every sum runs over one frame's pairs,
+    so a frame's Jacobian has the same bits however many frames come with
+    it.
     """
     fold = model.joint_fold
     K = model.num_joints
@@ -235,7 +215,7 @@ def _jacobian(model, packer, kp, config, x, fk):
     T = fold.terms(verts, R, t)
 
     k, f, members, starts, depth = packer.blocks
-    a = packer.free_joints
+    a = packer.fitted_joints
     aa = np.concatenate([phi[:, None], theta], axis=1)[:, a]
     centre = (R[:, a] @ rest[:, a, :, None])[..., 0] + t[:, a]
     v = np.add.reduceat(T[:, members], starts, axis=1) - depth[:, None] * centre[:, f]
@@ -250,37 +230,11 @@ def _jacobian(model, packer, kp, config, x, fk):
     jac[:, 2 * k[:, None, None] + np.arange(2)[:, None], 3 * f[:, None, None] + np.arange(3)] = (
         sw[:, k, None, None] * dxy)
     i = 3 * a.size
-    if config.free_shape:
-        nb = packer.num_betas
-        dt = _kernels.translations(model.tree.parents, R[:, None], model.rest_blend[1])
-        dT = fold.terms(fold.vertex_basis, R[:, None], dt)
-        dP = np.add.reduceat(dT, fold.bounds[:-1], axis=2)[:, :, :K]
-        jac[:, :, i:i + nb] = (sw[..., None, None] * dP[..., :2].transpose(0, 2, 3, 1)).reshape(
-            B, 2 * K, nb)
-        i += nb
-    if config.free_camera:
-        joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)[:, :K]
-        jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
-        jac[:, 0::2, i + 1] = w
-        jac[:, 1::2, i + 2] = w
+    joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)[:, :K]
+    jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
+    jac[:, 0::2, i + 1] = w
+    jac[:, 1::2, i + 2] = w
     return jac[0] if x.ndim == 1 else jac
-
-
-def _prior_entries(model, packer, config):
-    """The prior rows of `_residuals` that vary with the packed vector: the
-    residual row, packed column and weight sqrt(w) of each.  Each holds its
-    one entry in its own column, so the fit adds w to the diagonal of JᵀJ
-    and sqrt(w) r_row to Jᵀr instead of differentiating them."""
-    # The prior rows follow the reprojection rows: all of theta, then beta.
-    D = packer.base.shape[-1]
-    _, theta, beta, _, _ = WholeBodyParams.split(np.arange(D), packer.num_betas)
-    prior_row = np.full(D, -1)
-    prior_row[np.concatenate([theta.ravel(), beta])] = np.arange(theta.size + beta.size)
-    rows = prior_row[packer.free]
-    cols = np.flatnonzero(rows >= 0)
-    weights = np.sqrt(np.where(rows[cols] < theta.size, config.weight_prior_pose,
-                               config.weight_prior_shape))
-    return 2 * model.num_joints + rows[cols], cols, weights
 
 
 def _fit_residuals(model, packer, kp, config, fk):
@@ -292,7 +246,7 @@ def _fit_residuals(model, packer, kp, config, fk):
     def reprojection(x):
         return _residuals(model, packer, None, kp, config, x)[:m2]
 
-    reprojection.jacobian = lambda x: _jacobian(model, packer, kp, config, x, fk)
+    reprojection.jacobian = lambda x: _jacobian(model, packer, kp, x, fk)
     return reprojection
 
 
@@ -307,7 +261,7 @@ def fit_jacobian(residual_fn, x, step):
     reaches `_jacobian` this way, through `_fit_residuals`, with x as one
     column per frame (n, T) and one Jacobian of the reprojection rows per
     frame (T, 2K, n) back.  The tests check that exact Jacobian, and the
-    prior entries of `_prior_entries`, against the difference.
+    prior entries of `_ParamVector`, against the difference.
     """
     x = np.asarray(x, dtype=np.float64)
     exact = getattr(residual_fn, "jacobian", None)
@@ -321,7 +275,9 @@ def fit_jacobian(residual_fn, x, step):
 
 
 def fit(model, init, cam_init, kp, config=None):
-    """Damped least-squares fit of the free parameters to 2D keypoints.
+    """Damped least-squares fit of the global orientation, the body pose
+    (wrists included) and the camera to 2D keypoints; the fingers and shape
+    keep their values in `init`.
 
     Runs `config.iterations` Levenberg-Marquardt iterations, each with the
     exact Jacobian J at the current residuals r.  The damping starts at
@@ -385,7 +341,6 @@ def _fit_lockstep(model, frames, config, first):
 
     T, n = x.shape
     m2 = 2 * model.num_joints
-    prior_rows, prior_cols, prior_w = _prior_entries(model, packer, config)
     trace = np.empty((T, config.iterations))
     accepted = np.zeros(T, dtype=np.int64)
     rejected = np.zeros(T, dtype=np.int64)
@@ -398,9 +353,10 @@ def _fit_lockstep(model, frames, config, first):
         J = fit_jacobian(_fit_residuals(model, packer, kp, config, fk), x.T, config.fd_step)
         Jt = np.ascontiguousarray(J.transpose(0, 2, 1))
         JtJ = Jt @ J
-        JtJ[:, prior_cols, prior_cols] += prior_w * prior_w
+        cols, w = packer.prior_cols, packer.prior_weight
+        JtJ[:, cols, cols] += w * w
         Jtr = (Jt @ r[:, :m2, None])[..., 0]
-        Jtr[:, prior_cols] += prior_w * r[:, prior_rows]
+        Jtr[:, cols] += w * r[:, packer.prior_rows]
         if it == 0:
             lam = np.clip(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1), 1e-12, 1e12)
         pending = np.arange(T)
@@ -414,11 +370,8 @@ def _fit_lockstep(model, frames, config, first):
             r_new = _residuals(model, trial, None, kp_new, config, x_new.T, kept).T
             cost_new = np.array([rt @ rt for rt in r_new])
             # A step that leaves no valid camera is rejected like one whose
-            # cost is not finite.  A free camera scale is packed third from
-            # last; a frozen one keeps the valid scale of `cam_init`.
-            ok = np.isfinite(cost_new) & (cost_new <= cost[pending])
-            if config.free_camera:
-                ok &= x_new[:, -3] > 0
+            # cost is not finite.  The camera scale is packed third from last.
+            ok = np.isfinite(cost_new) & (cost_new <= cost[pending]) & (x_new[:, -3] > 0)
             done, pending = pending[ok], pending[~ok]
             # Gain ratio: the cost decrease over the linearised model's,
             # stepᵀ(lam step + Jᵀr).  rho >= 1 scales the damping as rho = 1

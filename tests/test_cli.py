@@ -1,5 +1,8 @@
+import ast
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -37,6 +40,18 @@ def test_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    # 3.11-only syntax fails here, not first on a CI leg of the oldest Python.
+    package = os.path.dirname(mocapkit.__file__)
+    with open(os.path.join(package, "..", "..", "pyproject.toml"), encoding="utf-8") as f:
+        major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', f.read()).groups()
+    sources = sorted(glob.glob(os.path.join(package, "*.py")))
+    assert sources
+    for path in sources:
+        with open(path, encoding="utf-8") as f:
+            ast.parse(f.read(), path, feature_version=(int(major), int(minor)))
 
 
 def test_gen_toy_deterministic(tmp_path):
@@ -319,6 +334,48 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert err["error"]["type"] == "SchemaError"
 
 
+MODEL_FAULTS = {
+    # the path of a value in the toy asset document, how it is spoilt, and
+    # the `ParametricModel.validate` message
+    "vertices_2d": (["vertices"], lambda v: [p[:2] for p in v], "template_vertices must be (N, 3)"),
+    "shape_basis_rows": (["shape_basis"], lambda b: b[1:], "shape_basis must be (N, 3, B)"),
+    "skin_weights_columns": (["skin_weights", "shape", 1], lambda j: j + 1,
+                             "skin_weights must be (N, J)"),
+    "regressor_columns": (["joint_regressor", "shape", 1], lambda n: n + 1,
+                          "joint_regressor must be (J_reg >= J, N)"),
+    "skin_weight_negative": (["skin_weights", "triplets", 0, 2], lambda w: -w,
+                             "skin_weights must be nonnegative"),
+    "skin_weight_row_sum": (["skin_weights", "triplets", 0, 2], lambda w: w / 2,
+                            "skin_weights rows must sum to 1"),
+    "regressor_row_sum": (["joint_regressor", "triplets", 0, 2], lambda w: w / 2,
+                          "joint_regressor rows must sum to 1"),
+    "face_index": (["faces", 0, 0], lambda i: -1, "face indices out of range"),
+    "hand_joint_id": (["hand_joint_ids", "left", 0], lambda i: -1,
+                      "hand_joint_ids[left] out of range"),
+    "fingertip_vertex_id": (["fingertip_vertex_ids", "right", 4], lambda i: -1,
+                            "fingertip_vertex_ids[right] out of range"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_FAULTS))
+def test_pose_rejects_an_invalid_model_asset(asset, tmp_path, capsys, fault):
+    path, spoil, message = MODEL_FAULTS[fault]
+    doc = formats.read_json(asset)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = spoil(parent[path[-1]])
+    bad = tmp_path / "bad.json"
+    formats.write_json(bad, doc)
+    params = params_file(tmp_path, None, "params.json",
+                         [(0, WholeBodyParams.identity(formats.load_model(asset)), None)])
+    out = tmp_path / "joints.json"
+    assert main(["pose", str(bad), str(params), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "SchemaError", "message": f"invalid model asset: {message}"}
+    assert not out.exists()
+
+
 UNREADABLE_JSON = {"truncated": b'{"format": ', "not_utf8": b'{"format": "\xff"}\n'}
 
 
@@ -463,23 +520,28 @@ def test_prep_error_names_the_frame(tmp_path, capsys, rng, fault):
 
 
 BAD_PREP_CONFIGS = {
-    # config, the keypoints' dimension, the field the error names
-    "null_root": (None, 2, "root"),
-    "number_root": (5, 2, "root"),
-    "reorder_strings": ({"reorder": ["a", "b"]}, 2, "'reorder'"),
-    "reorder_floats": ({"reorder": [1.7, 0]}, 2, "'reorder'"),
-    "reorder_bools": ({"reorder": [True, False]}, 2, "'reorder'"),
-    "reorder_below_minus_one": ({"reorder": [-2, 0]}, 2, "'reorder'"),
-    "flip_width_string": ({"flip_width": "wide"}, 2, "'flip_width'"),
-    "flip_width_nan": ({"flip_width": float("nan")}, 2, "'flip_width'"),
-    "flip_width_inf": ({"flip_width": float("inf")}, 2, "'flip_width'"),
-    "rescale_reference_string": ({"rescale_reference": "x"}, 3, "'rescale_reference'"),
+    # config, the keypoints' dimension, the start of the error, which names the field
+    "null_root": (None, 2, "prep config root"),
+    "number_root": (5, 2, "prep config root"),
+    "unknown_field": ({"flip_width": 100.0, "scale": 2.0}, 2,
+                      "unknown prep config fields: ['scale']"),
+    "reorder_strings": ({"reorder": ["a", "b"]}, 2, "prep config 'reorder'"),
+    "reorder_floats": ({"reorder": [1.7, 0]}, 2, "prep config 'reorder'"),
+    "reorder_bools": ({"reorder": [True, False]}, 2, "prep config 'reorder'"),
+    "reorder_below_minus_one": ({"reorder": [-2, 0]}, 2, "prep config 'reorder'"),
+    # a map that keeps no joint would write points that no reader accepts
+    "reorder_keeps_no_joint": ({"reorder": [-1, -1]}, 2, "prep config 'reorder'"),
+    "reorder_empty": ({"reorder": []}, 2, "prep config 'reorder'"),
+    "flip_width_string": ({"flip_width": "wide"}, 2, "prep config 'flip_width'"),
+    "flip_width_nan": ({"flip_width": float("nan")}, 2, "prep config 'flip_width'"),
+    "flip_width_inf": ({"flip_width": float("inf")}, 2, "prep config 'flip_width'"),
+    "rescale_reference_string": ({"rescale_reference": "x"}, 3, "prep config 'rescale_reference'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PREP_CONFIGS))
 def test_prep_rejects_a_bad_config_naming_the_field(tmp_path, capsys, rng, case):
-    config, dim, field = BAD_PREP_CONFIGS[case]
+    config, dim, start = BAD_PREP_CONFIGS[case]
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(0, rng.uniform(0, 100, size=(2, dim)), None)]))
     config_path = tmp_path / "config.json"
@@ -488,7 +550,7 @@ def test_prep_rejects_a_bad_config_naming_the_field(tmp_path, capsys, rng, case)
     assert main(["prep", str(kp_path), str(config_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "SchemaError"
-    assert err["message"].startswith(f"prep config {field}")
+    assert err["message"].startswith(start)
     assert not out.exists()
 
 
@@ -533,6 +595,9 @@ EVAL_FAULTS = {
     "gt_nan": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
                [(0, np.zeros((4, 3))), (2, _with_nan(np.zeros((4, 3)), (3, 0)))],
                "gt frame 2: joints must be finite"),
+    "frame_indices": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
+                      [(0, np.zeros((4, 3))), (3, np.zeros((4, 3)))],
+                      "pred and gt frame indices differ"),
 }
 
 
@@ -546,6 +611,21 @@ def test_eval_rejects_frames_it_cannot_stack(tmp_path, capsys, fault):
     assert main(["eval", str(pred_path), str(gt_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "SchemaError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("nan", "30"), ("0", "inf"), ("30", "20"), ("5", "5"),
+                                    ("-10", "30")])
+def test_eval_rejects_a_range_outside_its_domain(tmp_path, capsys, lo, hi):
+    joints = formats.joints_to_doc([(0, np.zeros((4, 3)))])
+    pred_path, gt_path = tmp_path / "pred.json", tmp_path / "gt.json"
+    formats.write_json(pred_path, joints)
+    formats.write_json(gt_path, joints)
+    out = tmp_path / "report.json"
+    assert main(["eval", str(pred_path), str(gt_path), str(out), "--range", lo, hi]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DimensionError",
+                   "message": "--range LO HI must be finite with 0 <= LO < HI"}
     assert not out.exists()
 
 

@@ -8,8 +8,8 @@ from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import fitting
 from mocapkit.errors import DimensionError, FitError
 from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
-                              _jacobian, _ParamVector, _prior_entries, _residuals, fit,
-                              fit_jacobian, temporal_smooth)
+                              _jacobian, _ParamVector, _residuals, fit, fit_jacobian,
+                              temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.kinematics import forward_kinematics
 from mocapkit.model import PoseParams, ShapeParams, pose_joints
@@ -99,8 +99,8 @@ def test_zero_confidence_points_ignored(toy):
 
 
 def test_prior_cost_formula(toy, rng):
-    # Fingers and shape free, so every theta row and every beta is packed.
-    config = FitConfig(free_fingers=True, free_shape=True)
+    # The prior covers every theta row and every beta, free or not.
+    config = FitConfig()
     anchor = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
     theta = rng.normal(size=anchor.theta_w.shape)
@@ -123,19 +123,13 @@ def test_fit_jacobian_exact_on_quadratics():
     np.testing.assert_allclose(J, expected, atol=1e-8)
 
 
-@pytest.mark.parametrize("config", [
-    FitConfig(),
-    FitConfig(free_fingers=True, free_shape=True),
-    FitConfig(free_global_orient=False, free_camera=False),
-    FitConfig(free_body_pose=False, free_wrists=True),
-])
-def test_exact_jacobian_matches_central_differences(toy, rng, config):
+def test_exact_jacobian_matches_central_differences(toy, rng):
+    config = FitConfig()
     layout = PoseLayout.from_model(toy)
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
     theta = rng.normal(scale=0.4, size=(51, 3))
     theta[layout.body_rows[3]] = 0.0                        # exact-zero angle
     theta[layout.body_rows[5]] = [0.0, 0.0, np.pi - 1e-7]   # angle near pi
-    theta[layout.left_finger_rows[2]] = 0.0
     anchor = WholeBodyParams(rng.normal(scale=0.3, size=3), theta,
                              ShapeParams(rng.normal(scale=0.5, size=10)), cam)
     conf = rng.uniform(0.2, 1.0, size=toy.num_joints)
@@ -144,7 +138,7 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
     kp = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
     packer = _ParamVector(toy, anchor, cam, config)
     m2 = 2 * toy.num_joints
-    rows, cols, weights = _prior_entries(toy, packer, config)
+    rows, cols, weight = packer.prior_rows, packer.prior_cols, packer.prior_weight
     x0 = packer.pack(anchor, cam)
     for x in (x0, x0 + rng.normal(scale=0.05, size=x0.size)):
         fd = fit_jacobian(lambda c: _residuals(toy, packer, anchor, kp, config, c), x,
@@ -152,8 +146,8 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
         # the 2K reprojection rows, then the prior rows' constant entries
         exact = np.zeros_like(fd)
         fk = kept_fk(toy, packer, kp, config, x)
-        exact[:m2] = _jacobian(toy, packer, kp, config, x, fk)
-        exact[rows, cols] = weights
+        exact[:m2] = _jacobian(toy, packer, kp, x, fk)
+        exact[rows, cols] = weight
         rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
         # every column is checked on its own, so a wrong small block shows
@@ -161,7 +155,7 @@ def test_exact_jacobian_matches_central_differences(toy, rng, config):
         assert col_rel.max() < 1e-6
         # the prior rows add to JᵀJ only the diagonal the fit adds
         diag = np.zeros(x.size)
-        diag[cols] = weights * weights
+        diag[cols] = weight * weight
         np.testing.assert_allclose(fd[m2:].T @ fd[m2:], np.diag(diag), atol=1e-8)
         # the fit's seam: fit_jacobian hands back `_jacobian` of the rows it differences
         reprojection = _fit_residuals(toy, packer, kp, config, fk)
@@ -178,7 +172,7 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
     extra[np.arange(4), rng.choice(toy.num_vertices, size=4, replace=False)] = 1.0
     signed = signed_regressor(toy, 5)
     model = dataclasses.replace(signed, joint_regressor=np.vstack([signed.joint_regressor, extra]))
-    config = FitConfig(free_fingers=True, free_shape=True)
+    config = FitConfig()
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
     init = WholeBodyParams(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=(51, 3)),
                            ShapeParams(rng.normal(scale=0.5, size=10)), cam)
@@ -188,14 +182,14 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
     x = packer.pack(init, cam)
     fd = fit_jacobian(lambda c: _residuals(model, packer, init, kp, config, c), x,
                       config.fd_step)[:2 * model.num_joints]
-    exact = _jacobian(model, packer, kp, config, x, kept_fk(model, packer, kp, config, x))
+    exact = _jacobian(model, packer, kp, x, kept_fk(model, packer, kp, config, x))
     assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) < 1e-6
     col_rel = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert col_rel.max() < 1e-6
 
 
-@pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
-def test_batched_residuals_match_each_column(toy, rng, config):
+def test_batched_residuals_match_each_column(toy, rng):
+    config = FitConfig()
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
     anchor = WholeBodyParams(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(51, 3)),
                              ShapeParams(rng.normal(scale=0.3, size=10)), cam)
@@ -211,19 +205,12 @@ def test_batched_residuals_match_each_column(toy, rng, config):
                                    rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("config", [
-    FitConfig(),
-    FitConfig(free_body_pose=False, free_wrists=True),
-    FitConfig(free_wrists=False),
-    FitConfig(free_body_pose=False, free_wrists=False, free_fingers=True, free_shape=True),
-    FitConfig(free_global_orient=False, free_camera=False),
-])
-def test_param_vector_pack_unpack_round_trip(toy, rng, config):
+def test_param_vector_pack_unpack_round_trip(toy, rng):
     layout = PoseLayout.from_model(toy)
     init = WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
                            ShapeParams(rng.normal(size=10)), WeakPerspectiveCamera.identity())
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 32.0]))
-    packer = _ParamVector(toy, init, cam, config)
+    packer = _ParamVector(toy, init, cam, FitConfig())
     x = packer.pack(init, cam)
     params = WholeBodyParams.from_vector(packer.rows(x[None])[0], packer.num_betas)
     cam_out = params.cam_w
@@ -231,21 +218,10 @@ def test_param_vector_pack_unpack_round_trip(toy, rng, config):
     assert cam_out.scale == cam.scale
     assert cam_out.translation.tobytes() == cam.translation.tobytes()
 
-    wrists = [layout.left_wrist_row, layout.right_wrist_row]
-    rows = set()
-    if config.free_body_pose:
-        rows |= set(layout.body_rows.tolist()) - set(wrists)
-    if config.free_wrists:
-        rows |= set(wrists)
-    if config.free_fingers:
-        rows |= set(layout.left_finger_rows.tolist() + layout.right_finger_rows.tolist())
-    free = [np.arange(3)] if config.free_global_orient else []
-    free += [3 + 3 * r + np.arange(3) for r in sorted(rows)]
-    if config.free_shape:
-        free.append(3 + 153 + np.arange(10))
-    if config.free_camera:
-        free.append(3 + 153 + 10 + np.arange(3))
-    free = np.concatenate(free)
+    # global orientation, the body rows (wrists included) and the camera
+    assert {layout.left_wrist_row, layout.right_wrist_row} <= set(layout.body_rows.tolist())
+    free = np.concatenate([np.arange(3)] + [3 + 3 * r + np.arange(3) for r in layout.body_rows]
+                          + [3 + 153 + 10 + np.arange(3)])
     np.testing.assert_array_equal(x, init.vector(cam)[free])
     moved = WholeBodyParams.from_vector(packer.rows(x[None] + 1.0)[0], packer.num_betas)
     np.testing.assert_array_equal(np.flatnonzero(moved.vector() != init.vector(cam)), free)
@@ -339,19 +315,17 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     np.testing.assert_array_equal(result.params.theta_w, init.theta_w)
 
 
-@pytest.mark.parametrize("config", [FitConfig(iterations=1),
-                                    FitConfig(iterations=1, free_fingers=True, free_shape=True)])
-def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypatch, config):
+def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypatch):
     monkeypatch.setattr(fitting, "MAX_RETRIES", 1)
+    config = FitConfig(iterations=1)
     init, cam, kp = _noisy_fit_problem(toy, rng)
     packer = _ParamVector(toy, init, cam, config)
     x = packer.pack(init, cam)
     r = _residuals(toy, packer, None, kp, config, x)
-    rows, cols, weights = _prior_entries(toy, packer, config)
     J = np.zeros((r.size, x.size))
     fk = kept_fk(toy, packer, kp, config, x)
-    J[:2 * toy.num_joints] = _jacobian(toy, packer, kp, config, x, fk)
-    J[rows, cols] = weights
+    J[:2 * toy.num_joints] = _jacobian(toy, packer, kp, x, fk)
+    J[packer.prior_rows, packer.prior_cols] = packer.prior_weight
     JtJ = J.T @ J
     step = np.linalg.solve(JtJ + 1e-6 * JtJ.diagonal().max() * np.eye(x.size), J.T @ r)
     result = fit(toy, init, cam, kp, config)
@@ -435,13 +409,10 @@ def _clip(toy, rng):
     return frames
 
 
-@pytest.mark.parametrize("config, retries", [
-    (FitConfig(iterations=8), fitting.MAX_RETRIES),
-    (FitConfig(iterations=8), 1),
-    (FitConfig(iterations=8, free_fingers=True, free_shape=True), fitting.MAX_RETRIES),
-], ids=["config0", "config1", "config2"])
-def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, config, retries):
+@pytest.mark.parametrize("retries", [fitting.MAX_RETRIES, 1], ids=["config0", "config1"])
+def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, retries):
     monkeypatch.setattr(fitting, "MAX_RETRIES", retries)
+    config = FitConfig(iterations=8)
     frames = _clip(toy, rng)
     alone = [fit(toy, init, cam, kp, config) for init, cam, kp in frames]
     # The default group holds the whole clip; groups of 2 split it in three.
@@ -463,17 +434,15 @@ def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, config, retri
     assert (alone[0].status, alone[0].rejected_steps) == ("ok", 0)
 
 
-@pytest.mark.parametrize("config, seeds", [(FitConfig(), range(1, 5)),
-                                           (FitConfig(free_fingers=True, free_shape=True), [0])])
-def test_fit_keeps_the_camera_scale_positive(toy, config, seeds):
+def test_fit_keeps_the_camera_scale_positive(toy):
     # Random keypoints far from the identity pose; without the scale check
     # an accepted step drives each of these fits' camera scale below 0.
     init = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
     frames = [(init, cam, KeypointSet2D(np.random.default_rng(s).normal(scale=20, size=(52, 2)),
                                         np.ones(52)))
-              for s in seeds]
-    for result in fitting.fit_frames(toy, frames, config):
+              for s in range(1, 5)]
+    for result in fitting.fit_frames(toy, frames):
         assert result.params.cam_w.scale > 0
         assert np.all(np.diff(result.cost_trace) <= 0)
 
@@ -485,8 +454,8 @@ def test_noisy_clip_frames_all_fit_within_2px(toy):
     assert worst <= 2.0
 
 
-@pytest.mark.parametrize("config", [FitConfig(), FitConfig(free_fingers=True, free_shape=True)])
-def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
+def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
+    config = FitConfig()
     frames = _clip(toy, rng)[:3]
     # the packer and keypoints of the three frames, as the lockstep loop builds them
     packer = _ParamVector(toy, frames[0][0], frames[0][1], config).with_base(
@@ -499,9 +468,8 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng, config):
     pose = PoseParams(phi, theta)
     posed = forward_kinematics(toy.tree, toy.rest_joints(beta), pose.global_orient,
                                pose.full_local_poses())
-    np.testing.assert_array_equal(_jacobian(toy, packer, kp, config, x,
-                                            kept_fk(toy, packer, kp, config, x)),
-                                  _jacobian(toy, packer, kp, config, x, posed))
+    np.testing.assert_array_equal(_jacobian(toy, packer, kp, x, kept_fk(toy, packer, kp, config, x)),
+                                  _jacobian(toy, packer, kp, x, posed))
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):

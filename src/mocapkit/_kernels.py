@@ -2,16 +2,18 @@
 
 Every kernel takes optional leading batch axes (written ``...`` below) and
 broadcasts them, so one call can pose many parameter vectors at once; a
-lockstep fit poses every frame's trial step this way.  The kernels are
-vectorised numpy:
+lockstep fit poses every frame's trial step this way.  The fit calls
+Rodrigues and forward kinematics directly on the model folded onto its 22
+fitted joints (`fitting._fold_bones`), and skins only the folded pairs.
+The kernels are vectorised numpy:
 
 * Rodrigues writes the nine entries of each rotation matrix directly from the
   unit axis, with no skew-matrix temporaries;
 * forward kinematics walks the tree one depth level at a time (10 levels on
-  the 52-joint toy skeleton) for the rotations only, one batched product
-  per level, and then gets every translation from one ancestor sum
-  (`translations`); the level grouping and the ancestor matrix are built
-  once per ``parents`` array and cached;
+  the 52-joint toy skeleton, 7 on its fold) for the rotations only, one
+  batched product per level, and then gets every translation from one
+  ancestor sum (`translations`); the level grouping and the ancestor matrix
+  are built once per ``parents`` array and cached;
 * skinning blends the per-joint transforms with (N, J) @ (..., J, 3) GEMMs,
   one for the translations and one per rotation column, each column scaled
   by the matching vertex coordinate.

@@ -177,6 +177,10 @@ def _check_prep_config(config):
                                     and all(type(j) is int and j >= -1 for j in reorder)
                                     and any(j >= 0 for j in reorder)):
         raise SchemaError("prep config 'reorder' must be a list of integers >= -1 keeping a joint")
+    # The n kept joints fill the targets 0, ..., n - 1, one each.
+    kept = sorted(j for j in reorder or [] if j >= 0)
+    if kept != list(range(len(kept))):
+        raise SchemaError("prep config 'reorder' must send the kept joints to 0, 1, ... each once")
     for name in ("rescale_reference", "flip_width"):
         value = config.get(name)
         if value is not None and not (type(value) in (int, float) and 0 < value < float("inf")):

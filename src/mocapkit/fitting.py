@@ -1,14 +1,18 @@
 """Optimization-based integration: damped least squares on 2D reprojection + priors."""
 
 import copy
+import dataclasses
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DimensionError, FitError, map_frames
+from . import _kernels
+from .errors import DimensionError, FitError, InvalidJointError, map_frames
 from .integration import PoseLayout, WholeBodyParams
-from .model import PoseParams, check_pose, pose_joints
+from .kinematics import forward_kinematics
+from .model import JointFold, check_pose
 from .rotations import canonicalize, right_jacobian
 
 
@@ -83,22 +87,63 @@ def _check_frame(model, init, kp):
     check_pose(model, init.pose(), init.beta_w)
 
 
-def _pair_blocks(model, fitted):
-    """The `model.JointFold` pairs `_jacobian` reads, grouped once per fit, as
-    ``(joint, free, members, starts, depth)``.  Block b of the (skeleton
-    joint k, fitted joint a) blocks that can be nonzero is joint ``joint[b]``
-    and fitted joint ``fitted[free[b]]``, its pairs are
-    ``members[starts[b]:starts[b + 1]]``, those of k whose bone lies at or
-    below a, and ``depth[b]`` is the sum of their C_kj.  The regressor rows
-    past the skeleton reach no residual.
+def _fold_bones(model, fitted):
+    """The skeleton pairs of `model.JointFold` rebound to the fitted joints
+    `fitted` (ascending, the root first), as ``(parents, fold, merge)``.
+
+    With the fingers and shape fixed, a bone j that is not fitted hangs from
+    its nearest fitted ancestor a by a transform ``(R_rel, t_rel)`` that no
+    fitted rotation moves, so its pair term is ``T_p = R_a V_p + C_kj t_a``
+    with the virtual vertex ``V_p = R_rel U_p + C_kj t_rel`` bound to a.
+    This is exact, and it needs every ancestor of a fitted joint fitted.
+    The pairs of a joint that share a bone then merge: pair q of `fold`
+    sums the skeleton pairs p with ``merge[q, p] = 1``.  `fold` is a
+    `JointFold` over the fitted joints, whose tree is `parents`; it has no
+    shape basis, and `_ParamVector.posed` sets its vertices per frame.
     """
-    fold = model.joint_fold
-    p, i = np.nonzero(fold.subtree[fold.pair_bone[:fold.bounds[model.num_joints]]][:, fitted])
-    k = fold.pair_joint[p]
-    order = np.lexsort((p, i, k))
-    p, i, k = p[order], i[order], k[order]
-    starts = np.flatnonzero(np.diff(k * fitted.size + i, prepend=-1))
-    return k[starts], i[starts], p, starts, np.add.reduceat(fold.pair_blend[p], starts)
+    full = model.joint_fold
+    K, F = model.num_joints, fitted.size
+    index = np.full(K, -1)
+    index[fitted] = np.arange(F)
+    parents = np.concatenate([[-1], index[model.tree.parents[fitted[1:]]]])
+    if (parents[1:] < 0).any():
+        raise InvalidJointError(
+            f"fitted joint {fitted[1:][parents[1:] < 0][0]} has a parent that the fit keeps fixed")
+    # The skeleton pairs; the regressor rows past them reach no residual.
+    P = full.bounds[K]
+    # The deepest fitted ancestor of a bone is the one with the largest index.
+    bone = np.argmax(full.subtree[full.pair_bone[:P]][:, fitted] * np.arange(1, F + 1), axis=1)
+    keys, pair = np.unique(full.pair_joint[:P] * F + bone, return_inverse=True)
+    merge = (pair == np.arange(keys.size)[:, None]).astype(np.float64)
+    k, bone = keys // F, keys % F
+    fold = JointFold(weights=np.eye(F)[bone], vertices=None, vertex_basis=None,
+                     pair_joint=k, pair_bone=bone, pair_blend=merge @ full.pair_blend[:P],
+                     bounds=np.searchsorted(k, np.arange(K + 1)),
+                     subtree=_kernels.ancestor_matrix(parents))
+    return parents, fold, merge
+
+
+def _pair_blocks(fold, n):
+    """The pairs of a fold that `_jacobian` reads, grouped once per fit, as
+    ``(joint, bone, sums, depth, at)``.  Block b of the (joint k, bone a)
+    blocks that can be nonzero is joint ``joint[b]`` and bone ``bone[b]``;
+    row b of the 0/1 matrix `sums` picks the pairs of k whose bone lies at
+    or below a, and ``depth[b]`` is the sum of their C_kj.  In a (2K, n)
+    Jacobian of n packed columns, the x and y rows of k in the three
+    columns of a are at the flat positions ``at[6 b:6 b + 6]``.
+    """
+    below = fold.subtree[fold.pair_bone]
+    own = fold.pair_joint[:, None] == np.arange(fold.bounds.size - 1)
+    k, a = np.nonzero(own.T.astype(np.float64) @ below)
+    sums = own[:, k].T * below[:, a].T
+    at = (2 * k[:, None, None] + np.arange(2)[:, None]) * n + 3 * a[:, None, None] + np.arange(3)
+    return k, a, sums, sums @ fold.pair_blend, at.ravel()
+
+
+# v @ _CROSS_XY is the x and y rows of -[v]x, [[0, v_z, -v_y], [-v_z, 0, v_x]].
+_CROSS_XY = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0, -1.0, 0.0, 0.0]])
 
 
 class _ParamVector:
@@ -106,22 +151,26 @@ class _ParamVector:
     frees: the global orientation, the body rows of theta (wrists included)
     and the camera, in ascending order.  The fingers and beta keep the values
     of `base`, ``init.vector(cam_init)`` (D,), or one per frame (T, D) after
-    `with_base`.  Prior row ``prior_rows[i]`` of `_residuals` is
-    `prior_weight` times packed column ``prior_cols[i]`` less its anchor, so
-    the fit adds those entries to JᵀJ and Jᵀr without differentiating them.
+    `with_base`, so the fit poses the model folded onto its fitted joints
+    (`_fold_bones`), at `base` (`posed`).  Prior row ``prior_rows[i]`` of
+    `_residuals` is `prior_weight` times packed column ``prior_cols[i]``
+    less its anchor, so the fit adds those entries to JᵀJ and Jᵀr without
+    differentiating them.
     """
 
     def __init__(self, model, init, cam_init, config):
         rows = PoseLayout.from_model(model).body_rows
+        self.model = model
         # Skeleton joints whose axis-angles lead the packed vector, in order.
         self.fitted_joints = np.concatenate([[0], rows + 1])
-        self.blocks = _pair_blocks(model, self.fitted_joints)
+        self.parents, self.fold, self.merge = _fold_bones(model, self.fitted_joints)
         self.num_betas = init.beta_w.beta.shape[0]
         self.base = init.vector(cam_init)
         mask = np.zeros((1, self.base.size), dtype=bool)
         phi, theta, _, scale, trans = WholeBodyParams.split(mask, self.num_betas)
         phi[:] = theta[:, rows] = scale[:] = trans[:] = True
         self.free = np.flatnonzero(mask)
+        self.blocks = _pair_blocks(self.fold, self.free.size)
         # The prior rows follow the 2K reprojection rows, one per entry of theta.
         self.prior_rows = 2 * model.num_joints + (3 * rows[:, None] + np.arange(3)).ravel()
         self.prior_cols = 3 + np.arange(3 * rows.size)
@@ -131,7 +180,35 @@ class _ParamVector:
         """The same free positions over other base vectors, e.g. one per frame (T, D)."""
         other = copy.copy(self)
         other.base = base
+        other.__dict__.pop("posed", None)
         return other
+
+    def take(self, frames):
+        """The packer of the base vectors `frames` of a stacked base (T, D),
+        with their rows of `posed`."""
+        other = copy.copy(self)
+        other.base = self.base[frames]
+        fold, rest = self.posed
+        other.posed = dataclasses.replace(fold, vertices=fold.vertices[frames]), rest[frames]
+        return other
+
+    @functools.cached_property
+    def posed(self):
+        """``(fold, rest)`` at `base`: the fold with the virtual vertices
+        (..., P, 3) of each base vector, and the rest positions (..., F, 3)
+        of the fitted joints.  The full model is posed once, with every
+        fitted rotation at identity, which leaves each other bone at its
+        transform relative to its nearest fitted ancestor."""
+        model, full = self.model, self.model.joint_fold
+        _, theta, beta, _, _ = WholeBodyParams.split(self.base, self.num_betas)
+        local = np.zeros(theta.shape[:-2] + (model.num_joints, 3))
+        local[..., 1:, :] = theta
+        local[..., self.fitted_joints, :] = 0.0
+        rest = model.rest_joints(beta)
+        fk = forward_kinematics(model.tree, rest, local[..., 0, :], local)
+        terms = full.terms(full.shaped(beta), fk.rotations, fk.translations)
+        vertices = self.merge @ terms[..., :self.merge.shape[1], :]
+        return dataclasses.replace(self.fold, vertices=vertices), rest[..., self.fitted_joints, :]
 
     def pack(self, params, cam):
         return params.vector(cam)[self.free]
@@ -141,10 +218,6 @@ class _ParamVector:
         rows = np.broadcast_to(self.base, (cols.shape[0], self.base.shape[-1])).copy()
         rows[:, self.free] = cols
         return rows
-
-    def decode(self, cols):
-        """`WholeBodyParams.split` of the packed vectors in the rows of `cols` (B, n)."""
-        return WholeBodyParams.split(self.rows(cols), self.num_betas)
 
     def canonicalized(self, x):
         """Packed vectors (..., n) with each axis-angle block made canonical."""
@@ -158,26 +231,39 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     """Residuals at a packed vector x (n,), or one column of residuals per
     column of x (n, B); all columns are posed in one batched call.
 
-    The prior pulls the pose toward `anchor`, or toward the pose of
-    `packer.base` when `anchor` is None.  `packer.base` and `kp` hold one
-    frame, shared by every column, or one frame per column (leading axis B).
-    If `keep_fk` is a list, the FkResult of the columns (leading axis B) is
-    appended to it, so that `_jacobian` need not pose them again.
+    The columns pose only `packer.posed`, the model folded onto its fitted
+    joints: Rodrigues on the packed axis-angles, FK over the fitted joints
+    and the folded pair terms, which sum to the joints of `pose_joints` at
+    the full parameters.  The prior pulls the pose toward `anchor`, or
+    toward the pose of `packer.base` when `anchor` is None.  `packer.base`
+    and `kp` hold one frame, shared by every column, or one frame per column
+    (leading axis B).  If `keep_fk` is a list, the columns' rotations and
+    translations of the fitted joints and their pair terms (leading axis B)
+    are appended to it as one tuple, so that `_jacobian` need not pose them
+    again.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1).T
     B = cols.shape[0]
-    phi, theta, beta, scale, trans = packer.decode(cols)
-    joints, fk = pose_joints(model, PoseParams(phi, theta), beta, return_fk=True)
+    fold, rest = packer.posed
+    F = packer.fitted_joints.size
+    rots = _kernels.rodrigues_batch(cols[:, :3 * F].reshape(B, F, 3))
+    R, t = _kernels.fk_chain(packer.parents, rest, rots, np.eye(3))
+    T = fold.terms(fold.vertices, R, t)
     if keep_fk is not None:
-        keep_fk.append(fk)
-    joints = joints[:, : model.num_joints]
-    projected = scale[:, None, None] * joints[..., :2] + trans[:, None, :]
+        keep_fk.append((R, t, T))
+    joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
+    # The camera scale and translation are packed last.
+    projected = cols[:, -3, None, None] * joints[..., :2] + cols[:, None, -2:]
     r2d = np.sqrt(kp.confidence)[..., None] * (projected - kp.points)
-    centre = (WholeBodyParams.split(packer.base, packer.num_betas)[1] if anchor is None
-              else anchor.theta_w)
-    rp = np.sqrt(config.weight_prior_pose) * (theta - centre).reshape(B, -1)
-    rs = np.sqrt(config.weight_prior_shape) * beta
+    # Every row of theta is in the prior; the fixed rows keep their values in `base`.
+    _, base_theta, beta, _, _ = WholeBodyParams.split(packer.base, packer.num_betas)
+    base_theta = base_theta.reshape(base_theta.shape[:-2] + (-1,))
+    theta = np.broadcast_to(base_theta, (B, base_theta.shape[-1])).copy()
+    theta[:, packer.prior_rows - 2 * model.num_joints] = cols[:, packer.prior_cols]
+    centre = base_theta if anchor is None else anchor.theta_w.ravel()
+    rp = np.sqrt(config.weight_prior_pose) * (theta - centre)
+    rs = np.broadcast_to(np.sqrt(config.weight_prior_shape) * beta, (B, beta.shape[-1]))
     r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
     return r[0] if x.ndim == 1 else r.T
 
@@ -185,52 +271,43 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
 def _jacobian(model, packer, kp, x, fk):
     """Exact Jacobian (2K, n) of the 2K reprojection rows of `_residuals` at a
     packed vector x (n,), or one per column of x (n, T), stacked to
-    (T, 2K, n).  `fk` is the FkResult of the columns of x, as `_residuals`
-    keeps it.  The prior rows are constant; see `_ParamVector`.
+    (T, 2K, n).  `fk` is the tuple of rotations, translations and pair terms
+    of the columns of x that `_residuals` keeps.  The prior rows are
+    constant; see `_ParamVector`.
 
-    With C = joint_regressor @ skin_weights folded as in `model.JointFold`,
-    posed joint k is the sum of its pair terms ``T_p = R_j U_p + C_kj t_j``.
-    Perturbing the axis-angle theta_a of joint a (theta_0 is the global
-    orientation) by d rotates every transform below a by
-    ``omega = R_a Jr(theta_a) d`` about the joint's world centre
-    ``c_a = R_a rest_a + t_a``, so
+    In the fold of `_fold_bones`, posed joint k is the sum of its pair terms
+    ``T_q = R_a V_q + C_ka t_a`` over the fitted joints a.  Perturbing the
+    axis-angle theta_a of fitted joint a (theta_0 is the global orientation)
+    by d rotates every transform below a by ``omega = R_a Jr(theta_a) d``
+    about the joint's world centre ``c_a = R_a rest_a + t_a``, so
 
         dP_k / d theta_a = -[S_ka - D_ka c_a]x R_a Jr(theta_a),
 
-    with S_ka the sum of T_p and D_ka the sum of C_kj over the pairs of k
-    whose bone is at or below a; only the blocks of `_pair_blocks` have
+    with S_ka the sum of T_q and D_ka the sum of C_kb over the pairs of k
+    whose bone b is at or below a; only the blocks of `_pair_blocks` have
     such pairs.  The camera columns are the weighted posed joints (scale)
     and the weights (translation).  Every sum runs over one frame's pairs,
     so a frame's Jacobian has the same bits however many frames come with
     it.
     """
-    fold = model.joint_fold
     K = model.num_joints
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1).T
     B = cols.shape[0]
-    phi, theta, beta, scale, _ = packer.decode(cols)
-    verts, rest = fold.shaped(beta), model.rest_joints(beta)
-    R, t = fk.rotations, fk.translations
-    T = fold.terms(verts, R, t)
+    fold, rest = packer.posed
+    F = packer.fitted_joints.size
+    R, t, T = fk
 
-    k, f, members, starts, depth = packer.blocks
-    a = packer.fitted_joints
-    aa = np.concatenate([phi[:, None], theta], axis=1)[:, a]
-    centre = (R[:, a] @ rest[:, a, :, None])[..., 0] + t[:, a]
-    v = np.add.reduceat(T[:, members], starts, axis=1) - depth[:, None] * centre[:, f]
-    A = (R[:, a] @ right_jacobian(aa))[:, f]
-    # x and y rows of -[v]x A
-    dxy = np.stack([v[..., 2, None] * A[..., 1, :] - v[..., 1, None] * A[..., 2, :],
-                    v[..., 0, None] * A[..., 2, :] - v[..., 2, None] * A[..., 0, :]], axis=2)
-
+    k, f, sums, depth, at = packer.blocks
     w = np.sqrt(kp.confidence)
-    sw = scale[:, None] * w
+    sw = cols[:, -3, None] * w
+    centre = (R @ rest[..., None])[..., 0] + t
+    v = sw[:, k, None] * (sums @ T - depth[:, None] * centre[:, f])
+    A = (R @ right_jacobian(cols[:, :3 * F].reshape(B, F, 3)))[:, f]
     jac = np.zeros((B, 2 * K, cols.shape[1]))
-    jac[:, 2 * k[:, None, None] + np.arange(2)[:, None], 3 * f[:, None, None] + np.arange(3)] = (
-        sw[:, k, None, None] * dxy)
-    i = 3 * a.size
-    joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)[:, :K]
+    jac.reshape(B, -1)[:, at] = ((v @ _CROSS_XY).reshape(v.shape[:-1] + (2, 3)) @ A).reshape(B, -1)
+    i = 3 * F
+    joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
     jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
     jac[:, 0::2, i + 1] = w
     jac[:, 1::2, i + 2] = w
@@ -239,8 +316,8 @@ def _jacobian(model, packer, kp, x, fk):
 
 def _fit_residuals(model, packer, kp, config, fk):
     """The 2K reprojection rows of `_residuals` as a function of x, carrying
-    their exact Jacobian `_jacobian`; `fk` is the FkResult of the x the
-    Jacobian will be taken at."""
+    their exact Jacobian `_jacobian`; `fk` is what `_residuals` kept for the
+    x the Jacobian will be taken at."""
     m2 = 2 * model.num_joints
 
     def reprojection(x):
@@ -329,8 +406,8 @@ def _fit_lockstep(model, frames, config, first):
     x = packer.base[:, packer.free]
     kept = []
     r = _residuals(model, packer, None, kp, config, x.T, kept).T
-    # FK state of each frame's x, updated as steps are accepted, so that
-    # `_jacobian` need not pose x again.
+    # The folded pose of each frame's x, updated as steps are accepted, so
+    # that `_jacobian` need not pose x again.
     fk = kept[0]
     cost = np.array([rt @ rt for rt in r])
     bad = np.flatnonzero(~np.isfinite(cost))
@@ -346,9 +423,6 @@ def _fit_lockstep(model, frames, config, first):
     rejected = np.zeros(T, dtype=np.int64)
     stalled = np.zeros(T, dtype=bool)
     eye = np.eye(n)
-    # A trial round poses the pending frames with `trial`, whose base vectors
-    # it sets, against their rows of `kp`, which is checked once, above.
-    trial = packer.with_base(packer.base)
     for it in range(config.iterations):
         J = fit_jacobian(_fit_residuals(model, packer, kp, config, fk), x.T, config.fd_step)
         Jt = np.ascontiguousarray(J.transpose(0, 2, 1))
@@ -364,10 +438,11 @@ def _fit_lockstep(model, frames, config, first):
             step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
                                    Jtr[pending, :, None])[..., 0]
             x_new = packer.canonicalized(x[pending] - step)
-            trial.base = packer.base[pending]
+            # The pending frames' rows of the packer and of `kp`, which is
+            # checked once, above.
             kp_new = SimpleNamespace(points=kp.points[pending], confidence=kp.confidence[pending])
             kept = []
-            r_new = _residuals(model, trial, None, kp_new, config, x_new.T, kept).T
+            r_new = _residuals(model, packer.take(pending), None, kp_new, config, x_new.T, kept).T
             cost_new = np.array([rt @ rt for rt in r_new])
             # A step that leaves no valid camera is rejected like one whose
             # cost is not finite.  The camera scale is packed third from last.
@@ -381,8 +456,8 @@ def _fit_lockstep(model, frames, config, first):
             pred = np.einsum("ij,ij->i", step[ok], lam[done, None] * step[ok] + Jtr[done])
             rho = np.divide(gain, pred, out=np.ones_like(pred), where=pred > gain)
             x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
-            fk.rotations[done] = kept[0].rotations[ok]
-            fk.translations[done] = kept[0].translations[ok]
+            for held, new in zip(fk, kept[0]):
+                held[done] = new[ok]
             lam[done] = np.clip(lam[done] * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12, 1e12)
             lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
             accepted[done] += 1

@@ -117,8 +117,10 @@ class JointFold:
     joint k is the sum of the pair terms ``R_j U_kj + C_kj t_j`` (`terms`)
     of its pairs ``bounds[k]:bounds[k + 1]``.  U is linear in the shape
     coefficients, so it is kept as a constant plus a basis.  This is exact
-    algebra, not an approximation.  The fit's exact Jacobian sums the same
-    terms over the pairs below each joint (`subtree`).
+    algebra, not an approximation.  The fit rebinds the skeleton pairs to
+    the joints it fits (`fitting._fold_bones`); that fold has one set of
+    virtual vertices per frame and no shape basis, and the fit's exact
+    Jacobian sums its terms over the pairs below each joint (`subtree`).
     """
 
     weights: np.ndarray         # (P, J) one-hot bone of each pair

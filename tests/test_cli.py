@@ -532,6 +532,9 @@ BAD_PREP_CONFIGS = {
     # a map that keeps no joint would write points that no reader accepts
     "reorder_keeps_no_joint": ({"reorder": [-1, -1]}, 2, "prep config 'reorder'"),
     "reorder_empty": ({"reorder": []}, 2, "prep config 'reorder'"),
+    # JointMap would reject the first, and leave target 1 unfilled in the second
+    "reorder_duplicate_target": ({"reorder": [0, 0]}, 2, "prep config 'reorder'"),
+    "reorder_skips_a_target": ({"reorder": [0, 2]}, 2, "prep config 'reorder'"),
     "flip_width_string": ({"flip_width": "wide"}, 2, "prep config 'flip_width'"),
     "flip_width_nan": ({"flip_width": float("nan")}, 2, "prep config 'flip_width'"),
     "flip_width_inf": ({"flip_width": float("inf")}, 2, "prep config 'flip_width'"),

@@ -5,18 +5,18 @@ import pytest
 
 from conftest import signed_regressor
 from mocapkit.camera import WeakPerspectiveCamera, project
-from mocapkit import fitting
-from mocapkit.errors import DimensionError, FitError
+from mocapkit import _kernels, fitting
+from mocapkit.errors import DimensionError, FitError, InvalidJointError
 from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
                               _jacobian, _ParamVector, _residuals, fit, fit_jacobian,
                               temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
-from mocapkit.kinematics import forward_kinematics
-from mocapkit.model import PoseParams, ShapeParams, pose_joints
+from mocapkit.kinematics import SkeletonTree, forward_kinematics
+from mocapkit.model import ShapeParams, pose_joints
 
 
 def kept_fk(model, packer, kp, config, x):
-    """The FkResult that `_residuals` keeps for x, as the fit hands it to `_jacobian`."""
+    """The folded pose that `_residuals` keeps for x, as the fit hands it to `_jacobian`."""
     kept = []
     _residuals(model, packer, None, kp, config, x, kept)
     return kept[0]
@@ -463,17 +463,21 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
     kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
                        np.stack([k.confidence for _, _, k in frames]))
     x = packer.base[:, packer.free].T + rng.normal(scale=0.05, size=(packer.free.size, 3))
-    # the FK of x posed afresh from its decoded parameters
-    phi, theta, beta, _, _ = packer.decode(x.T)
-    pose = PoseParams(phi, theta)
-    posed = forward_kinematics(toy.tree, toy.rest_joints(beta), pose.global_orient,
-                               pose.full_local_poses())
+    # x posed afresh through the fold, as a skeleton of the fitted joints
+    fold, rest = packer.posed
+    F = packer.fitted_joints.size
+    tree = SkeletonTree(packer.parents, [toy.tree.joint_names[j] for j in packer.fitted_joints])
+    aa = x[:3 * F].T.reshape(3, F, 3)
+    local = aa.copy()
+    local[:, 0] = 0.0
+    posed = forward_kinematics(tree, rest, aa[:, 0], local)
+    R, t = posed.rotations, posed.translations
     np.testing.assert_array_equal(_jacobian(toy, packer, kp, x, kept_fk(toy, packer, kp, config, x)),
-                                  _jacobian(toy, packer, kp, x, posed))
+                                  _jacobian(toy, packer, kp, x, (R, t, fold.terms(fold.vertices, R, t))))
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
-    counts = dict.fromkeys(["residuals", "fit_jacobian", "jacobian", "posing_fk"], 0)
+    counts = dict.fromkeys(["residuals", "fit_jacobian", "jacobian", "fk_chain"], 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -485,11 +489,33 @@ def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
     monkeypatch.setattr(fitting, "_residuals", counting("residuals", fitting._residuals))
     monkeypatch.setattr(fitting, "fit_jacobian", counting("fit_jacobian", fitting.fit_jacobian))
     monkeypatch.setattr(fitting, "_jacobian", counting("jacobian", fitting._jacobian))
-    monkeypatch.setattr("mocapkit.model.forward_kinematics", counting("posing_fk", forward_kinematics))
+    monkeypatch.setattr(_kernels, "fk_chain", counting("fk_chain", _kernels.fk_chain))
+    monkeypatch.setattr(fitting, "FIT_GROUP", 4)
     config = FitConfig(iterations=8)
     fitting.fit_frames(toy, frames, config)
-    assert counts["fit_jacobian"] == counts["jacobian"] == config.iterations
-    assert counts["posing_fk"] == counts["residuals"] > config.iterations
+    # two groups, each iterated on its own
+    assert counts["fit_jacobian"] == counts["jacobian"] == 2 * config.iterations
+    # one FK per residual evaluation, plus the fold of each group
+    assert counts["fk_chain"] == counts["residuals"] + 2
+    assert counts["residuals"] > 2 * config.iterations
+
+
+def test_fit_poses_the_full_model_once_per_group(toy, rng, monkeypatch):
+    frames = _clip(toy, rng)[:5]
+    folds, poses = [], []
+
+    def counting(calls):
+        def wrapper(tree, *args):
+            calls.append(tree.num_joints)
+            return forward_kinematics(tree, *args)
+        return wrapper
+
+    monkeypatch.setattr(fitting, "forward_kinematics", counting(folds))
+    monkeypatch.setattr("mocapkit.model.forward_kinematics", counting(poses))
+    monkeypatch.setattr(fitting, "FIT_GROUP", 2)
+    results = fitting.fit_frames(toy, frames, FitConfig(iterations=4))
+    assert len(results) == 5
+    assert folds == [toy.num_joints] * 3 and poses == []
 
 
 def test_fit_checks_the_keypoints_once_per_fit(toy, rng, monkeypatch):
@@ -531,3 +557,81 @@ def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monk
         diff = project(params.cam_w, joints) - kp.points
         expected = np.sqrt((kp.confidence[:, None] * diff * diff).sum() / kp.confidence.sum())
         assert result.final_rms_px == pytest.approx(expected, rel=1e-12)
+
+
+def full_residuals(model, params, anchor, kp, config):
+    """The residuals of `_residuals` at `params`, built from `pose_joints`."""
+    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
+    r2d = np.sqrt(kp.confidence)[:, None] * (project(params.cam_w, joints) - kp.points)
+    rp = np.sqrt(config.weight_prior_pose) * (params.theta_w - anchor.theta_w)
+    rs = np.sqrt(config.weight_prior_shape) * params.beta_w.beta
+    return np.concatenate([r2d.ravel(), rp.ravel(), rs])
+
+
+def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
+    # Every frame has its own nonzero fingers and shape; the anchor's fingers
+    # differ from them, so the fixed finger prior rows are nonzero; and the
+    # model has extra regressor rows and a signed skeleton row.
+    extra = np.zeros((4, toy.num_vertices))
+    extra[np.arange(4), rng.choice(toy.num_vertices, size=4, replace=False)] = 1.0
+    signed = signed_regressor(toy, 40)
+    model = dataclasses.replace(signed, joint_regressor=np.vstack([signed.joint_regressor, extra]))
+    config = FitConfig()
+    frames = []
+    for t in range(5):
+        cam = WeakPerspectiveCamera(200.0 + 10.0 * t, np.array([64.0, 60.0 + t]))
+        init = WholeBodyParams(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=(51, 3)),
+                               ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+        kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
+                           rng.uniform(0.2, 1.0, size=model.num_joints))
+        frames.append((init, cam, kp))
+    anchor = WholeBodyParams(np.zeros(3), rng.normal(scale=0.3, size=(51, 3)),
+                             ShapeParams.zeros(10), frames[0][1])
+    inits, _, kps = zip(*frames)
+    packer = _ParamVector(model, inits[0], inits[0].cam_w, config).with_base(
+        np.stack([init.vector() for init in inits]))
+    kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
+    x = packer.base[:, packer.free] + rng.normal(scale=0.05, size=(5, packer.free.size))
+    kept = []
+    r = _residuals(model, packer, anchor, kp, config, x.T, kept)
+    rows = packer.rows(x)
+    for t in range(5):
+        params = WholeBodyParams.from_vector(rows[t], packer.num_betas)
+        expected = full_residuals(model, params, anchor, kps[t], config)
+        assert np.linalg.norm(r[:, t] - expected) <= 1e-12 * np.linalg.norm(expected)
+    # a row subset of the packer carries its frames' rows of the fold
+    sub = packer.take([1, 3])
+    sub_kp = KeypointSet2D(kp.points[[1, 3]], kp.confidence[[1, 3]])
+    np.testing.assert_array_equal(_residuals(model, sub, anchor, sub_kp, config, x[[1, 3]].T),
+                                  r[:, [1, 3]])
+    # the Jacobian fed the kept state matches central differences, frame by frame
+    jac = _jacobian(model, packer, kp, x.T, kept[0])
+    m2 = 2 * model.num_joints
+    for t in range(5):
+        one = packer.take([t])
+        fd = fit_jacobian(lambda c: _residuals(model, one, anchor, kps[t], config, c), x[t],
+                          config.fd_step)[:m2]
+        col_rel = np.linalg.norm(jac[t] - fd, axis=0) / np.linalg.norm(fd, axis=0)
+        assert col_rel.max() < 1e-6
+    # Fitted in groups of 2, every frame's final cost and RMS are those of
+    # the full model at its result.
+    monkeypatch.setattr(fitting, "FIT_GROUP", 2)
+    for (init, _, kp_t), result in zip(frames, fitting.fit_frames(model, frames,
+                                                                  FitConfig(iterations=3))):
+        expected = full_residuals(model, result.params, init, kp_t, config)
+        assert result.cost_trace[-1] == pytest.approx(expected @ expected, rel=1e-12)
+        r2d = expected[:m2]
+        assert result.final_rms_px == pytest.approx(
+            np.sqrt(r2d @ r2d / kp_t.confidence.sum()), rel=1e-12)
+
+
+def test_fit_rejects_a_layout_that_fits_a_joint_below_a_fixed_one(toy):
+    # A finger list that names the spine keeps it fixed while the body joints
+    # below it are fitted, which the fold cannot represent.
+    ids = dict(toy.hand_joint_ids)
+    ids["left"] = ids["left"][:-1] + [3]
+    model = dataclasses.replace(toy, hand_joint_ids=ids)
+    init = WholeBodyParams.identity(model)
+    cam = WeakPerspectiveCamera(100.0, np.zeros(2))
+    with pytest.raises(InvalidJointError, match="fitted joint 6 has a parent"):
+        _ParamVector(model, init, cam, FitConfig())

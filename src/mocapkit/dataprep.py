@@ -54,13 +54,13 @@ class BlurKernel:
             raise DimensionError("kernel weights must be nonnegative and sum to 1")
 
 
-def rescale_keypoints(joints3d, reference_knuckle_length, knuckle=KNUCKLE_JOINTS):
+def rescale_keypoints(joints3d, reference_knuckle_length):
     """Uniformly scale hand joints about the wrist so the middle-finger knuckle
     bone matches the reference length."""
     joints3d = np.asarray(joints3d, dtype=np.float64)
     if joints3d.ndim != 2 or joints3d.shape[1] != 3:
         raise DimensionError("joints3d must be (K, 3)")
-    a, b = knuckle
+    a, b = KNUCKLE_JOINTS
     length = np.linalg.norm(joints3d[a] - joints3d[b])
     if length < 1e-9:
         raise DegenerateKeypointsError("knuckle joints are coincident")

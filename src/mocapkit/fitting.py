@@ -49,12 +49,18 @@ def check_keypoints(points, confidence):
         raise DimensionError("confidences must lie in [0, 1]")
 
 
+# The shape prior's weight relative to the unit weight of the 2D reprojection
+# terms.  The fit keeps beta fixed, so its rows add a constant to the cost.
+# They stay: without them, which trial steps round to no rise in cost
+# changes (a frame started at its optimum went from 0 to 7 rejected steps).
+SHAPE_PRIOR_WEIGHT = 1e-1
+
+
 @dataclass(frozen=True)
 class FitConfig:
     iterations: int = 20
-    # Prior weights relative to the unit weight of the 2D reprojection terms.
+    # The pose prior's weight relative to the unit weight of the 2D reprojection terms.
     weight_prior_pose: float = 1e-2
-    weight_prior_shape: float = 1e-1
     # Central-difference step for checking the exact Jacobian; `fit` itself
     # does not difference.
     fd_step = 1e-6
@@ -62,9 +68,8 @@ class FitConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise DimensionError("iterations must be >= 1")
-        for w in (self.weight_prior_pose, self.weight_prior_shape):
-            if w < 0:
-                raise DimensionError("weights must be nonnegative")
+        if self.weight_prior_pose < 0:
+            raise DimensionError("weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -263,7 +268,7 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     theta[:, packer.prior_rows - 2 * model.num_joints] = cols[:, packer.prior_cols]
     centre = base_theta if anchor is None else anchor.theta_w.ravel()
     rp = np.sqrt(config.weight_prior_pose) * (theta - centre)
-    rs = np.broadcast_to(np.sqrt(config.weight_prior_shape) * beta, (B, beta.shape[-1]))
+    rs = np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta, (B, beta.shape[-1]))
     r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
     return r[0] if x.ndim == 1 else r.T
 
@@ -495,16 +500,14 @@ def temporal_smooth(seq):
     seq = np.asarray(seq, dtype=np.float64)
     if seq.size == 0:
         raise DimensionError("cannot smooth an empty sequence")
-    squeeze = seq.ndim == 1
-    if squeeze:
-        seq = seq[:, None]
     T = seq.shape[0]
-    out = np.empty_like(seq)
+    flat = seq.reshape(T, -1)
+    out = np.empty_like(flat)
     half = SMOOTH_KERNEL.size // 2
     for t in range(T):
         lo = max(0, t - half)
         hi = min(T, t + half + 1)
         w = SMOOTH_KERNEL[lo - t + half:hi - t + half]
-        dev = seq[lo:hi] - seq[t]
-        out[t] = seq[t] + (w[:, None] * dev).sum(axis=0) / w.sum()
-    return out[:, 0] if squeeze else out
+        dev = flat[lo:hi] - flat[t]
+        out[t] = flat[t] + (w[:, None] * dev).sum(axis=0) / w.sum()
+    return out.reshape(seq.shape)

@@ -10,6 +10,9 @@ from .errors import DimensionError, MocapkitError, map_frames
 from .kinematics import gamma_global_to_local
 from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array, pose_joints
 
+# `hand_bbox_from_body` widens each hand box by this fraction of its extent.
+HAND_BOX_MARGIN = 0.2
+
 
 @dataclass(frozen=True)
 class PoseLayout:
@@ -195,8 +198,9 @@ def _fuse(model, layout, frames):
             for body, th in zip(bodies, theta)]
 
 
-def hand_bbox_from_body(model, params, cam, side, margin_ratio=0.2):
-    """Square 2D box around the projected hand joints of the posed body.
+def hand_bbox_from_body(model, params, cam, side):
+    """Square 2D box around the projected hand joints of the posed body,
+    widened by `HAND_BOX_MARGIN` of its extent.
 
     Returns (center_x, center_y, side_px); degenerate projections yield a
     1-px minimum box.
@@ -209,5 +213,5 @@ def hand_bbox_from_body(model, params, cam, side, margin_ratio=0.2):
     hi = pts.max(axis=0)
     center = (lo + hi) / 2.0
     extent = float((hi - lo).max())
-    side_px = max(extent * (1.0 + margin_ratio), 1.0)
+    side_px = max(extent * (1.0 + HAND_BOX_MARGIN), 1.0)
     return float(center[0]), float(center[1]), side_px

@@ -9,20 +9,13 @@ from .errors import DimensionError
 # 3D thresholds in mm and 2D thresholds in px used for benchmark-style AUC.
 RANGE_3D_MM = (20.0, 50.0)
 RANGE_2D_PX = (0.0, 30.0)
-DEFAULT_NUM_THRESHOLDS = 100
+NUM_THRESHOLDS = 100
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_theta: float = 10.0
-    lambda_3d: float = 100.0
-    lambda_2d: float = 10.0
-    lambda_reg: float = 0.1
-
-    def __post_init__(self):
-        for w in (self.lambda_theta, self.lambda_3d, self.lambda_2d, self.lambda_reg):
-            if not np.isfinite(w) or w < 0:
-                raise DimensionError("loss weights must be finite and nonnegative")
+# The weights of the four terms of `overall_loss`.
+LAMBDA_THETA = 10.0
+LAMBDA_3D = 100.0
+LAMBDA_2D = 10.0
+LAMBDA_REG = 0.1
 
 
 @dataclass(frozen=True)
@@ -62,11 +55,9 @@ def loss_3d(pred, gt):
     return _sq_diff(pred, gt)
 
 
-def loss_2d(pred, gt, squared=True):
-    """2D keypoint loss; squared by default, plain norm with squared=False."""
-    if squared:
-        return _sq_diff(pred, gt)
-    return float(np.sqrt(_sq_diff(pred, gt)))
+def loss_2d(pred, gt):
+    """Sum of squared 2D keypoint differences."""
+    return _sq_diff(pred, gt)
 
 
 def loss_reg(beta):
@@ -74,10 +65,8 @@ def loss_reg(beta):
     return float((beta * beta).sum())
 
 
-def overall_loss(l_theta, l_3d, l_2d, l_reg, weights=None):
-    w = weights or LossWeights()
-    return (w.lambda_theta * l_theta + w.lambda_3d * l_3d
-            + w.lambda_2d * l_2d + w.lambda_reg * l_reg)
+def overall_loss(l_theta, l_3d, l_2d, l_reg):
+    return LAMBDA_THETA * l_theta + LAMBDA_3D * l_3d + LAMBDA_2D * l_2d + LAMBDA_REG * l_reg
 
 
 def _joint_errors(pred, gt, alignment):
@@ -102,13 +91,13 @@ def pck(pred, gt, threshold, alignment="none"):
     return float((err < threshold).mean())
 
 
-def pck_curve(pred, gt, lo, hi, num=DEFAULT_NUM_THRESHOLDS, alignment="none"):
-    """PCK sampled at `num` evenly spaced thresholds over [lo, hi] inclusive.
+def pck_curve(pred, gt, lo, hi, alignment="none"):
+    """PCK sampled at `NUM_THRESHOLDS` evenly spaced thresholds over [lo, hi] inclusive.
 
     A zero lower bound is nudged to a tiny positive value so every threshold
     stays valid.
     """
-    thresholds = np.linspace(lo, hi, num)
+    thresholds = np.linspace(lo, hi, NUM_THRESHOLDS)
     if thresholds[0] <= 0:
         thresholds[0] = min(1e-12, hi / 1e6)
     err = _joint_errors(pred, gt, alignment)

@@ -211,8 +211,8 @@ class ShapeParams:
             raise DimensionError("beta must be a finite 1-D vector")
 
     @staticmethod
-    def zeros(b=10):
-        return ShapeParams(np.zeros(b))
+    def zeros(num_betas):
+        return ShapeParams(np.zeros(num_betas))
 
 
 @dataclass(frozen=True)
@@ -277,25 +277,21 @@ def pose_mesh(model, pose, beta=None, return_fk=False):
     return verts
 
 
-def pose_joints(model, pose, beta=None, return_fk=False):
+def pose_joints(model, pose, beta=None):
     """Posed joint locations (..., J_reg, 3) of the full regressor (skeleton + extra rows).
 
     Equal to ``joint_regressor @ pose_mesh(model, pose, beta)``, but sums
     the pair terms of `model.joint_fold` instead of skinning every vertex.
     `pose` may carry leading batch axes; `beta` is None, a ShapeParams, or an
-    array (..., B) broadcasting against them.  With `return_fk`, the FkResult
-    of the pose comes back too.
+    array (..., B) broadcasting against them.
     """
     check_pose(model, pose)
     fold = model.joint_fold
     verts = fold.vertices if beta is None else fold.shaped(beta_array(model, beta))
     fk = forward_kinematics(model.tree, model.rest_joints(beta), pose.global_orient,
                             pose.full_local_poses())
-    joints = np.add.reduceat(fold.terms(verts, fk.rotations, fk.translations),
-                             fold.bounds[:-1], axis=-2)
-    if return_fk:
-        return joints, fk
-    return joints
+    return np.add.reduceat(fold.terms(verts, fk.rotations, fk.translations),
+                           fold.bounds[:-1], axis=-2)
 
 
 def nearest_joint_assignment(vertices, joints):

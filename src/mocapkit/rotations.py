@@ -34,8 +34,6 @@ def canonicalize(aa):
     lead = _leading_component(axis)
     kept = ((norm >= 1e-12) & (norm <= np.pi + 4 * np.spacing(np.pi))
             & ~((np.abs(norm - np.pi) < 1e-12) & (lead < -1e-12)))
-    if kept.all():
-        return aa.copy()
     angle = np.fmod(norm, 2.0 * np.pi)
     over = angle > np.pi
     angle = np.where(over, 2.0 * np.pi - angle, angle)
@@ -95,14 +93,14 @@ def right_jacobian(aa):
             + c2[..., None, None] * (skew @ skew))
 
 
-def is_rotation(m, tol=ROTATION_INPUT_TOL):
+def is_rotation(m):
     """Whether `m` is (..., 3, 3) and each matrix in it is a finite rotation
-    within `tol` (orthonormality and determinant)."""
+    within `ROTATION_INPUT_TOL` (orthonormality and determinant)."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape[-2:] != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    return bool(np.all(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)) <= tol)
-                and np.all(np.abs(np.linalg.det(m) - 1.0) <= tol))
+    return bool(np.all(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)) <= ROTATION_INPUT_TOL)
+                and np.all(np.abs(np.linalg.det(m) - 1.0) <= ROTATION_INPUT_TOL))
 
 
 def rotation_to_axis_angle(r):

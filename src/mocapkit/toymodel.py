@@ -90,6 +90,8 @@ def _mirror_joint_map(names):
 
 def gen_toy_model(seed=0, size_class="small"):
     """Deterministic toy ParametricModel; identical seeds give identical assets."""
+    if seed < 0:
+        raise DimensionError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     if size_class not in SIZE_CLASSES:
         raise DimensionError(f"unknown size class {size_class!r}; choose from {sorted(SIZE_CLASSES)}")

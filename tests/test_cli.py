@@ -65,6 +65,14 @@ def test_gen_toy_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_gen_toy_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "toy.json"
+    assert main(["gen-toy", str(out), "--seed", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DimensionError", "message": "seed must be >= 0"}
+    assert not out.exists()
+
+
 def test_gen_toy_size_classes(tmp_path):
     small = tmp_path / "small.json"
     large = tmp_path / "large.json"
@@ -601,6 +609,8 @@ EVAL_FAULTS = {
     "frame_indices": ([(0, np.zeros((4, 3))), (2, np.zeros((4, 3)))],
                       [(0, np.zeros((4, 3))), (3, np.zeros((4, 3)))],
                       "pred and gt frame indices differ"),
+    "pred_joint_dims": ([(0, np.zeros((4, 4)))], [(0, np.zeros((4, 3)))],
+                        "pred frame 0: joints must be (K, 2) or (K, 3)"),
 }
 
 

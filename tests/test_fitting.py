@@ -56,8 +56,6 @@ def test_fit_config_validation():
         FitConfig(iterations=0)
     with pytest.raises(DimensionError):
         FitConfig(weight_prior_pose=-1.0)
-    with pytest.raises(DimensionError):
-        FitConfig(weight_prior_shape=-1.0)
 
 
 def split_residuals(model, params, cam, kp, anchor, config):
@@ -108,7 +106,8 @@ def test_prior_cost_formula(toy, rng):
     params = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), cam)
     kp = render_keypoints(toy, params, cam)
     _, prior = split_residuals(toy, params, cam, kp, anchor, config)
-    expected = config.weight_prior_pose * (theta ** 2).sum() + config.weight_prior_shape * (beta ** 2).sum()
+    expected = (config.weight_prior_pose * (theta ** 2).sum()
+                + fitting.SHAPE_PRIOR_WEIGHT * (beta ** 2).sum())
     assert prior @ prior == pytest.approx(expected, rel=1e-12)
 
 
@@ -356,6 +355,13 @@ def test_smooth_constant_1d_and_boundaries():
     np.testing.assert_array_equal(temporal_smooth(seq), seq)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (6, 5, 3)])
+def test_smooth_stack_equals_smoothing_its_flattening(rng, shape):
+    seq = rng.normal(size=shape)
+    flat = temporal_smooth(seq.reshape(shape[0], -1))
+    np.testing.assert_array_equal(temporal_smooth(seq), flat.reshape(shape))
+
+
 def test_smooth_is_linear(rng):
     a = rng.normal(size=(12, 3))
     b = rng.normal(size=(12, 3))
@@ -564,7 +570,7 @@ def full_residuals(model, params, anchor, kp, config):
     joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
     r2d = np.sqrt(kp.confidence)[:, None] * (project(params.cam_w, joints) - kp.points)
     rp = np.sqrt(config.weight_prior_pose) * (params.theta_w - anchor.theta_w)
-    rs = np.sqrt(config.weight_prior_shape) * params.beta_w.beta
+    rs = np.sqrt(fitting.SHAPE_PRIOR_WEIGHT) * params.beta_w.beta
     return np.concatenate([r2d.ravel(), rp.ravel(), rs])
 
 

@@ -163,9 +163,28 @@ def test_frame_indices_must_increase(rng):
     (formats.joints_from_doc, formats.JOINTS_FORMAT),
 ])
 def test_frame_records_must_be_objects(reader, fmt):
-    doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": [3]}
-    with pytest.raises(SchemaError, match="every frame record must be an object"):
-        reader(doc)
+    # The records must also come as a list, each with an integer index.
+    for frames, message in [([3], "every frame record must be an object"),
+                            ({"frame": 0}, "'frames' must be a list"),
+                            ([{"frame": 0.0}], "every frame record needs an integer 'frame' index")]:
+        doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": frames}
+        with pytest.raises(SchemaError, match=message):
+            reader(doc)
+
+
+def _params_record(**fields):
+    """The params record of frame 0 at zero pose, with `fields` replaced."""
+    params = WholeBodyParams(np.zeros(3), np.zeros((2, 3)), ShapeParams.zeros(1),
+                             WeakPerspectiveCamera.identity())
+    return {**formats.params_to_doc([(0, params, None)])["frames"][0], **fields}
+
+
+# Records past the one without fields that a reader refuses, each with the
+# message that follows its frame's prefix.
+UNREADABLE_RECORDS = {
+    formats.PARAMS_FORMAT: [(_params_record(phi=[0.0, 0.1]), "phi_w must be a 3-vector"),
+                            (_params_record(theta=[0.0, 0.0, 0.0]), r"theta_w must be \(J-1, 3\)")],
+}
 
 
 @pytest.mark.parametrize("reader, fmt", [
@@ -175,9 +194,10 @@ def test_frame_records_must_be_objects(reader, fmt):
     (formats.joints_from_doc, formats.JOINTS_FORMAT),
 ])
 def test_unreadable_frame_record_is_named(reader, fmt):
-    doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": [{"frame": 4}]}
-    with pytest.raises(SchemaError, match=r"^frame 4: "):
-        reader(doc)
+    for record, message in [({"frame": 4}, "")] + UNREADABLE_RECORDS.get(fmt, []):
+        doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": [record]}
+        with pytest.raises(SchemaError, match=rf"^frame {record['frame']}: {message}"):
+            reader(doc)
 
 
 def test_keypoints_round_trip(rng):

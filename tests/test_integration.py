@@ -146,7 +146,7 @@ def test_prediction_shape_validation(rng):
 def test_hand_bbox_covers_projected_hand_joints(toy):
     params = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(200.0, np.array([128.0, 128.0]))
-    cx, cy, side_px = hand_bbox_from_body(toy, params, cam, "left", margin_ratio=0.2)
+    cx, cy, side_px = hand_bbox_from_body(toy, params, cam, "left")
     joints = pose_joints(toy, params.pose(), params.beta_w)[: toy.num_joints]
     pts = project(cam, joints[np.asarray(toy.hand_joint_ids["left"])])
     lo, hi = pts.min(axis=0), pts.max(axis=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mocapkit.errors import DimensionError
-from mocapkit.metrics import (RANGE_2D_PX, RANGE_3D_MM, LossWeights, PckCurve,
+from mocapkit.metrics import (RANGE_2D_PX, RANGE_3D_MM, PckCurve,
                               _joint_errors, auc, loss_2d, loss_3d, loss_reg, loss_theta,
                               overall_loss, pck, pck_curve)
 
@@ -125,11 +125,10 @@ def test_difference_losses_vanish_iff_equal(rng):
         assert loss(a, b) > 0.0
 
 
-def test_loss_2d_norm_variant():
+def test_loss_2d_is_squared():
     a = np.zeros((1, 2))
     b = np.array([[3.0, 4.0]])
     assert loss_2d(a, b) == 25.0
-    assert loss_2d(a, b, squared=False) == 5.0
 
 
 def test_loss_reg():
@@ -141,11 +140,12 @@ def test_overall_loss_unit_parts():
     assert overall_loss(1.0, 1.0, 1.0, 1.0) == 120.1
 
 
-def test_overall_loss_custom_weights():
-    w = LossWeights(1.0, 2.0, 3.0, 4.0)
-    assert overall_loss(1.0, 1.0, 1.0, 1.0, w) == 10.0
-    with pytest.raises(DimensionError):
-        LossWeights(lambda_theta=-1.0)
+def test_overall_loss_per_term():
+    # lambda_theta, lambda_3d, lambda_2d and lambda_reg, each on its own term.
+    assert overall_loss(2.0, 0.0, 0.0, 0.0) == 20.0
+    assert overall_loss(0.0, 2.0, 0.0, 0.0) == 200.0
+    assert overall_loss(0.0, 0.0, 2.0, 0.0) == 20.0
+    assert overall_loss(0.0, 0.0, 0.0, 2.0) == 0.2
 
 
 def test_loss_shape_mismatch(rng):

@@ -165,8 +165,8 @@ def cmd_eval(args):
 
 
 def _check_prep_config(config):
-    """Raise a SchemaError naming the first field of the prep config that is
-    not null and not what `cmd_prep` needs."""
+    """The `JointMap` of the prep config's `reorder`, or None.  Raise a SchemaError
+    naming the first field that is not null and not what `cmd_prep` needs."""
     if not isinstance(config, dict):
         raise SchemaError("prep config root must be an object")
     unknown = set(config) - {"reorder", "rescale_reference", "flip_width"}
@@ -174,34 +174,31 @@ def _check_prep_config(config):
         raise SchemaError(f"unknown prep config fields: {sorted(unknown)}")
     reorder = config.get("reorder")
     if reorder is not None and not (isinstance(reorder, list)
-                                    and all(type(j) is int and j >= -1 for j in reorder)
-                                    and any(j >= 0 for j in reorder)):
-        raise SchemaError("prep config 'reorder' must be a list of integers >= -1 keeping a joint")
-    # The n kept joints fill the targets 0, ..., n - 1, one each.
-    kept = sorted(j for j in reorder or [] if j >= 0)
-    if kept != list(range(len(kept))):
-        raise SchemaError("prep config 'reorder' must send the kept joints to 0, 1, ... each once")
+                                    and all(type(j) is int for j in reorder)):
+        raise SchemaError("prep config 'reorder' must be a list of integers")
+    try:
+        joint_map = None if reorder is None else dataprep.JointMap(reorder)
+    except DimensionError as e:
+        raise SchemaError(f"prep config 'reorder': {e}") from e
     for name in ("rescale_reference", "flip_width"):
         value = config.get(name)
         if value is not None and not (type(value) in (int, float) and 0 < value < float("inf")):
             raise SchemaError(f"prep config {name!r} must be a finite number > 0")
+    return joint_map
 
 
 def cmd_prep(args):
     config = formats.read_json(args.config)
-    _check_prep_config(config)
+    joint_map = _check_prep_config(config)
     frames = formats.keypoints_from_doc(formats.read_json(args.keypoints))
-    joint_map = None
-    if config.get("reorder") is not None:
-        joint_map = dataprep.JointMap(np.asarray(config["reorder"], dtype=np.int64))
 
     def prep(frame):
         i, pts, conf = frame
-        check_keypoints(pts, np.ones(len(pts)) if conf is None else conf)
+        weights = np.ones(len(pts)) if conf is None else conf
+        check_keypoints(pts, weights)
         if joint_map is not None:
             pts = dataprep.reorder_joints(pts, joint_map)
-            if conf is not None:
-                conf = dataprep.reorder_joints(conf, joint_map)
+            weights = dataprep.reorder_joints(weights, joint_map)
         if config.get("rescale_reference") is not None:
             if pts.shape[1] != 3:
                 raise SchemaError("rescaling requires 3D keypoints")
@@ -209,10 +206,8 @@ def cmd_prep(args):
         if config.get("flip_width") is not None:
             if pts.shape[1] != 2:
                 raise SchemaError("flipping requires 2D keypoints")
-            pts, conf = dataprep.flip_keypoints_2d(
-                pts, conf if conf is not None else np.ones(pts.shape[0]),
-                float(config["flip_width"]))
-        return i, pts, conf
+            pts, weights = dataprep.flip_keypoints_2d(pts, weights, float(config["flip_width"]))
+        return i, pts, None if conf is None else weights
 
     with _naming_frames([i for i, _, _ in frames]):
         out = map_frames(prep, frames)

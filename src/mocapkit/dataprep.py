@@ -13,30 +13,28 @@ KNUCKLE_JOINTS = (4, 5)
 
 @dataclass(frozen=True)
 class JointMap:
-    """Target index per source joint; -1 drops a source joint."""
+    """Target index per source joint, -1 to drop it; the n kept joints fill 0, ..., n - 1."""
 
     permutation: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.permutation, dtype=np.int64)
-        object.__setattr__(self, "permutation", p)
-        kept = p[p >= 0]
-        if kept.size != np.unique(kept).size:
-            raise DimensionError("joint map must be injective on kept joints")
+        p = np.asarray(self.permutation)
+        if not (p.ndim == 1 and np.issubdtype(p.dtype, np.integer)
+                and (p >= -1).all() and (p >= 0).any()):
+            raise DimensionError("joint map must be integers >= -1 keeping a joint")
+        object.__setattr__(self, "permutation", p.astype(np.int64))
+        kept = np.sort(p[p >= 0])
+        if not np.array_equal(kept, np.arange(kept.size)):
+            raise DimensionError("joint map must send the kept joints to 0, 1, ... each once")
 
     @property
     def num_targets(self):
-        kept = self.permutation[self.permutation >= 0]
-        return 0 if kept.size == 0 else int(kept.max()) + 1
+        return int(np.count_nonzero(self.permutation >= 0))
 
     def inverse(self):
-        inv = -np.ones(len(self.permutation), dtype=np.int64)
-        for src, dst in enumerate(self.permutation):
-            if dst >= 0:
-                inv[dst] = src
-        if np.any(inv < 0):
+        if np.any(self.permutation < 0):
             raise DimensionError("joint map with dropped joints has no inverse")
-        return JointMap(inv)
+        return JointMap(np.argsort(self.permutation))
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,9 @@ def rescale_keypoints(joints3d, reference_knuckle_length):
     if joints3d.ndim != 2 or joints3d.shape[1] != 3:
         raise DimensionError("joints3d must be (K, 3)")
     a, b = KNUCKLE_JOINTS
+    if len(joints3d) <= max(a, b):
+        raise DimensionError(f"rescaling needs knuckle joints {a} and {b}; "
+                             f"got {len(joints3d)} joints")
     length = np.linalg.norm(joints3d[a] - joints3d[b])
     if length < 1e-9:
         raise DegenerateKeypointsError("knuckle joints are coincident")
@@ -75,15 +76,9 @@ def reorder_joints(joints, joint_map):
     perm = joint_map.permutation
     if joints.shape[0] != perm.shape[0]:
         raise DimensionError("joint map does not cover the input joints")
-    n_out = joint_map.num_targets
-    out = np.empty((n_out,) + joints.shape[1:], dtype=joints.dtype)
-    filled = np.zeros(n_out, dtype=bool)
-    for src, dst in enumerate(perm):
-        if dst >= 0:
-            out[dst] = joints[src]
-            filled[dst] = True
-    if not filled.all():
-        raise DimensionError("joint map leaves target joints unassigned")
+    kept = perm >= 0
+    out = np.empty((joint_map.num_targets,) + joints.shape[1:], dtype=joints.dtype)
+    out[perm[kept]] = joints[kept]
     return out
 
 
@@ -105,8 +100,7 @@ def flip_axis_angle(aa):
 
 def flip_hand_params(phi_h, theta_h):
     """Mirror a hand's global orientation and finger poses to the other side."""
-    theta_h = np.asarray(theta_h, dtype=np.float64)
-    return flip_axis_angle(phi_h), theta_h * np.array([1.0, -1.0, -1.0])
+    return flip_axis_angle(phi_h), flip_axis_angle(theta_h)
 
 
 def motion_blur_kernel(length, angle):

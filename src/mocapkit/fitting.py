@@ -117,27 +117,27 @@ def _fold_bones(model, fitted):
     # The skeleton pairs; the regressor rows past them reach no residual.
     P = full.bounds[K]
     # The deepest fitted ancestor of a bone is the one with the largest index.
-    bone = np.argmax(full.subtree[full.pair_bone[:P]][:, fitted] * np.arange(1, F + 1), axis=1)
+    below = _kernels.ancestor_matrix(model.tree.parents)[full.pair_bone[:P]]
+    bone = np.argmax(below[:, fitted] * np.arange(1, F + 1), axis=1)
     keys, pair = np.unique(full.pair_joint[:P] * F + bone, return_inverse=True)
     merge = (pair == np.arange(keys.size)[:, None]).astype(np.float64)
     k, bone = keys // F, keys % F
     fold = JointFold(weights=np.eye(F)[bone], vertices=None, vertex_basis=None,
                      pair_joint=k, pair_bone=bone, pair_blend=merge @ full.pair_blend[:P],
-                     bounds=np.searchsorted(k, np.arange(K + 1)),
-                     subtree=_kernels.ancestor_matrix(parents))
+                     bounds=np.searchsorted(k, np.arange(K + 1)))
     return parents, fold, merge
 
 
-def _pair_blocks(fold, n):
+def _pair_blocks(fold, parents, n):
     """The pairs of a fold that `_jacobian` reads, grouped once per fit, as
     ``(joint, bone, sums, depth, at)``.  Block b of the (joint k, bone a)
     blocks that can be nonzero is joint ``joint[b]`` and bone ``bone[b]``;
     row b of the 0/1 matrix `sums` picks the pairs of k whose bone lies at
-    or below a, and ``depth[b]`` is the sum of their C_kj.  In a (2K, n)
-    Jacobian of n packed columns, the x and y rows of k in the three
-    columns of a are at the flat positions ``at[6 b:6 b + 6]``.
+    or below a in the fold's tree `parents`, and ``depth[b]`` is the sum of
+    their C_kj.  In a (2K, n) Jacobian of n packed columns, the x and y rows
+    of k in the three columns of a are at the flat positions ``at[6 b:6 b + 6]``.
     """
-    below = fold.subtree[fold.pair_bone]
+    below = _kernels.ancestor_matrix(parents)[fold.pair_bone]
     own = fold.pair_joint[:, None] == np.arange(fold.bounds.size - 1)
     k, a = np.nonzero(own.T.astype(np.float64) @ below)
     sums = own[:, k].T * below[:, a].T
@@ -175,7 +175,7 @@ class _ParamVector:
         phi, theta, _, scale, trans = WholeBodyParams.split(mask, self.num_betas)
         phi[:] = theta[:, rows] = scale[:] = trans[:] = True
         self.free = np.flatnonzero(mask)
-        self.blocks = _pair_blocks(self.fold, self.free.size)
+        self.blocks = _pair_blocks(self.fold, self.parents, self.free.size)
         # The prior rows follow the 2K reprojection rows, one per entry of theta.
         self.prior_rows = 2 * model.num_joints + (3 * rows[:, None] + np.arange(3)).ravel()
         self.prior_cols = 3 + np.arange(3 * rows.size)
@@ -239,13 +239,13 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     The columns pose only `packer.posed`, the model folded onto its fitted
     joints: Rodrigues on the packed axis-angles, FK over the fitted joints
     and the folded pair terms, which sum to the joints of `pose_joints` at
-    the full parameters.  The prior pulls the pose toward `anchor`, or
-    toward the pose of `packer.base` when `anchor` is None.  `packer.base`
-    and `kp` hold one frame, shared by every column, or one frame per column
+    the full parameters.  The prior, weighted by `packer.prior_weight`
+    (`config` is not read), pulls the pose toward `anchor`, or toward the
+    pose of `packer.base` when `anchor` is None.  `packer.base` and `kp`
+    hold one frame, shared by every column, or one frame per column
     (leading axis B).  If `keep_fk` is a list, the columns' rotations and
     translations of the fitted joints and their pair terms (leading axis B)
-    are appended to it as one tuple, so that `_jacobian` need not pose them
-    again.
+    are appended to it as one tuple, so `_jacobian` need not pose them again.
     """
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1).T
@@ -267,7 +267,7 @@ def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
     theta = np.broadcast_to(base_theta, (B, base_theta.shape[-1])).copy()
     theta[:, packer.prior_rows - 2 * model.num_joints] = cols[:, packer.prior_cols]
     centre = base_theta if anchor is None else anchor.theta_w.ravel()
-    rp = np.sqrt(config.weight_prior_pose) * (theta - centre)
+    rp = packer.prior_weight * (theta - centre)
     rs = np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta, (B, beta.shape[-1]))
     r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
     return r[0] if x.ndim == 1 else r.T

@@ -88,6 +88,15 @@ def _from_triplets(triplets, shape):
     return m
 
 
+def _indices(values, name):
+    """`values`, nested lists of integers, as an int64 array; a cast would truncate a fraction."""
+    arr = np.asarray(values, dtype=object)
+    bad = [v for v in arr.ravel() if type(v) is not int]
+    if bad:
+        raise ValueError(f"{name} entry {bad[0]!r} is not an integer")
+    return arr.astype(np.int64)
+
+
 def _floats(arr):
     return np.asarray(arr, dtype=np.float64).tolist()
 
@@ -131,20 +140,20 @@ def model_from_doc(doc):
     try:
         if doc.get("pose_correctives") is not None:
             raise SchemaError("pose_correctives are reserved and must be null")
-        tree = SkeletonTree(np.asarray(doc["parents"]), tuple(doc["joint_names"]))
-        vertices = np.asarray(doc["vertices"], dtype=np.float64)
-        n = vertices.shape[0]
+        tree = SkeletonTree(_indices(doc["parents"], "parents"), tuple(doc["joint_names"]))
         sw = doc["skin_weights"]
         jr = doc["joint_regressor"]
         return ParametricModel(
-            template_vertices=vertices,
-            faces=np.asarray(doc["faces"], dtype=np.int64).reshape(-1, 3),
-            shape_basis=np.asarray(doc["shape_basis"], dtype=np.float64),
+            template_vertices=doc["vertices"],
+            faces=_indices(doc["faces"], "faces").reshape(-1, 3),
+            shape_basis=doc["shape_basis"],
             skin_weights=_from_triplets(sw["triplets"], tuple(sw["shape"])),
             joint_regressor=_from_triplets(jr["triplets"], tuple(jr["shape"])),
             tree=tree,
-            fingertip_vertex_ids={s: list(v) for s, v in doc["fingertip_vertex_ids"].items()},
-            hand_joint_ids={s: list(v) for s, v in doc["hand_joint_ids"].items()},
+            fingertip_vertex_ids={s: _indices(v, f"fingertip_vertex_ids[{s}]").tolist()
+                                  for s, v in doc["fingertip_vertex_ids"].items()},
+            hand_joint_ids={s: _indices(v, f"hand_joint_ids[{s}]").tolist()
+                            for s, v in doc["hand_joint_ids"].items()},
             reference_knuckle_length=float(doc["reference_knuckle_length"]),
         )
     except SchemaError:

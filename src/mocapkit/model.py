@@ -57,6 +57,10 @@ class ParametricModel:
             raise DimensionError("skin_weights must be (N, J)")
         if self.joint_regressor.shape[0] < j or self.joint_regressor.shape[1] != n:
             raise DimensionError("joint_regressor must be (J_reg >= J, N)")
+        # A NaN passes every comparison below; it must not reach a posed joint.
+        for name in ("template_vertices", "shape_basis", "skin_weights", "joint_regressor"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DimensionError(f"{name} must be finite")
         if np.any(self.skin_weights < -1e-12):
             raise DimensionError("skin_weights must be nonnegative")
         if np.abs(self.skin_weights.sum(axis=1) - 1.0).max() > 1e-6:
@@ -120,7 +124,7 @@ class JointFold:
     algebra, not an approximation.  The fit rebinds the skeleton pairs to
     the joints it fits (`fitting._fold_bones`); that fold has one set of
     virtual vertices per frame and no shape basis, and the fit's exact
-    Jacobian sums its terms over the pairs below each joint (`subtree`).
+    Jacobian sums its terms over the pairs below each joint.
     """
 
     weights: np.ndarray         # (P, J) one-hot bone of each pair
@@ -130,8 +134,6 @@ class JointFold:
     pair_bone: np.ndarray       # (P,) bone j of each pair, ascending within a row
     pair_blend: np.ndarray      # (P,) C_kj of each pair
     bounds: np.ndarray          # (J_reg + 1,) the pairs of row k are bounds[k]:bounds[k + 1]
-    subtree: np.ndarray         # (J, J) 0/1; [j, a] = 1 when j is a or lies below a;
-                                # `_kernels.ancestor_matrix`, shared and read-only
 
     @staticmethod
     def of(model):
@@ -147,7 +149,6 @@ class JointFold:
             pair_blend=(reg @ W)[k, j],
             # Every row has pairs, as its regressor and skinning rows sum to 1.
             bounds=np.searchsorted(k, np.arange(reg.shape[0] + 1)),
-            subtree=_kernels.ancestor_matrix(model.tree.parents),
         )
 
     def shaped(self, beta):

@@ -218,6 +218,32 @@ def test_integrate_checks_every_frame_before_writing(asset, tmp_path, capsys, rn
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["integrate", "fit"])
+def test_a_model_without_both_hands_exits_2(asset, tmp_path, capsys, command):
+    model = formats.load_model(asset)
+    doc = formats.read_json(asset)
+    del doc["hand_joint_ids"]["right"]
+    one_hand = tmp_path / "one_hand.json"
+    formats.write_json(one_hand, doc)
+    params = WholeBodyParams.identity(model)
+    if command == "integrate":
+        body = BodyPrediction(np.zeros(3), np.zeros((21, 3)), ShapeParams.zeros(10),
+                              WeakPerspectiveCamera.identity())
+        inputs = [tmp_path / "pred.json"]
+        formats.write_json(inputs[0], formats.predictions_to_doc([(3, body, None, None)]))
+    else:
+        pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+        inputs = [params_file(tmp_path, model, "init.json", [(3, params, None)]), tmp_path / "kp.json"]
+        formats.write_json(inputs[1], formats.keypoints_to_doc([(3, pts, None)]))
+    out = tmp_path / "out.json"
+    assert main([command, str(one_hand)] + [str(p) for p in inputs] + [str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    # The error is about the model, not a frame, so it names none.
+    assert err == {"type": "DimensionError",
+                   "message": "model must declare hand_joint_ids for both sides"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pose", "integrate"])
 def test_empty_input_writes_an_empty_document(asset, tmp_path, command):
     if command == "pose":
@@ -316,6 +342,18 @@ def test_prep_reorder_and_flip(asset, tmp_path, rng):
     np.testing.assert_array_equal(conf, np.ones(3))
 
 
+@pytest.mark.parametrize("config", [{"flip_width": 100.0}, {"reorder": [2, 0, 1]},
+                                    {"reorder": [2, 0, 1], "flip_width": 100.0}])
+def test_prep_keeps_a_null_confidence_null(tmp_path, rng, config):
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc([(0, rng.uniform(0, 100, size=(3, 2)), None)]))
+    config_path = tmp_path / "config.json"
+    formats.write_json(config_path, config)
+    out = tmp_path / "out.json"
+    assert main(["prep", str(kp_path), str(config_path), str(out)]) == 0
+    assert formats.read_json(out)["frames"][0]["confidence"] is None
+
+
 def test_prep_rescale_3d(tmp_path, rng):
     pts = rng.normal(size=(21, 3))
     kp_path = tmp_path / "kp.json"
@@ -362,6 +400,18 @@ MODEL_FAULTS = {
                       "hand_joint_ids[left] out of range"),
     "fingertip_vertex_id": (["fingertip_vertex_ids", "right", 4], lambda i: -1,
                             "fingertip_vertex_ids[right] out of range"),
+    # A NaN passes the row-sum and sign checks, and a cast truncates a fraction.
+    "regressor_nan": (["joint_regressor", "triplets", 0, 2], lambda w: float("nan"),
+                      "joint_regressor must be finite"),
+    "shape_basis_inf": (["shape_basis", 3, 1, 0], lambda b: float("inf"),
+                        "shape_basis must be finite"),
+    "vertex_nan": (["vertices", 2, 0], lambda x: float("nan"), "template_vertices must be finite"),
+    "parent_fraction": (["parents", 5], lambda p: 1.5, "parents entry 1.5 is not an integer"),
+    "face_fraction": (["faces", 0, 0], lambda i: 0.5, "faces entry 0.5 is not an integer"),
+    "hand_joint_id_fraction": (["hand_joint_ids", "left", 0], lambda i: 20.5,
+                               "hand_joint_ids[left] entry 20.5 is not an integer"),
+    "fingertip_vertex_id_fraction": (["fingertip_vertex_ids", "right", 4], lambda i: 3.5,
+                                     "fingertip_vertex_ids[right] entry 3.5 is not an integer"),
 }
 
 
@@ -498,6 +548,9 @@ PREP_FAULTS = {
                     ("DimensionError", "joint map does not cover the input joints")),
     "knuckle": ({"rescale_reference": 0.03}, 3, np.arange(18.0).reshape(6, 3) % 3,
                 ("DegenerateKeypointsError", "knuckle joints are coincident")),
+    "rescale_without_knuckle": ({"rescale_reference": 0.03}, 3, np.ones((3, 3)),
+                                ("DimensionError", "rescaling needs knuckle joints 4 and 5; "
+                                                   "got 3 joints")),
     # the same checks and messages as `fit`; the bad frame may carry confidences
     "nan_point": ({"flip_width": 100.0}, 2, _with_nan(np.ones((6, 2)), (3, 1)),
                   ("DimensionError", "joint 3: keypoint or confidence is not finite")),
@@ -537,6 +590,7 @@ BAD_PREP_CONFIGS = {
     "reorder_floats": ({"reorder": [1.7, 0]}, 2, "prep config 'reorder'"),
     "reorder_bools": ({"reorder": [True, False]}, 2, "prep config 'reorder'"),
     "reorder_below_minus_one": ({"reorder": [-2, 0]}, 2, "prep config 'reorder'"),
+    "reorder_beyond_int64": ({"reorder": [2 ** 70, 0]}, 2, "prep config 'reorder'"),
     # a map that keeps no joint would write points that no reader accepts
     "reorder_keeps_no_joint": ({"reorder": [-1, -1]}, 2, "prep config 'reorder'"),
     "reorder_empty": ({"reorder": []}, 2, "prep config 'reorder'"),

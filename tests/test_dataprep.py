@@ -65,6 +65,11 @@ def test_joint_map_validation():
         reorder_joints(np.zeros((3, 2)), JointMap(np.array([0, 2, -1])))  # gap at 1
     with pytest.raises(DimensionError):
         reorder_joints(np.zeros((2, 2)), JointMap(np.array([0, 1, 2])))
+    # Integers >= -1 keeping a joint, whose kept targets are 0, ..., n - 1.
+    for perm in ([], [-1, -1], [0, -2], [0.0, 1.0], [True, False], [[0, 1]], [1, 2]):
+        with pytest.raises(DimensionError, match="^joint map must"):
+            JointMap(perm)
+    assert JointMap([-1, 1, -1, 0]).num_targets == 2
 
 
 def test_flip_2d_involution(rng):
@@ -77,6 +82,9 @@ def test_flip_2d_involution(rng):
     np.testing.assert_array_equal(twice_c, conf)
     np.testing.assert_array_equal(once_p[:, 1], pts[:, 1])
     np.testing.assert_array_equal(once_p[:, 0], 640.0 - pts[:, 0])
+    for width in (0.0, -640.0):
+        with pytest.raises(DimensionError, match="image width must be positive"):
+            flip_keypoints_2d(pts, conf, width)
 
 
 def test_flip_axis_angle_involution(rng):

@@ -183,7 +183,8 @@ def _params_record(**fields):
 # message that follows its frame's prefix.
 UNREADABLE_RECORDS = {
     formats.PARAMS_FORMAT: [(_params_record(phi=[0.0, 0.1]), "phi_w must be a 3-vector"),
-                            (_params_record(theta=[0.0, 0.0, 0.0]), r"theta_w must be \(J-1, 3\)")],
+                            (_params_record(theta=[0.0, 0.0, 0.0]), r"theta_w must be \(J-1, 3\)"),
+                            (_params_record(beta=[float("nan")]), "beta must be a finite 1-D vector")],
 }
 
 
@@ -254,6 +255,8 @@ def test_asset_dir_resolution(toy, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path / "..")
     loaded = formats.load_model("toy.json")
     assert loaded.num_vertices == toy.num_vertices
+    # A file missing from both places keeps its own path, for open() to report.
+    assert formats.resolve_asset_path("other.json") == "other.json"
 
 
 def _write_obj_rows(path, vertices, faces):

@@ -78,6 +78,9 @@ def test_length_mismatch():
         forward_kinematics(tree, np.zeros((3, 3)), np.zeros(3), np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         forward_kinematics(tree, np.zeros((2, 3)), np.zeros(3), np.zeros((3, 3)))
+    for orient in (np.zeros(2), np.zeros((4, 3))):
+        with pytest.raises(DimensionError, match="global_orient must be"):
+            forward_kinematics(tree, np.zeros((2, 3)), orient, np.zeros((2, 3)))
 
 
 def test_gamma_identity_ancestors():

@@ -52,6 +52,17 @@ def test_shape_template_bad_beta(toy):
         shape_template(toy, np.zeros(7))
 
 
+@pytest.mark.parametrize("orient, poses, message", [
+    (np.zeros(2), np.zeros((51, 3)), "global_orient must be a 3-vector"),
+    (np.zeros(3), np.zeros((51, 2)), r"joint_poses must be \(J-1, 3\)"),
+    (np.zeros(3), np.zeros(3), r"joint_poses must be \(J-1, 3\)"),
+    (np.zeros((4, 3)), np.zeros((51, 3)), "global_orient and joint_poses have different batch axes"),
+])
+def test_pose_params_shape_checks(orient, poses, message):
+    with pytest.raises(DimensionError, match=message):
+        PoseParams(orient, poses)
+
+
 def test_regress_joints_origin():
     reg = np.full((2, 4), 0.25)
     np.testing.assert_array_equal(regress_joints(reg, np.zeros((4, 3))), np.zeros((2, 3)))

@@ -295,3 +295,5 @@ def test_is_rotation_tolerance():
     assert is_rotation(stack)
     stack[2, 0, 1] = 1e-5
     assert not is_rotation(stack)
+    for m in (np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf]), np.eye(2), np.eye(4)):
+        assert not is_rotation(m)

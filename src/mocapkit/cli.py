@@ -53,6 +53,7 @@ def cmd_pose(args):
     with _naming_frames([i for i, _, _ in frames]):
         map_frames(check, frames)
     root, ext = os.path.splitext(args.obj or "")
+    face_lines = formats.obj_face_lines(model.faces) if args.obj else None
     joints_out = []
     for first in range(0, len(frames), FRAME_GROUP):
         group = frames[first:first + FRAME_GROUP]
@@ -65,7 +66,7 @@ def cmd_pose(args):
             joints_out.append((i, j))
             if args.obj:
                 path = args.obj if len(frames) == 1 else f"{root}_{i:06d}{ext}"
-                formats.write_obj(path, v, model.faces)
+                formats.write_obj(path, v, face_lines)
     formats.write_json(args.joints_out, formats.joints_to_doc(joints_out))
     print(f"posed {len(frames)} frame(s) -> {args.joints_out}")
     return 0

@@ -27,7 +27,61 @@ JOINTS_FORMAT = "mocapkit-joints"
 
 
 def canonical_dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\\n"``,
+    byte for byte.
+
+    With `indent` set, `json` lays the text out with its pure-Python encoder.
+    Here Python walks only the dicts and the lists that hold containers, and
+    each run of scalars (a flat list, or a list of non-empty flat lists) is
+    one call of the C encoder, with the indentation in its item separator.
+    """
+    return _dumps(doc, "\n") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalars(items):
+    """Whether no item of `items` is a dict, list or tuple."""
+    return not any(issubclass(k, _CONTAINERS) for k in set(map(type, items)))
+
+
+def _dumps(value, newline):
+    """`value` as `canonical_dumps` lays it out after the line break and
+    indentation `newline`, which also comes before its closing bracket."""
+    inner = newline + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        # One call lays out every key and scalar value.  The encoder escapes
+        # line breaks in strings, so a raw one is its item separator.
+        entries = json.dumps({k: None if isinstance(v, _CONTAINERS) else v for k, v in items},
+                             separators=("\n", ": "))[1:-1].split("\n")
+        body = ("," + inner).join(e[:-len("null")] + _dumps(v, inner)
+                                  if isinstance(v, _CONTAINERS) else e
+                                  for e, (_, v) in zip(entries, items))
+        return f"{{{inner}{body}{newline}}}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    if _scalars(value):
+        text = json.dumps(value, separators=("," + inner, ": "))
+        return f"[{inner}{text[1:-1]}{newline}]"
+    # A first row that holds containers would only waste the encoder's call.
+    if all(issubclass(k, (list, tuple)) for k in set(map(type, value))) and _scalars(value[0]):
+        # Every row opens with its own "[", so one per row leaves none for a
+        # nested list or a string; with no "[]" no row is empty, and with no
+        # "{" none holds a dict.  Strings hold no raw line break, so the row
+        # separator below is found between rows alone.
+        deeper = inner + " "
+        text = json.dumps(value, separators=("," + deeper, ": "))
+        if "{" not in text and "[]" not in text and text.count("[") == len(value) + 1:
+            rows = text[2:-2].replace(f"],{deeper}[", f"{inner}],{inner}[{deeper}")
+            return f"[{inner}[{deeper}{rows}{inner}]{newline}]"
+    body = ("," + inner).join(_dumps(v, inner) for v in value)
+    return f"[{inner}{body}{newline}]"
 
 
 def write_json(path, doc):
@@ -94,7 +148,17 @@ def _indices(values, name):
     bad = [v for v in arr.ravel() if type(v) is not int]
     if bad:
         raise ValueError(f"{name} entry {bad[0]!r} is not an integer")
-    return arr.astype(np.int64)
+    try:
+        return arr.astype(np.int64)
+    except OverflowError as e:
+        raise ValueError(f"{name} has an entry beyond int64") from e
+
+
+def _index_lists(doc, name):
+    """The object `doc[name]` of integer lists, each as a list of ints."""
+    if not isinstance(doc[name], dict):
+        raise ValueError(f"{name} must be an object")
+    return {s: _indices(v, f"{name}[{s}]").tolist() for s, v in doc[name].items()}
 
 
 def _floats(arr):
@@ -150,10 +214,8 @@ def model_from_doc(doc):
             skin_weights=_from_triplets(sw["triplets"], tuple(sw["shape"])),
             joint_regressor=_from_triplets(jr["triplets"], tuple(jr["shape"])),
             tree=tree,
-            fingertip_vertex_ids={s: _indices(v, f"fingertip_vertex_ids[{s}]").tolist()
-                                  for s, v in doc["fingertip_vertex_ids"].items()},
-            hand_joint_ids={s: _indices(v, f"hand_joint_ids[{s}]").tolist()
-                            for s, v in doc["hand_joint_ids"].items()},
+            fingertip_vertex_ids=_index_lists(doc, "fingertip_vertex_ids"),
+            hand_joint_ids=_index_lists(doc, "hand_joint_ids"),
             reference_knuckle_length=float(doc["reference_knuckle_length"]),
         )
     except SchemaError:
@@ -339,12 +401,15 @@ def joints_from_doc(doc):
 # ---------------------------------------------------------------------------
 # OBJ export
 
-def write_obj(path, vertices, faces):
-    """Write `v x y z` lines (shortest round-trip floats) and 1-based `f a b c`
-    lines, in one write."""
-    v = np.asarray(vertices, dtype=np.float64)
+def obj_face_lines(faces):
+    """The 1-based `f a b c` lines of the (F, 3) vertex indices `faces`."""
     f = np.asarray(faces, dtype=np.int64) + 1
-    text = (("v %r %r %r\n" * len(v)) % tuple(v.ravel().tolist())
-            + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
+    return ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist())
+
+
+def write_obj(path, vertices, face_lines):
+    """Write `v x y z` lines (shortest round-trip floats), then `face_lines`
+    from `obj_face_lines`, in one write."""
+    v = np.asarray(vertices, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as out:
-        out.write(text)
+        out.write(("v %r %r %r\n" * len(v)) % tuple(v.ravel().tolist()) + face_lines)

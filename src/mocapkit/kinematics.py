@@ -19,9 +19,9 @@ class SkeletonTree:
         parents = np.asarray(self.parents, dtype=np.int64)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "joint_names", tuple(self.joint_names))
+        if parents.ndim != 1 or parents.shape[0] == 0:
+            raise DimensionError("parents must be a list of at least one joint")
         n = parents.shape[0]
-        if n == 0:
-            raise DimensionError("skeleton must have at least one joint")
         if len(self.joint_names) != n:
             raise DimensionError("joint_names length must match parents length")
         if parents[0] != -1:

@@ -47,10 +47,10 @@ class ParametricModel:
         self.validate()
 
     def validate(self):
-        n = self.template_vertices.shape[0]
-        j = self.tree.num_joints
         if self.template_vertices.ndim != 2 or self.template_vertices.shape[1] != 3:
             raise DimensionError("template_vertices must be (N, 3)")
+        n = self.template_vertices.shape[0]
+        j = self.tree.num_joints
         if self.shape_basis.shape[:2] != (n, 3):
             raise DimensionError("shape_basis must be (N, 3, B)")
         if self.skin_weights.shape != (n, j):

@@ -412,6 +412,11 @@ MODEL_FAULTS = {
                                "hand_joint_ids[left] entry 20.5 is not an integer"),
     "fingertip_vertex_id_fraction": (["fingertip_vertex_ids", "right", 4], lambda i: 3.5,
                                      "fingertip_vertex_ids[right] entry 3.5 is not an integer"),
+    # Each of these once left a traceback: OverflowError, AttributeError, IndexError.
+    "parent_beyond_int64": (["parents", 5], lambda p: 2 ** 70, "parents has an entry beyond int64"),
+    "hand_joint_ids_list": (["hand_joint_ids"], lambda ids: list(ids.values()),
+                            "hand_joint_ids must be an object"),
+    "vertices_null": (["vertices"], lambda v: None, "template_vertices must be (N, 3)"),
 }
 
 

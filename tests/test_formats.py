@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mocapkit import formats
-from mocapkit.camera import WeakPerspectiveCamera
+from mocapkit.camera import WeakPerspectiveCamera, project
+from mocapkit.cli import main
 from mocapkit.errors import SchemaError
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams
-from mocapkit.model import ShapeParams
+from mocapkit.model import ShapeParams, pose_joints, pose_mesh
 
 
 def test_model_round_trip(toy, tmp_path):
@@ -271,7 +272,7 @@ def _write_obj_rows(path, vertices, faces):
 def test_write_obj(tmp_path):
     path = tmp_path / "mesh.obj"
     formats.write_obj(path, np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                      np.array([[0, 1, 2]]))
+                      formats.obj_face_lines(np.array([[0, 1, 2]])))
     lines = path.read_text().splitlines()
     assert lines[0] == "v 0.0 0.5 1.0"
     assert lines[-1] == "f 1 2 3"
@@ -281,11 +282,131 @@ def test_write_obj(tmp_path):
     vertices = np.array([[-0.0, 5e-324, 1e22], [0.1 + 0.2, 1e16, -1.5], [1e-7, 123456.789, 2.0]])
     faces = np.array([[0, 1, 2], [2, 1, 0]])
     reference = tmp_path / "reference.obj"
-    formats.write_obj(path, vertices, faces)
+    formats.write_obj(path, vertices, formats.obj_face_lines(faces))
     _write_obj_rows(reference, vertices, faces)
     assert path.read_bytes() == reference.read_bytes()
     assert path.read_text().splitlines()[:2] == ["v -0.0 5e-324 1e+22",
                                                  "v 0.30000000000000004 1e+16 -1.5"]
+
+
+def test_pose_obj_files_match_the_row_writer(toy, tmp_path, rng):
+    # `pose` formats the face block once and writes it into every frame's file.
+    asset = tmp_path / "toy.json"
+    formats.save_model(asset, toy)
+    frames = [(i, WholeBodyParams(rng.normal(scale=0.2, size=3),
+                                  rng.normal(scale=0.2, size=(51, 3)),
+                                  ShapeParams(rng.normal(scale=0.1, size=10)),
+                                  WeakPerspectiveCamera.identity()), None)
+              for i in (0, 1, 5)]
+    params = tmp_path / "params.json"
+    formats.write_json(params, formats.params_to_doc(frames))
+    assert main(["pose", str(asset), str(params), str(tmp_path / "joints.json"),
+                 "--obj", str(tmp_path / "mesh.obj")]) == 0
+    reference = tmp_path / "reference.obj"
+    for i, p, _ in frames:
+        # A frame posed in a batch has the bits of the frame posed alone.
+        _write_obj_rows(reference, pose_mesh(toy, p.pose(), p.beta_w), toy.faces)
+        assert (tmp_path / f"mesh_{i:06d}.obj").read_bytes() == reference.read_bytes()
+
+
+def _stdlib_dumps(doc):
+    """The layout `canonical_dumps` reproduces, from the standard library."""
+    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+
+
+SCALARS = [0, -7, 2 ** 70, -(2 ** 70), True, False, None, 0.5, -0.0, 5e-324, 1e22, 0.1 + 0.2,
+           float("nan"), float("inf"), float("-inf"), np.float64(-2.75), np.float64("nan"),
+           "", "plain", 'a "quoted" word', "[1, 2]", "{x: [y]}", "a, b", "line\nbreak\ttab",
+           "back\\slash", "caf\u00e9 \u2603 \U0001d11e", "null"]
+
+
+def _random_doc(rng, depth):
+    """A document of scalars, flat lists, rows, mixed lists and dicts, nested
+    up to `depth`, with tuples in place of some lists."""
+    kind = int(rng.integers(5)) if depth else 0
+    size = int(rng.integers(5))
+    if kind == 0:
+        return SCALARS[rng.integers(len(SCALARS))] if rng.uniform() < 0.5 else float(rng.normal())
+    if kind == 1:
+        items = [_random_doc(rng, 0) for _ in range(size)]
+    elif kind == 2:
+        items = [[_random_doc(rng, 0) for _ in range(int(rng.integers(4)))] for _ in range(size)]
+    elif kind == 3:
+        items = [_random_doc(rng, depth - 1) for _ in range(size)]
+    else:
+        return {str(_random_doc(rng, 0)): _random_doc(rng, depth - 1) for _ in range(size)}
+    return tuple(items) if rng.uniform() < 0.2 else items
+
+
+EDGE_DOCS = [
+    # empty, ragged and mixed-depth lists, and tuples
+    [], (), {}, [[]], [[], []], [[1], []], [[], [1]], [1, [[2]]], [[1, [2]], [3]], [[1], [2, [3]]],
+    [[[1, 2], [3]], [[4]]], [[1, 2], (3, 4)], ((1,), [2.5]), [None, [None], [[None]]],
+    # strings and dicts inside rows
+    [[1, "a]"], [2]], [["[", "]"], ["],\n  ["]], [[{"a": 1}], [2]], [[2], [{"a": 1}]],
+    [[{}], [1]], [[1], [{}]], [{}], {"a": {}, "b": [], "c": [[]]},
+    # keys that are not strings, and unsorted keys
+    {2: "b", 1: [1.5]}, {0.5: [1], -1.5: None}, {True: [1]}, {None: {"x": [[2]]}}, {"b": 1, "a": 2},
+    [[float("nan"), float("inf")], [-0.0, 2 ** 70]],
+]
+
+
+def test_canonical_dumps_is_the_stdlib_layout():
+    for doc in EDGE_DOCS + SCALARS:
+        assert formats.canonical_dumps(doc) == _stdlib_dumps(doc), doc
+    for seed in range(300):
+        doc = _random_doc(np.random.default_rng(seed), depth=4)
+        assert formats.canonical_dumps(doc) == _stdlib_dumps(doc), seed
+
+
+def test_every_cli_document_is_the_stdlib_layout(tmp_path, rng):
+    def run(*argv):
+        return main([str(a) for a in argv])
+
+    def pose(rows):
+        return (rng.normal(size=3), rng.normal(scale=0.2, size=(rows, 3)),
+                ShapeParams(rng.normal(scale=0.1, size=10)), _camera(rng))
+
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    assert run("gen-toy", small) == 0
+    assert run("gen-toy", large, "--size-class", "large") == 0
+    model = formats.load_model(small)
+    # frame 1 misses its right hand
+    predictions = tmp_path / "predictions.json"
+    formats.write_json(predictions, formats.predictions_to_doc(
+        [(i, BodyPrediction(*pose(21)), HandPrediction("left", *pose(15)),
+          HandPrediction("right", *pose(15)) if i == 0 else None) for i in (0, 1)]))
+    fused, joints = tmp_path / "fused.json", tmp_path / "joints.json"
+    assert run("integrate", small, predictions, fused) == 0
+    assert run("pose", small, fused, joints) == 0
+    keypoints = tmp_path / "keypoints.json"
+    frames = formats.params_from_doc(formats.read_json(fused))
+    formats.write_json(keypoints, formats.keypoints_to_doc(
+        [(i, project(p.cam_w, pose_joints(model, p.pose(), p.beta_w)[:52]), None)
+         for i, p, _ in frames]))
+    config = tmp_path / "config.json"
+    formats.write_json(config, {"flip_width": 256.0})
+    assert run("prep", keypoints, config, tmp_path / "prepped.json") == 0
+    assert run("fit", small, fused, keypoints, tmp_path / "fitted.json", "--iters", "2") == 0
+    assert run("eval", joints, joints, tmp_path / "report.json") == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) == 10
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == _stdlib_dumps(json.loads(text)), path.name
+    # params without and with fit extras, keypoints with a null confidence
+    assert formats.read_json(fused)["frames"][0]["cost_trace"] is None
+    assert formats.read_json(tmp_path / "fitted.json")["frames"][0]["cost_trace"] is not None
+    assert formats.read_json(tmp_path / "prepped.json")["frames"][0]["confidence"] is None
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), np.zeros(2)])
+def test_canonical_dumps_rejects_what_json_rejects(bad):
+    for doc in (bad, [bad], [1.0, [bad]], [[1.0, bad]], {"a": bad}, {"a": [[bad]]}):
+        with pytest.raises(TypeError):
+            _stdlib_dumps(doc)
+        with pytest.raises(TypeError):
+            formats.canonical_dumps(doc)
 
 
 def test_canonical_dumps_sorted_keys():

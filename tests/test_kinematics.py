@@ -24,6 +24,8 @@ def test_tree_validation():
         SkeletonTree(np.array([-1, 1]), ("a", "b"))
     with pytest.raises(DimensionError):
         SkeletonTree(np.array([-1, 0]), ("a",))
+    with pytest.raises(DimensionError, match="parents must be a list"):
+        SkeletonTree(np.array(-1), ("a",))
 
 
 def test_zero_pose_is_identity(rng):

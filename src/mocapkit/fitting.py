@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,7 +128,7 @@ def _fold_bones(model, fitted):
 
 
 def _pair_blocks(fold, parents, n):
-    """The pairs of a fold that `_jacobian` reads, grouped once per fit, as
+    """The pairs of a fold that `_ParamVector.jacobian` reads, grouped once per fit, as
     ``(joint, bone, sums, depth, at)``.  Block b of the (joint k, bone a)
     blocks that can be nonzero is joint ``joint[b]`` and bone ``bone[b]``;
     row b of the 0/1 matrix `sums` picks the pairs of k whose bone lies at
@@ -152,15 +151,15 @@ _CROSS_XY = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
 
 
 class _ParamVector:
-    """The entries of the flat `WholeBodyParams.vector` layout that the fit
-    frees: the global orientation, the body rows of theta (wrists included)
-    and the camera, in ascending order.  The fingers and beta keep the values
-    of `base`, ``init.vector(cam_init)`` (D,), or one per frame (T, D) after
-    `with_base`, so the fit poses the model folded onto its fitted joints
-    (`_fold_bones`), at `base` (`posed`).  Prior row ``prior_rows[i]`` of
-    `_residuals` is `prior_weight` times packed column ``prior_cols[i]``
-    less its anchor, so the fit adds those entries to JᵀJ and Jᵀr without
-    differentiating them.
+    """The fit's objective, over the entries of the flat `WholeBodyParams.vector`
+    layout that the fit frees: the global orientation, the body rows of theta
+    (wrists included) and the camera, in ascending order.  The fingers and
+    beta keep the values of `base`, ``init.vector(cam_init)`` (D,), or one per
+    frame (T, D) after `with_base`, so the fit poses the model folded onto its
+    fitted joints (`_fold_bones`), at `base` (`posed`).  Prior row
+    ``prior_rows[i]`` of `residuals` is `prior_weight` times packed column
+    ``prior_cols[i]`` less its anchor, so `normal_equations` adds those
+    entries to JᵀJ and Jᵀr without differentiating them.
     """
 
     def __init__(self, model, init, cam_init, config):
@@ -188,11 +187,19 @@ class _ParamVector:
         other.__dict__.pop("posed", None)
         return other
 
+    def with_keypoints(self, kp, anchor=None):
+        """The objective of the keypoints `kp`, one frame or one per base vector,
+        whose prior pulls the pose toward `anchor`, or toward `base` when None."""
+        other = copy.copy(self)
+        other.points, other.weights, other.anchor = kp.points, np.sqrt(kp.confidence), anchor
+        return other
+
     def take(self, frames):
-        """The packer of the base vectors `frames` of a stacked base (T, D),
-        with their rows of `posed`."""
+        """The objective of the base vectors `frames` of a stacked base (T, D),
+        with their rows of `posed` and of the keypoints."""
         other = copy.copy(self)
         other.base = self.base[frames]
+        other.points, other.weights = self.points[frames], self.weights[frames]
         fold, rest = self.posed
         other.posed = dataclasses.replace(fold, vertices=fold.vertices[frames]), rest[frames]
         return other
@@ -231,105 +238,105 @@ class _ParamVector:
         blocks[...] = canonicalize(blocks)
         return x
 
+    def residuals(self, x):
+        """Residuals at a packed vector x (n,), or one column of residuals per
+        column of x (n, B); all columns are posed in one batched call.  The
+        rows are the 2K reprojection rows of the keypoints of `with_keypoints`,
+        weighted by `weights`, ``sqrt(confidence)``, then one pose prior row per
+        entry of theta and one shape prior row per beta.
 
-def _residuals(model, packer, anchor, kp, config, x, keep_fk=None):
-    """Residuals at a packed vector x (n,), or one column of residuals per
-    column of x (n, B); all columns are posed in one batched call.
+        The columns pose only `posed`, the model folded onto its fitted
+        joints: Rodrigues on the packed axis-angles, FK over the fitted joints
+        and the folded pair terms, which sum to the joints of `pose_joints` at
+        the full parameters.  `base` and the keypoints hold one frame, shared
+        by every column, or one frame per column (leading axis B).  The
+        columns' rotations and translations of the fitted joints and their
+        pair terms (leading axis B) are kept as `fk`, so `jacobian` need not
+        pose them again.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        cols = x.reshape(x.shape[0], -1).T
+        B = cols.shape[0]
+        fold, rest = self.posed
+        F = self.fitted_joints.size
+        rots = _kernels.rodrigues_batch(cols[:, :3 * F].reshape(B, F, 3))
+        R, t = _kernels.fk_chain(self.parents, rest, rots, np.eye(3))
+        T = fold.terms(fold.vertices, R, t)
+        self.fk = R, t, T
+        joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
+        # The camera scale and translation are packed last.
+        projected = cols[:, -3, None, None] * joints[..., :2] + cols[:, None, -2:]
+        r2d = self.weights[..., None] * (projected - self.points)
+        # Every row of theta is in the prior; the fixed rows keep their values in `base`.
+        _, base_theta, beta, _, _ = WholeBodyParams.split(self.base, self.num_betas)
+        base_theta = base_theta.reshape(base_theta.shape[:-2] + (-1,))
+        theta = np.broadcast_to(base_theta, (B, base_theta.shape[-1])).copy()
+        theta[:, self.prior_rows - 2 * self.model.num_joints] = cols[:, self.prior_cols]
+        centre = base_theta if self.anchor is None else self.anchor.theta_w.ravel()
+        rp = self.prior_weight * (theta - centre)
+        rs = np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta, (B, beta.shape[-1]))
+        r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
+        return r[0] if x.ndim == 1 else r.T
 
-    The columns pose only `packer.posed`, the model folded onto its fitted
-    joints: Rodrigues on the packed axis-angles, FK over the fitted joints
-    and the folded pair terms, which sum to the joints of `pose_joints` at
-    the full parameters.  The prior, weighted by `packer.prior_weight`
-    (`config` is not read), pulls the pose toward `anchor`, or toward the
-    pose of `packer.base` when `anchor` is None.  `packer.base` and `kp`
-    hold one frame, shared by every column, or one frame per column
-    (leading axis B).  If `keep_fk` is a list, the columns' rotations and
-    translations of the fitted joints and their pair terms (leading axis B)
-    are appended to it as one tuple, so `_jacobian` need not pose them again.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    cols = x.reshape(x.shape[0], -1).T
-    B = cols.shape[0]
-    fold, rest = packer.posed
-    F = packer.fitted_joints.size
-    rots = _kernels.rodrigues_batch(cols[:, :3 * F].reshape(B, F, 3))
-    R, t = _kernels.fk_chain(packer.parents, rest, rots, np.eye(3))
-    T = fold.terms(fold.vertices, R, t)
-    if keep_fk is not None:
-        keep_fk.append((R, t, T))
-    joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
-    # The camera scale and translation are packed last.
-    projected = cols[:, -3, None, None] * joints[..., :2] + cols[:, None, -2:]
-    r2d = np.sqrt(kp.confidence)[..., None] * (projected - kp.points)
-    # Every row of theta is in the prior; the fixed rows keep their values in `base`.
-    _, base_theta, beta, _, _ = WholeBodyParams.split(packer.base, packer.num_betas)
-    base_theta = base_theta.reshape(base_theta.shape[:-2] + (-1,))
-    theta = np.broadcast_to(base_theta, (B, base_theta.shape[-1])).copy()
-    theta[:, packer.prior_rows - 2 * model.num_joints] = cols[:, packer.prior_cols]
-    centre = base_theta if anchor is None else anchor.theta_w.ravel()
-    rp = packer.prior_weight * (theta - centre)
-    rs = np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta, (B, beta.shape[-1]))
-    r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
-    return r[0] if x.ndim == 1 else r.T
+    def jacobian(self, x):
+        """Exact Jacobian (2K, n) of the 2K reprojection rows of `residuals`
+        at a packed vector x (n,), or one per column of x (n, T), stacked to
+        (T, 2K, n).  It reads `fk`, so the last `residuals` call must have
+        been at this x.  The prior rows are constant (`normal_equations`).
+
+        In the fold of `_fold_bones`, posed joint k is the sum of its pair terms
+        ``T_q = R_a V_q + C_ka t_a`` over the fitted joints a.  Perturbing the
+        axis-angle theta_a of fitted joint a (theta_0 is the global orientation)
+        by d rotates every transform below a by ``omega = R_a Jr(theta_a) d``
+        about the joint's world centre ``c_a = R_a rest_a + t_a``, so
+
+            dP_k / d theta_a = -[S_ka - D_ka c_a]x R_a Jr(theta_a),
+
+        with S_ka the sum of T_q and D_ka the sum of C_kb over the pairs of k
+        whose bone b is at or below a; only the blocks of `_pair_blocks` have
+        such pairs.  The camera columns are the weighted posed joints (scale)
+        and the weights (translation).  Every sum runs over one frame's pairs,
+        so a frame's Jacobian has the same bits however many frames come with
+        it.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        cols = x.reshape(x.shape[0], -1).T
+        B = cols.shape[0]
+        fold, rest = self.posed
+        F = self.fitted_joints.size
+        R, t, T = self.fk
+
+        k, f, sums, depth, at = self.blocks
+        w = self.weights
+        sw = cols[:, -3, None] * w
+        centre = (R @ rest[..., None])[..., 0] + t
+        v = sw[:, k, None] * (sums @ T - depth[:, None] * centre[:, f])
+        A = (R @ right_jacobian(cols[:, :3 * F].reshape(B, F, 3)))[:, f]
+        jac = np.zeros((B, 2 * self.model.num_joints, cols.shape[1]))
+        jac.reshape(B, -1)[:, at] = ((v @ _CROSS_XY).reshape(v.shape[:-1] + (2, 3)) @ A).reshape(B, -1)
+        i = 3 * F
+        joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
+        jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, -1)
+        jac[:, 0::2, i + 1] = w
+        jac[:, 1::2, i + 2] = w
+        return jac[0] if x.ndim == 1 else jac
+
+    def normal_equations(self, J, r):
+        """JᵀJ (T, n, n) and Jᵀr (T, n) of the residuals r (T, m) whose leading 2K
+        rows have the Jacobian J (T, 2K, n), with the prior's diagonal entries."""
+        Jt = np.ascontiguousarray(J.transpose(0, 2, 1))
+        JtJ = Jt @ J
+        cols, w = self.prior_cols, self.prior_weight
+        JtJ[:, cols, cols] += w * w
+        Jtr = (Jt @ r[:, :J.shape[1], None])[..., 0]
+        Jtr[:, cols] += w * r[:, self.prior_rows]
+        return JtJ, Jtr
 
 
-def _jacobian(model, packer, kp, x, fk):
-    """Exact Jacobian (2K, n) of the 2K reprojection rows of `_residuals` at a
-    packed vector x (n,), or one per column of x (n, T), stacked to
-    (T, 2K, n).  `fk` is the tuple of rotations, translations and pair terms
-    of the columns of x that `_residuals` keeps.  The prior rows are
-    constant; see `_ParamVector`.
-
-    In the fold of `_fold_bones`, posed joint k is the sum of its pair terms
-    ``T_q = R_a V_q + C_ka t_a`` over the fitted joints a.  Perturbing the
-    axis-angle theta_a of fitted joint a (theta_0 is the global orientation)
-    by d rotates every transform below a by ``omega = R_a Jr(theta_a) d``
-    about the joint's world centre ``c_a = R_a rest_a + t_a``, so
-
-        dP_k / d theta_a = -[S_ka - D_ka c_a]x R_a Jr(theta_a),
-
-    with S_ka the sum of T_q and D_ka the sum of C_kb over the pairs of k
-    whose bone b is at or below a; only the blocks of `_pair_blocks` have
-    such pairs.  The camera columns are the weighted posed joints (scale)
-    and the weights (translation).  Every sum runs over one frame's pairs,
-    so a frame's Jacobian has the same bits however many frames come with
-    it.
-    """
-    K = model.num_joints
-    x = np.asarray(x, dtype=np.float64)
-    cols = x.reshape(x.shape[0], -1).T
-    B = cols.shape[0]
-    fold, rest = packer.posed
-    F = packer.fitted_joints.size
-    R, t, T = fk
-
-    k, f, sums, depth, at = packer.blocks
-    w = np.sqrt(kp.confidence)
-    sw = cols[:, -3, None] * w
-    centre = (R @ rest[..., None])[..., 0] + t
-    v = sw[:, k, None] * (sums @ T - depth[:, None] * centre[:, f])
-    A = (R @ right_jacobian(cols[:, :3 * F].reshape(B, F, 3)))[:, f]
-    jac = np.zeros((B, 2 * K, cols.shape[1]))
-    jac.reshape(B, -1)[:, at] = ((v @ _CROSS_XY).reshape(v.shape[:-1] + (2, 3)) @ A).reshape(B, -1)
-    i = 3 * F
-    joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
-    jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, 2 * K)
-    jac[:, 0::2, i + 1] = w
-    jac[:, 1::2, i + 2] = w
-    return jac[0] if x.ndim == 1 else jac
-
-
-def _fit_residuals(model, packer, kp, config, fk):
-    """The 2K reprojection rows of `_residuals` as a function of x, carrying
-    their exact Jacobian `_jacobian`; `fk` is what `_residuals` kept for the
-    x the Jacobian will be taken at."""
-    m2 = 2 * model.num_joints
-
-    def reprojection(x):
-        return _residuals(model, packer, None, kp, config, x)[:m2]
-
-    reprojection.jacobian = lambda x: _jacobian(model, packer, kp, x, fk)
-    return reprojection
+def _residuals(model, packer, anchor, kp, config, x):
+    """`_ParamVector.residuals` of `packer` at x with the keypoints `kp` and
+    the prior's `anchor`; `model` and `config` are not read."""
+    return packer.with_keypoints(kp, anchor).residuals(x)
 
 
 def fit_jacobian(residual_fn, x, step):
@@ -340,10 +347,10 @@ def fit_jacobian(residual_fn, x, step):
     (then ``x - step e_i``), it returns the (m, n) array whose column i is
     the residual vector of that column.  If `residual_fn` has a ``jacobian``
     attribute, the result is ``residual_fn.jacobian(x)`` instead: the fit
-    reaches `_jacobian` this way, through `_fit_residuals`, with x as one
-    column per frame (n, T) and one Jacobian of the reprojection rows per
-    frame (T, 2K, n) back.  The tests check that exact Jacobian, and the
-    prior entries of `_ParamVector`, against the difference.
+    hands it its objective, a `_ParamVector`, with x as one column per frame
+    (n, T), and gets one Jacobian of the reprojection rows per frame
+    (T, 2K, n) back.  The tests check that exact Jacobian, and the prior
+    entries of `_ParamVector.normal_equations`, against the difference.
     """
     x = np.asarray(x, dtype=np.float64)
     exact = getattr(residual_fn, "jacobian", None)
@@ -405,15 +412,11 @@ def fit_frames(model, frames, config=None):
 
 def _fit_lockstep(model, frames, config, first):
     inits, cams, kps = zip(*frames)
-    packer = _ParamVector(model, inits[0], cams[0], config).with_base(
-        np.stack([init.vector(cam) for init, cam in zip(inits, cams)]))
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
-    x = packer.base[:, packer.free]
-    kept = []
-    r = _residuals(model, packer, None, kp, config, x.T, kept).T
-    # The folded pose of each frame's x, updated as steps are accepted, so
-    # that `_jacobian` need not pose x again.
-    fk = kept[0]
+    objective = _ParamVector(model, inits[0], cams[0], config).with_base(
+        np.stack([init.vector(cam) for init, cam in zip(inits, cams)])).with_keypoints(kp)
+    x = objective.base[:, objective.free]
+    r = objective.residuals(x.T).T
     cost = np.array([rt @ rt for rt in r])
     bad = np.flatnonzero(~np.isfinite(cost))
     if bad.size:
@@ -422,32 +425,22 @@ def _fit_lockstep(model, frames, config, first):
         raise err
 
     T, n = x.shape
-    m2 = 2 * model.num_joints
     trace = np.empty((T, config.iterations))
     accepted = np.zeros(T, dtype=np.int64)
     rejected = np.zeros(T, dtype=np.int64)
     stalled = np.zeros(T, dtype=bool)
     eye = np.eye(n)
     for it in range(config.iterations):
-        J = fit_jacobian(_fit_residuals(model, packer, kp, config, fk), x.T, config.fd_step)
-        Jt = np.ascontiguousarray(J.transpose(0, 2, 1))
-        JtJ = Jt @ J
-        cols, w = packer.prior_cols, packer.prior_weight
-        JtJ[:, cols, cols] += w * w
-        Jtr = (Jt @ r[:, :m2, None])[..., 0]
-        Jtr[:, cols] += w * r[:, packer.prior_rows]
+        JtJ, Jtr = objective.normal_equations(fit_jacobian(objective, x.T, config.fd_step), r)
         if it == 0:
             lam = np.clip(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1), 1e-12, 1e12)
         pending = np.arange(T)
         for _ in range(MAX_RETRIES):
             step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
                                    Jtr[pending, :, None])[..., 0]
-            x_new = packer.canonicalized(x[pending] - step)
-            # The pending frames' rows of the packer and of `kp`, which is
-            # checked once, above.
-            kp_new = SimpleNamespace(points=kp.points[pending], confidence=kp.confidence[pending])
-            kept = []
-            r_new = _residuals(model, packer.take(pending), None, kp_new, config, x_new.T, kept).T
+            x_new = objective.canonicalized(x[pending] - step)
+            trial = objective.take(pending)
+            r_new = trial.residuals(x_new.T).T
             cost_new = np.array([rt @ rt for rt in r_new])
             # A step that leaves no valid camera is rejected like one whose
             # cost is not finite.  The camera scale is packed third from last.
@@ -461,7 +454,8 @@ def _fit_lockstep(model, frames, config, first):
             pred = np.einsum("ij,ij->i", step[ok], lam[done, None] * step[ok] + Jtr[done])
             rho = np.divide(gain, pred, out=np.ones_like(pred), where=pred > gain)
             x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
-            for held, new in zip(fk, kept[0]):
+            # The Jacobian reads the folded pose of each frame's x from `fk`.
+            for held, new in zip(objective.fk, trial.fk):
                 held[done] = new[ok]
             lam[done] = np.clip(lam[done] * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12, 1e12)
             lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
@@ -473,9 +467,9 @@ def _fit_lockstep(model, frames, config, first):
         trace[:, it] = cost
 
     # The leading 2K residuals of the accepted x are its weighted 2D errors.
-    r2d = r[:, :m2]
-    rows = packer.rows(x)
-    return [FitResult(params=WholeBodyParams.from_vector(rows[t], packer.num_betas),
+    r2d = r[:, :2 * model.num_joints]
+    rows = objective.rows(x)
+    return [FitResult(params=WholeBodyParams.from_vector(rows[t], objective.num_betas),
                       cost_trace=trace[t],
                       final_rms_px=float(np.sqrt((r2d[t] * r2d[t]).sum() / kp.confidence[t].sum())),
                       status="stalled" if stalled[t] else "ok",

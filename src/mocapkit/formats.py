@@ -116,7 +116,7 @@ def _check_header(doc, expected_format, known_keys):
         raise SchemaError("document root must be an object")
     if doc.get("format") != expected_format:
         raise SchemaError(f"expected format {expected_format!r}, got {doc.get('format')!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
     unknown = set(doc) - set(known_keys) - {"format", "schema_version"}
     if unknown:
@@ -155,9 +155,12 @@ def _indices(values, name):
 
 
 def _index_lists(doc, name):
-    """The object `doc[name]` of integer lists, each as a list of ints."""
+    """The object `doc[name]` of flat integer lists, each as a list of ints."""
     if not isinstance(doc[name], dict):
         raise ValueError(f"{name} must be an object")
+    for side, ids in doc[name].items():
+        if not isinstance(ids, list) or any(isinstance(i, list) for i in ids):
+            raise ValueError(f"{name}[{side}] must be a list of integers")
     return {s: _indices(v, f"{name}[{s}]").tolist() for s, v in doc[name].items()}
 
 
@@ -273,7 +276,7 @@ def _read_frames(doc, expected_format, read):
     if any(not isinstance(f, dict) for f in frames):
         raise SchemaError("every frame record must be an object")
     indices = [f.get("frame") for f in frames]
-    if any(not isinstance(i, int) for i in indices):
+    if any(type(i) is not int for i in indices):
         raise SchemaError("every frame record needs an integer 'frame' index")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise SchemaError("frame indices must be strictly increasing")

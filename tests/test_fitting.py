@@ -7,19 +7,17 @@ from conftest import signed_regressor
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit import _kernels, fitting
 from mocapkit.errors import DimensionError, FitError, InvalidJointError
-from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _fit_residuals,
-                              _jacobian, _ParamVector, _residuals, fit, fit_jacobian,
-                              temporal_smooth)
+from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _ParamVector,
+                              _residuals, fit, fit_jacobian, temporal_smooth)
 from mocapkit.integration import PoseLayout, WholeBodyParams
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
 from mocapkit.model import ShapeParams, pose_joints
 
 
-def kept_fk(model, packer, kp, config, x):
-    """The folded pose that `_residuals` keeps for x, as the fit hands it to `_jacobian`."""
-    kept = []
-    _residuals(model, packer, None, kp, config, x, kept)
-    return kept[0]
+def exact_jacobian(objective, x):
+    """`objective.jacobian` at x, after the `residuals` call at x whose pose it reads."""
+    objective.residuals(x)
+    return objective.jacobian(x)
 
 
 def render_keypoints(model, params, cam, conf=None):
@@ -135,32 +133,31 @@ def test_exact_jacobian_matches_central_differences(toy, rng):
     conf[[0, 7, 30]] = 0.0
     kp = render_keypoints(toy, anchor, cam, conf=conf)
     kp = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
-    packer = _ParamVector(toy, anchor, cam, config)
+    objective = _ParamVector(toy, anchor, cam, config).with_keypoints(kp, anchor)
     m2 = 2 * toy.num_joints
-    rows, cols, weight = packer.prior_rows, packer.prior_cols, packer.prior_weight
-    x0 = packer.pack(anchor, cam)
+    rows, cols, weight = objective.prior_rows, objective.prior_cols, objective.prior_weight
+    x0 = objective.pack(anchor, cam)
     for x in (x0, x0 + rng.normal(scale=0.05, size=x0.size)):
-        fd = fit_jacobian(lambda c: _residuals(toy, packer, anchor, kp, config, c), x,
-                          config.fd_step)
+        fd = fit_jacobian(lambda c: objective.residuals(c), x, config.fd_step)
         # the 2K reprojection rows, then the prior rows' constant entries
         exact = np.zeros_like(fd)
-        fk = kept_fk(toy, packer, kp, config, x)
-        exact[:m2] = _jacobian(toy, packer, kp, x, fk)
+        r = objective.residuals(x)
+        exact[:m2] = objective.jacobian(x)
         exact[rows, cols] = weight
         rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
         # every column is checked on its own, so a wrong small block shows
         col_rel = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
         assert col_rel.max() < 1e-6
-        # the prior rows add to JᵀJ only the diagonal the fit adds
+        # the prior rows add to JᵀJ only the diagonal that the normal equations add
         diag = np.zeros(x.size)
         diag[cols] = weight * weight
         np.testing.assert_allclose(fd[m2:].T @ fd[m2:], np.diag(diag), atol=1e-8)
-        # the fit's seam: fit_jacobian hands back `_jacobian` of the rows it differences
-        reprojection = _fit_residuals(toy, packer, kp, config, fk)
-        np.testing.assert_array_equal(fit_jacobian(reprojection, x, config.fd_step), exact[:m2])
-        np.testing.assert_array_equal(fit_jacobian(lambda c: reprojection(c), x, config.fd_step),
-                                      fd[:m2])
+        JtJ, Jtr = objective.normal_equations(exact[None, :m2], r[None])
+        np.testing.assert_allclose(JtJ[0], exact.T @ exact, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(Jtr[0], exact.T @ r, rtol=1e-12, atol=1e-9)
+        # the fit's seam: fit_jacobian hands back the objective's exact Jacobian
+        np.testing.assert_array_equal(fit_jacobian(objective, x, config.fd_step), exact[:m2])
 
 
 def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
@@ -177,11 +174,10 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
                            ShapeParams(rng.normal(scale=0.5, size=10)), cam)
     kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                        rng.uniform(0.2, 1.0, size=model.num_joints))
-    packer = _ParamVector(model, init, cam, config)
-    x = packer.pack(init, cam)
-    fd = fit_jacobian(lambda c: _residuals(model, packer, init, kp, config, c), x,
-                      config.fd_step)[:2 * model.num_joints]
-    exact = _jacobian(model, packer, kp, x, kept_fk(model, packer, kp, config, x))
+    objective = _ParamVector(model, init, cam, config).with_keypoints(kp, init)
+    x = objective.pack(init, cam)
+    fd = fit_jacobian(lambda c: objective.residuals(c), x, config.fd_step)[:2 * model.num_joints]
+    exact = exact_jacobian(objective, x)
     assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) < 1e-6
     col_rel = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert col_rel.max() < 1e-6
@@ -259,16 +255,16 @@ def _noisy_fit_problem(toy, rng):
 
 
 def _counting_residuals(monkeypatch):
-    """Patch `fitting._residuals` to record how many parameter vectors each call poses."""
+    """Patch `_ParamVector.residuals` to record how many parameter vectors each call poses."""
     columns = []
-    original = fitting._residuals
+    original = _ParamVector.residuals
 
-    def counting(*args):
-        r = original(*args)
+    def counting(objective, x):
+        r = original(objective, x)
         columns.append(1 if r.ndim == 1 else r.shape[1])
         return r
 
-    monkeypatch.setattr(fitting, "_residuals", counting)
+    monkeypatch.setattr(_ParamVector, "residuals", counting)
     return columns
 
 
@@ -297,9 +293,9 @@ def test_lockstep_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch)
 
 def test_fit_reports_a_stall(toy, rng, monkeypatch):
     init, cam, kp = _noisy_fit_problem(toy, rng)
-    exact = fitting._jacobian
+    exact = _ParamVector.jacobian
     # A Jacobian of the wrong sign makes every damped step climb the cost.
-    monkeypatch.setattr(fitting, "_jacobian", lambda *args: -exact(*args))
+    monkeypatch.setattr(_ParamVector, "jacobian", lambda objective, x: -exact(objective, x))
     monkeypatch.setattr(fitting, "MAX_RETRIES", 3)
     config = FitConfig(iterations=4)
     result = fit(toy, init, cam, kp, config)
@@ -318,18 +314,17 @@ def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypat
     monkeypatch.setattr(fitting, "MAX_RETRIES", 1)
     config = FitConfig(iterations=1)
     init, cam, kp = _noisy_fit_problem(toy, rng)
-    packer = _ParamVector(toy, init, cam, config)
-    x = packer.pack(init, cam)
-    r = _residuals(toy, packer, None, kp, config, x)
+    objective = _ParamVector(toy, init, cam, config).with_keypoints(kp)
+    x = objective.pack(init, cam)
+    r = objective.residuals(x)
     J = np.zeros((r.size, x.size))
-    fk = kept_fk(toy, packer, kp, config, x)
-    J[:2 * toy.num_joints] = _jacobian(toy, packer, kp, x, fk)
-    J[packer.prior_rows, packer.prior_cols] = packer.prior_weight
+    J[:2 * toy.num_joints] = objective.jacobian(x)
+    J[objective.prior_rows, objective.prior_cols] = objective.prior_weight
     JtJ = J.T @ J
     step = np.linalg.solve(JtJ + 1e-6 * JtJ.diagonal().max() * np.eye(x.size), J.T @ r)
     result = fit(toy, init, cam, kp, config)
     assert result.accepted_steps == 1
-    np.testing.assert_allclose(packer.pack(result.params, result.params.cam_w), x - step,
+    np.testing.assert_allclose(objective.pack(result.params, result.params.cam_w), x - step,
                                rtol=1e-9, atol=1e-12)
 
 
@@ -463,23 +458,24 @@ def test_noisy_clip_frames_all_fit_within_2px(toy):
 def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
     config = FitConfig()
     frames = _clip(toy, rng)[:3]
-    # the packer and keypoints of the three frames, as the lockstep loop builds them
-    packer = _ParamVector(toy, frames[0][0], frames[0][1], config).with_base(
-        np.stack([init.vector(cam) for init, cam, _ in frames]))
+    # the objective of the three frames, as the lockstep loop builds it
     kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
                        np.stack([k.confidence for _, _, k in frames]))
-    x = packer.base[:, packer.free].T + rng.normal(scale=0.05, size=(packer.free.size, 3))
+    objective = _ParamVector(toy, frames[0][0], frames[0][1], config).with_base(
+        np.stack([init.vector(cam) for init, cam, _ in frames])).with_keypoints(kp)
+    x = objective.base[:, objective.free].T + rng.normal(scale=0.05, size=(objective.free.size, 3))
+    kept = exact_jacobian(objective, x)
     # x posed afresh through the fold, as a skeleton of the fitted joints
-    fold, rest = packer.posed
-    F = packer.fitted_joints.size
-    tree = SkeletonTree(packer.parents, [toy.tree.joint_names[j] for j in packer.fitted_joints])
+    fold, rest = objective.posed
+    F = objective.fitted_joints.size
+    tree = SkeletonTree(objective.parents, [toy.tree.joint_names[j] for j in objective.fitted_joints])
     aa = x[:3 * F].T.reshape(3, F, 3)
     local = aa.copy()
     local[:, 0] = 0.0
     posed = forward_kinematics(tree, rest, aa[:, 0], local)
     R, t = posed.rotations, posed.translations
-    np.testing.assert_array_equal(_jacobian(toy, packer, kp, x, kept_fk(toy, packer, kp, config, x)),
-                                  _jacobian(toy, packer, kp, x, (R, t, fold.terms(fold.vertices, R, t))))
+    objective.fk = R, t, fold.terms(fold.vertices, R, t)
+    np.testing.assert_array_equal(kept, objective.jacobian(x))
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
@@ -492,9 +488,9 @@ def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
         return wrapper
 
     frames = _clip(toy, rng)
-    monkeypatch.setattr(fitting, "_residuals", counting("residuals", fitting._residuals))
+    monkeypatch.setattr(_ParamVector, "residuals", counting("residuals", _ParamVector.residuals))
     monkeypatch.setattr(fitting, "fit_jacobian", counting("fit_jacobian", fitting.fit_jacobian))
-    monkeypatch.setattr(fitting, "_jacobian", counting("jacobian", fitting._jacobian))
+    monkeypatch.setattr(_ParamVector, "jacobian", counting("jacobian", _ParamVector.jacobian))
     monkeypatch.setattr(_kernels, "fk_chain", counting("fk_chain", _kernels.fk_chain))
     monkeypatch.setattr(fitting, "FIT_GROUP", 4)
     config = FitConfig(iterations=8)
@@ -594,29 +590,26 @@ def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
     anchor = WholeBodyParams(np.zeros(3), rng.normal(scale=0.3, size=(51, 3)),
                              ShapeParams.zeros(10), frames[0][1])
     inits, _, kps = zip(*frames)
-    packer = _ParamVector(model, inits[0], inits[0].cam_w, config).with_base(
-        np.stack([init.vector() for init in inits]))
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
-    x = packer.base[:, packer.free] + rng.normal(scale=0.05, size=(5, packer.free.size))
-    kept = []
-    r = _residuals(model, packer, anchor, kp, config, x.T, kept)
-    rows = packer.rows(x)
+    objective = _ParamVector(model, inits[0], inits[0].cam_w, config).with_base(
+        np.stack([init.vector() for init in inits])).with_keypoints(kp, anchor)
+    x = objective.base[:, objective.free] + rng.normal(scale=0.05, size=(5, objective.free.size))
+    r = objective.residuals(x.T)
+    # the Jacobian fed the kept state
+    jac = objective.jacobian(x.T)
+    rows = objective.rows(x)
     for t in range(5):
-        params = WholeBodyParams.from_vector(rows[t], packer.num_betas)
+        params = WholeBodyParams.from_vector(rows[t], objective.num_betas)
         expected = full_residuals(model, params, anchor, kps[t], config)
         assert np.linalg.norm(r[:, t] - expected) <= 1e-12 * np.linalg.norm(expected)
-    # a row subset of the packer carries its frames' rows of the fold
-    sub = packer.take([1, 3])
-    sub_kp = KeypointSet2D(kp.points[[1, 3]], kp.confidence[[1, 3]])
-    np.testing.assert_array_equal(_residuals(model, sub, anchor, sub_kp, config, x[[1, 3]].T),
-                                  r[:, [1, 3]])
-    # the Jacobian fed the kept state matches central differences, frame by frame
-    jac = _jacobian(model, packer, kp, x.T, kept[0])
+    # a row subset of the objective carries its frames' rows of the fold and the keypoints
+    sub = objective.take([1, 3])
+    np.testing.assert_array_equal(sub.residuals(x[[1, 3]].T), r[:, [1, 3]])
+    # the Jacobian matches central differences, frame by frame
     m2 = 2 * model.num_joints
     for t in range(5):
-        one = packer.take([t])
-        fd = fit_jacobian(lambda c: _residuals(model, one, anchor, kps[t], config, c), x[t],
-                          config.fd_step)[:m2]
+        one = objective.take([t])
+        fd = fit_jacobian(lambda c: one.residuals(c), x[t], config.fd_step)[:m2]
         col_rel = np.linalg.norm(jac[t] - fd, axis=0) / np.linalg.norm(fd, axis=0)
         assert col_rel.max() < 1e-6
     # Fitted in groups of 2, every frame's final cost and RMS are those of

@@ -49,9 +49,9 @@ def test_header_validation(toy):
     bad = dict(doc, format="something-else")
     with pytest.raises(SchemaError):
         formats.model_from_doc(bad)
-    bad = dict(doc, schema_version=99)
-    with pytest.raises(SchemaError):
-        formats.model_from_doc(bad)
+    for version in (99, True, 1.0):
+        with pytest.raises(SchemaError, match="unsupported schema_version"):
+            formats.model_from_doc(dict(doc, schema_version=version))
     with pytest.raises(SchemaError):
         formats.model_from_doc([1, 2, 3])
 
@@ -167,7 +167,8 @@ def test_frame_records_must_be_objects(reader, fmt):
     # The records must also come as a list, each with an integer index.
     for frames, message in [([3], "every frame record must be an object"),
                             ({"frame": 0}, "'frames' must be a list"),
-                            ([{"frame": 0.0}], "every frame record needs an integer 'frame' index")]:
+                            ([{"frame": 0.0}], "every frame record needs an integer 'frame' index"),
+                            ([{"frame": True}], "every frame record needs an integer 'frame' index")]:
         doc = {"format": fmt, "schema_version": formats.SCHEMA_VERSION, "frames": frames}
         with pytest.raises(SchemaError, match=message):
             reader(doc)

@@ -7,13 +7,18 @@ Rodrigues and forward kinematics directly on the model folded onto its 22
 fitted joints (`fitting._fold_bones`), and skins only the folded pairs.
 The kernels are vectorised numpy:
 
-* Rodrigues writes the nine entries of each rotation matrix directly from the
-  unit axis, with no skew-matrix temporaries;
+* Rodrigues scales the outer product of each unit axis, then adds the
+  cosine to its diagonal and the sine's cross-product matrix in place
+  (`add_cross`), on the nine entries as rows of one component-major array
+  (`components`, `matrices`), so that every numpy call runs over all the
+  rotations at once;
 * forward kinematics walks the tree one depth level at a time (10 levels on
   the 52-joint toy skeleton, 7 on its fold) for the rotations only, one
   batched product per level, and then gets every translation from one
-  ancestor sum (`translations`); the level grouping and the ancestor matrix
-  are built once per ``parents`` array and cached;
+  ancestor sum (`translations`); a level whose joints are consecutive is a
+  slice, not a gather (every level of the fold, levels 1-7 of the toy
+  skeleton), and the levels and the ancestor matrix are built once per
+  ``parents`` array and cached;
 * skinning blends the per-joint transforms with (N, J) @ (..., J, 3) GEMMs,
   one for the translations and one per rotation column, each column scaled
   by the matching vertex coordinate.
@@ -34,9 +39,36 @@ import functools
 import numpy as np
 
 
+IDENTITY = np.eye(3)
+IDENTITY.flags.writeable = False
+
+
 def _apply(rots, points):
     """Rotate (..., 3) points by (..., 3, 3) matrices, broadcasting."""
     return (rots @ points[..., None])[..., 0]
+
+
+def components(v):
+    """The components (3, ...) of vectors v (..., 3), as a C-contiguous copy."""
+    return v.reshape(-1, 3).T.copy().reshape((3,) + v.shape[:-1])
+
+
+def matrices(entries):
+    """The C-contiguous 3x3 matrices (..., 3, 3) of their nine row-major
+    entries (9, ...), the inverse of the layout `components` gives vectors."""
+    return entries.reshape(9, -1).T.copy().reshape(entries.shape[1:] + (3, 3))
+
+
+# The entries (2, 1), (0, 2), (1, 0) of [v]x are +v, and (1, 2), (2, 0), (0, 1) are -v.
+_CROSS_PLUS = np.array([7, 2, 3])
+_CROSS_MINUS = np.array([5, 6, 1])
+
+
+def add_cross(entries, v):
+    """Add the cross-product matrix [v]x of each v, given as components (3, ...),
+    to the matrices of `entries` (9, ...) in place."""
+    entries[_CROSS_PLUS] += v
+    entries[_CROSS_MINUS] -= v
 
 
 def rodrigues_batch(aa):
@@ -44,32 +76,24 @@ def rodrigues_batch(aa):
 
     Angles below 1e-12 give the identity exactly.
     """
-    aa = np.asarray(aa, dtype=np.float64)
-    angle = np.sqrt((aa * aa).sum(axis=-1))
-    inv = np.divide(1.0, angle, out=np.zeros_like(angle), where=angle >= 1e-12)
-    x, y, z = np.moveaxis(aa * inv[..., None], -1, 0)
+    axis = components(np.asarray(aa, dtype=np.float64))
+    angle = np.sqrt((axis * axis).sum(axis=0))
+    axis *= np.divide(1.0, angle, out=np.zeros_like(angle), where=angle >= 1e-12)
     c = np.cos(angle)
-    s = np.sin(angle)
-    ic = 1.0 - c
-    xs, ys, zs = x * s, y * s, z * s
-    xy, xz, yz = x * y * ic, x * z * ic, y * z * ic
-    out = np.empty(aa.shape[:-1] + (3, 3))
-    out[..., 0, 0] = c + x * x * ic
-    out[..., 0, 1] = xy - zs
-    out[..., 0, 2] = xz + ys
-    out[..., 1, 0] = xy + zs
-    out[..., 1, 1] = c + y * y * ic
-    out[..., 1, 2] = yz - xs
-    out[..., 2, 0] = xz - ys
-    out[..., 2, 1] = yz + xs
-    out[..., 2, 2] = c + z * z * ic
-    return out
+    # R = (1 - cos) a a^T + cos I + sin [a]x for the unit axis a.
+    out = axis[:, None] * axis
+    out *= 1.0 - c
+    out = out.reshape((9,) + angle.shape)
+    out[::4] += c
+    add_cross(out, axis * np.sin(angle))
+    return matrices(out)
 
 
 @functools.lru_cache(maxsize=64)
 def _tree(parents_bytes):
-    """The ``(joints, their parents)`` index pairs of each depth below the
-    root, and the read-only `ancestor_matrix`, built once per tree."""
+    """The ``(joints, their parents)`` indices of each depth below the root,
+    the joints as a slice where they are consecutive, and the read-only
+    `ancestor_matrix`, built once per tree."""
     parents = np.frombuffer(parents_bytes, dtype=np.int64)
     depth = np.zeros(parents.shape[0], dtype=np.int64)
     ancestors = np.eye(parents.shape[0])
@@ -77,8 +101,12 @@ def _tree(parents_bytes):
         depth[j] = depth[parents[j]] + 1
         ancestors[j] += ancestors[parents[j]]
     ancestors.flags.writeable = False
-    levels = (np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1))
-    return tuple((idx, parents[idx]) for idx in levels), ancestors
+    levels = []
+    for d in range(1, int(depth.max()) + 1):
+        idx = np.flatnonzero(depth == d)
+        run = idx[-1] - idx[0] + 1 == idx.size
+        levels.append((slice(idx[0], idx[-1] + 1) if run else idx, parents[idx]))
+    return tuple(levels), ancestors
 
 
 def ancestor_matrix(parents):
@@ -92,8 +120,8 @@ def translations(parents, world_rots, rest):
     from the root down, with A the `ancestor_matrix` and R_parent the
     identity at the root; `rest` (..., J, 3) broadcasts against R."""
     diff = np.empty(world_rots.shape)
-    diff[..., 0, :, :] = np.eye(3)
-    diff[..., 1:, :, :] = world_rots[..., parents[1:], :, :]
+    diff[..., 0, :, :] = IDENTITY
+    diff[..., 1:, :, :] = world_rots.take(parents[1:], axis=-3)
     diff -= world_rots
     return ancestor_matrix(parents) @ _apply(diff, rest)
 
@@ -123,7 +151,7 @@ def fk_chain(parents, rest, local_rots, root_rot):
     world_rots = np.empty(lead + (parents.shape[0], 3, 3))
     world_rots[..., 0, :, :] = root_rot @ local_rots[..., 0, :, :]
     for idx, p in _tree(np.ascontiguousarray(parents, dtype=np.int64).tobytes())[0]:
-        world_rots[..., idx, :, :] = world_rots[..., p, :, :] @ local_rots[..., idx, :, :]
+        world_rots[..., idx, :, :] = world_rots.take(p, axis=-3) @ local_rots[..., idx, :, :]
     return world_rots, translations(parents, world_rots, rest)
 
 

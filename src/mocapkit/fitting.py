@@ -129,25 +129,28 @@ def _fold_bones(model, fitted):
 
 def _pair_blocks(fold, parents, n):
     """The pairs of a fold that `_ParamVector.jacobian` reads, grouped once per fit, as
-    ``(joint, bone, sums, depth, at)``.  Block b of the (joint k, bone a)
-    blocks that can be nonzero is joint ``joint[b]`` and bone ``bone[b]``;
-    row b of the 0/1 matrix `sums` picks the pairs of k whose bone lies at
-    or below a in the fold's tree `parents`, and ``depth[b]`` is the sum of
-    their C_kj.  In a (2K, n) Jacobian of n packed columns, the x and y rows
-    of k in the three columns of a are at the flat positions ``at[6 b:6 b + 6]``.
+    ``(joint, bone, pairs, starts, depth, at)``.  Block b of the (joint k,
+    bone a) blocks that can be nonzero is joint ``joint[b]`` and bone
+    ``bone[b]``; its pairs are the pairs of k whose bone lies at or below a in
+    the fold's tree `parents`, ``pairs[starts[b]:starts[b + 1]]``, and
+    ``depth[b]`` is the sum of their C_kj.  In a (2K, n) Jacobian of n packed
+    columns, entry (r, c) of block b, row 2 k + r and column 3 a + c, is at
+    the flat position ``at[(3 r + c) nb + b]``.
     """
-    below = _kernels.ancestor_matrix(parents)[fold.pair_bone]
-    own = fold.pair_joint[:, None] == np.arange(fold.bounds.size - 1)
-    k, a = np.nonzero(own.T.astype(np.float64) @ below)
-    sums = own[:, k].T * below[:, a].T
-    at = (2 * k[:, None, None] + np.arange(2)[:, None]) * n + 3 * a[:, None, None] + np.arange(3)
-    return k, a, sums, sums @ fold.pair_blend, at.ravel()
+    F = parents.size
+    # Pair q counts toward block (its joint, a) for each a at or above its bone.
+    q, a = np.nonzero(_kernels.ancestor_matrix(parents)[fold.pair_bone])
+    key = fold.pair_joint[q] * F + a
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    k, a, pairs = keys // F, keys % F, q[order]
+    at = (2 * k + np.arange(2)[:, None, None]) * n + 3 * a + np.arange(3)[:, None]
+    return k, a, pairs, starts, np.add.reduceat(fold.pair_blend[pairs], starts), at.ravel()
 
 
-# v @ _CROSS_XY is the x and y rows of -[v]x, [[0, v_z, -v_y], [-v_z, 0, v_x]].
-_CROSS_XY = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-                      [0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
-                      [0.0, 1.0, 0.0, -1.0, 0.0, 0.0]])
+# Component orders of `_ParamVector.jacobian`.
+_YZX = np.array([1, 2, 0])
+_XYZX = np.array([0, 1, 2, 0])
 
 
 class _ParamVector:
@@ -185,6 +188,7 @@ class _ParamVector:
         other = copy.copy(self)
         other.base = base
         other.__dict__.pop("posed", None)
+        other.__dict__.pop("prior", None)
         return other
 
     def with_keypoints(self, kp, anchor=None):
@@ -192,16 +196,19 @@ class _ParamVector:
         whose prior pulls the pose toward `anchor`, or toward `base` when None."""
         other = copy.copy(self)
         other.points, other.weights, other.anchor = kp.points, np.sqrt(kp.confidence), anchor
+        other.__dict__.pop("prior", None)
         return other
 
     def take(self, frames):
         """The objective of the base vectors `frames` of a stacked base (T, D),
-        with their rows of `posed` and of the keypoints."""
+        with their rows of `posed`, `prior` and the keypoints."""
         other = copy.copy(self)
         other.base = self.base[frames]
         other.points, other.weights = self.points[frames], self.weights[frames]
         fold, rest = self.posed
         other.posed = dataclasses.replace(fold, vertices=fold.vertices[frames]), rest[frames]
+        rows, centre = self.prior
+        other.prior = rows[frames], centre[frames]
         return other
 
     @functools.cached_property
@@ -222,6 +229,21 @@ class _ParamVector:
         vertices = self.merge @ terms[..., :self.merge.shape[1], :]
         return dataclasses.replace(self.fold, vertices=vertices), rest[..., self.fitted_joints, :]
 
+    @functools.cached_property
+    def prior(self):
+        """``(rows, centre)`` at `base`: the rows of `residuals` past the 2K
+        reprojection rows, the pose prior's then the shape prior's, and the
+        centre of prior row ``prior_rows[i]``, which is the one that depends
+        on x, each with the leading axes of `base`."""
+        _, theta, beta, _, _ = WholeBodyParams.split(self.base, self.num_betas)
+        theta = theta.reshape(theta.shape[:-2] + (-1,))
+        centre = theta if self.anchor is None else self.anchor.theta_w.ravel()
+        rows = np.concatenate([self.prior_weight * (theta - centre),
+                               np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta,
+                                               theta.shape[:-1] + beta.shape[-1:])], axis=-1)
+        fitted = self.prior_rows - 2 * self.model.num_joints
+        return rows, np.broadcast_to(centre, theta.shape)[..., fitted]
+
     def pack(self, params, cam):
         return params.vector(cam)[self.free]
 
@@ -232,8 +254,7 @@ class _ParamVector:
         return rows
 
     def canonicalized(self, x):
-        """Packed vectors (..., n) with each axis-angle block made canonical."""
-        x = x.copy()
+        """The packed vectors x (..., n), each axis-angle block made canonical in place."""
         blocks = x[..., :3 * self.fitted_joints.size].reshape(x.shape[:-1] + (-1, 3))
         blocks[...] = canonicalize(blocks)
         return x
@@ -243,7 +264,10 @@ class _ParamVector:
         column of x (n, B); all columns are posed in one batched call.  The
         rows are the 2K reprojection rows of the keypoints of `with_keypoints`,
         weighted by `weights`, ``sqrt(confidence)``, then one pose prior row per
-        entry of theta and one shape prior row per beta.
+        entry of theta and one shape prior row per beta.  The prior rows of
+        the fixed entries and of beta do not depend on x; they are built once
+        per `base` (`prior`), and each call writes only the x-dependent rows
+        ``prior_rows`` over them.
 
         The columns pose only `posed`, the model folded onto its fitted
         joints: Rodrigues on the packed axis-angles, FK over the fitted joints
@@ -260,22 +284,21 @@ class _ParamVector:
         fold, rest = self.posed
         F = self.fitted_joints.size
         rots = _kernels.rodrigues_batch(cols[:, :3 * F].reshape(B, F, 3))
-        R, t = _kernels.fk_chain(self.parents, rest, rots, np.eye(3))
+        R, t = _kernels.fk_chain(self.parents, rest, rots, _kernels.IDENTITY)
         T = fold.terms(fold.vertices, R, t)
         self.fk = R, t, T
         joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
+        rows, centre = self.prior
+        m2 = 2 * self.model.num_joints
+        r = np.empty((B, m2 + rows.shape[-1]))
         # The camera scale and translation are packed last.
-        projected = cols[:, -3, None, None] * joints[..., :2] + cols[:, None, -2:]
-        r2d = self.weights[..., None] * (projected - self.points)
-        # Every row of theta is in the prior; the fixed rows keep their values in `base`.
-        _, base_theta, beta, _, _ = WholeBodyParams.split(self.base, self.num_betas)
-        base_theta = base_theta.reshape(base_theta.shape[:-2] + (-1,))
-        theta = np.broadcast_to(base_theta, (B, base_theta.shape[-1])).copy()
-        theta[:, self.prior_rows - 2 * self.model.num_joints] = cols[:, self.prior_cols]
-        centre = base_theta if self.anchor is None else self.anchor.theta_w.ravel()
-        rp = self.prior_weight * (theta - centre)
-        rs = np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta, (B, beta.shape[-1]))
-        r = np.concatenate([r2d.reshape(B, -1), rp, rs], axis=1)
+        r2d = r[:, :m2].reshape(B, -1, 2)
+        np.multiply(cols[:, -3, None, None], joints[..., :2], out=r2d)
+        r2d += cols[:, None, -2:]
+        r2d -= self.points
+        r2d *= self.weights[..., None]
+        r[:, m2:] = rows
+        r[:, self.prior_rows] = self.prior_weight * (cols[:, self.prior_cols] - centre)
         return r[0] if x.ndim == 1 else r.T
 
     def jacobian(self, x):
@@ -306,14 +329,22 @@ class _ParamVector:
         F = self.fitted_joints.size
         R, t, T = self.fk
 
-        k, f, sums, depth, at = self.blocks
+        k, f, pairs, starts, depth, at = self.blocks
         w = self.weights
-        sw = cols[:, -3, None] * w
         centre = (R @ rest[..., None])[..., 0] + t
-        v = sw[:, k, None] * (sums @ T - depth[:, None] * centre[:, f])
-        A = (R @ right_jacobian(cols[:, :3 * F].reshape(B, F, 3)))[:, f]
+        # v of every block (B, 3, nb), with its components as rows in the order
+        # (y, z, x), and A = R_a Jr(theta_a) of every block (B, 4, 3, nb), its
+        # rows in the order (x, y, z, x): the x and y rows of -[v]x A,
+        # v_z A_y - v_y A_z and v_x A_z - v_z A_x, are one product less another.
+        v = np.add.reduceat(T.transpose(0, 2, 1)[:, _YZX].take(pairs, axis=2), starts, axis=2)
+        v -= depth * centre.transpose(0, 2, 1)[:, _YZX].take(f, axis=2)
+        v *= (cols[:, -3, None] * w).take(k, axis=1)[:, None]
+        A = R @ right_jacobian(cols[:, :3 * F].reshape(B, F, 3))
+        A = A[..., _XYZX, :].transpose(0, 2, 3, 1).take(f, axis=3)
+        blocks = v[:, 1:, None] * A[:, 1:3]
+        blocks -= v[:, :2, None] * A[:, 2:]
         jac = np.zeros((B, 2 * self.model.num_joints, cols.shape[1]))
-        jac.reshape(B, -1)[:, at] = ((v @ _CROSS_XY).reshape(v.shape[:-1] + (2, 3)) @ A).reshape(B, -1)
+        jac.reshape(B, -1)[:, at] = blocks.reshape(B, -1)
         i = 3 * F
         joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
         jac[:, :, i] = (w[..., None] * joints[..., :2]).reshape(B, -1)
@@ -417,7 +448,7 @@ def _fit_lockstep(model, frames, config, first):
         np.stack([init.vector(cam) for init, cam in zip(inits, cams)])).with_keypoints(kp)
     x = objective.base[:, objective.free]
     r = objective.residuals(x.T).T
-    cost = np.array([rt @ rt for rt in r])
+    cost = np.vecdot(r, r)
     bad = np.flatnonzero(~np.isfinite(cost))
     if bad.size:
         err = FitError("initial cost is not finite")
@@ -426,54 +457,67 @@ def _fit_lockstep(model, frames, config, first):
 
     T, n = x.shape
     trace = np.empty((T, config.iterations))
-    accepted = np.zeros(T, dtype=np.int64)
-    rejected = np.zeros(T, dtype=np.int64)
-    stalled = np.zeros(T, dtype=bool)
-    eye = np.eye(n)
+    tries = np.zeros(T, dtype=np.int64)      # trial steps
+    stalls = np.zeros(T, dtype=np.int64)     # iterations that ran out of retries
     for it in range(config.iterations):
         JtJ, Jtr = objective.normal_equations(fit_jacobian(objective, x.T, config.fd_step), r)
         if it == 0:
-            lam = np.clip(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1), 1e-12, 1e12)
+            lam = np.minimum(np.maximum(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1),
+                                        1e-12), 1e12)
         pending = np.arange(T)
+        # The first round poses every frame, so it runs on the objective
+        # itself, whose held pose `fk` it replaces; later rounds pose the
+        # rows of the frames still pending.
+        trial, held = objective, objective.fk
         for _ in range(MAX_RETRIES):
-            step = np.linalg.solve(JtJ[pending] + lam[pending, None, None] * eye,
-                                   Jtr[pending, :, None])[..., 0]
-            x_new = objective.canonicalized(x[pending] - step)
-            trial = objective.take(pending)
+            damped = JtJ.take(pending, axis=0)
+            damped.reshape(-1, n * n)[:, ::n + 1] += lam.take(pending)[:, None]
+            g = Jtr.take(pending, axis=0)
+            step = np.linalg.solve(damped, g[..., None])[..., 0]
+            x_new = objective.canonicalized(x.take(pending, axis=0) - step)
             r_new = trial.residuals(x_new.T).T
-            cost_new = np.array([rt @ rt for rt in r_new])
+            cost_new = np.vecdot(r_new, r_new)
             # A step that leaves no valid camera is rejected like one whose
-            # cost is not finite.  The camera scale is packed third from last.
-            ok = np.isfinite(cost_new) & (cost_new <= cost[pending]) & (x_new[:, -3] > 0)
+            # cost is not finite, which fails the comparison with the held,
+            # finite cost.  The camera scale is packed third from last.
+            ok = (cost_new <= cost[pending]) & (x_new[:, -3] > 0)
+            tries[pending] += 1
             done, pending = pending[ok], pending[~ok]
             # Gain ratio: the cost decrease over the linearised model's,
             # stepᵀ(lam step + Jᵀr).  rho >= 1 scales the damping as rho = 1
             # does, and so does a prediction of 0 (a frame at its optimum,
             # where Jᵀr = 0), which leaves rho = 0 / 0.
+            step, kept = step[ok], lam[done]
             gain = cost[done] - cost_new[ok]
-            pred = np.einsum("ij,ij->i", step[ok], lam[done, None] * step[ok] + Jtr[done])
+            pred = np.einsum("ij,ij->i", step, kept[:, None] * step + g[ok])
             rho = np.divide(gain, pred, out=np.ones_like(pred), where=pred > gain)
             x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
-            # The Jacobian reads the folded pose of each frame's x from `fk`.
-            for held, new in zip(objective.fk, trial.fk):
-                held[done] = new[ok]
-            lam[done] = np.clip(lam[done] * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12, 1e12)
+            lam[done] = np.minimum(np.maximum(
+                kept * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12), 1e12)
             lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
-            accepted[done] += 1
-            rejected[pending] += 1
+            # The Jacobian reads the folded pose of each frame's x from `fk`.
+            if trial is not objective:
+                for old, new in zip(objective.fk, trial.fk):
+                    old[done] = new[ok]
+            elif pending.size:
+                for old, new in zip(held, objective.fk):
+                    new[pending] = old[pending]
             if not pending.size:
                 break
-        stalled[pending] = True
+            trial = objective.take(pending)
+        else:
+            stalls[pending] += 1
         trace[:, it] = cost
 
+    accepted = config.iterations - stalls
     # The leading 2K residuals of the accepted x are its weighted 2D errors.
     r2d = r[:, :2 * model.num_joints]
     rows = objective.rows(x)
     return [FitResult(params=WholeBodyParams.from_vector(rows[t], objective.num_betas),
                       cost_trace=trace[t],
                       final_rms_px=float(np.sqrt((r2d[t] * r2d[t]).sum() / kp.confidence[t].sum())),
-                      status="stalled" if stalled[t] else "ok",
-                      accepted_steps=int(accepted[t]), rejected_steps=int(rejected[t]))
+                      status="stalled" if stalls[t] else "ok",
+                      accepted_steps=int(accepted[t]), rejected_steps=int(tries[t] - accepted[t]))
             for t in range(T)]
 
 

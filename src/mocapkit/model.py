@@ -160,7 +160,7 @@ class JointFold:
         (..., P, 3) and bone transforms R (..., J, 3, 3), t (..., J, 3).  They
         are linear in (U, t), so they also map (d U, d t) to d T at a fixed R."""
         return (_kernels.lbs(self.weights, vertices, rots, trans)
-                + (self.pair_blend[:, None] - 1.0) * trans[..., self.pair_bone, :])
+                + (self.pair_blend[:, None] - 1.0) * trans.take(self.pair_bone, axis=-2))
 
 
 def _blend(basis, beta):

@@ -25,7 +25,7 @@ def canonicalize(aa):
     angles below 1e-12, before or after the reduction, give zero.
     """
     aa = np.asarray(aa, dtype=np.float64)
-    norm = np.linalg.norm(aa, axis=-1, keepdims=True)
+    norm = np.sqrt((aa * aa).sum(axis=-1, keepdims=True))
     # Away from 0 and pi every vector is canonical, as in most calls of a fit.
     # ``pi - norm`` is the at-pi test's ``|norm - pi|`` below pi, bit for bit.
     if ((norm >= 1e-12) & (np.pi - norm >= 1e-12)).all():
@@ -76,21 +76,22 @@ def right_jacobian(aa):
 
     ``rodrigues(aa + d) = rodrigues(aa) @ rodrigues(right_jacobian(aa) @ d)``
     to first order in d:
-    ``Jr = I - (1 - cos a) / a^2 [aa]x + (a - sin a) / a^3 [aa]x^2``, with
-    the coefficients' Taylor series below a = 1e-3.
+    ``Jr = I - c1 [aa]x + c2 [aa]x^2 = (1 - c2 a^2) I - c1 [aa]x + c2 aa aa^T``
+    with ``c1 = (1 - cos a) / a^2`` and ``c2 = (a - sin a) / a^3``, as the
+    coefficients' Taylor series below a = 1e-3.  Each vector's matrix has
+    the bits of its own call.
     """
-    aa = np.asarray(aa, dtype=np.float64)
-    a2 = (aa * aa).sum(axis=-1)
+    v = _kernels.components(np.asarray(aa, dtype=np.float64))
+    a2 = (v * v).sum(axis=0)
     a = np.sqrt(a2)
     small = a < 1e-3
     safe = np.where(small, 1.0, a)
     c1 = np.where(small, 0.5 - a2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
     c2 = np.where(small, 1.0 / 6.0 - a2 / 120.0, (safe - np.sin(safe)) / safe ** 3)
-    x, y, z = np.moveaxis(aa, -1, 0)
-    zero = np.zeros_like(x)
-    skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(aa.shape + (3,))
-    return (np.eye(3) - c1[..., None, None] * skew
-            + c2[..., None, None] * (skew @ skew))
+    out = (v[:, None] * (c2 * v)).reshape((9,) + a.shape)
+    out[::4] += 1.0 - c2 * a2
+    _kernels.add_cross(out, -c1 * v)
+    return _kernels.matrices(out)
 
 
 def is_rotation(m):

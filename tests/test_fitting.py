@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -308,6 +309,34 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
     assert result.cost_trace[0] == initial @ initial
     np.testing.assert_array_equal(result.params.theta_w, init.theta_w)
+
+
+def test_lockstep_group_in_which_every_frame_stalls(toy, rng, monkeypatch):
+    # Every trial round rejects every frame, the first round included, in
+    # which all the frames of the group are pending.
+    frames = [_noisy_fit_problem(toy, rng) for _ in range(3)]
+    exact = _ParamVector.jacobian
+    held = []
+
+    def negated(objective, x):
+        # The held pose is that of x: every rejected trial's pose was put back.
+        fresh = copy.copy(objective)
+        fresh.residuals(x)
+        held.append(all(a.tobytes() == b.tobytes() for a, b in zip(objective.fk, fresh.fk)))
+        return -exact(objective, x)
+
+    monkeypatch.setattr(_ParamVector, "jacobian", negated)
+    monkeypatch.setattr(fitting, "MAX_RETRIES", 3)
+    config = FitConfig(iterations=4)
+    results = fitting.fit_frames(toy, frames, config)
+    assert held == [True] * config.iterations
+    for (init, cam, kp), result in zip(frames, results):
+        packer = _ParamVector(toy, init, cam, config)
+        initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
+        assert result.status == "stalled"
+        assert (result.accepted_steps, result.rejected_steps) == (0, config.iterations * 3)
+        assert np.all(result.cost_trace == initial @ initial)
+        assert result.params.vector().tobytes() == init.vector(cam).tobytes()
 
 
 def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 
-from mocapkit import _kernels
+from mocapkit import _kernels, fitting
+from mocapkit.integration import PoseLayout
 
 
 # Plain-loop references: one unbatched input each, written entry by entry.
@@ -122,6 +123,33 @@ def test_fk_frame_has_the_bits_of_its_own_call(rng):
             alone = _kernels.fk_chain(parents, rest if rest.ndim == 2 else rest[t],
                                       local_rots[t], root_rot[t])
             for one, many in zip(alone, stacked):
+                assert one.tobytes() == many[t].tobytes()
+
+
+def _level_kinds(parents):
+    return [isinstance(idx, slice) for idx, _ in _kernels._tree(parents.tobytes())[0]]
+
+
+def test_fk_on_the_toy_skeleton_and_the_fit_fold(toy, rng):
+    # The toy skeleton has consecutive depth levels (slices) and scattered
+    # ones (index arrays); every level of the fit's fold is consecutive.
+    fitted = np.concatenate([[0], PoseLayout.from_model(toy).body_rows + 1])
+    fold_parents = fitting._fold_bones(toy, fitted)[0]
+    toy_parents = np.asarray(toy.tree.parents, dtype=np.int64)
+    assert _level_kinds(toy_parents) == [True] * 7 + [False] * 3
+    assert _level_kinds(fold_parents) == [True] * 7
+    batch = 4
+    for parents in (toy_parents, fold_parents):
+        n = parents.size
+        local_rots = _kernels.rodrigues_batch(rng.normal(scale=0.8, size=(batch, n, 3)))
+        root_rot = _kernels.rodrigues_batch(rng.normal(size=(batch, 3)))
+        rest = rng.normal(size=(batch, n, 3))
+        stacked = _kernels.fk_chain(parents, rest, local_rots, root_rot)
+        for t in range(batch):
+            alone = _kernels.fk_chain(parents, rest[t], local_rots[t], root_rot[t])
+            for one, many, ref in zip(alone, stacked,
+                                      _fk_chain_loops(parents, rest[t], local_rots[t], root_rot[t])):
+                np.testing.assert_allclose(one, ref, rtol=0, atol=1e-12)
                 assert one.tobytes() == many[t].tobytes()
 
 

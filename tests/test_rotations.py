@@ -267,13 +267,30 @@ def test_unwrap_makes_a_sweep_through_pi_continuous(rng):
     assert unwrap(calm).tobytes() == calm.tobytes()
 
 
+def _right_jacobian_reference(aa):
+    """``I - c1 [aa]x + c2 [aa]x^2``, with the coefficients' series below 1e-3."""
+    a = np.linalg.norm(aa)
+    if a < 1e-3:
+        c1, c2 = 0.5 - a * a / 24.0, 1.0 / 6.0 - a * a / 120.0
+    else:
+        c1, c2 = (1.0 - np.cos(a)) / a ** 2, (a - np.sin(a)) / a ** 3
+    x, y, z = aa
+    skew = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) - c1 * skew + c2 * (skew @ skew)
+
+
 def test_right_jacobian_is_the_exp_map_derivative(rng):
-    axes = rng.normal(size=(4, 3))
+    # At 0, on both sides of the series switch at 1e-3, and within 1e-9 of pi.
+    axes = rng.normal(size=(12, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    points = np.concatenate([np.zeros((1, 3)), 1e-5 * axes[:1], 1e-3 * axes[1:2],
-                             rng.normal(size=(5, 3)), (np.pi - 1e-6) * axes[2:]])
+    angles = [0.0, 1e-5, 1e-3 * (1 - 1e-9), 1e-3, 1e-3 * (1 + 1e-9), np.pi - 1e-6,
+              np.pi - 1e-9, np.pi - 1e-10]
+    points = np.concatenate([np.array(angles)[:, None] * axes[:len(angles)],
+                             rng.normal(size=(4, 3))])
     h = 1e-6
     for aa in points:
+        np.testing.assert_allclose(right_jacobian(aa), _right_jacobian_reference(aa),
+                                   rtol=0, atol=1e-15)
         R = rodrigues(aa)
         fd = np.empty((3, 3))
         for i in range(3):
@@ -283,8 +300,10 @@ def test_right_jacobian_is_the_exp_map_derivative(rng):
             skew = R.T @ dR          # [Jr e_i]x
             fd[:, i] = [skew[2, 1], skew[0, 2], skew[1, 0]]
         np.testing.assert_allclose(right_jacobian(aa), fd, atol=1e-8)
-    np.testing.assert_allclose(right_jacobian(points), [right_jacobian(p) for p in points],
-                               atol=1e-15)
+    # a stack has the bits of one call per vector
+    stacked = right_jacobian(points.reshape(3, 4, 3)).reshape(-1, 3, 3)
+    for aa, many in zip(points, stacked):
+        assert right_jacobian(aa).tobytes() == many.tobytes()
 
 
 def test_is_rotation_tolerance():

@@ -6,6 +6,7 @@ with a machine-readable JSON object on stderr.
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -217,6 +218,8 @@ def cmd_prep(args):
     return 0
 
 
+# Built once per process: `main` may run many commands in one process.
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="mocapkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -53,13 +53,13 @@ def check_keypoints(points, confidence):
 # They stay: without them, which trial steps round to no rise in cost
 # changes (a frame started at its optimum went from 0 to 7 rejected steps).
 SHAPE_PRIOR_WEIGHT = 1e-1
+# The pose prior's weight relative to the unit weight of the 2D reprojection terms.
+POSE_PRIOR_WEIGHT = 1e-2
 
 
 @dataclass(frozen=True)
 class FitConfig:
     iterations: int = 20
-    # The pose prior's weight relative to the unit weight of the 2D reprojection terms.
-    weight_prior_pose: float = 1e-2
     # Central-difference step for checking the exact Jacobian; `fit` itself
     # does not difference.
     fd_step = 1e-6
@@ -67,8 +67,6 @@ class FitConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise DimensionError("iterations must be >= 1")
-        if self.weight_prior_pose < 0:
-            raise DimensionError("weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ class _ParamVector:
     fitted joints (`_fold_bones`), at `base` (`posed`).  Prior row
     ``prior_rows[i]`` of `residuals` is `prior_weight` times packed column
     ``prior_cols[i]`` less its anchor, so `normal_equations` adds those
-    entries to JᵀJ and Jᵀr without differentiating them.
+    entries to JᵀJ and Jᵀr without differentiating them.  `config` is not read.
     """
 
     def __init__(self, model, init, cam_init, config):
@@ -181,7 +179,7 @@ class _ParamVector:
         # The prior rows follow the 2K reprojection rows, one per entry of theta.
         self.prior_rows = 2 * model.num_joints + (3 * rows[:, None] + np.arange(3)).ravel()
         self.prior_cols = 3 + np.arange(3 * rows.size)
-        self.prior_weight = np.sqrt(config.weight_prior_pose)
+        self.prior_weight = np.sqrt(POSE_PRIOR_WEIGHT)
 
     def with_base(self, base):
         """The same free positions over other base vectors, e.g. one per frame (T, D)."""
@@ -465,10 +463,10 @@ def _fit_lockstep(model, frames, config, first):
             lam = np.minimum(np.maximum(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1),
                                         1e-12), 1e12)
         pending = np.arange(T)
-        # The first round poses every frame, so it runs on the objective
-        # itself, whose held pose `fk` it replaces; later rounds pose the
-        # rows of the frames still pending.
-        trial, held = objective, objective.fk
+        # `fk` holds the folded pose of each frame's accepted x, which the
+        # Jacobian reads.  The first round poses every frame, so it runs on
+        # the objective itself; later rounds pose the frames still pending.
+        trial, fk = objective, objective.fk
         for _ in range(MAX_RETRIES):
             damped = JtJ.take(pending, axis=0)
             damped.reshape(-1, n * n)[:, ::n + 1] += lam.take(pending)[:, None]
@@ -495,18 +493,14 @@ def _fit_lockstep(model, frames, config, first):
             lam[done] = np.minimum(np.maximum(
                 kept * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12), 1e12)
             lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
-            # The Jacobian reads the folded pose of each frame's x from `fk`.
-            if trial is not objective:
-                for old, new in zip(objective.fk, trial.fk):
-                    old[done] = new[ok]
-            elif pending.size:
-                for old, new in zip(held, objective.fk):
-                    new[pending] = old[pending]
+            for held, new in zip(fk, trial.fk):
+                held[done] = new[ok]
             if not pending.size:
                 break
             trial = objective.take(pending)
         else:
             stalls[pending] += 1
+        objective.fk = fk
         trace[:, it] = cost
 
     accepted = config.iterations - stalls

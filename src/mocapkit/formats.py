@@ -210,9 +210,11 @@ def model_from_doc(doc):
         tree = SkeletonTree(_indices(doc["parents"], "parents"), tuple(doc["joint_names"]))
         sw = doc["skin_weights"]
         jr = doc["joint_regressor"]
+        # An empty list has no axis of length 3, but it means no faces.
+        faces = _indices(doc["faces"], "faces") if doc["faces"] != [] else np.zeros((0, 3), int)
         return ParametricModel(
             template_vertices=doc["vertices"],
-            faces=_indices(doc["faces"], "faces").reshape(-1, 3),
+            faces=faces,
             shape_basis=doc["shape_basis"],
             skin_weights=_from_triplets(sw["triplets"], tuple(sw["shape"])),
             joint_regressor=_from_triplets(jr["triplets"], tuple(jr["shape"])),

@@ -51,8 +51,10 @@ class ParametricModel:
             raise DimensionError("template_vertices must be (N, 3)")
         n = self.template_vertices.shape[0]
         j = self.tree.num_joints
-        if self.shape_basis.shape[:2] != (n, 3):
+        if self.shape_basis.ndim != 3 or self.shape_basis.shape[:2] != (n, 3):
             raise DimensionError("shape_basis must be (N, 3, B)")
+        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+            raise DimensionError("faces must be (F, 3)")
         if self.skin_weights.shape != (n, j):
             raise DimensionError("skin_weights must be (N, J)")
         if self.joint_regressor.shape[0] < j or self.joint_regressor.shape[1] != n:
@@ -91,8 +93,6 @@ class ParametricModel:
     def rest_joints(self, beta=None):
         """Skeleton joint rest positions (..., J, 3); `beta` as in `shape_template`."""
         rest, basis = self.rest_blend
-        if beta is None:
-            return rest.copy()
         return rest + _blend(basis, beta_array(self, beta))
 
     @functools.cached_property
@@ -227,7 +227,9 @@ class HandSubmodel:
 
 
 def beta_array(model, beta):
-    """Shape coefficients (..., B) of a ShapeParams or an array, checked against `model`."""
+    """`beta`, a ShapeParams, an array or None (zero), as (..., B) checked against `model`."""
+    if beta is None:
+        return np.zeros(model.num_betas)
     beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
     if beta.shape[-1:] != (model.num_betas,):
         raise DimensionError(f"beta must have length {model.num_betas}")
@@ -239,8 +241,6 @@ def shape_template(model, beta):
 
     `beta` is None, a ShapeParams, or an array (..., B); see `_blend`.
     """
-    if beta is None:
-        return model.template_vertices.copy()
     beta = beta_array(model, beta)
     return model.template_vertices + _blend(np.moveaxis(model.shape_basis, -1, 0), beta)
 
@@ -254,11 +254,10 @@ def regress_joints(regressor, vertices):
 
 
 def check_pose(model, pose, beta=None):
-    """Raise a DimensionError unless `pose`, and `beta` if given, fit `model`."""
+    """Raise a DimensionError unless `pose` and `beta` fit `model`."""
     if pose.joint_poses.shape[-2] != model.num_joints - 1:
         raise DimensionError("pose has wrong number of joints for this model")
-    if beta is not None:
-        beta_array(model, beta)
+    beta_array(model, beta)
 
 
 def pose_mesh(model, pose, beta=None, return_fk=False):
@@ -288,7 +287,7 @@ def pose_joints(model, pose, beta=None):
     """
     check_pose(model, pose)
     fold = model.joint_fold
-    verts = fold.vertices if beta is None else fold.shaped(beta_array(model, beta))
+    verts = fold.shaped(beta_array(model, beta))
     fk = forward_kinematics(model.tree, model.rest_joints(beta), pose.global_orient,
                             pose.full_local_poses())
     return np.add.reduceat(fold.terms(verts, fk.rotations, fk.translations),
@@ -322,11 +321,8 @@ def extract_hand_submodel(model, side):
     old_to_new_vertex[selected] = np.arange(selected.size)
 
     # Faces entirely inside the crop, remapped.
-    if model.faces.size:
-        keep = np.all(np.isin(model.faces, selected), axis=1)
-        faces = old_to_new_vertex[model.faces[keep]]
-    else:
-        faces = np.zeros((0, 3), dtype=np.int64)
+    keep = np.all(np.isin(model.faces, selected), axis=1)
+    faces = old_to_new_vertex[model.faces[keep]]
 
     joint_map = np.asarray(hand_joints, dtype=np.int64)
     old_to_new_joint = {int(j): i for i, j in enumerate(joint_map)}

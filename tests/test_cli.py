@@ -441,6 +441,21 @@ MODEL_FAULTS = {
     "hand_joint_ids_nested": (["hand_joint_ids", "left"], lambda ids: [ids],
                               "hand_joint_ids[left] must be a list of integers"),
     "vertices_null": (["vertices"], lambda v: None, "template_vertices must be (N, 3)"),
+    # One axis dropped or added; the reader once regrouped faces into triangles.
+    "vertices_flat": (["vertices"], lambda v: [x for p in v for x in p],
+                      "template_vertices must be (N, 3)"),
+    "vertices_extra_axis": (["vertices"], lambda v: [[[x] for x in p] for p in v],
+                            "template_vertices must be (N, 3)"),
+    "faces_flat": (["faces"], lambda f: [i for t in f for i in t], "faces must be (F, 3)"),
+    "faces_extra_axis": (["faces"], lambda f: [[[i] for i in t] for t in f],
+                         "faces must be (F, 3)"),
+    "faces_pairs": (["faces"], lambda f: [t[:2] for t in f], "faces must be (F, 3)"),
+    "faces_quads": (["faces"], lambda f: [t + t[:1] for t in f], "faces must be (F, 3)"),
+    "shape_basis_2d": (["shape_basis"], lambda b: [[c[0] for c in row] for row in b],
+                       "shape_basis must be (N, 3, B)"),
+    "shape_basis_extra_axis": (["shape_basis"],
+                               lambda b: [[[[x] for x in c] for c in row] for row in b],
+                               "shape_basis must be (N, 3, B)"),
 }
 
 
@@ -461,6 +476,21 @@ def test_pose_rejects_an_invalid_model_asset(asset, tmp_path, capsys, fault):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "SchemaError", "message": f"invalid model asset: {message}"}
     assert not out.exists()
+
+
+def test_pose_an_asset_without_faces(asset, tmp_path):
+    doc = formats.read_json(asset)
+    doc["faces"] = []
+    bare = tmp_path / "bare.json"
+    formats.write_json(bare, doc)
+    assert formats.load_model(bare).faces.shape == (0, 3)
+    params = params_file(tmp_path, None, "params.json",
+                         [(0, WholeBodyParams.identity(formats.load_model(asset)), None)])
+    obj, joints = tmp_path / "mesh.obj", tmp_path / "joints.json"
+    assert main(["pose", str(bare), str(params), str(joints), "--obj", str(obj)]) == 0
+    lines = obj.read_text().splitlines()
+    assert sum(ln.startswith("v ") for ln in lines) == len(doc["vertices"])
+    assert not any(ln.startswith("f ") for ln in lines)
 
 
 UNREADABLE_JSON = {"truncated": b'{"format": ', "not_utf8": b'{"format": "\xff"}\n'}

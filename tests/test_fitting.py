@@ -53,8 +53,6 @@ def test_keypoint_set_rejects_non_finite_naming_the_joint(bad):
 def test_fit_config_validation():
     with pytest.raises(DimensionError):
         FitConfig(iterations=0)
-    with pytest.raises(DimensionError):
-        FitConfig(weight_prior_pose=-1.0)
 
 
 def split_residuals(model, params, cam, kp, anchor, config):
@@ -105,7 +103,7 @@ def test_prior_cost_formula(toy, rng):
     params = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), cam)
     kp = render_keypoints(toy, params, cam)
     _, prior = split_residuals(toy, params, cam, kp, anchor, config)
-    expected = (config.weight_prior_pose * (theta ** 2).sum()
+    expected = (fitting.POSE_PRIOR_WEIGHT * (theta ** 2).sum()
                 + fitting.SHAPE_PRIOR_WEIGHT * (beta ** 2).sum())
     assert prior @ prior == pytest.approx(expected, rel=1e-12)
 
@@ -594,7 +592,7 @@ def full_residuals(model, params, anchor, kp, config):
     """The residuals of `_residuals` at `params`, built from `pose_joints`."""
     joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
     r2d = np.sqrt(kp.confidence)[:, None] * (project(params.cam_w, joints) - kp.points)
-    rp = np.sqrt(config.weight_prior_pose) * (params.theta_w - anchor.theta_w)
+    rp = np.sqrt(fitting.POSE_PRIOR_WEIGHT) * (params.theta_w - anchor.theta_w)
     rs = np.sqrt(fitting.SHAPE_PRIOR_WEIGHT) * params.beta_w.beta
     return np.concatenate([r2d.ravel(), rp.ravel(), rs])
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ from mocapkit.rotations import rodrigues
 
 def test_shape_template_zero_beta(toy):
     np.testing.assert_array_equal(shape_template(toy, ShapeParams.zeros(10)), toy.template_vertices)
+
+
+def test_no_beta_is_the_zero_shape_bit_for_bit(toy, rng):
+    pose = PoseParams(rng.normal(scale=0.5, size=3), rng.normal(scale=0.5, size=(51, 3)))
+    zero = ShapeParams.zeros(10)
+    pairs = [(toy.rest_joints(), toy.rest_joints(zero)),
+             (shape_template(toy, None), shape_template(toy, zero)),
+             (pose_joints(toy, pose), pose_joints(toy, pose, zero)),
+             (pose_mesh(toy, pose), pose_mesh(toy, pose, zero))]
+    for none, zeros in pairs:
+        assert none.shape == zeros.shape and none.tobytes() == zeros.tobytes()
 
 
 def test_shape_template_unit_vector(toy):
@@ -146,6 +159,14 @@ def test_extract_sides_disjoint(toy):
     left = extract_hand_submodel(toy, "left")
     right = extract_hand_submodel(toy, "right")
     assert not set(left.vertex_index_map) & set(right.vertex_index_map)
+
+
+def test_extract_from_a_model_without_faces(toy):
+    bare = dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64))
+    sub = extract_hand_submodel(bare, "left")
+    assert sub.model.faces.shape == (0, 3)
+    np.testing.assert_array_equal(sub.vertex_index_map,
+                                  extract_hand_submodel(toy, "left").vertex_index_map)
 
 
 def test_nearest_joint_tie_breaks_low_index():

@@ -104,7 +104,7 @@ def cmd_fit(args):
 
     with _naming_frames([i for i, _, _ in init_frames]):
         results = fit_frames(model, map_frames(fit_input, init_frames), config)
-    out = [(i, r.params, {"cost_trace": r.cost_trace, "final_rms_px": r.final_rms_px})
+    out = [(i, r.params, {k: getattr(r, k) for k in formats.FIT_FIELDS})
            for (i, _, _), r in zip(init_frames, results)]
 
     if args.smooth and len(out) > 1:

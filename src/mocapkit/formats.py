@@ -2,9 +2,13 @@
 
 All files are schema-versioned JSON with sorted keys, so write→read→write
 round trips are byte-identical (Python's float repr is shortest-round-trip).
-Sparse matrices are stored as (row, col, value) triplets.
+Sparse matrices are stored as (row, col, value) triplets.  A model asset's
+validated arrays are kept in a binary sidecar beside it, keyed by the digest
+of the asset's bytes, so that an asset is parsed once (`load_model`).
 """
 
+import contextlib
+import hashlib
 import json
 import os
 
@@ -89,14 +93,20 @@ def write_json(path, doc):
         f.write(canonical_dumps(doc))
 
 
+@contextlib.contextmanager
+def _json_errors(path):
+    """Raise a SchemaError naming the file `path` for text that is not UTF-8 JSON."""
+    try:
+        yield
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise SchemaError(f"{path}: not a UTF-8 JSON document ({e})") from e
+
+
 def read_json(path):
     """The JSON document in the file `path`.  A file that is not UTF-8 JSON
     raises a SchemaError naming it."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise SchemaError(f"{path}: not a UTF-8 JSON document ({e})") from e
+    with open(path, "r", encoding="utf-8") as f, _json_errors(path):
+        return json.load(f)
 
 
 def resolve_asset_path(path):
@@ -168,6 +178,15 @@ def _floats(arr):
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
+def _float_array(values, name):
+    """`values`, nested lists of numbers, as a float64 array.  A ragged list
+    or an entry that is not a number raises a ValueError naming `name`."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name} must be a regular array of numbers") from e
+
+
 # ---------------------------------------------------------------------------
 # Model asset
 
@@ -213,9 +232,9 @@ def model_from_doc(doc):
         # An empty list has no axis of length 3, but it means no faces.
         faces = _indices(doc["faces"], "faces") if doc["faces"] != [] else np.zeros((0, 3), int)
         return ParametricModel(
-            template_vertices=doc["vertices"],
+            template_vertices=_float_array(doc["vertices"], "vertices"),
             faces=faces,
-            shape_basis=doc["shape_basis"],
+            shape_basis=_float_array(doc["shape_basis"], "shape_basis"),
             skin_weights=_from_triplets(sw["triplets"], tuple(sw["shape"])),
             joint_regressor=_from_triplets(jr["triplets"], tuple(jr["shape"])),
             tree=tree,
@@ -229,8 +248,75 @@ def model_from_doc(doc):
         raise SchemaError(f"invalid model asset: {e}") from e
 
 
+# The sidecar of asset `a` is `a + CACHE_SUFFIX`: a run of `np.save` records,
+# first the bytes of `_CACHE_LAYOUT` and the sha256 of the asset's bytes, then
+# the arrays `_CACHE_ARRAYS` and the parents, then the rest of the model as JSON.
+CACHE_SUFFIX = ".cache"
+_CACHE_LAYOUT = b"mocapkit-model-cache 1 sha256 "
+_CACHE_ARRAYS = ("template_vertices", "faces", "shape_basis", "skin_weights", "joint_regressor")
+
+
 def load_model(path):
-    return model_from_doc(read_json(resolve_asset_path(path)))
+    """The model asset in the file `path` (see `resolve_asset_path`).
+
+    The asset is parsed only if its sidecar was not written for the same
+    bytes; the parsed model is then written to a new sidecar, unless the
+    directory refuses it.
+    """
+    path = os.fspath(resolve_asset_path(path))
+    with open(path, "rb") as f:
+        text = f.read()
+    key = _CACHE_LAYOUT + hashlib.sha256(text).hexdigest().encode()
+    cache = path + CACHE_SUFFIX
+    model = _read_cache(cache, key)
+    if model is None:
+        with _json_errors(path):
+            # Rebinding frees the bytes before the parse, as `read_json` does.
+            text = text.decode("utf-8")
+            doc = json.loads(text)
+        del text
+        model = model_from_doc(doc)
+        _write_cache(cache, key, model)
+    return model
+
+
+def _read_cache(path, key):
+    """The model in the sidecar `path` if its first record is `key`, else None."""
+    # `read_array` reads `.npy` records alone, where `np.load` would also
+    # take a zip archive for one.
+    def record():
+        return np.lib.format.read_array(f, allow_pickle=False)
+
+    try:
+        with open(path, "rb") as f:
+            if record().tobytes() != key:
+                return None
+            *arrays, parents = [record() for _ in range(len(_CACHE_ARRAYS) + 1)]
+            rest = json.loads(record().tobytes())
+        tree = SkeletonTree(parents, tuple(rest.pop("joint_names")))
+        return ParametricModel(**dict(zip(_CACHE_ARRAYS, arrays)), tree=tree, **rest)
+    except (OSError, ValueError):
+        # Missing or torn: the asset is parsed and the sidecar replaced.
+        return None
+
+
+def _write_cache(path, key, model):
+    """Write the sidecar `path` of `model` with the first record `key`, through
+    a temporary file.  An OSError leaves no sidecar and no temporary file."""
+    rest = {"joint_names": list(model.tree.joint_names),
+            "fingertip_vertex_ids": model.fingertip_vertex_ids,
+            "hand_joint_ids": model.hand_joint_ids,
+            "reference_knuckle_length": model.reference_knuckle_length}
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            for array in [np.frombuffer(key, np.uint8), *(getattr(model, a) for a in _CACHE_ARRAYS),
+                          model.tree.parents, np.frombuffer(json.dumps(rest).encode(), np.uint8)]:
+                np.save(f, array, allow_pickle=False)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def save_model(path, model):
@@ -352,10 +438,16 @@ def keypoints_from_doc(doc):
 # ---------------------------------------------------------------------------
 # Whole-body parameters
 
+# The fields a fit adds to each frame (`fitting.FitResult`), each with the
+# function that writes its value; a frame no fit made has null in them.
+FIT_FIELDS = {"cost_trace": _floats, "final_rms_px": float, "status": str,
+              "accepted_steps": int, "rejected_steps": int}
+
+
 def params_to_doc(frames):
     """frames: list of (frame_index, WholeBodyParams, extras dict or None).
 
-    extras may carry 'cost_trace' and 'final_rms_px' from a fit.
+    extras may carry any of the `FIT_FIELDS` of a fit.
     """
     out = []
     for i, params, extras in frames:
@@ -363,8 +455,7 @@ def params_to_doc(frames):
         out.append({
             "frame": int(i),
             **_pose_to_doc(params.phi_w, params.theta_w, params.beta_w, params.cam_w),
-            "cost_trace": _floats(extras["cost_trace"]) if "cost_trace" in extras else None,
-            "final_rms_px": float(extras["final_rms_px"]) if "final_rms_px" in extras else None,
+            **{k: write(extras[k]) if k in extras else None for k, write in FIT_FIELDS.items()},
         })
     return _frames_doc(PARAMS_FORMAT, out)
 
@@ -376,6 +467,15 @@ def _params_from_doc(f):
         extras["cost_trace"] = np.asarray(f["cost_trace"], dtype=np.float64)
     if f.get("final_rms_px") is not None:
         extras["final_rms_px"] = float(f["final_rms_px"])
+    if f.get("status") is not None:
+        if not isinstance(f["status"], str):
+            raise ValueError("status must be a string")
+        extras["status"] = f["status"]
+    for name in ("accepted_steps", "rejected_steps"):
+        if f.get(name) is not None:
+            if type(f[name]) is not int or f[name] < 0:
+                raise ValueError(f"{name} must be an integer >= 0")
+            extras[name] = f[name]
     return f["frame"], params, extras
 
 

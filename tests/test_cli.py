@@ -273,7 +273,9 @@ def test_empty_input_writes_an_empty_document(asset, tmp_path, command):
     out = tmp_path / "out.json"
     assert main([command, str(asset), str(src), str(out)] + extra) == 0
     assert json.loads(out.read_text()) == {"format": fmt, "schema_version": 1, "frames": []}
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([src.name, out.name, "toy.json"])
+    # Besides its output, the command leaves only the asset's sidecar.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [src.name, out.name, "toy.json", "toy.json" + formats.CACHE_SUFFIX])
 
 
 def test_fit_and_eval_round_trip(asset, tmp_path, rng):
@@ -296,6 +298,8 @@ def test_fit_and_eval_round_trip(asset, tmp_path, rng):
     [(_, fitted, extras)] = formats.params_from_doc(formats.read_json(fit_out))
     assert extras["cost_trace"].shape == (8,)
     assert extras["final_rms_px"] < 0.5
+    assert extras["status"] == "ok" and extras["accepted_steps"] == 8
+    assert extras["rejected_steps"] >= 0
 
     # evaluate the fitted joints against ground truth
     fitted_joints = pose_joints(model, fitted.pose(), fitted.beta_w)[:52]
@@ -310,6 +314,26 @@ def test_fit_and_eval_round_trip(asset, tmp_path, rng):
     report = formats.read_json(report_path)
     assert report["auc"] > 0.99
     assert csv_path.read_text().startswith("threshold,pck\n")
+
+
+def test_a_stalled_fit_says_so_in_its_output(asset, tmp_path, monkeypatch):
+    # With no retries every iteration gives up: nothing moves, and the file says so.
+    monkeypatch.setattr(fitting, "MAX_RETRIES", 0)
+    model = formats.load_model(asset)
+    init = WholeBodyParams.identity(model)
+    kp = project(init.cam_w, pose_joints(model, init.pose(), init.beta_w)[:52]) + 3.0
+    kp_path = tmp_path / "kp.json"
+    formats.write_json(kp_path, formats.keypoints_to_doc([(0, kp, None), (1, kp, None)]))
+    init_path = params_file(tmp_path, model, "init.json", [(0, init, None), (1, init, None)])
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(asset), str(init_path), str(kp_path), str(out), "--iters", "3"]) == 0
+    text = out.read_text()
+    assert text.count('"status": "stalled"') == 2
+    for _, _, extras in formats.params_from_doc(formats.read_json(out)):
+        assert (extras["accepted_steps"], extras["rejected_steps"]) == (0, 0)
+    # The fields read back and write out with the same bytes.
+    assert formats.canonical_dumps(formats.params_to_doc(
+        formats.params_from_doc(formats.read_json(out)))) == text
 
 
 def test_fit_rejects_non_finite_keypoint_naming_frame_and_joint(asset, tmp_path, capsys):
@@ -456,6 +480,14 @@ MODEL_FAULTS = {
     "shape_basis_extra_axis": (["shape_basis"],
                                lambda b: [[[[x] for x in c] for c in row] for row in b],
                                "shape_basis must be (N, 3, B)"),
+    # Each of these once gave numpy's own text, which names no field.
+    "vertices_ragged": (["vertices"], lambda v: v[:-1] + [v[-1][:2]],
+                        "vertices must be a regular array of numbers"),
+    "vertex_string": (["vertices", 1, 2], lambda x: "a", "vertices must be a regular array of numbers"),
+    "shape_basis_ragged": (["shape_basis", 4], lambda rows: rows[:2] + [rows[2][:-1]],
+                           "shape_basis must be a regular array of numbers"),
+    "shape_basis_string": (["shape_basis", 4, 1, 3], lambda x: "a",
+                           "shape_basis must be a regular array of numbers"),
 }
 
 

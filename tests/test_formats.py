@@ -186,7 +186,11 @@ def _params_record(**fields):
 UNREADABLE_RECORDS = {
     formats.PARAMS_FORMAT: [(_params_record(phi=[0.0, 0.1]), "phi_w must be a 3-vector"),
                             (_params_record(theta=[0.0, 0.0, 0.0]), r"theta_w must be \(J-1, 3\)"),
-                            (_params_record(beta=[float("nan")]), "beta must be a finite 1-D vector")],
+                            (_params_record(beta=[float("nan")]), "beta must be a finite 1-D vector"),
+                            (_params_record(status=1), "status must be a string"),
+                            (_params_record(accepted_steps=2.0), "accepted_steps must be an integer >= 0"),
+                            (_params_record(accepted_steps=True), "accepted_steps must be an integer >= 0"),
+                            (_params_record(rejected_steps=-1), "rejected_steps must be an integer >= 0")],
 }
 
 
@@ -226,20 +230,23 @@ def test_keypoints_shape_validation():
 
 def test_params_round_trip(rng):
     trace = np.array([3.0, 2.0, 1.0])
-    all_extras = [None, {}, {"cost_trace": trace}, {"cost_trace": trace, "final_rms_px": 0.25}]
+    all_extras = [None, {}, {"cost_trace": trace}, {"cost_trace": trace, "final_rms_px": 0.25},
+                  {"cost_trace": trace, "final_rms_px": 0.25, "status": "stalled",
+                   "accepted_steps": 1, "rejected_steps": 50}]
     frames = [(i, WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
                                   ShapeParams(rng.normal(size=10)), _camera(rng)), extras)
-              for i, extras in zip((1, 4, 5, 7), all_extras)]
+              for i, extras in zip((1, 4, 5, 7, 9), all_extras)]
     doc = formats.params_to_doc(frames)
     read = formats.params_from_doc(doc)
-    assert [i for i, _, _ in read] == [1, 4, 5, 7]
+    assert [i for i, _, _ in read] == [1, 4, 5, 7, 9]
     for (_, params, extras), (_, p2, e2) in zip(frames, read):
         _assert_same_fields(params, p2)
         extras = extras or {}
         assert sorted(e2) == sorted(extras)
         if "cost_trace" in extras:
             np.testing.assert_array_equal(e2["cost_trace"], extras["cost_trace"])
-        assert e2.get("final_rms_px") == extras.get("final_rms_px")
+        for name in ("final_rms_px", "status", "accepted_steps", "rejected_steps"):
+            assert e2.get(name) == extras.get(name)
     assert formats.canonical_dumps(formats.params_to_doc(read)) == formats.canonical_dumps(doc)
 
 
@@ -259,6 +266,151 @@ def test_asset_dir_resolution(toy, tmp_path, monkeypatch):
     assert loaded.num_vertices == toy.num_vertices
     # A file missing from both places keeps its own path, for open() to report.
     assert formats.resolve_asset_path("other.json") == "other.json"
+
+
+def _sidecar(path):
+    return Path(str(path) + formats.CACHE_SUFFIX)
+
+
+def _assert_same_model(a, b):
+    """Two models with the same arrays, bit for bit and dtype for dtype, ids and names."""
+    for name in ("template_vertices", "faces", "shape_basis", "skin_weights", "joint_regressor"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert (x.flags.c_contiguous, x.flags.writeable) == (y.flags.c_contiguous, y.flags.writeable)
+    p, q = a.tree.parents, b.tree.parents
+    assert (p.dtype, p.tobytes()) == (q.dtype, q.tobytes())
+    assert a.tree.joint_names == b.tree.joint_names
+    for name in ("hand_joint_ids", "fingertip_vertex_ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert list(x.items()) == list(y.items())
+        assert all(type(i) is int for ids in y.values() for i in ids)
+    assert a.reference_knuckle_length == b.reference_knuckle_length
+
+
+def test_sidecar_gives_the_parsed_model(toy, tmp_path, monkeypatch):
+    path = tmp_path / "toy.json"
+    formats.save_model(path, toy)
+    parsed = formats.load_model(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.json", "toy.json.cache"]
+    # A hit parses nothing.
+    monkeypatch.setattr(formats, "model_from_doc", None)
+    _assert_same_model(parsed, formats.load_model(path))
+    _assert_same_model(parsed, toy)
+
+
+def test_outputs_are_the_same_with_and_without_a_sidecar(tmp_path, rng):
+    asset = tmp_path / "toy.json"
+    assert main(["gen-toy", str(asset)]) == 0
+    model = formats.load_model(asset)
+    params = [(i, WholeBodyParams(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
+                                  ShapeParams(rng.normal(scale=0.5, size=10)), _camera(rng)), None)
+              for i in range(3)]
+    init = tmp_path / "init.json"
+    formats.write_json(init, formats.params_to_doc(params))
+    kp = tmp_path / "kp.json"
+    formats.write_json(kp, formats.keypoints_to_doc(
+        [(i, project(p.cam_w, pose_joints(model, p.pose(), p.beta_w)) + rng.normal(size=(52, 2)), None)
+         for i, p, _ in params]))
+    outputs = {}
+    for run in ("miss", "hit"):
+        if run == "miss":
+            _sidecar(asset).unlink()
+        d = tmp_path / run
+        d.mkdir()
+        assert main(["pose", str(asset), str(init), str(d / "joints.json"),
+                     "--obj", str(d / "mesh.obj")]) == 0
+        if run == "miss":
+            _sidecar(asset).unlink()
+        assert main(["fit", str(asset), str(init), str(kp), str(d / "fit.json"),
+                     "--iters", "3", "--smooth"]) == 0
+        assert _sidecar(asset).exists()
+        outputs[run] = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+    assert len(outputs["miss"]) == 5
+    assert outputs["miss"] == outputs["hit"]
+
+
+def test_an_edited_asset_is_parsed_again(toy, tmp_path):
+    path = tmp_path / "toy.json"
+    formats.save_model(path, toy)
+    formats.load_model(path)
+    old = _sidecar(path).read_bytes()
+    doc = formats.read_json(path)
+    doc["vertices"][0][0] += 0.5
+    formats.write_json(path, doc)
+    edited = formats.load_model(path)
+    assert edited.template_vertices[0, 0] == toy.template_vertices[0, 0] + 0.5
+    assert _sidecar(path).read_bytes() != old
+    _assert_same_model(edited, formats.load_model(path))
+
+
+def _other_assets_sidecar(tmp_path):
+    other = tmp_path / "other" / "toy.json"
+    other.parent.mkdir()
+    assert main(["gen-toy", str(other), "--seed", "1"]) == 0
+    formats.load_model(other)
+    return _sidecar(other).read_bytes()
+
+
+SPOILT_SIDECARS = {
+    "empty": lambda good, tmp_path: b"",
+    "truncated": lambda good, tmp_path: good[: len(good) // 2],
+    "header_only": lambda good, tmp_path: good[:200],
+    "garbage": lambda good, tmp_path: np.random.default_rng(0).bytes(len(good)),
+    "other_asset": lambda good, tmp_path: _other_assets_sidecar(tmp_path),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(SPOILT_SIDECARS))
+def test_a_spoilt_sidecar_is_ignored_and_replaced(toy, tmp_path, spoil):
+    path = tmp_path / "toy.json"
+    formats.save_model(path, toy)
+    parsed = formats.load_model(path)
+    good = _sidecar(path).read_bytes()
+    bad = SPOILT_SIDECARS[spoil](good, tmp_path)
+    assert bad != good
+    _sidecar(path).write_bytes(bad)
+    _assert_same_model(parsed, formats.load_model(path))
+    assert _sidecar(path).read_bytes() == good
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["open", "save", "replace"])
+def test_a_failing_sidecar_write_still_loads_the_model(toy, tmp_path, monkeypatch, failing):
+    path = tmp_path / "toy.json"
+    formats.save_model(path, toy)
+    if failing == "open":
+        # The asset and any sidecar still open for reading.
+        monkeypatch.setattr(formats, "open",
+                            lambda file, mode="r", **kw: _raise_oserror() if "x" in mode
+                            else open(file, mode, **kw), raising=False)
+    else:
+        monkeypatch.setattr(*{"save": (np, "save"), "replace": (formats.os, "replace")}[failing],
+                            _raise_oserror)
+    _assert_same_model(toy, formats.load_model(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.json"]
+
+
+def test_an_invalid_asset_writes_no_sidecar(toy, tmp_path):
+    path = tmp_path / "toy.json"
+    formats.save_model(path, toy)
+    formats.load_model(path)
+    stale = _sidecar(path).read_bytes()
+    # The sidecar of the valid asset does not stand in for the edited one.
+    doc = formats.read_json(path)
+    doc["vertices"][2][0] = float("nan")
+    formats.write_json(path, doc)
+    for _ in range(2):
+        with pytest.raises(SchemaError, match=r"^invalid model asset: template_vertices must be finite$"):
+            formats.load_model(path)
+    assert _sidecar(path).read_bytes() == stale
+    _sidecar(path).unlink()
+    with pytest.raises(SchemaError, match=r"^invalid model asset: template_vertices must be finite$"):
+        formats.load_model(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.json"]
 
 
 def _write_obj_rows(path, vertices, faces):
@@ -430,7 +582,8 @@ def test_docs_examples_are_the_writers_bytes():
         formats.PARAMS_FORMAT: formats.params_to_doc(
             [(0, WholeBodyParams([0.0, 0.0, 0.1], np.zeros((2, 3)), ShapeParams([0.25]),
                                  WeakPerspectiveCamera(300.0, [128.0, 128.0])),
-              {"final_rms_px": 0.125})]),
+              {"cost_trace": [0.5, 0.25], "final_rms_px": 0.125, "status": "ok",
+               "accepted_steps": 2, "rejected_steps": 0})]),
         formats.JOINTS_FORMAT: formats.joints_to_doc([(0, [[0.0, 0.1, 0.2]])]),
     }
     assert sorted(examples) == sorted(written)

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,7 @@ def _fold_bones(model, fitted):
     The pairs of a joint that share a bone then merge: pair q of `fold`
     sums the skeleton pairs p with ``merge[q, p] = 1``.  `fold` is a
     `JointFold` over the fitted joints, whose tree is `parents`; it has no
-    shape basis, and `_ParamVector.posed` sets its vertices per frame.
+    shape basis, and `_ParamVector.bind` sets its vertices per frame.
     """
     full = model.joint_fold
     K, F = model.num_joints, fitted.size
@@ -155,12 +154,13 @@ class _ParamVector:
     """The fit's objective, over the entries of the flat `WholeBodyParams.vector`
     layout that the fit frees: the global orientation, the body rows of theta
     (wrists included) and the camera, in ascending order.  The fingers and
-    beta keep the values of `base`, ``init.vector(cam_init)`` (D,), or one per
-    frame (T, D) after `with_base`, so the fit poses the model folded onto its
-    fitted joints (`_fold_bones`), at `base` (`posed`).  Prior row
-    ``prior_rows[i]`` of `residuals` is `prior_weight` times packed column
-    ``prior_cols[i]`` less its anchor, so `normal_equations` adds those
-    entries to JᵀJ and Jᵀr without differentiating them.  `config` is not read.
+    beta keep the values of `base`, ``init.vector(cam_init)`` (D,) or one per
+    frame (T, D) (`bind`), so the fit poses the model folded onto its fitted
+    joints (`_fold_bones`), at `base` (`posed`).  Prior row ``prior_rows[i]``
+    of `residuals` is `prior_weight` times packed column ``prior_cols[i]``
+    less its value in `x0`, ``base[..., free]``, so the pose prior pulls each
+    frame toward its own start, and `normal_equations` adds those entries to
+    JᵀJ and Jᵀr without differentiating them.  `config` is not read.
     """
 
     def __init__(self, model, init, cam_init, config):
@@ -181,43 +181,27 @@ class _ParamVector:
         self.prior_cols = 3 + np.arange(3 * rows.size)
         self.prior_weight = np.sqrt(POSE_PRIOR_WEIGHT)
 
-    def with_base(self, base):
-        """The same free positions over other base vectors, e.g. one per frame (T, D)."""
-        other = copy.copy(self)
-        other.base = base
-        other.__dict__.pop("posed", None)
-        other.__dict__.pop("prior", None)
-        return other
+    def bind(self, kp, base=None):
+        """The objective of the keypoints `kp` at the base vectors `base`: one
+        frame (D,), by default the init's vector, or one per frame (T, D) with
+        keypoints (T, K, 2).  It sets each of these once, with the leading
+        axes of `base`: the keypoints and their weights ``sqrt(confidence)``;
+        `x0`, the packed start ``base[..., free]``; `posed`; and `tail`, the
+        prior rows at x0, which are zero for the pose prior, then the shape
+        prior's.
 
-    def with_keypoints(self, kp, anchor=None):
-        """The objective of the keypoints `kp`, one frame or one per base vector,
-        whose prior pulls the pose toward `anchor`, or toward `base` when None."""
-        other = copy.copy(self)
-        other.points, other.weights, other.anchor = kp.points, np.sqrt(kp.confidence), anchor
-        other.__dict__.pop("prior", None)
-        return other
-
-    def take(self, frames):
-        """The objective of the base vectors `frames` of a stacked base (T, D),
-        with their rows of `posed`, `prior` and the keypoints."""
-        other = copy.copy(self)
-        other.base = self.base[frames]
-        other.points, other.weights = self.points[frames], self.weights[frames]
-        fold, rest = self.posed
-        other.posed = dataclasses.replace(fold, vertices=fold.vertices[frames]), rest[frames]
-        rows, centre = self.prior
-        other.prior = rows[frames], centre[frames]
-        return other
-
-    @functools.cached_property
-    def posed(self):
-        """``(fold, rest)`` at `base`: the fold with the virtual vertices
+        `posed` is ``(fold, rest)``: the fold with the virtual vertices
         (..., P, 3) of each base vector, and the rest positions (..., F, 3)
         of the fitted joints.  The full model is posed once, with every
         fitted rotation at identity, which leaves each other bone at its
-        transform relative to its nearest fitted ancestor."""
+        transform relative to its nearest fitted ancestor.
+        """
+        other = copy.copy(self)
+        base = self.base if base is None else base
+        other.base, other.x0 = base, base[..., self.free]
+        other.points, other.weights = kp.points, np.sqrt(kp.confidence)
         model, full = self.model, self.model.joint_fold
-        _, theta, beta, _, _ = WholeBodyParams.split(self.base, self.num_betas)
+        _, theta, beta, _, _ = WholeBodyParams.split(base, self.num_betas)
         local = np.zeros(theta.shape[:-2] + (model.num_joints, 3))
         local[..., 1:, :] = theta
         local[..., self.fitted_joints, :] = 0.0
@@ -225,22 +209,22 @@ class _ParamVector:
         fk = forward_kinematics(model.tree, rest, local[..., 0, :], local)
         terms = full.terms(full.shaped(beta), fk.rotations, fk.translations)
         vertices = self.merge @ terms[..., :self.merge.shape[1], :]
-        return dataclasses.replace(self.fold, vertices=vertices), rest[..., self.fitted_joints, :]
+        other.posed = (dataclasses.replace(self.fold, vertices=vertices),
+                       rest[..., self.fitted_joints, :])
+        pose = 3 * theta.shape[-2]
+        other.tail = np.zeros(base.shape[:-1] + (pose + beta.shape[-1],))
+        other.tail[..., pose:] = np.sqrt(SHAPE_PRIOR_WEIGHT) * beta
+        return other
 
-    @functools.cached_property
-    def prior(self):
-        """``(rows, centre)`` at `base`: the rows of `residuals` past the 2K
-        reprojection rows, the pose prior's then the shape prior's, and the
-        centre of prior row ``prior_rows[i]``, which is the one that depends
-        on x, each with the leading axes of `base`."""
-        _, theta, beta, _, _ = WholeBodyParams.split(self.base, self.num_betas)
-        theta = theta.reshape(theta.shape[:-2] + (-1,))
-        centre = theta if self.anchor is None else self.anchor.theta_w.ravel()
-        rows = np.concatenate([self.prior_weight * (theta - centre),
-                               np.broadcast_to(np.sqrt(SHAPE_PRIOR_WEIGHT) * beta,
-                                               theta.shape[:-1] + beta.shape[-1:])], axis=-1)
-        fitted = self.prior_rows - 2 * self.model.num_joints
-        return rows, np.broadcast_to(centre, theta.shape)[..., fitted]
+    def take(self, frames):
+        """The objective of the base vectors `frames` of a stacked base (T, D),
+        with their rows of everything `bind` sets."""
+        other = copy.copy(self)
+        other.base, other.x0, other.tail = self.base[frames], self.x0[frames], self.tail[frames]
+        other.points, other.weights = self.points[frames], self.weights[frames]
+        fold, rest = self.posed
+        other.posed = dataclasses.replace(fold, vertices=fold.vertices[frames]), rest[frames]
+        return other
 
     def pack(self, params, cam):
         return params.vector(cam)[self.free]
@@ -260,11 +244,11 @@ class _ParamVector:
     def residuals(self, x):
         """Residuals at a packed vector x (n,), or one column of residuals per
         column of x (n, B); all columns are posed in one batched call.  The
-        rows are the 2K reprojection rows of the keypoints of `with_keypoints`,
+        rows are the 2K reprojection rows of the keypoints of `bind`,
         weighted by `weights`, ``sqrt(confidence)``, then one pose prior row per
         entry of theta and one shape prior row per beta.  The prior rows of
-        the fixed entries and of beta do not depend on x; they are built once
-        per `base` (`prior`), and each call writes only the x-dependent rows
+        the fixed entries and of beta do not depend on x; `bind` builds them
+        (`tail`), and each call writes only the x-dependent rows
         ``prior_rows`` over them.
 
         The columns pose only `posed`, the model folded onto its fitted
@@ -286,17 +270,17 @@ class _ParamVector:
         T = fold.terms(fold.vertices, R, t)
         self.fk = R, t, T
         joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)
-        rows, centre = self.prior
         m2 = 2 * self.model.num_joints
-        r = np.empty((B, m2 + rows.shape[-1]))
+        r = np.empty((B, m2 + self.tail.shape[-1]))
         # The camera scale and translation are packed last.
         r2d = r[:, :m2].reshape(B, -1, 2)
         np.multiply(cols[:, -3, None, None], joints[..., :2], out=r2d)
         r2d += cols[:, None, -2:]
         r2d -= self.points
         r2d *= self.weights[..., None]
-        r[:, m2:] = rows
-        r[:, self.prior_rows] = self.prior_weight * (cols[:, self.prior_cols] - centre)
+        r[:, m2:] = self.tail
+        prior = self.prior_cols
+        r[:, self.prior_rows] = self.prior_weight * (cols[:, prior] - self.x0[..., prior])
         return r[0] if x.ndim == 1 else r.T
 
     def jacobian(self, x):
@@ -363,9 +347,10 @@ class _ParamVector:
 
 
 def _residuals(model, packer, anchor, kp, config, x):
-    """`_ParamVector.residuals` of `packer` at x with the keypoints `kp` and
-    the prior's `anchor`; `model` and `config` are not read."""
-    return packer.with_keypoints(kp, anchor).residuals(x)
+    """`_ParamVector.residuals` of `packer` bound to the keypoints `kp`, at x.
+    The prior pulls toward the init of `packer`; `model`, `anchor` and
+    `config` are not read."""
+    return packer.bind(kp).residuals(x)
 
 
 def fit_jacobian(residual_fn, x, step):
@@ -442,9 +427,9 @@ def fit_frames(model, frames, config=None):
 def _fit_lockstep(model, frames, config, first):
     inits, cams, kps = zip(*frames)
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
-    objective = _ParamVector(model, inits[0], cams[0], config).with_base(
-        np.stack([init.vector(cam) for init, cam in zip(inits, cams)])).with_keypoints(kp)
-    x = objective.base[:, objective.free]
+    objective = _ParamVector(model, inits[0], cams[0], config).bind(
+        kp, np.stack([init.vector(cam) for init, cam in zip(inits, cams)]))
+    x = objective.x0.copy()
     r = objective.residuals(x.T).T
     cost = np.vecdot(r, r)
     bad = np.flatnonzero(~np.isfinite(cost))

@@ -9,6 +9,7 @@ of the asset's bytes, so that an asset is parsed once (`load_model`).
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 
@@ -138,17 +139,19 @@ def _triplets(matrix):
     return [[int(r), int(c), float(matrix[r, c])] for r, c in zip(rows, cols)]
 
 
-def _from_triplets(triplets, shape):
-    """The dense matrix of `shape` with the (row, col, value) `triplets`.
-    A shape that is not two integers >= 0, or an index that is not an
-    integer within it, raises a ValueError."""
+def _from_triplets(triplets, shape, name):
+    """The dense matrix of `shape` with the (row, col, value) `triplets` of the
+    field `name`.  A shape that is not two integers >= 0, an index that is not
+    an integer within it, or a value that is not a number raises a ValueError."""
     if len(shape) != 2 or any(type(n) is not int or n < 0 for n in shape):
         raise ValueError(f"sparse shape {list(shape)} is not two integers >= 0")
     m = np.zeros(shape)
-    for r, c, v in triplets:
+    for r, c, _ in triplets:
         if not (type(r) is int and type(c) is int and 0 <= r < shape[0] and 0 <= c < shape[1]):
             raise ValueError(f"triplet index ({r!r}, {c!r}) is not an integer pair within {shape}")
-        m[r, c] = v
+    if triplets:
+        rows, cols, values = zip(*triplets)
+        m[rows, cols] = _float_array(values, f"{name} triplet values")
     return m
 
 
@@ -178,13 +181,34 @@ def _floats(arr):
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
-def _float_array(values, name):
-    """`values`, nested lists of numbers, as a float64 array.  A ragged list
-    or an entry that is not a number raises a ValueError naming `name`."""
+# The types a JSON number reads as; a null in a list reads as NaN, which the
+# field's own checks then see.
+_NUMBERS = {int, float}
+_ENTRIES = _NUMBERS | {type(None)}
+
+
+def _float_array(values, name, scalar=False):
+    """`values`, nested lists of JSON numbers (one number if `scalar`), as a
+    float64 array.  Every reader's float fields go through here.  A ragged
+    list, a string (even `"0.5"`), a boolean or an object raises a ValueError
+    naming the field `name`.  The types are read by C iterators, with no
+    Python loop over the entries."""
+    kind = "a number" if scalar else "a regular array of numbers"
     try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{name} must be a regular array of numbers") from e
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{name} must be {kind}") from e
+    if scalar:
+        numbers = type(values) in _NUMBERS
+    else:
+        # A regular array of `ndim` axes is lists nested `ndim` deep.
+        entries = [values]
+        for _ in range(arr.ndim):
+            entries = itertools.chain.from_iterable(entries)
+        numbers = _ENTRIES.issuperset(map(type, entries))
+    if not numbers:
+        raise ValueError(f"{name} must be {kind}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +259,21 @@ def model_from_doc(doc):
             template_vertices=_float_array(doc["vertices"], "vertices"),
             faces=faces,
             shape_basis=_float_array(doc["shape_basis"], "shape_basis"),
-            skin_weights=_from_triplets(sw["triplets"], tuple(sw["shape"])),
-            joint_regressor=_from_triplets(jr["triplets"], tuple(jr["shape"])),
+            skin_weights=_from_triplets(sw["triplets"], tuple(sw["shape"]), "skin_weights"),
+            joint_regressor=_from_triplets(jr["triplets"], tuple(jr["shape"]), "joint_regressor"),
             tree=tree,
             fingertip_vertex_ids=_index_lists(doc, "fingertip_vertex_ids"),
             hand_joint_ids=_index_lists(doc, "hand_joint_ids"),
-            reference_knuckle_length=float(doc["reference_knuckle_length"]),
+            reference_knuckle_length=float(_float_array(doc["reference_knuckle_length"],
+                                                        "reference_knuckle_length", scalar=True)),
         )
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"invalid model asset: {e}") from e
+        # `ParametricModel.validate` names its attributes, and the asset's
+        # key for `template_vertices` is `vertices`.
+        message = str(e).replace("template_vertices", "vertices")
+        raise SchemaError(f"invalid model asset: {message}") from e
 
 
 # The sidecar of asset `a` is `a + CACHE_SUFFIX`: a run of `np.save` records,
@@ -331,7 +359,8 @@ def _cam_to_doc(cam):
 
 
 def _cam_from_doc(doc):
-    return WeakPerspectiveCamera(doc["scale"], np.asarray(doc["translation"], dtype=np.float64))
+    return WeakPerspectiveCamera(_float_array(doc["scale"], "camera scale", scalar=True),
+                                 _float_array(doc["translation"], "camera translation"))
 
 
 def _pose_to_doc(phi, theta, beta, cam):
@@ -341,10 +370,8 @@ def _pose_to_doc(phi, theta, beta, cam):
 
 def _pose_from_doc(record):
     """``(phi, theta, ShapeParams, camera)`` of a body, hand or params record."""
-    return (np.asarray(record["phi"], dtype=np.float64),
-            np.asarray(record["theta"], dtype=np.float64),
-            ShapeParams(np.asarray(record["beta"], dtype=np.float64)),
-            _cam_from_doc(record["camera"]))
+    return (_float_array(record["phi"], "phi"), _float_array(record["theta"], "theta"),
+            ShapeParams(_float_array(record["beta"], "beta")), _cam_from_doc(record["camera"]))
 
 
 def _frames_doc(fmt, records):
@@ -421,11 +448,11 @@ def keypoints_to_doc(frames):
 
 
 def _keypoints_from_doc(f):
-    points = np.asarray(f["points"], dtype=np.float64)
+    points = _float_array(f["points"], "points")
     if points.ndim != 2 or points.shape[1] not in (2, 3):
         raise SchemaError("points must be (K, 2) or (K, 3)")
     conf = f.get("confidence")
-    conf = None if conf is None else np.asarray(conf, dtype=np.float64)
+    conf = None if conf is None else _float_array(conf, "confidence")
     if conf is not None and conf.shape != (points.shape[0],):
         raise SchemaError("confidence length mismatch")
     return f["frame"], points, conf
@@ -464,9 +491,9 @@ def _params_from_doc(f):
     params = WholeBodyParams(*_pose_from_doc(f))
     extras = {}
     if f.get("cost_trace") is not None:
-        extras["cost_trace"] = np.asarray(f["cost_trace"], dtype=np.float64)
+        extras["cost_trace"] = _float_array(f["cost_trace"], "cost_trace")
     if f.get("final_rms_px") is not None:
-        extras["final_rms_px"] = float(f["final_rms_px"])
+        extras["final_rms_px"] = float(_float_array(f["final_rms_px"], "final_rms_px", scalar=True))
     if f.get("status") is not None:
         if not isinstance(f["status"], str):
             raise ValueError("status must be a string")
@@ -491,7 +518,7 @@ def joints_to_doc(frames):
 
 
 def _joints_from_doc(f):
-    joints = np.asarray(f["joints"], dtype=np.float64)
+    joints = _float_array(f["joints"], "joints")
     if joints.ndim != 2 or joints.shape[1] not in (2, 3):
         raise SchemaError("joints must be (K, 2) or (K, 3)")
     if not np.isfinite(joints).all():

@@ -424,8 +424,8 @@ def test_schema_error_exits_2(tmp_path, capsys):
 
 MODEL_FAULTS = {
     # the path of a value in the toy asset document, how it is spoilt, and
-    # the `ParametricModel.validate` message
-    "vertices_2d": (["vertices"], lambda v: [p[:2] for p in v], "template_vertices must be (N, 3)"),
+    # the message, which names the asset's key
+    "vertices_2d": (["vertices"], lambda v: [p[:2] for p in v], "vertices must be (N, 3)"),
     "shape_basis_rows": (["shape_basis"], lambda b: b[1:], "shape_basis must be (N, 3, B)"),
     "skin_weights_columns": (["skin_weights", "shape", 1], lambda j: j + 1,
                              "skin_weights must be (N, J)"),
@@ -447,7 +447,7 @@ MODEL_FAULTS = {
                       "joint_regressor must be finite"),
     "shape_basis_inf": (["shape_basis", 3, 1, 0], lambda b: float("inf"),
                         "shape_basis must be finite"),
-    "vertex_nan": (["vertices", 2, 0], lambda x: float("nan"), "template_vertices must be finite"),
+    "vertex_nan": (["vertices", 2, 0], lambda x: float("nan"), "vertices must be finite"),
     "parent_fraction": (["parents", 5], lambda p: 1.5, "parents entry 1.5 is not an integer"),
     "face_fraction": (["faces", 0, 0], lambda i: 0.5, "faces entry 0.5 is not an integer"),
     "hand_joint_id_fraction": (["hand_joint_ids", "left", 0], lambda i: 20.5,
@@ -464,12 +464,12 @@ MODEL_FAULTS = {
                                     "fingertip_vertex_ids[right] must be a list of integers"),
     "hand_joint_ids_nested": (["hand_joint_ids", "left"], lambda ids: [ids],
                               "hand_joint_ids[left] must be a list of integers"),
-    "vertices_null": (["vertices"], lambda v: None, "template_vertices must be (N, 3)"),
+    "vertices_null": (["vertices"], lambda v: None, "vertices must be (N, 3)"),
     # One axis dropped or added; the reader once regrouped faces into triangles.
     "vertices_flat": (["vertices"], lambda v: [x for p in v for x in p],
-                      "template_vertices must be (N, 3)"),
+                      "vertices must be (N, 3)"),
     "vertices_extra_axis": (["vertices"], lambda v: [[[x] for x in p] for p in v],
-                            "template_vertices must be (N, 3)"),
+                            "vertices must be (N, 3)"),
     "faces_flat": (["faces"], lambda f: [i for t in f for i in t], "faces must be (F, 3)"),
     "faces_extra_axis": (["faces"], lambda f: [[[i] for i in t] for t in f],
                          "faces must be (F, 3)"),
@@ -488,6 +488,20 @@ MODEL_FAULTS = {
                            "shape_basis must be a regular array of numbers"),
     "shape_basis_string": (["shape_basis", 4, 1, 3], lambda x: "a",
                            "shape_basis must be a regular array of numbers"),
+    # A number written as a string, or a boolean, once read as a number.
+    "vertex_numeric_string": (["vertices", 1, 2], lambda x: "0.01",
+                              "vertices must be a regular array of numbers"),
+    "vertex_bool": (["vertices", 1, 2], lambda x: True, "vertices must be a regular array of numbers"),
+    "shape_basis_numeric_string": (["shape_basis", 4, 1, 3], lambda x: "1e-3",
+                                   "shape_basis must be a regular array of numbers"),
+    "skin_weight_numeric_string": (["skin_weights", "triplets", 0, 2], lambda w: "1.0",
+                                   "skin_weights triplet values must be a regular array of numbers"),
+    "regressor_weight_bool": (["joint_regressor", "triplets", 0, 2], lambda w: True,
+                              "joint_regressor triplet values must be a regular array of numbers"),
+    "knuckle_length_numeric_string": (["reference_knuckle_length"], lambda x: "0.03",
+                                      "reference_knuckle_length must be a number"),
+    "knuckle_length_bool": (["reference_knuckle_length"], lambda x: True,
+                            "reference_knuckle_length must be a number"),
 }
 
 
@@ -507,6 +521,70 @@ def test_pose_rejects_an_invalid_model_asset(asset, tmp_path, capsys, fault):
     assert main(["pose", str(bad), str(params), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "SchemaError", "message": f"invalid model asset: {message}"}
+    assert not out.exists()
+
+
+# A number written as a JSON string, or a boolean, in each float field of
+# the frame files: the file, the path of the value in its one frame record,
+# the value, and the message after the frame prefix.
+NUMBER_FAULTS = {
+    "params_phi_bool": ("params", ["phi", 0], True, "phi must be a regular array of numbers"),
+    "params_theta_string": ("params", ["theta", 0, 0], "0.5",
+                            "theta must be a regular array of numbers"),
+    "params_beta_string": ("params", ["beta", 0], "1e-3", "beta must be a regular array of numbers"),
+    "params_camera_scale_string": ("params", ["camera", "scale"], "300",
+                                   "camera scale must be a number"),
+    "params_camera_translation_bool": ("params", ["camera", "translation", 0], True,
+                                       "camera translation must be a regular array of numbers"),
+    "params_final_rms_px_string": ("params", ["final_rms_px"], "1.5",
+                                   "final_rms_px must be a number"),
+    "params_cost_trace_string": ("params", ["cost_trace", 0], "1.0",
+                                 "cost_trace must be a regular array of numbers"),
+    "prediction_hand_theta_string": ("predictions", ["left_hand", "theta", 2, 1], "0.1",
+                                     "theta must be a regular array of numbers"),
+    "keypoint_string": ("keypoints", ["points", 3, 0], "1.0",
+                        "points must be a regular array of numbers"),
+    "confidence_bool": ("keypoints", ["confidence", 3], True,
+                        "confidence must be a regular array of numbers"),
+    "joints_string": ("joints", ["joints", 3, 2], "1.0", "joints must be a regular array of numbers"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NUMBER_FAULTS))
+def test_a_number_field_rejects_strings_and_booleans(asset, tmp_path, capsys, fault):
+    kind, path, value, message = NUMBER_FAULTS[fault]
+    model = formats.load_model(asset)
+    params = WholeBodyParams.identity(model)
+    cam = WeakPerspectiveCamera.identity()
+    hands = [HandPrediction(side, np.zeros(3), np.zeros((15, 3)), ShapeParams.zeros(10), cam)
+             for side in ("left", "right")]
+    docs = {
+        "params": formats.params_to_doc([(0, params, {"cost_trace": [0.5], "final_rms_px": 0.5})]),
+        "predictions": formats.predictions_to_doc(
+            [(0, BodyPrediction(np.zeros(3), np.zeros((21, 3)), ShapeParams.zeros(10), cam), *hands)]),
+        "keypoints": formats.keypoints_to_doc([(0, np.zeros((model.num_joints, 2)),
+                                                np.ones(model.num_joints))]),
+        "joints": formats.joints_to_doc([(0, np.zeros((model.num_joints, 3)))]),
+    }
+    parent = docs[kind]["frames"][0]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    files = {}
+    for name, doc in docs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        formats.write_json(files[name], doc)
+    out = tmp_path / "out.json"
+    command, prefix = {
+        "params": (["pose", str(asset), files["params"]], "frame 0: "),
+        "predictions": (["integrate", str(asset), files["predictions"]], "frame 0: "),
+        "keypoints": (["fit", str(asset), files["params"], files["keypoints"], "--iters", "1"],
+                      "frame 0: "),
+        "joints": (["eval", files["joints"], files["joints"]], "pred frame 0: "),
+    }[kind]
+    assert main(command + [str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "SchemaError", "message": prefix + message}
     assert not out.exists()
 
 

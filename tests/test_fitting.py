@@ -55,10 +55,11 @@ def test_fit_config_validation():
         FitConfig(iterations=0)
 
 
-def split_residuals(model, params, cam, kp, anchor, config):
-    """`_residuals` at `params` and `cam`, split into its 2D rows and its prior rows."""
-    packer = _ParamVector(model, params, cam, config)
-    r = _residuals(model, packer, anchor, kp, config, packer.pack(params, cam))
+def split_residuals(model, init, cam, kp, config, x=None):
+    """`_residuals` of the objective started at `init` and `cam`, at the packed
+    vector x or at that start, split into its 2D rows and its prior rows."""
+    packer = _ParamVector(model, init, cam, config)
+    r = _residuals(model, packer, init, kp, config, packer.pack(init, cam) if x is None else x)
     return r[: 2 * model.num_joints], r[2 * model.num_joints:]
 
 
@@ -66,7 +67,7 @@ def test_reprojection_cost_zero_at_ground_truth(toy):
     params = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
     kp = render_keypoints(toy, params, cam)
-    r2d, _ = split_residuals(toy, params, cam, kp, params, FitConfig())
+    r2d, _ = split_residuals(toy, params, cam, kp, FitConfig())
     assert r2d @ r2d == 0.0
 
 
@@ -76,8 +77,8 @@ def test_reprojection_cost_confidence_weighting(toy, rng):
     kp = render_keypoints(toy, params, cam)
     shifted = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
     half = KeypointSet2D(shifted.points, 0.5 * shifted.confidence)
-    full_2d, _ = split_residuals(toy, params, cam, shifted, params, FitConfig())
-    half_2d, _ = split_residuals(toy, params, cam, half, params, FitConfig())
+    full_2d, _ = split_residuals(toy, params, cam, shifted, FitConfig())
+    half_2d, _ = split_residuals(toy, params, cam, half, FitConfig())
     assert half_2d @ half_2d == pytest.approx(0.5 * (full_2d @ full_2d), rel=1e-12)
 
 
@@ -89,22 +90,27 @@ def test_zero_confidence_points_ignored(toy):
     conf[7] = 0.0
     corrupted = kp.points.copy()
     corrupted[7] += 1e6
-    r2d, _ = split_residuals(toy, params, cam, KeypointSet2D(corrupted, conf), params, FitConfig())
+    r2d, _ = split_residuals(toy, params, cam, KeypointSet2D(corrupted, conf), FitConfig())
     assert r2d @ r2d == 0.0
 
 
 def test_prior_cost_formula(toy, rng):
-    # The prior covers every theta row and every beta, free or not.
+    # The pose prior covers every theta row and pulls it toward the init, so
+    # the rows the fit keeps fixed are zero; the shape prior covers every beta.
     config = FitConfig()
-    anchor = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
-    theta = rng.normal(size=anchor.theta_w.shape)
+    theta = rng.normal(size=(toy.num_joints - 1, 3))
     beta = rng.normal(size=10)
-    params = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), cam)
-    kp = render_keypoints(toy, params, cam)
-    _, prior = split_residuals(toy, params, cam, kp, anchor, config)
-    expected = (fitting.POSE_PRIOR_WEIGHT * (theta ** 2).sum()
-                + fitting.SHAPE_PRIOR_WEIGHT * (beta ** 2).sum())
+    init = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), cam)
+    kp = render_keypoints(toy, init, cam)
+    shape_cost = fitting.SHAPE_PRIOR_WEIGHT * (beta ** 2).sum()
+    _, prior = split_residuals(toy, init, cam, kp, config)
+    assert prior @ prior == pytest.approx(shape_cost, rel=1e-12)
+    packer = _ParamVector(toy, init, cam, config)
+    x = packer.pack(init, cam) + rng.normal(size=packer.free.size)
+    _, prior = split_residuals(toy, init, cam, kp, config, x)
+    moved = WholeBodyParams.from_vector(packer.rows(x[None])[0], packer.num_betas)
+    expected = fitting.POSE_PRIOR_WEIGHT * ((moved.theta_w - theta) ** 2).sum() + shape_cost
     assert prior @ prior == pytest.approx(expected, rel=1e-12)
 
 
@@ -126,16 +132,16 @@ def test_exact_jacobian_matches_central_differences(toy, rng):
     theta = rng.normal(scale=0.4, size=(51, 3))
     theta[layout.body_rows[3]] = 0.0                        # exact-zero angle
     theta[layout.body_rows[5]] = [0.0, 0.0, np.pi - 1e-7]   # angle near pi
-    anchor = WholeBodyParams(rng.normal(scale=0.3, size=3), theta,
-                             ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+    init = WholeBodyParams(rng.normal(scale=0.3, size=3), theta,
+                           ShapeParams(rng.normal(scale=0.5, size=10)), cam)
     conf = rng.uniform(0.2, 1.0, size=toy.num_joints)
     conf[[0, 7, 30]] = 0.0
-    kp = render_keypoints(toy, anchor, cam, conf=conf)
+    kp = render_keypoints(toy, init, cam, conf=conf)
     kp = KeypointSet2D(kp.points + rng.normal(size=kp.points.shape), kp.confidence)
-    objective = _ParamVector(toy, anchor, cam, config).with_keypoints(kp, anchor)
+    objective = _ParamVector(toy, init, cam, config).bind(kp)
     m2 = 2 * toy.num_joints
     rows, cols, weight = objective.prior_rows, objective.prior_cols, objective.prior_weight
-    x0 = objective.pack(anchor, cam)
+    x0 = objective.pack(init, cam)
     for x in (x0, x0 + rng.normal(scale=0.05, size=x0.size)):
         fd = fit_jacobian(lambda c: objective.residuals(c), x, config.fd_step)
         # the 2K reprojection rows, then the prior rows' constant entries
@@ -173,7 +179,7 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
                            ShapeParams(rng.normal(scale=0.5, size=10)), cam)
     kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                        rng.uniform(0.2, 1.0, size=model.num_joints))
-    objective = _ParamVector(model, init, cam, config).with_keypoints(kp, init)
+    objective = _ParamVector(model, init, cam, config).bind(kp)
     x = objective.pack(init, cam)
     fd = fit_jacobian(lambda c: objective.residuals(c), x, config.fd_step)[:2 * model.num_joints]
     exact = exact_jacobian(objective, x)
@@ -341,7 +347,7 @@ def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypat
     monkeypatch.setattr(fitting, "MAX_RETRIES", 1)
     config = FitConfig(iterations=1)
     init, cam, kp = _noisy_fit_problem(toy, rng)
-    objective = _ParamVector(toy, init, cam, config).with_keypoints(kp)
+    objective = _ParamVector(toy, init, cam, config).bind(kp)
     x = objective.pack(init, cam)
     r = objective.residuals(x)
     J = np.zeros((r.size, x.size))
@@ -488,9 +494,9 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
     # the objective of the three frames, as the lockstep loop builds it
     kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
                        np.stack([k.confidence for _, _, k in frames]))
-    objective = _ParamVector(toy, frames[0][0], frames[0][1], config).with_base(
-        np.stack([init.vector(cam) for init, cam, _ in frames])).with_keypoints(kp)
-    x = objective.base[:, objective.free].T + rng.normal(scale=0.05, size=(objective.free.size, 3))
+    objective = _ParamVector(toy, frames[0][0], frames[0][1], config).bind(
+        kp, np.stack([init.vector(cam) for init, cam, _ in frames]))
+    x = objective.x0.T + rng.normal(scale=0.05, size=(objective.free.size, 3))
     kept = exact_jacobian(objective, x)
     # x posed afresh through the fold, as a skeleton of the fitted joints
     fold, rest = objective.posed
@@ -503,6 +509,21 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
     R, t = posed.rotations, posed.translations
     objective.fk = R, t, fold.terms(fold.vertices, R, t)
     np.testing.assert_array_equal(kept, objective.jacobian(x))
+
+
+def test_stacked_bind_equals_each_frame_bound_alone(toy, rng):
+    config = FitConfig()
+    frames = _clip(toy, rng)
+    kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
+                       np.stack([k.confidence for _, _, k in frames]))
+    stacked = _ParamVector(toy, frames[0][0], frames[0][1], config).bind(
+        kp, np.stack([init.vector(cam) for init, cam, _ in frames]))
+    x = stacked.x0 + rng.normal(scale=0.05, size=stacked.x0.shape)
+    r = stacked.residuals(x.T)
+    for t, (init, cam, kp_t) in enumerate(frames):
+        alone = _ParamVector(toy, init, cam, config).bind(kp_t)
+        assert alone.x0.tobytes() == stacked.x0[t].tobytes()
+        assert alone.residuals(x[t]).tobytes() == r[:, t].tobytes()
 
 
 def test_fit_runs_fk_once_per_residual_evaluation(toy, rng, monkeypatch):
@@ -588,19 +609,20 @@ def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monk
         assert result.final_rms_px == pytest.approx(expected, rel=1e-12)
 
 
-def full_residuals(model, params, anchor, kp, config):
-    """The residuals of `_residuals` at `params`, built from `pose_joints`."""
+def full_residuals(model, params, init, kp, config):
+    """The residuals of `_residuals` at `params` of the fit started at `init`,
+    built from `pose_joints`."""
     joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
     r2d = np.sqrt(kp.confidence)[:, None] * (project(params.cam_w, joints) - kp.points)
-    rp = np.sqrt(fitting.POSE_PRIOR_WEIGHT) * (params.theta_w - anchor.theta_w)
+    rp = np.sqrt(fitting.POSE_PRIOR_WEIGHT) * (params.theta_w - init.theta_w)
     rs = np.sqrt(fitting.SHAPE_PRIOR_WEIGHT) * params.beta_w.beta
     return np.concatenate([r2d.ravel(), rp.ravel(), rs])
 
 
 def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
-    # Every frame has its own nonzero fingers and shape; the anchor's fingers
-    # differ from them, so the fixed finger prior rows are nonzero; and the
-    # model has extra regressor rows and a signed skeleton row.
+    # Every frame has its own nonzero fingers and shape, and its own init for
+    # the prior to pull toward; the model has extra regressor rows and a
+    # signed skeleton row.
     extra = np.zeros((4, toy.num_vertices))
     extra[np.arange(4), rng.choice(toy.num_vertices, size=4, replace=False)] = 1.0
     signed = signed_regressor(toy, 40)
@@ -614,20 +636,18 @@ def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
         kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                            rng.uniform(0.2, 1.0, size=model.num_joints))
         frames.append((init, cam, kp))
-    anchor = WholeBodyParams(np.zeros(3), rng.normal(scale=0.3, size=(51, 3)),
-                             ShapeParams.zeros(10), frames[0][1])
     inits, _, kps = zip(*frames)
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
-    objective = _ParamVector(model, inits[0], inits[0].cam_w, config).with_base(
-        np.stack([init.vector() for init in inits])).with_keypoints(kp, anchor)
-    x = objective.base[:, objective.free] + rng.normal(scale=0.05, size=(5, objective.free.size))
+    objective = _ParamVector(model, inits[0], inits[0].cam_w, config).bind(
+        kp, np.stack([init.vector() for init in inits]))
+    x = objective.x0 + rng.normal(scale=0.05, size=(5, objective.free.size))
     r = objective.residuals(x.T)
     # the Jacobian fed the kept state
     jac = objective.jacobian(x.T)
     rows = objective.rows(x)
     for t in range(5):
         params = WholeBodyParams.from_vector(rows[t], objective.num_betas)
-        expected = full_residuals(model, params, anchor, kps[t], config)
+        expected = full_residuals(model, params, inits[t], kps[t], config)
         assert np.linalg.norm(r[:, t] - expected) <= 1e-12 * np.linalg.norm(expected)
     # a row subset of the objective carries its frames' rows of the fold and the keypoints
     sub = objective.take([1, 3])

@@ -90,7 +90,7 @@ def test_sparse_round_trip_dense_matrix(rng):
     m = rng.uniform(size=(7, 5))
     m[m < 0.5] = 0.0
     np.testing.assert_array_equal(
-        formats._from_triplets(formats._triplets(m), m.shape), m)
+        formats._from_triplets(formats._triplets(m), m.shape, "m"), m)
 
 
 def _camera(rng):
@@ -404,11 +404,11 @@ def test_an_invalid_asset_writes_no_sidecar(toy, tmp_path):
     doc["vertices"][2][0] = float("nan")
     formats.write_json(path, doc)
     for _ in range(2):
-        with pytest.raises(SchemaError, match=r"^invalid model asset: template_vertices must be finite$"):
+        with pytest.raises(SchemaError, match=r"^invalid model asset: vertices must be finite$"):
             formats.load_model(path)
     assert _sidecar(path).read_bytes() == stale
     _sidecar(path).unlink()
-    with pytest.raises(SchemaError, match=r"^invalid model asset: template_vertices must be finite$"):
+    with pytest.raises(SchemaError, match=r"^invalid model asset: vertices must be finite$"):
         formats.load_model(path)
     assert [p.name for p in tmp_path.iterdir()] == ["toy.json"]
 

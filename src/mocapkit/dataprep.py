@@ -31,12 +31,6 @@ class JointMap:
     def num_targets(self):
         return int(np.count_nonzero(self.permutation >= 0))
 
-    def inverse(self):
-        if np.any(self.permutation < 0):
-            raise DimensionError("joint map with dropped joints has no inverse")
-        return JointMap(np.argsort(self.permutation))
-
-
 @dataclass(frozen=True)
 class BlurKernel:
     """Odd-sized square kernel of nonnegative weights summing to 1."""
@@ -96,11 +90,6 @@ def flip_axis_angle(aa):
     """Mirror a rotation across the plane normal to image-x: (x, y, z) -> (x, -y, -z)."""
     aa = np.asarray(aa, dtype=np.float64)
     return aa * np.array([1.0, -1.0, -1.0])
-
-
-def flip_hand_params(phi_h, theta_h):
-    """Mirror a hand's global orientation and finger poses to the other side."""
-    return flip_axis_angle(phi_h), flip_axis_angle(theta_h)
 
 
 def motion_blur_kernel(length, angle):

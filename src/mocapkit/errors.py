@@ -33,10 +33,6 @@ class InvalidJointError(MocapkitError):
     """A joint index is out of range or not allowed (e.g. the root)."""
 
 
-class DegenerateModelError(MocapkitError):
-    """A model construction step produced an empty or unusable result."""
-
-
 class DegenerateKeypointsError(MocapkitError):
     """Keypoints are in a configuration that makes an operation undefined."""
 

@@ -1,17 +1,14 @@
-"""Copy-and-paste fusion of body and hand predictions, and body-driven hand boxes."""
+"""Copy-and-paste fusion of body and hand predictions."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import WeakPerspectiveCamera, project
+from .camera import WeakPerspectiveCamera
 from ._kernels import rodrigues_batch
 from .errors import DimensionError, MocapkitError, map_frames
 from .kinematics import gamma_global_to_local
-from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array, pose_joints
-
-# `hand_bbox_from_body` widens each hand box by this fraction of its extent.
-HAND_BOX_MARGIN = 0.2
+from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array
 
 
 @dataclass(frozen=True)
@@ -35,6 +32,11 @@ class PoseLayout:
         right = model.hand_joint_ids.get("right")
         if left is None or right is None:
             raise DimensionError("model must declare hand_joint_ids for both sides")
+        if len(left) != 16 or len(right) != 16 or 0 in [*left, *right]:
+            raise DimensionError("hand_joint_ids must give each side 16 joints other than "
+                                 "the root: the wrist, then 15 finger joints")
+        if len({*left, *right}) != 32:
+            raise DimensionError("hand_joint_ids must name 32 distinct joints")
         lf = np.asarray(left[1:], dtype=np.int64) - 1
         rf = np.asarray(right[1:], dtype=np.int64) - 1
         finger = set(lf.tolist()) | set(rf.tolist())
@@ -161,6 +163,9 @@ def copy_paste(model, frames):
     of fusing it alone.
     """
     layout = PoseLayout.from_model(model)
+    if layout.body_rows.size != 21:
+        raise DimensionError(f"hand_joint_ids leave {layout.body_rows.size} body rows, "
+                             "but a body prediction carries 21")
     frames = list(frames)
     map_frames(lambda f: _check_prediction(model, *f), frames)
     fused = []
@@ -197,21 +202,3 @@ def _fuse(model, layout, frames):
     return [WholeBodyParams(body.phi_b.copy(), th, body.beta_b, body.cam_b)
             for body, th in zip(bodies, theta)]
 
-
-def hand_bbox_from_body(model, params, cam, side):
-    """Square 2D box around the projected hand joints of the posed body,
-    widened by `HAND_BOX_MARGIN` of its extent.
-
-    Returns (center_x, center_y, side_px); degenerate projections yield a
-    1-px minimum box.
-    """
-    if side not in model.hand_joint_ids:
-        raise DimensionError(f"model has no hand_joint_ids for side {side!r}")
-    joints = pose_joints(model, params.pose(), params.beta_w)
-    pts = project(cam, joints[np.asarray(model.hand_joint_ids[side], dtype=np.int64)])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    center = (lo + hi) / 2.0
-    extent = float((hi - lo).max())
-    side_px = max(extent * (1.0 + HAND_BOX_MARGIN), 1.0)
-    return float(center[0]), float(center[1]), side_px

@@ -1,12 +1,12 @@
-"""Parametric mesh model: shape blendshapes, joint regression, skinning, hand cropping."""
+"""Parametric mesh model: shape blendshapes, joint regression, skinning."""
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateModelError, DimensionError
+from .errors import DimensionError
 from .kinematics import SkeletonTree, forward_kinematics
 
 SIDES = ("left", "right")
@@ -22,7 +22,7 @@ class ParametricModel:
 
     skin_weights rows and joint_regressor rows are affine combinations (sum to 1).
     The first `num_joints` regressor rows correspond to the skeleton joints in
-    order; any extra rows (e.g. fingertips on hand submodels) follow.
+    order; any extra rows (e.g. fingertips) follow.
     """
 
     template_vertices: np.ndarray          # (N, 3)
@@ -31,9 +31,9 @@ class ParametricModel:
     skin_weights: np.ndarray               # (N, J)
     joint_regressor: np.ndarray            # (J_reg, N)
     tree: SkeletonTree
-    fingertip_vertex_ids: dict = field(default_factory=dict)   # side -> 5 vertex ids
-    hand_joint_ids: dict = field(default_factory=dict)         # side -> 16 joint ids (wrist first)
-    reference_knuckle_length: float = 0.0
+    fingertip_vertex_ids: dict             # side -> 5 vertex ids
+    hand_joint_ids: dict                   # side -> 16 joint ids (wrist first)
+    reference_knuckle_length: float
 
     def __post_init__(self):
         v = np.asarray(self.template_vertices, dtype=np.float64)
@@ -69,6 +69,8 @@ class ParametricModel:
             raise DimensionError("skin_weights rows must sum to 1")
         if np.abs(self.joint_regressor.sum(axis=1) - 1.0).max() > 1e-6:
             raise DimensionError("joint_regressor rows must sum to 1")
+        if not (np.isfinite(self.reference_knuckle_length) and self.reference_knuckle_length > 0):
+            raise DimensionError("reference_knuckle_length must be finite and > 0")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= n):
             raise DimensionError("face indices out of range")
         for side, ids in self.hand_joint_ids.items():
@@ -216,16 +218,6 @@ class ShapeParams:
         return ShapeParams(np.zeros(num_betas))
 
 
-@dataclass(frozen=True)
-class HandSubmodel:
-    """A ParametricModel restricted to one hand, re-rooted at the wrist."""
-
-    model: ParametricModel
-    side: str
-    vertex_index_map: np.ndarray       # submodel vertex -> parent-model vertex
-    joint_index_map: np.ndarray        # submodel joint -> parent-model joint
-
-
 def beta_array(model, beta):
     """`beta`, a ShapeParams, an array or None (zero), as (..., B) checked against `model`."""
     if beta is None:
@@ -243,14 +235,6 @@ def shape_template(model, beta):
     """
     beta = beta_array(model, beta)
     return model.template_vertices + _blend(np.moveaxis(model.shape_basis, -1, 0), beta)
-
-
-def regress_joints(regressor, vertices):
-    regressor = np.asarray(regressor, dtype=np.float64)
-    vertices = np.asarray(vertices, dtype=np.float64)
-    if regressor.shape[1] != vertices.shape[0]:
-        raise DimensionError("regressor columns must match vertex count")
-    return regressor @ vertices
 
 
 def check_pose(model, pose, beta=None):
@@ -293,84 +277,3 @@ def pose_joints(model, pose, beta=None):
     return np.add.reduceat(fold.terms(verts, fk.rotations, fk.translations),
                            fold.bounds[:-1], axis=-2)
 
-
-def nearest_joint_assignment(vertices, joints):
-    """Index of the closest joint per vertex; ties go to the lower joint index."""
-    d2 = ((vertices[:, None, :] - joints[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
-
-
-def extract_hand_submodel(model, side):
-    """Crop the hand: vertices whose nearest rest joint is the wrist or a finger joint.
-
-    The submodel skeleton is re-rooted at the wrist; its global-orientation
-    slot plays the role of the stand-alone hand orientation.  The 21-row hand
-    regressor is the wrist + 15 finger rows restricted to the cropped
-    vertices, plus 5 one-hot fingertip rows.
-    """
-    if side not in model.hand_joint_ids:
-        raise DegenerateModelError(f"model has no hand_joint_ids for side {side!r}")
-    hand_joints = list(model.hand_joint_ids[side])
-    rest = model.rest_joints()
-    assignment = nearest_joint_assignment(model.template_vertices, rest)
-    selected = np.where(np.isin(assignment, hand_joints))[0]
-    if selected.size == 0:
-        raise DegenerateModelError(f"no vertices assigned to {side} hand joints")
-
-    old_to_new_vertex = -np.ones(model.num_vertices, dtype=np.int64)
-    old_to_new_vertex[selected] = np.arange(selected.size)
-
-    # Faces entirely inside the crop, remapped.
-    keep = np.all(np.isin(model.faces, selected), axis=1)
-    faces = old_to_new_vertex[model.faces[keep]]
-
-    joint_map = np.asarray(hand_joints, dtype=np.int64)
-    old_to_new_joint = {int(j): i for i, j in enumerate(joint_map)}
-    parents = np.empty(len(hand_joints), dtype=np.int64)
-    parents[0] = -1
-    for i, j in enumerate(hand_joints[1:], start=1):
-        p = int(model.tree.parents[j])
-        parents[i] = old_to_new_joint.get(p, 0)
-    names = tuple(model.tree.joint_names[j] for j in hand_joints)
-    tree = SkeletonTree(parents, names)
-
-    weights = model.skin_weights[np.ix_(selected, joint_map)]
-    row_sums = weights.sum(axis=1)
-    if np.any(row_sums <= 1e-12):
-        raise DegenerateModelError("cropped vertex has no skinning weight on hand joints")
-    weights = weights / row_sums[:, None]
-
-    skel_rows = model.joint_regressor[joint_map][:, selected]
-    skel_sums = skel_rows.sum(axis=1)
-    if np.any(skel_sums <= 1e-12):
-        raise DegenerateModelError("hand joint regressor row unsupported on cropped vertices")
-    skel_rows = skel_rows / skel_sums[:, None]
-
-    tips = model.fingertip_vertex_ids.get(side, [])
-    tip_rows = np.zeros((len(tips), selected.size))
-    tip_ids_new = []
-    for r, vid in enumerate(tips):
-        nv = old_to_new_vertex[vid]
-        if nv < 0:
-            raise DegenerateModelError(f"fingertip vertex {vid} not inside the {side} crop")
-        tip_rows[r, nv] = 1.0
-        tip_ids_new.append(int(nv))
-    regressor = np.vstack([skel_rows, tip_rows])
-
-    sub = ParametricModel(
-        template_vertices=model.template_vertices[selected],
-        faces=faces,
-        shape_basis=model.shape_basis[selected],
-        skin_weights=weights,
-        joint_regressor=regressor,
-        tree=tree,
-        fingertip_vertex_ids={side: tip_ids_new},
-        hand_joint_ids={side: list(range(len(hand_joints)))},
-        reference_knuckle_length=model.reference_knuckle_length,
-    )
-    return HandSubmodel(sub, side, selected, joint_map)
-
-
-def regress_hand_joints(hand, posed_vertices):
-    """21 hand joints (wrist, 15 fingers, 5 tips) from posed submodel vertices."""
-    return regress_joints(hand.model.joint_regressor, posed_vertices)

@@ -129,7 +129,7 @@ def gen_toy_model(seed=0, size_class="small"):
 
     # Skinning: most cluster vertices bind rigidly to their joint, the last 2
     # blend 0.7/0.3 with the parent.  Root and wrist clusters stay fully
-    # rigid so hand crops never carry weight on body joints.
+    # rigid, so no hand vertex carries weight on a body joint.
     weights = np.zeros((J * cluster_size, J))
     for j in range(J):
         base = j * cluster_size

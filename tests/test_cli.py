@@ -72,6 +72,16 @@ def test_sources_use_every_name_they_import():
     assert unused == []
 
 
+def test_readme_python_blocks_run():
+    # The README's examples must name only what the package still has.
+    package = os.path.dirname(mocapkit.__file__)
+    with open(os.path.join(package, "..", "..", "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"^```python\n(.*?)^```", f.read(), re.MULTILINE | re.DOTALL)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
+
+
 def test_gen_toy_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -236,13 +246,14 @@ def test_integrate_checks_every_frame_before_writing(asset, tmp_path, capsys, rn
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["integrate", "fit"])
-def test_a_model_without_both_hands_exits_2(asset, tmp_path, capsys, command):
+def run_on_a_spoilt_asset(asset, tmp_path, command, spoil):
+    """Run `command` on one frame with the toy asset's document changed in
+    place by `spoil`, and check that it exits 2 and writes no output."""
     model = formats.load_model(asset)
     doc = formats.read_json(asset)
-    del doc["hand_joint_ids"]["right"]
-    one_hand = tmp_path / "one_hand.json"
-    formats.write_json(one_hand, doc)
+    spoil(doc)
+    bad = tmp_path / "bad.json"
+    formats.write_json(bad, doc)
     params = WholeBodyParams.identity(model)
     if command == "integrate":
         body = BodyPrediction(np.zeros(3), np.zeros((21, 3)), ShapeParams.zeros(10),
@@ -254,12 +265,64 @@ def test_a_model_without_both_hands_exits_2(asset, tmp_path, capsys, command):
         inputs = [params_file(tmp_path, model, "init.json", [(3, params, None)]), tmp_path / "kp.json"]
         formats.write_json(inputs[1], formats.keypoints_to_doc([(3, pts, None)]))
     out = tmp_path / "out.json"
-    assert main([command, str(one_hand)] + [str(p) for p in inputs] + [str(out)]) == 2
+    assert main([command, str(bad)] + [str(p) for p in inputs] + [str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["integrate", "fit"])
+def test_a_model_without_both_hands_exits_2(asset, tmp_path, capsys, command):
+    run_on_a_spoilt_asset(asset, tmp_path, command, lambda doc: doc["hand_joint_ids"].pop("right"))
     err = json.loads(capsys.readouterr().err)["error"]
     # The error is about the model, not a frame, so it names none.
     assert err == {"type": "DimensionError",
                    "message": "model must declare hand_joint_ids for both sides"}
-    assert not out.exists()
+
+
+def add_a_joint(doc):
+    """Append a leaf joint under the root that no vertex is skinned to, with a
+    one-hot regressor row: 52 posed rows less the 30 finger rows leaves 22 body rows."""
+    j = len(doc["parents"])
+    doc["parents"].append(0)
+    doc["joint_names"].append("extra")
+    doc["skin_weights"]["shape"][1] = j + 1
+    reg = doc["joint_regressor"]
+    reg["triplets"] = ([t for t in reg["triplets"] if t[0] < j] + [[j, 0, 1.0]]
+                       + [[r + 1, c, w] for r, c, w in reg["triplets"] if r >= j])
+    reg["shape"][0] += 1
+
+
+# Malformed hand_joint_ids of the toy asset, whose sides are 16 distinct
+# non-root joints each, and the message.  Each once gave a traceback or a fit.
+SIXTEEN_A_SIDE = ("hand_joint_ids must give each side 16 joints other than the root: "
+                  "the wrist, then 15 finger joints")
+HAND_ID_FAULTS = {
+    "ten_ids": (lambda left, right: (left[:10], right), SIXTEEN_A_SIDE),
+    "empty_side": (lambda left, right: (left, []), SIXTEEN_A_SIDE),
+    "root_wrist": (lambda left, right: ([0] + left[1:], right), SIXTEEN_A_SIDE),
+    "overlap": (lambda left, right: (left, right[:1] + left[1:2] + right[2:]),
+                "hand_joint_ids must name 32 distinct joints"),
+}
+
+
+@pytest.mark.parametrize("command", ["integrate", "fit"])
+@pytest.mark.parametrize("fault", sorted(HAND_ID_FAULTS))
+def test_malformed_hand_joint_ids_exit_2(asset, tmp_path, capsys, fault, command):
+    spoil, message = HAND_ID_FAULTS[fault]
+
+    def spoil_ids(doc):
+        ids = doc["hand_joint_ids"]
+        ids["left"], ids["right"] = spoil(ids["left"], ids["right"])
+
+    run_on_a_spoilt_asset(asset, tmp_path, command, spoil_ids)
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DimensionError", "message": message}
+
+
+def test_integrate_needs_21_body_rows(asset, tmp_path, capsys):
+    run_on_a_spoilt_asset(asset, tmp_path, "integrate", add_a_joint)
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DimensionError",
+                   "message": "hand_joint_ids leave 22 body rows, but a body prediction carries 21"}
 
 
 @pytest.mark.parametrize("command", ["pose", "integrate"])
@@ -502,6 +565,15 @@ MODEL_FAULTS = {
                                       "reference_knuckle_length must be a number"),
     "knuckle_length_bool": (["reference_knuckle_length"], lambda x: True,
                             "reference_knuckle_length must be a number"),
+    # Python's json reads the NaN and Infinity literals; these once loaded.
+    "knuckle_length_nan": (["reference_knuckle_length"], lambda x: float("nan"),
+                           "reference_knuckle_length must be finite and > 0"),
+    "knuckle_length_inf": (["reference_knuckle_length"], lambda x: float("inf"),
+                           "reference_knuckle_length must be finite and > 0"),
+    "knuckle_length_negative": (["reference_knuckle_length"], lambda x: -1.0,
+                                "reference_knuckle_length must be finite and > 0"),
+    "knuckle_length_zero": (["reference_knuckle_length"], lambda x: 0,
+                            "reference_knuckle_length must be finite and > 0"),
 }
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mocapkit import integration
-from mocapkit.camera import WeakPerspectiveCamera, project
+from mocapkit.camera import WeakPerspectiveCamera
 from mocapkit.errors import DimensionError, MocapkitError
 from mocapkit.integration import (BodyPrediction, HandPrediction, PoseLayout,
-                                  WholeBodyParams, copy_paste,
-                                  hand_bbox_from_body)
+                                  WholeBodyParams, copy_paste)
 from mocapkit.kinematics import forward_kinematics
-from mocapkit.model import ShapeParams, pose_joints
+from mocapkit.model import ShapeParams
 from mocapkit.rotations import rodrigues
 
 
@@ -141,34 +140,6 @@ def test_prediction_shape_validation(rng):
     with pytest.raises(DimensionError):
         HandPrediction("dorsal", np.zeros(3), np.zeros((15, 3)), ShapeParams.zeros(10),
                        WeakPerspectiveCamera.identity())
-
-
-def test_hand_bbox_covers_projected_hand_joints(toy):
-    params = WholeBodyParams.identity(toy)
-    cam = WeakPerspectiveCamera(200.0, np.array([128.0, 128.0]))
-    cx, cy, side_px = hand_bbox_from_body(toy, params, cam, "left")
-    joints = pose_joints(toy, params.pose(), params.beta_w)[: toy.num_joints]
-    pts = project(cam, joints[np.asarray(toy.hand_joint_ids["left"])])
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    assert side_px == pytest.approx(1.2 * (hi - lo).max())
-    assert (cx, cy) == pytest.approx(tuple((lo + hi) / 2))
-    half = side_px / 2
-    assert np.all(pts[:, 0] >= cx - half) and np.all(pts[:, 0] <= cx + half)
-    assert np.all(pts[:, 1] >= cy - half) and np.all(pts[:, 1] <= cy + half)
-
-
-def test_hand_bbox_minimum_one_pixel(toy):
-    # a camera with tiny scale collapses the hand to (almost) a point
-    params = WholeBodyParams.identity(toy)
-    cam = WeakPerspectiveCamera(1e-9, np.zeros(2))
-    _, _, side_px = hand_bbox_from_body(toy, params, cam, "right")
-    assert side_px == 1.0
-
-
-def test_hand_bbox_unknown_side(toy):
-    params = WholeBodyParams.identity(toy)
-    with pytest.raises(DimensionError):
-        hand_bbox_from_body(toy, params, WeakPerspectiveCamera.identity(), "dorsal")
 
 
 def test_params_vector_round_trip(rng):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import signed_regressor
-from mocapkit.errors import DegenerateModelError, DimensionError
+from mocapkit.errors import DimensionError
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
-from mocapkit.model import (ParametricModel, PoseParams, ShapeParams,
-                            extract_hand_submodel, nearest_joint_assignment,
-                            pose_joints, pose_mesh, regress_hand_joints,
-                            regress_joints, shape_template)
+from mocapkit.model import (ParametricModel, PoseParams, ShapeParams, pose_joints,
+                            pose_mesh, shape_template)
 from mocapkit.rotations import rodrigues
 
 
@@ -76,29 +74,6 @@ def test_pose_params_shape_checks(orient, poses, message):
         PoseParams(orient, poses)
 
 
-def test_regress_joints_origin():
-    reg = np.full((2, 4), 0.25)
-    np.testing.assert_array_equal(regress_joints(reg, np.zeros((4, 3))), np.zeros((2, 3)))
-
-
-def test_regress_joints_one_hot(rng):
-    verts = rng.normal(size=(5, 3))
-    reg = np.zeros((1, 5))
-    reg[0, 3] = 1.0
-    np.testing.assert_array_equal(regress_joints(reg, verts)[0], verts[3])
-
-
-def test_regress_joints_uniform_is_centroid(rng):
-    verts = rng.normal(size=(8, 3))
-    reg = np.full((1, 8), 1.0 / 8)
-    np.testing.assert_allclose(regress_joints(reg, verts)[0], verts.mean(axis=0), atol=1e-12)
-
-
-def test_regress_joints_shape_mismatch(rng):
-    with pytest.raises(DimensionError):
-        regress_joints(np.ones((1, 4)), rng.normal(size=(5, 3)))
-
-
 def test_pose_mesh_rest_is_template(toy):
     v = pose_mesh(toy, PoseParams.zeros(toy.num_joints), ShapeParams.zeros(10))
     assert np.abs(v - toy.template_vertices).max() < 1e-12
@@ -143,96 +118,14 @@ def test_regression_commutes_with_rigid_transform(toy, rng):
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
-def test_extract_matches_brute_force_nearest_scan(toy):
-    rest = toy.rest_joints()
-    hand = set(toy.hand_joint_ids["left"])
-    expected = []
-    for v in range(toy.num_vertices):
-        d = np.linalg.norm(toy.template_vertices[v] - rest, axis=1)
-        if int(np.argmin(d)) in hand:
-            expected.append(v)
-    sub = extract_hand_submodel(toy, "left")
-    assert sub.vertex_index_map.tolist() == expected
-
-
-def test_extract_sides_disjoint(toy):
-    left = extract_hand_submodel(toy, "left")
-    right = extract_hand_submodel(toy, "right")
-    assert not set(left.vertex_index_map) & set(right.vertex_index_map)
-
-
-def test_extract_from_a_model_without_faces(toy):
-    bare = dataclasses.replace(toy, faces=np.zeros((0, 3), dtype=np.int64))
-    sub = extract_hand_submodel(bare, "left")
-    assert sub.model.faces.shape == (0, 3)
-    np.testing.assert_array_equal(sub.vertex_index_map,
-                                  extract_hand_submodel(toy, "left").vertex_index_map)
-
-
-def test_nearest_joint_tie_breaks_low_index():
-    verts = np.array([[0.5, 0.0, 0.0]])
-    joints = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert nearest_joint_assignment(verts, joints)[0] == 0
-
-
-def test_extract_missing_side(toy):
-    with pytest.raises(DegenerateModelError):
-        extract_hand_submodel(toy, "dorsal")
-
-
-def test_submodel_weight_rows_sum_to_one(toy):
-    sub = extract_hand_submodel(toy, "right")
-    np.testing.assert_allclose(sub.model.skin_weights.sum(axis=1), 1.0, atol=1e-6)
-
-
-def test_hand_regressor_fingertips_one_hot(toy):
-    sub = extract_hand_submodel(toy, "left")
-    posed = pose_mesh(sub.model, PoseParams.zeros(16))
-    joints = regress_hand_joints(sub, posed)
-    assert joints.shape == (21, 3)
-    for r, vid in enumerate(sub.model.fingertip_vertex_ids["left"]):
-        np.testing.assert_array_equal(joints[16 + r], posed[vid])
-    # zero pose: skeleton joints equal rest joints
-    np.testing.assert_allclose(joints[:16], sub.model.rest_joints(), atol=1e-12)
-
-
-def test_hand_joints_consistent_with_parent_model(toy, rng):
-    sub = extract_hand_submodel(toy, "left")
-    pose = PoseParams.zeros(toy.num_joints)
-    hand_pose = PoseParams.zeros(16)
-    # pose only the left fingers, consistently in both models
-    finger = rng.normal(scale=0.3, size=(15, 3))
-    jp = pose.joint_poses.copy()
-    jp[np.asarray(toy.hand_joint_ids["left"][1:]) - 1] = finger
-    pose = PoseParams(pose.global_orient, jp)
-    hand_pose = PoseParams(np.zeros(3), finger)
-    parent_posed = pose_mesh(toy, pose)
-    sub_posed = pose_mesh(sub.model, hand_pose)
-    np.testing.assert_allclose(sub_posed, parent_posed[sub.vertex_index_map], atol=1e-9)
-    a = regress_hand_joints(sub, sub_posed)
-    b = sub.model.joint_regressor @ parent_posed[sub.vertex_index_map]
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_submodel_wrist_carries_global_orientation(toy, rng):
-    sub = extract_hand_submodel(toy, "left")
-    phi_h = rng.normal(size=3)
-    finger = rng.normal(scale=0.3, size=(15, 3))
-    # parent: non-hand joints at rest, wrist local pose = phi_h
-    jp = np.zeros((51, 3))
-    jp[toy.hand_joint_ids["left"][0] - 1] = phi_h
-    jp[np.asarray(toy.hand_joint_ids["left"][1:]) - 1] = finger
-    parent_posed = pose_mesh(toy, PoseParams(np.zeros(3), jp))
-    sub_posed = pose_mesh(sub.model, PoseParams(phi_h, finger))
-    np.testing.assert_allclose(sub_posed, parent_posed[sub.vertex_index_map], atol=1e-9)
-
-
-@pytest.mark.parametrize("hand", [False, True, "signed"])
-def test_batched_pose_joints_match_regressed_mesh(toy, rng, hand):
-    model = extract_hand_submodel(toy, "left").model if hand else toy
-    if hand:  # 5 fingertip rows beyond the skeleton joints
-        assert model.joint_regressor.shape[0] == model.num_joints + 5
-    if hand == "signed":
+@pytest.mark.parametrize("extra", [False, True, "signed"])
+def test_batched_pose_joints_match_regressed_mesh(toy, rng, extra):
+    model = toy
+    if extra:  # 5 one-hot rows beyond the skeleton joints, as fingertip rows are
+        tips = np.zeros((5, toy.num_vertices))
+        tips[np.arange(5), toy.fingertip_vertex_ids["left"]] = 1.0
+        model = dataclasses.replace(toy, joint_regressor=np.vstack([toy.joint_regressor, tips]))
+    if extra == "signed":
         model = signed_regressor(model, 2)
     batch, n = 4, model.num_joints - 1
     pose = PoseParams(rng.normal(scale=0.5, size=(batch, 3)), rng.normal(scale=0.5, size=(batch, n, 3)))

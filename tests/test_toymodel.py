@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mocapkit.errors import DimensionError
-from mocapkit.model import extract_hand_submodel, regress_hand_joints
 from mocapkit.toymodel import gen_toy_model
 
 
@@ -48,10 +47,12 @@ def test_hand_joint_tables(toy):
 
 
 def test_reference_knuckle_length_matches_geometry(toy):
-    sub = extract_hand_submodel(toy, "left")
-    joints = regress_hand_joints(sub, sub.model.template_vertices)
-    got = np.linalg.norm(joints[4] - joints[5])
-    assert got == pytest.approx(toy.reference_knuckle_length, rel=1e-9)
+    # Hand joints 4 and 5 are the middle-finger knuckle pair (`dataprep.KNUCKLE_JOINTS`).
+    rest = toy.rest_joints()
+    for side in ("left", "right"):
+        ids = toy.hand_joint_ids[side]
+        got = np.linalg.norm(rest[ids[4]] - rest[ids[5]])
+        assert got == pytest.approx(toy.reference_knuckle_length, rel=1e-9)
 
 
 def test_faces_index_valid_vertices(toy):

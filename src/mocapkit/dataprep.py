@@ -49,6 +49,8 @@ class BlurKernel:
 def rescale_keypoints(joints3d, reference_knuckle_length):
     """Uniformly scale hand joints about the wrist so the middle-finger knuckle
     bone matches the reference length."""
+    if not 0 < reference_knuckle_length < np.inf:
+        raise DimensionError("reference knuckle length must be positive and finite")
     joints3d = np.asarray(joints3d, dtype=np.float64)
     if joints3d.ndim != 2 or joints3d.shape[1] != 3:
         raise DimensionError("joints3d must be (K, 3)")
@@ -78,8 +80,8 @@ def reorder_joints(joints, joint_map):
 
 def flip_keypoints_2d(points, confidence, image_width):
     """Mirror 2D keypoints across the vertical image axis; confidences untouched."""
-    if image_width <= 0:
-        raise DimensionError("image width must be positive")
+    if not 0 < image_width < np.inf:
+        raise DimensionError("image width must be positive and finite")
     points = np.asarray(points, dtype=np.float64)
     flipped = points.copy()
     flipped[:, 0] = image_width - flipped[:, 0]

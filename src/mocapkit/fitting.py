@@ -73,9 +73,9 @@ class FitResult:
     params: WholeBodyParams
     cost_trace: np.ndarray       # cost after each iteration
     final_rms_px: float          # confidence-weighted reprojection RMS
-    status: str                  # "ok", or "stalled" if an iteration ran out of retries
+    status: str                  # "ok", or "stalled" if a step was rejected at the damping cap
     accepted_steps: int          # trial steps that kept the cost from rising
-    rejected_steps: int          # trial steps that raised it (damping went up)
+    rejected_steps: int          # trial steps that raised it (damping went up unless capped)
 
 
 def _check_frame(model, init, kp):
@@ -386,13 +386,13 @@ def fit(model, init, cam_init, kp, config=None):
     exact Jacobian J at the current residuals r.  The damping starts at
     1e-6 times the largest diagonal entry of JᵀJ.  A trial step that would
     raise the cost, or make the camera scale ≤ 0, is rejected: the damping
-    goes up 10× and the step is retried, up to `MAX_RETRIES` times;
-    an iteration that runs out of retries keeps its parameters and makes the
-    result's status "stalled".
+    goes up 10× and the step is retried, unless the damping is at its cap,
+    where a retry would repeat the step: that iteration keeps its parameters
+    and makes the result's status "stalled".
     An accepted step scales the damping by ``max(1/3, 1 - (2 rho - 1)^3)``,
     where the gain ratio rho is the cost decrease over the decrease the
     linearised model predicts (Madsen, Nielsen & Tingleff 2004, §3.2).  The
-    damping stays within [1e-12, 1e12].  The cost trace is non-increasing.
+    damping stays within [MIN_DAMPING, MAX_DAMPING]; the cost never rises.
     """
     return fit_frames(model, [(init, cam_init, kp)], config)[0]
 
@@ -400,8 +400,8 @@ def fit(model, init, cam_init, kp, config=None):
 # `fit_frames` runs at most this many frames in one lockstep loop, which
 # bounds the memory of its batched Jacobian on long inputs.
 FIT_GROUP = 32
-# Trial steps an iteration may reject before it gives up as stalled.
-MAX_RETRIES = 50
+# The bounds of the damping.
+MIN_DAMPING, MAX_DAMPING = 1e-12, 1e12
 
 
 def fit_frames(model, frames, config=None):
@@ -441,18 +441,18 @@ def _fit_lockstep(model, frames, config, first):
     T, n = x.shape
     trace = np.empty((T, config.iterations))
     tries = np.zeros(T, dtype=np.int64)      # trial steps
-    stalls = np.zeros(T, dtype=np.int64)     # iterations that ran out of retries
+    accepted = np.zeros(T, dtype=np.int64)   # accepted trial steps
     for it in range(config.iterations):
         JtJ, Jtr = objective.normal_equations(fit_jacobian(objective, x.T, config.fd_step), r)
         if it == 0:
             lam = np.minimum(np.maximum(1e-6 * np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1),
-                                        1e-12), 1e12)
+                                        MIN_DAMPING), MAX_DAMPING)
         pending = np.arange(T)
         # `fk` holds the folded pose of each frame's accepted x, which the
         # Jacobian reads.  The first round poses every frame, so it runs on
         # the objective itself; later rounds pose the frames still pending.
         trial, fk = objective, objective.fk
-        for _ in range(MAX_RETRIES):
+        while True:
             damped = JtJ.take(pending, axis=0)
             damped.reshape(-1, n * n)[:, ::n + 1] += lam.take(pending)[:, None]
             g = Jtr.take(pending, axis=0)
@@ -476,26 +476,26 @@ def _fit_lockstep(model, frames, config, first):
             rho = np.divide(gain, pred, out=np.ones_like(pred), where=pred > gain)
             x[done], r[done], cost[done] = x_new[ok], r_new[ok], cost_new[ok]
             lam[done] = np.minimum(np.maximum(
-                kept * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), 1e-12), 1e12)
-            lam[pending] = np.minimum(lam[pending] * 10.0, 1e12)
+                kept * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), MIN_DAMPING), MAX_DAMPING)
+            accepted[done] += 1
+            # A retry at the cap (or at a NaN damping) would repeat the step: stall.
+            pending = pending[lam[pending] < MAX_DAMPING]
+            lam[pending] = np.minimum(lam[pending] * 10.0, MAX_DAMPING)
             for held, new in zip(fk, trial.fk):
                 held[done] = new[ok]
             if not pending.size:
                 break
             trial = objective.take(pending)
-        else:
-            stalls[pending] += 1
         objective.fk = fk
         trace[:, it] = cost
 
-    accepted = config.iterations - stalls
     # The leading 2K residuals of the accepted x are its weighted 2D errors.
     r2d = r[:, :2 * model.num_joints]
     rows = objective.rows(x)
     return [FitResult(params=WholeBodyParams.from_vector(rows[t], objective.num_betas),
                       cost_trace=trace[t],
                       final_rms_px=float(np.sqrt((r2d[t] * r2d[t]).sum() / kp.confidence[t].sum())),
-                      status="stalled" if stalls[t] else "ok",
+                      status="stalled" if accepted[t] < config.iterations else "ok",
                       accepted_steps=int(accepted[t]), rejected_steps=int(tries[t] - accepted[t]))
             for t in range(T)]
 

@@ -85,8 +85,8 @@ def _joint_errors(pred, gt, alignment):
 
 def pck(pred, gt, threshold, alignment="none"):
     """Fraction of joints with Euclidean error strictly below the threshold."""
-    if threshold <= 0:
-        raise DimensionError("threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise DimensionError("threshold must be positive and finite")
     err = _joint_errors(pred, gt, alignment)
     return float((err < threshold).mean())
 
@@ -94,9 +94,11 @@ def pck(pred, gt, threshold, alignment="none"):
 def pck_curve(pred, gt, lo, hi, alignment="none"):
     """PCK sampled at `NUM_THRESHOLDS` evenly spaced thresholds over [lo, hi] inclusive.
 
-    A zero lower bound is nudged to a tiny positive value so every threshold
-    stays valid.
+    The bounds must be finite with ``0 <= lo < hi``; a zero lower bound is
+    nudged to a tiny positive value so every threshold stays valid.
     """
+    if not 0 <= lo < hi < np.inf:
+        raise DimensionError("PCK range must be finite with 0 <= lo < hi")
     thresholds = np.linspace(lo, hi, NUM_THRESHOLDS)
     if thresholds[0] <= 0:
         thresholds[0] = min(1e-12, hi / 1e6)

@@ -3,6 +3,7 @@ import glob
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 import mocapkit
 from mocapkit import fitting, formats
 from mocapkit.camera import WeakPerspectiveCamera, project
-from mocapkit.cli import main
+from mocapkit.cli import build_parser, main
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams
 from mocapkit.model import FRAME_GROUP, ShapeParams, pose_joints
 from mocapkit.rotations import canonicalize, rodrigues
@@ -80,6 +81,18 @@ def test_readme_python_blocks_run():
     assert blocks
     for code in blocks:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    # A renamed or removed option fails here before it fails a reader.
+    package = os.path.dirname(mocapkit.__file__)
+    with open(os.path.join(package, "..", "..", "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"^```bash\n(.*?)^```", f.read(), re.MULTILINE | re.DOTALL)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "mocapkit"]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_gen_toy_deterministic(tmp_path):
@@ -380,8 +393,12 @@ def test_fit_and_eval_round_trip(asset, tmp_path, rng):
 
 
 def test_a_stalled_fit_says_so_in_its_output(asset, tmp_path, monkeypatch):
-    # With no retries every iteration gives up: nothing moves, and the file says so.
-    monkeypatch.setattr(fitting, "MAX_RETRIES", 0)
+    # A Jacobian of the wrong sign makes every step climb, and with the damping
+    # cap at its floor every iteration stalls at its first trial: nothing
+    # moves, and the file says so.
+    exact = fitting._ParamVector.jacobian
+    monkeypatch.setattr(fitting._ParamVector, "jacobian", lambda objective, x: -exact(objective, x))
+    monkeypatch.setattr(fitting, "MAX_DAMPING", fitting.MIN_DAMPING)
     model = formats.load_model(asset)
     init = WholeBodyParams.identity(model)
     kp = project(init.cam_w, pose_joints(model, init.pose(), init.beta_w)[:52]) + 3.0
@@ -393,7 +410,7 @@ def test_a_stalled_fit_says_so_in_its_output(asset, tmp_path, monkeypatch):
     text = out.read_text()
     assert text.count('"status": "stalled"') == 2
     for _, _, extras in formats.params_from_doc(formats.read_json(out)):
-        assert (extras["accepted_steps"], extras["rejected_steps"]) == (0, 0)
+        assert (extras["accepted_steps"], extras["rejected_steps"]) == (0, 3)
     # The fields read back and write out with the same bytes.
     assert formats.canonical_dumps(formats.params_to_doc(
         formats.params_from_doc(formats.read_json(out)))) == text
@@ -658,6 +675,91 @@ def test_a_number_field_rejects_strings_and_booleans(asset, tmp_path, capsys, fa
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "SchemaError", "message": prefix + message}
     assert not out.exists()
+
+
+# The sweep below puts each of these values in place of each field of a
+# valid one-frame params or keypoints document.  An array field also gets
+# itself with one axis dropped or added, and with one element made NaN or
+# null.
+SWEEP_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "string": "0.5",
+                "true": True, "null": None, "empty_list": [], "object": {}, "2**70": 2**70,
+                "-1": -1, "0": 0, "nested": [[1.0]]}
+SWEEP_ARRAY_VARIANTS = ["drop_axis", "add_axis", "nan_element", "null_element"]
+SWEEP_FIELDS = {"params": ["phi", "theta", "beta", "camera", "camera.scale", "camera.translation",
+                           "frame"],
+                "keypoints": ["points", "confidence", "frame"]}
+SWEEP_ARRAYS = {"phi", "theta", "beta", "camera.translation", "points", "confidence"}
+SWEEP_CASES = [(kind, field, value, command)
+               for kind, fields in SWEEP_FIELDS.items() for field in fields
+               for value in list(SWEEP_VALUES) + (SWEEP_ARRAY_VARIANTS if field in SWEEP_ARRAYS else [])
+               for command in (("fit", "pose") if kind == "params" else ("fit",))]
+# The spoilt documents that are accepted, as docs/formats.md says: a frame
+# index need only be an integer (0 is the valid one), a null confidence
+# weighs every joint 1, and 2**70 is a finite camera scale > 0.  Every
+# other case exits 2.
+SWEEP_ACCEPTED = {("params", "camera.scale", "2**70", "fit"),
+                  ("params", "camera.scale", "2**70", "pose"),
+                  ("params", "frame", "2**70", "pose"), ("params", "frame", "-1", "pose"),
+                  ("params", "frame", "0", "fit"), ("params", "frame", "0", "pose"),
+                  ("keypoints", "confidence", "null", "fit"), ("keypoints", "frame", "0", "fit")}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A toy asset and a valid one-frame params and keypoints document."""
+    root = tmp_path_factory.mktemp("sweep")
+    asset = root / "toy.json"
+    assert main(["gen-toy", str(asset), "--seed", "0"]) == 0
+    model = formats.load_model(asset)
+    rng = np.random.default_rng(7)
+    theta = rng.normal(scale=0.1, size=(model.num_joints - 1, 3))
+    params = WholeBodyParams(np.zeros(3), theta, ShapeParams.zeros(model.num_betas),
+                             WeakPerspectiveCamera(100.0, np.array([128.0, 128.0])))
+    points = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    points += rng.normal(size=points.shape)
+    return asset, {"params": formats.params_to_doc([(0, params, None)]),
+                   "keypoints": formats.keypoints_to_doc([(0, points, np.ones(len(points)))])}
+
+
+def _sweep_value(valid, value):
+    if value in SWEEP_VALUES:
+        return SWEEP_VALUES[value]
+    if value == "drop_axis":
+        return valid[0]
+    if value == "add_axis":
+        return [valid]
+    spoilt = json.loads(json.dumps(valid))
+    parent = spoilt
+    while isinstance(parent[0], list):
+        parent = parent[0]
+    parent[0] = float("nan") if value == "nan_element" else None
+    return spoilt
+
+
+@pytest.mark.parametrize("kind, field, value, command", SWEEP_CASES,
+                         ids=["-".join(case) for case in SWEEP_CASES])
+def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, capsys,
+                                                        kind, field, value, command):
+    asset, valid = sweep_inputs
+    docs = json.loads(json.dumps(valid))
+    *path, key = field.split(".")
+    parent = docs[kind]["frames"][0]
+    for name in path:
+        parent = parent[name]
+    parent[key] = _sweep_value(parent[key], value)
+    files = {}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        # Python's json writes NaN and Infinity as the literals it reads.
+        files[name].write_text(json.dumps(doc), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    argv = {"fit": ["fit", str(asset), files["params"], files["keypoints"], out, "--iters", "1"],
+            "pose": ["pose", str(asset), files["params"], out]}[command]
+    code = main([str(a) for a in argv])
+    assert code == (0 if (kind, field, value, command) in SWEEP_ACCEPTED else 2)
+    if code == 2:
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert sorted(err) == ["message", "type"]
 
 
 def test_pose_an_asset_without_faces(asset, tmp_path):

@@ -36,6 +36,18 @@ def test_rescale_degenerate_knuckle():
         rescale_keypoints(joints, 0.05)
 
 
+@pytest.mark.parametrize("length", [np.nan, -0.05, 0.0, np.inf])
+def test_rescale_rejects_a_reference_length_that_is_not_finite_and_positive(rng, length):
+    with pytest.raises(DimensionError, match="reference knuckle length must be positive and finite"):
+        rescale_keypoints(rng.normal(size=(21, 3)), length)
+
+
+@pytest.mark.parametrize("shape", [(21, 2), (21,), (2, 21, 3)])
+def test_rescale_needs_k_by_3_joints(shape):
+    with pytest.raises(DimensionError, match=r"joints3d must be \(K, 3\)"):
+        rescale_keypoints(np.ones(shape), 0.05)
+
+
 def test_joint_map_reorder_and_inverse(rng):
     perm = np.array([2, 0, 1, 3])
     m = JointMap(perm)
@@ -81,6 +93,12 @@ def test_flip_2d_involution(rng):
     for width in (0.0, -640.0):
         with pytest.raises(DimensionError, match="image width must be positive"):
             flip_keypoints_2d(pts, conf, width)
+
+
+@pytest.mark.parametrize("width", [np.nan, np.inf])
+def test_flip_rejects_a_width_that_is_not_finite(rng, width):
+    with pytest.raises(DimensionError, match="image width must be positive and finite"):
+        flip_keypoints_2d(rng.uniform(0, 640, size=(21, 2)), np.ones(21), width)
 
 
 def test_flip_axis_angle_involution(rng):

@@ -301,12 +301,13 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     exact = _ParamVector.jacobian
     # A Jacobian of the wrong sign makes every damped step climb the cost.
     monkeypatch.setattr(_ParamVector, "jacobian", lambda objective, x: -exact(objective, x))
-    monkeypatch.setattr(fitting, "MAX_RETRIES", 3)
+    # With the cap at the floor, every trial is at the cap: one per iteration.
+    monkeypatch.setattr(fitting, "MAX_DAMPING", fitting.MIN_DAMPING)
     config = FitConfig(iterations=4)
     result = fit(toy, init, cam, kp, config)
     assert result.status == "stalled"
     assert result.accepted_steps == 0
-    assert result.rejected_steps == config.iterations * 3
+    assert result.rejected_steps == config.iterations
     assert result.cost_trace.shape == (4,)
     assert np.all(result.cost_trace == result.cost_trace[0])
     packer = _ParamVector(toy, init, cam, config)
@@ -330,7 +331,7 @@ def test_lockstep_group_in_which_every_frame_stalls(toy, rng, monkeypatch):
         return -exact(objective, x)
 
     monkeypatch.setattr(_ParamVector, "jacobian", negated)
-    monkeypatch.setattr(fitting, "MAX_RETRIES", 3)
+    monkeypatch.setattr(fitting, "MAX_DAMPING", fitting.MIN_DAMPING)
     config = FitConfig(iterations=4)
     results = fitting.fit_frames(toy, frames, config)
     assert held == [True] * config.iterations
@@ -338,13 +339,12 @@ def test_lockstep_group_in_which_every_frame_stalls(toy, rng, monkeypatch):
         packer = _ParamVector(toy, init, cam, config)
         initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
         assert result.status == "stalled"
-        assert (result.accepted_steps, result.rejected_steps) == (0, config.iterations * 3)
+        assert (result.accepted_steps, result.rejected_steps) == (0, config.iterations)
         assert np.all(result.cost_trace == initial @ initial)
         assert result.params.vector().tobytes() == init.vector(cam).tobytes()
 
 
-def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypatch):
-    monkeypatch.setattr(fitting, "MAX_RETRIES", 1)
+def test_first_step_solves_the_normal_equations_of_every_row(toy, rng):
     config = FitConfig(iterations=1)
     init, cam, kp = _noisy_fit_problem(toy, rng)
     objective = _ParamVector(toy, init, cam, config).bind(kp)
@@ -356,7 +356,7 @@ def test_first_step_solves_the_normal_equations_of_every_row(toy, rng, monkeypat
     JtJ = J.T @ J
     step = np.linalg.solve(JtJ + 1e-6 * JtJ.diagonal().max() * np.eye(x.size), J.T @ r)
     result = fit(toy, init, cam, kp, config)
-    assert result.accepted_steps == 1
+    assert (result.accepted_steps, result.rejected_steps) == (1, 0)
     np.testing.assert_allclose(objective.pack(result.params, result.params.cam_w), x - step,
                                rtol=1e-9, atol=1e-12)
 
@@ -443,9 +443,10 @@ def _clip(toy, rng):
     return frames
 
 
-@pytest.mark.parametrize("retries", [fitting.MAX_RETRIES, 1], ids=["config0", "config1"])
-def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, retries):
-    monkeypatch.setattr(fitting, "MAX_RETRIES", retries)
+# A cap of 100 makes some frames of `_clip` stall and leaves others "ok".
+@pytest.mark.parametrize("cap", [fitting.MAX_DAMPING, 100.0], ids=["config0", "config1"])
+def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, cap):
+    monkeypatch.setattr(fitting, "MAX_DAMPING", cap)
     config = FitConfig(iterations=8)
     frames = _clip(toy, rng)
     alone = [fit(toy, init, cam, kp, config) for init, cam, kp in frames]
@@ -461,11 +462,49 @@ def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, retries):
             assert (a.status, a.accepted_steps, a.rejected_steps) == (
                 b.status, b.accepted_steps, b.rejected_steps)
     assert len({r.rejected_steps for r in alone}) > 2
-    if retries == 1:
+    if cap == 100.0:
         assert {r.status for r in alone} == {"ok", "stalled"}
     # Frame 0 starts at its optimum, where Jᵀr = 0 and every step predicts a
     # decrease of 0; its damping must stay finite.
     assert (alone[0].status, alone[0].rejected_steps) == ("ok", 0)
+
+
+def test_a_stalled_frame_ends_each_iteration_at_the_damping_cap(toy, rng, monkeypatch):
+    # With a Jacobian of the wrong sign every step climbs.  Each rejected
+    # trial raises the damping 10x until a trial at the cap is rejected, which
+    # ends the iteration; each later iteration starts at the cap and ends
+    # after one trial.  (Frame 0 of the clip starts at its optimum.)
+    frames = _clip(toy, rng)[1:4]
+    exact = _ParamVector.jacobian
+    monkeypatch.setattr(_ParamVector, "jacobian", lambda objective, x: -exact(objective, x))
+    config = FitConfig(iterations=20)
+    results = fitting.fit_frames(toy, frames, config)
+    for (init, cam, kp), result in zip(frames, results):
+        objective = _ParamVector(toy, init, cam, config).bind(kp)
+        x = objective.pack(init, cam)
+        r = objective.residuals(x)
+        JtJ, _ = objective.normal_equations(exact(objective, x)[None], r[None])
+        lam = min(max(1e-6 * JtJ[0].diagonal().max(), fitting.MIN_DAMPING), fitting.MAX_DAMPING)
+        trials = 1
+        while lam < fitting.MAX_DAMPING:
+            lam, trials = min(lam * 10.0, fitting.MAX_DAMPING), trials + 1
+        assert trials > 1
+        assert result.status == "stalled"
+        assert (result.accepted_steps, result.rejected_steps) == (
+            0, trials + config.iterations - 1)
+        assert result.params.vector().tobytes() == init.vector(cam).tobytes()
+        assert np.all(result.cost_trace == r @ r)
+
+
+def test_a_jacobian_that_is_not_finite_stalls_every_iteration_at_once(toy, rng, monkeypatch):
+    # A NaN Jacobian makes a NaN damping, which counts as at the cap.
+    init, cam, kp = _noisy_fit_problem(toy, rng)
+    exact = _ParamVector.jacobian
+    monkeypatch.setattr(_ParamVector, "jacobian",
+                        lambda objective, x: np.full_like(exact(objective, x), np.nan))
+    result = fit(toy, init, cam, kp, FitConfig(iterations=3))
+    assert (result.status, result.accepted_steps, result.rejected_steps) == ("stalled", 0, 3)
+    assert result.params.vector().tobytes() == init.vector(cam).tobytes()
 
 
 def test_fit_keeps_the_camera_scale_positive(toy):
@@ -594,12 +633,12 @@ def test_fit_frames_names_the_frame_it_rejects(toy, rng):
     assert fitting.fit_frames(toy, []) == []
 
 
-@pytest.mark.parametrize("retries", [fitting.MAX_RETRIES, 1], ids=["config0", "config1"])
-def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monkeypatch, retries):
-    monkeypatch.setattr(fitting, "MAX_RETRIES", retries)
+@pytest.mark.parametrize("cap", [fitting.MAX_DAMPING, 100.0], ids=["config0", "config1"])
+def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monkeypatch, cap):
+    monkeypatch.setattr(fitting, "MAX_DAMPING", cap)
     frames = _clip(toy, rng)
     results = fitting.fit_frames(toy, frames, FitConfig(iterations=8))
-    if retries == 1:
+    if cap == 100.0:
         assert "stalled" in {r.status for r in results}
     for (_, _, kp), result in zip(frames, results):
         params = result.params

@@ -64,6 +64,21 @@ def test_pck_validation():
         pck(pts, pts, 1.0, alignment="procrustes")
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+def test_pck_rejects_a_threshold_that_is_not_finite_and_positive(threshold):
+    pts = np.zeros((3, 3))
+    with pytest.raises(DimensionError, match="threshold must be positive and finite"):
+        pck(pts, pts, threshold)
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0),
+                                    (-1.0, 30.0), (30.0, 20.0), (5.0, 5.0)])
+def test_pck_curve_rejects_a_range_outside_its_domain(lo, hi):
+    pts = np.zeros((3, 3))
+    with pytest.raises(DimensionError, match="PCK range must be finite with 0 <= lo < hi"):
+        pck_curve(pts, pts, lo, hi)
+
+
 def test_pck_curve_sampling(rng):
     pred = rng.normal(scale=10.0, size=(20, 3))
     gt = pred + rng.normal(scale=8.0, size=(20, 3))

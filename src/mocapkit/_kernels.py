@@ -28,19 +28,18 @@ input, and checks the kernels against them to 1e-12.
 
 Conventions
 -----------
-Every joint's local transform rotates about the joint's rest position, so a
-world transform is stored as an affine pair ``(R, t)`` with
-``G(x) = R @ x + t``.  With all rotations at identity, every ``G`` is the
-identity and joint world positions equal rest positions.
+A pose is one local rotation per joint, (..., J, 3) as axis-angles or
+(..., J, 3, 3) as matrices, and the root's local rotation is the global
+orientation: there is no separate root rotation.  Every joint's local
+transform rotates about the joint's rest position, so a world transform is
+stored as an affine pair ``(R, t)`` with ``G(x) = R @ x + t``.  With all
+rotations at identity, every ``G`` is the identity and joint world
+positions equal rest positions.
 """
 
 import functools
 
 import numpy as np
-
-
-IDENTITY = np.eye(3)
-IDENTITY.flags.writeable = False
 
 
 def _apply(rots, points):
@@ -120,13 +119,13 @@ def translations(parents, world_rots, rest):
     from the root down, with A the `ancestor_matrix` and R_parent the
     identity at the root; `rest` (..., J, 3) broadcasts against R."""
     diff = np.empty(world_rots.shape)
-    diff[..., 0, :, :] = IDENTITY
+    diff[..., 0, :, :] = np.eye(3)
     diff[..., 1:, :, :] = world_rots.take(parents[1:], axis=-3)
     diff -= world_rots
     return ancestor_matrix(parents) @ _apply(diff, rest)
 
 
-def fk_chain(parents, rest, local_rots, root_rot):
+def fk_chain(parents, rest, local_rots):
     """Forward kinematics over a topologically ordered tree.
 
     The rotations are built one tree-depth level at a time: every joint of
@@ -138,8 +137,8 @@ def fk_chain(parents, rest, local_rots, root_rot):
     ----------
     parents : (J,) int array, parents[0] == -1, parents[j] < j
     rest : (..., J, 3) rest-pose joint positions
-    local_rots : (..., J, 3, 3) per-joint local rotation matrices
-    root_rot : (..., 3, 3) extra global rotation applied at the root
+    local_rots : (..., J, 3, 3) per-joint local rotation matrices; the
+        root's is its world rotation, the global orientation
 
     Returns
     -------
@@ -147,9 +146,9 @@ def fk_chain(parents, rest, local_rots, root_rot):
     G_j(x) = R_j x + t_j, over the broadcast leading axes of the inputs.
     Each index of the leading axes has the bits of its own unbatched call.
     """
-    lead = np.broadcast_shapes(rest.shape[:-2], local_rots.shape[:-3], root_rot.shape[:-2])
+    lead = np.broadcast_shapes(rest.shape[:-2], local_rots.shape[:-3])
     world_rots = np.empty(lead + (parents.shape[0], 3, 3))
-    world_rots[..., 0, :, :] = root_rot @ local_rots[..., 0, :, :]
+    world_rots[..., 0, :, :] = local_rots[..., 0, :, :]
     for idx, p in _tree(np.ascontiguousarray(parents, dtype=np.int64).tobytes())[0]:
         world_rots[..., idx, :, :] = world_rots.take(p, axis=-3) @ local_rots[..., idx, :, :]
     return world_rots, translations(parents, world_rots, rest)

@@ -16,8 +16,8 @@ import numpy as np
 from . import dataprep, formats, metrics
 from .errors import DimensionError, MocapkitError, SchemaError, map_frames
 from .fitting import FitConfig, KeypointSet2D, check_keypoints, fit_frames, temporal_smooth
-from .integration import WholeBodyParams, copy_paste, finite_pose
-from .model import FRAME_GROUP, PoseParams, check_pose, pose_mesh
+from .integration import WholeBodyParams, copy_paste
+from .model import FRAME_GROUP, check_pose, pose_mesh
 from .rotations import canonicalize, unwrap
 from .toymodel import gen_toy_model
 
@@ -46,9 +46,9 @@ def cmd_pose(args):
     frames = formats.params_from_doc(formats.read_json(args.params))
 
     def check(frame):
-        params = frame[1]
-        check_pose(model, params.pose(), params.beta_w)
-        if not finite_pose(params.phi_w, params.theta_w):
+        pose = frame[1].pose()
+        check_pose(model, pose, frame[1].beta_w)
+        if not np.isfinite(pose).all():
             raise DimensionError("phi and theta must be finite")
 
     with _naming_frames([i for i, _, _ in frames]):
@@ -59,8 +59,7 @@ def cmd_pose(args):
     for first in range(0, len(frames), FRAME_GROUP):
         group = frames[first:first + FRAME_GROUP]
         params = [p for _, p, _ in group]
-        verts = pose_mesh(model, PoseParams(np.stack([p.phi_w for p in params]),
-                                            np.stack([p.theta_w for p in params])),
+        verts = pose_mesh(model, np.stack([p.pose() for p in params]),
                           np.stack([p.beta_w.beta for p in params]))
         joints = model.joint_regressor[: model.num_joints] @ verts
         for (i, _, _), v, j in zip(group, verts, joints):
@@ -111,11 +110,11 @@ def cmd_fit(args):
         flat = np.array([p.vector() for _, p, _ in out])
         # Rotations are averaged only after each joint's axis-angle sequence
         # is made continuous; canonical vectors flip sign as they pass pi.
-        for aa in WholeBodyParams.split(flat, model.num_betas)[:2]:
-            aa[...] = unwrap(aa)
+        pose = WholeBodyParams.split(flat, model.num_betas)[0]
+        pose[...] = unwrap(pose)
         smoothed = temporal_smooth(flat)
-        for aa in WholeBodyParams.split(smoothed, model.num_betas)[:2]:
-            aa[...] = canonicalize(aa)
+        pose = WholeBodyParams.split(smoothed, model.num_betas)[0]
+        pose[...] = canonicalize(pose)
         out = [(i, WholeBodyParams.from_vector(row, model.num_betas), extras)
                for (i, _, extras), row in zip(out, smoothed)]
 

@@ -172,8 +172,8 @@ class _ParamVector:
         self.num_betas = init.beta_w.beta.shape[0]
         self.base = init.vector(cam_init)
         mask = np.zeros((1, self.base.size), dtype=bool)
-        phi, theta, _, scale, trans = WholeBodyParams.split(mask, self.num_betas)
-        phi[:] = theta[:, rows] = scale[:] = trans[:] = True
+        pose, _, scale, trans = WholeBodyParams.split(mask, self.num_betas)
+        pose[:, self.fitted_joints] = scale[:] = trans[:] = True
         self.free = np.flatnonzero(mask)
         self.blocks = _pair_blocks(self.fold, self.parents, self.free.size)
         # The prior rows follow the 2K reprojection rows, one per entry of theta.
@@ -201,19 +201,17 @@ class _ParamVector:
         other.base, other.x0 = base, base[..., self.free]
         other.points, other.weights = kp.points, np.sqrt(kp.confidence)
         model, full = self.model, self.model.joint_fold
-        _, theta, beta, _, _ = WholeBodyParams.split(base, self.num_betas)
-        local = np.zeros(theta.shape[:-2] + (model.num_joints, 3))
-        local[..., 1:, :] = theta
+        pose, beta, _, _ = WholeBodyParams.split(base, self.num_betas)
+        local = pose.copy()
         local[..., self.fitted_joints, :] = 0.0
         rest = model.rest_joints(beta)
-        fk = forward_kinematics(model.tree, rest, local[..., 0, :], local)
-        terms = full.terms(full.shaped(beta), fk.rotations, fk.translations)
+        terms = full.terms(full.shaped(beta), *forward_kinematics(model.tree, rest, local))
         vertices = self.merge @ terms[..., :self.merge.shape[1], :]
         other.posed = (dataclasses.replace(self.fold, vertices=vertices),
                        rest[..., self.fitted_joints, :])
-        pose = 3 * theta.shape[-2]
-        other.tail = np.zeros(base.shape[:-1] + (pose + beta.shape[-1],))
-        other.tail[..., pose:] = np.sqrt(SHAPE_PRIOR_WEIGHT) * beta
+        n = 3 * (pose.shape[-2] - 1)
+        other.tail = np.zeros(base.shape[:-1] + (n + beta.shape[-1],))
+        other.tail[..., n:] = np.sqrt(SHAPE_PRIOR_WEIGHT) * beta
         return other
 
     def take(self, frames):
@@ -266,7 +264,7 @@ class _ParamVector:
         fold, rest = self.posed
         F = self.fitted_joints.size
         rots = _kernels.rodrigues_batch(cols[:, :3 * F].reshape(B, F, 3))
-        R, t = _kernels.fk_chain(self.parents, rest, rots, _kernels.IDENTITY)
+        R, t = _kernels.fk_chain(self.parents, rest, rots)
         T = fold.terms(fold.vertices, R, t)
         self.fk = R, t, T
         joints = np.add.reduceat(T, fold.bounds[:-1], axis=1)

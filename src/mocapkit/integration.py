@@ -8,7 +8,7 @@ from .camera import WeakPerspectiveCamera
 from ._kernels import rodrigues_batch
 from .errors import DimensionError, MocapkitError, map_frames
 from .kinematics import gamma_global_to_local
-from .model import FRAME_GROUP, SIDES, PoseParams, ShapeParams, beta_array
+from .model import FRAME_GROUP, SIDES, ShapeParams, beta_array
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ class WholeBodyParams:
             raise DimensionError("theta_w must be (J-1, 3)")
 
     def pose(self):
-        return PoseParams(self.phi_w, self.theta_w)
+        """The local poses (J, 3) of `forward_kinematics`: phi, then theta's rows."""
+        return np.concatenate([self.phi_w[None], self.theta_w])
 
     def vector(self, cam=None):
         """Flat parameter vector ``[phi (3), theta rows (3 (J-1)), beta (B),
@@ -123,19 +124,20 @@ class WholeBodyParams:
 
     @staticmethod
     def split(rows, num_betas):
-        """Views (phi (..., 3), theta (..., J-1, 3), beta (..., B), scale (...,),
-        translation (..., 2)) of flat vectors `rows` (..., D) laid out as by
-        `vector`."""
-        nt = rows.shape[-1] - 6 - num_betas
-        theta = rows[..., 3:3 + nt].reshape(rows.shape[:-1] + (nt // 3, 3))
-        return rows[..., :3], theta, rows[..., 3 + nt:-3], rows[..., -3], rows[..., -2:]
+        """Views (pose (..., J, 3), beta (..., B), scale (...,), translation
+        (..., 2)) of flat vectors `rows` (..., D) laid out as by `vector`;
+        the pose is that of `pose`, phi in row 0."""
+        n = rows.shape[-1] - 3 - num_betas
+        pose = rows[..., :n].reshape(rows.shape[:-1] + (n // 3, 3))
+        return pose, rows[..., n:-3], rows[..., -3], rows[..., -2:]
 
     @staticmethod
     def from_vector(row, num_betas):
         """The parameters whose `vector()` is `row` (D,)."""
-        phi, theta, beta, scale, trans = WholeBodyParams.split(
-            np.asarray(row, dtype=np.float64), num_betas)
-        return WholeBodyParams(phi, theta, ShapeParams(beta), WeakPerspectiveCamera(scale, trans))
+        pose, beta, scale, trans = WholeBodyParams.split(np.asarray(row, dtype=np.float64),
+                                                         num_betas)
+        return WholeBodyParams(pose[0], pose[1:], ShapeParams(beta),
+                               WeakPerspectiveCamera(scale, trans))
 
     @staticmethod
     def identity(model):
@@ -176,29 +178,30 @@ def copy_paste(model, frames):
 
 def _check_prediction(model, body, left, right):
     for pred, side in ((left, "left"), (right, "right")):
-        if pred is not None and pred.side != side:
+        if pred is None:
+            continue
+        if pred.side != side:
             raise MocapkitError(f"prediction passed as {side} hand has side {pred.side!r}")
+        beta_array(model, pred.beta_h)
     beta_array(model, body.beta_b)
 
 
 def _fuse(model, layout, frames):
     bodies = [body for body, _, _ in frames]
-    phi = np.stack([body.phi_b for body in bodies])
-    theta = np.zeros((len(frames), model.num_joints - 1, 3))
-    theta[:, layout.body_rows] = np.stack([body.theta_b for body in bodies])
+    # Pose rows are joints, so theta row r is pose row r + 1.
+    pose = np.zeros((len(frames), model.num_joints, 3))
+    pose[:, 0] = np.stack([body.phi_b for body in bodies])
+    pose[:, layout.body_rows + 1] = np.stack([body.theta_b for body in bodies])
     # Both wrists' parents are posed by the body alone.
-    body_local = np.concatenate([np.zeros((len(frames), 1, 3)), theta], axis=1)
+    body_pose = pose.copy()
 
     for k, side in enumerate(SIDES):
         ts = [t for t, frame in enumerate(frames) if frame[1 + k] is not None]
         if not ts:
             continue
         hands = [frames[t][1 + k] for t in ts]
-        theta[np.ix_(ts, layout.finger_rows(side))] = np.stack([h.theta_h for h in hands])
-        wrist = layout.wrist_row(side)
-        theta[ts, wrist] = gamma_global_to_local(
-            model.tree, phi[ts], body_local[ts], wrist + 1,
-            rodrigues_batch(np.stack([h.phi_h for h in hands])))
-    return [WholeBodyParams(body.phi_b.copy(), th, body.beta_b, body.cam_b)
-            for body, th in zip(bodies, theta)]
-
+        pose[np.ix_(ts, layout.finger_rows(side) + 1)] = np.stack([h.theta_h for h in hands])
+        wrist = layout.wrist_row(side) + 1
+        pose[ts, wrist] = gamma_global_to_local(
+            model.tree, body_pose[ts], wrist, rodrigues_batch(np.stack([h.phi_h for h in hands])))
+    return [WholeBodyParams(p[0], p[1:], body.beta_b, body.cam_b) for body, p in zip(bodies, pose)]

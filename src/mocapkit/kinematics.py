@@ -37,46 +37,30 @@ class SkeletonTree:
         return self.parents.shape[0]
 
 
-@dataclass(frozen=True)
-class FkResult:
-    """World transforms per joint: G_j(x) = rotations[j] @ x + translations[j]."""
+def forward_kinematics(tree, rest_joints, local_poses):
+    """World transforms ``(R, t)`` of every joint, (..., J, 3, 3) and
+    (..., J, 3), with ``G_j(x) = R_j @ x + t_j``.
 
-    rotations: np.ndarray
-    translations: np.ndarray
-
-
-def forward_kinematics(tree, rest_joints, global_orient, local_poses):
-    """Compute world transforms for every joint.
-
-    Each joint's local transform rotates by its axis-angle pose about the
-    joint's rest position; the root is additionally rotated by
-    `global_orient`.  With all rotations zero, joint positions equal
-    `rest_joints`.
-
-    Any leading batch axes are posed at once: `global_orient` (..., 3) goes
-    with `local_poses` (..., J, 3), and `rest_joints` (..., J, 3) broadcasts
-    against them.
+    `local_poses` (..., J, 3) holds each joint's local axis-angle, about the
+    joint's rest position; row 0, the root's, is the global orientation.
+    With all rotations zero, joint positions equal `rest_joints`.  Any
+    leading batch axes are posed at once, and `rest_joints` (..., J, 3)
+    broadcasts against them.
     """
     rest = np.asarray(rest_joints, dtype=np.float64)
     poses = np.asarray(local_poses, dtype=np.float64)
-    orient = np.asarray(global_orient, dtype=np.float64)
     J = tree.num_joints
     if rest.shape[-2:] != (J, 3):
         raise DimensionError(f"rest_joints must be ({J}, 3), got {rest.shape}")
     if poses.shape[-2:] != (J, 3):
         raise DimensionError(f"local_poses must be ({J}, 3), got {poses.shape}")
-    if orient.shape != poses.shape[:-2] + (3,):
-        raise DimensionError(f"global_orient must be {poses.shape[:-2] + (3,)}, got {orient.shape}")
-    # The root's extra rotation is converted in the same call as the local poses.
-    rots = _kernels.rodrigues_batch(np.concatenate([orient[..., None, :], poses], axis=-2))
-    world_rots, world_trans = _kernels.fk_chain(
-        tree.parents, rest, rots[..., 1:, :, :], rots[..., 0, :, :])
-    return FkResult(world_rots, world_trans)
+    return _kernels.fk_chain(tree.parents, rest, _kernels.rodrigues_batch(poses))
 
 
-def gamma_global_to_local(tree, global_orient, local_poses, target_joint, target_global):
+def gamma_global_to_local(tree, local_poses, target_joint, target_global):
     """Local pose (..., 3) at `target_joint` whose FK world rotation equals
-    `target_global` (..., 3, 3).
+    `target_global` (..., 3, 3), given the local poses (..., J, 3) of
+    `forward_kinematics`.
 
     Computed as (parent world rotation)^T @ target_global; only the target's
     ancestors influence the result, so the target's own stale pose is ignored.
@@ -87,6 +71,6 @@ def gamma_global_to_local(tree, global_orient, local_poses, target_joint, target
         raise InvalidJointError("target_joint must be a non-root joint index")
     # World rotations are products of the ancestors' rotations alone; rest
     # joints move only the translations, so zeros serve as well as any.
-    fk = forward_kinematics(tree, np.zeros((tree.num_joints, 3)), global_orient, local_poses)
-    parent = fk.rotations[..., tree.parents[target_joint], :, :]
+    world_rots, _ = forward_kinematics(tree, np.zeros((tree.num_joints, 3)), local_poses)
+    parent = world_rots[..., tree.parents[target_joint], :, :]
     return rotations.rotation_to_axis_angle(np.swapaxes(parent, -1, -2) @ target_global)

@@ -173,37 +173,6 @@ def _blend(basis, beta):
 
 
 @dataclass(frozen=True)
-class PoseParams:
-    """Global orientation plus one axis-angle per posed (non-root) joint.
-
-    joint_poses[..., i, :] belongs to skeleton joint i + 1; the root is driven
-    by global_orient only.  Leading axes, if any, are a batch of poses.
-    """
-
-    global_orient: np.ndarray          # (..., 3)
-    joint_poses: np.ndarray            # (..., J - 1, 3)
-
-    def __post_init__(self):
-        object.__setattr__(self, "global_orient", np.asarray(self.global_orient, dtype=np.float64))
-        object.__setattr__(self, "joint_poses", np.asarray(self.joint_poses, dtype=np.float64))
-        if self.global_orient.ndim < 1 or self.global_orient.shape[-1] != 3:
-            raise DimensionError("global_orient must be a 3-vector")
-        if self.joint_poses.ndim < 2 or self.joint_poses.shape[-1] != 3:
-            raise DimensionError("joint_poses must be (J-1, 3)")
-        if self.joint_poses.shape[:-2] != self.global_orient.shape[:-1]:
-            raise DimensionError("global_orient and joint_poses have different batch axes")
-
-    @staticmethod
-    def zeros(num_joints):
-        return PoseParams(np.zeros(3), np.zeros((num_joints - 1, 3)))
-
-    def full_local_poses(self):
-        """Per-joint local poses including the (zero) root slot, for FK."""
-        root = np.zeros(self.joint_poses.shape[:-2] + (1, 3))
-        return np.concatenate([root, self.joint_poses], axis=-2)
-
-
-@dataclass(frozen=True)
 class ShapeParams:
     beta: np.ndarray
 
@@ -238,24 +207,26 @@ def shape_template(model, beta):
 
 
 def check_pose(model, pose, beta=None):
-    """Raise a DimensionError unless `pose` and `beta` fit `model`."""
-    if pose.joint_poses.shape[-2] != model.num_joints - 1:
-        raise DimensionError("pose has wrong number of joints for this model")
+    """Raise a DimensionError unless the local poses `pose` (..., J, 3) and
+    `beta` fit `model`."""
+    if np.shape(pose)[-2:] != (model.num_joints, 3):
+        raise DimensionError(f"pose must be ({model.num_joints}, 3), got {np.shape(pose)}")
     beta_array(model, beta)
 
 
 def pose_mesh(model, pose, beta=None, return_fk=False):
     """Pose the model: shape, rest joints, FK, linear blend skinning.
 
-    `pose` may carry leading batch axes, with `beta` None, a ShapeParams, or
-    an array (..., B) broadcasting against them; the vertices are
-    (..., N, 3).  Each pose's vertices have the bits of posing it alone.
+    `pose` is the local axis-angles (..., J, 3) of `forward_kinematics`, the
+    global orientation in row 0; leading axes are a batch of poses, with
+    `beta` None, a ShapeParams, or an array (..., B) broadcasting against
+    them.  The vertices are (..., N, 3), and `return_fk` adds the world
+    transforms ``(R, t)``.  Each pose's vertices have the bits of posing it
+    alone.
     """
-    check_pose(model, pose)
     shaped = shape_template(model, beta)
-    rest = model.rest_joints(beta)
-    fk = forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
-    verts = _kernels.lbs(model.skin_weights, shaped, fk.rotations, fk.translations)
+    fk = forward_kinematics(model.tree, model.rest_joints(beta), pose)
+    verts = _kernels.lbs(model.skin_weights, shaped, *fk)
     if return_fk:
         return verts, fk
     return verts
@@ -266,14 +237,9 @@ def pose_joints(model, pose, beta=None):
 
     Equal to ``joint_regressor @ pose_mesh(model, pose, beta)``, but sums
     the pair terms of `model.joint_fold` instead of skinning every vertex.
-    `pose` may carry leading batch axes; `beta` is None, a ShapeParams, or an
-    array (..., B) broadcasting against them.
+    `pose` and `beta` are as in `pose_mesh`.
     """
-    check_pose(model, pose)
     fold = model.joint_fold
     verts = fold.shaped(beta_array(model, beta))
-    fk = forward_kinematics(model.tree, model.rest_joints(beta), pose.global_orient,
-                            pose.full_local_poses())
-    return np.add.reduceat(fold.terms(verts, fk.rotations, fk.translations),
-                           fold.bounds[:-1], axis=-2)
-
+    fk = forward_kinematics(model.tree, model.rest_joints(beta), pose)
+    return np.add.reduceat(fold.terms(verts, *fk), fold.bounds[:-1], axis=-2)

@@ -37,8 +37,9 @@ def random_tree(rng, max_joints=20):
     return SkeletonTree(parents, tuple(f"j{k}" for k in range(n)))
 
 
-def brute_force_fk(tree, rest, global_orient, local_poses):
-    """Multiply every ancestor's 4x4 transform in order, root to joint."""
+def brute_force_fk(tree, rest, local_poses):
+    """Multiply every ancestor's 4x4 transform in order, root to joint; the
+    root's local pose is the global orientation."""
     from mocapkit.rotations import rodrigues
 
     def homog(R, fixed_point):
@@ -56,7 +57,7 @@ def brute_force_fk(tree, rest, global_orient, local_poses):
             chain.append(k)
             k = tree.parents[k]
         chain.reverse()
-        T = homog(rodrigues(global_orient), rest[0])
+        T = np.eye(4)
         for k in chain:
             T = T @ homog(rodrigues(local_poses[k]), rest[k])
         out[j] = T

@@ -24,7 +24,7 @@ from mocapkit.kinematics import forward_kinematics
 from mocapkit.metrics import (RANGE_2D_PX, RANGE_3D_MM, auc, loss_2d, loss_3d,
                               loss_reg, loss_theta, overall_loss, pck,
                               pck_curve)
-from mocapkit.model import PoseParams, ShapeParams, pose_joints, pose_mesh
+from mocapkit.model import ShapeParams, pose_joints, pose_mesh
 from mocapkit.rotations import rodrigues, rotation_to_axis_angle
 
 
@@ -54,11 +54,10 @@ def test_criterion_1_kinematics_oracles():
             tree = random_tree(rng, max_joints=20)
             rest = rng.normal(size=(tree.num_joints, 3))
             poses = rng.normal(scale=0.8, size=(tree.num_joints, 3))
-            orient = rng.normal(scale=0.8, size=3)
-            fk = forward_kinematics(tree, rest, orient, poses)
-            oracle = brute_force_fk(tree, rest, orient, poses)
-            assert np.abs(fk.rotations - oracle[:, :3, :3]).max() < 1e-12
-            assert np.abs(fk.translations - oracle[:, :3, 3]).max() < 1e-12
+            R, t = forward_kinematics(tree, rest, poses)
+            oracle = brute_force_fk(tree, rest, poses)
+            assert np.abs(R - oracle[:, :3, :3]).max() < 1e-12
+            assert np.abs(t - oracle[:, :3, 3]).max() < 1e-12
         mats = Rotation.random(10_000, random_state=np.random.RandomState(2)).as_matrix()
         for R in mats:
             assert np.abs(rodrigues(rotation_to_axis_angle(R)) - R).max() < 1e-6
@@ -83,12 +82,10 @@ def test_criterion_2_gamma_round_trip(toy):
                 for side in ("left", "right")
             }
             [params] = copy_paste(toy, [(body, hands["left"], hands["right"])])
-            pose = params.pose()
-            fk = forward_kinematics(toy.tree, toy.rest_joints(params.beta_w),
-                                    pose.global_orient, pose.full_local_poses())
+            R, _ = forward_kinematics(toy.tree, toy.rest_joints(params.beta_w), params.pose())
             for side in ("left", "right"):
                 wrist = layout.wrist_row(side) + 1
-                assert np.abs(fk.rotations[wrist] - rodrigues(hands[side].phi_h)).max() < 1e-6
+                assert np.abs(R[wrist] - rodrigues(hands[side].phi_h)).max() < 1e-6
         assert time.perf_counter() - start < 5.0
 
 
@@ -99,12 +96,11 @@ def test_criterion_3_lbs_rigid_binding(toy):
         joint_of = np.argmax(toy.skin_weights[rigid], axis=1)
         assert rigid.size > 0
         for _ in range(100):
-            pose = PoseParams(rng.normal(scale=0.5, size=3),
-                              rng.normal(scale=0.5, size=(51, 3)))
-            verts, fk = pose_mesh(toy, pose, return_fk=True)
+            pose = rng.normal(scale=0.5, size=(52, 3))
+            verts, (R, t) = pose_mesh(toy, pose, return_fk=True)
             expected = np.einsum(
-                "jab,jb->ja", fk.rotations[joint_of], toy.template_vertices[rigid]
-            ) + fk.translations[joint_of]
+                "jab,jb->ja", R[joint_of], toy.template_vertices[rigid]
+            ) + t[joint_of]
             assert np.abs(verts[rigid] - expected).max() < 1e-9
 
 

@@ -183,10 +183,10 @@ def _with_nan(values, index):
 
 POSE_FAULTS = {
     "theta_rows": (lambda p: WholeBodyParams(p.phi_w, p.theta_w[:50], p.beta_w, p.cam_w),
-                   "pose has wrong number of joints for this model"),
+                   "pose must be (52, 3), got (51, 3)"),
     "ragged_theta": (lambda p: WholeBodyParams(p.phi_w, np.vstack([p.theta_w, p.theta_w[:1]]),
                                                p.beta_w, p.cam_w),
-                     "pose has wrong number of joints for this model"),
+                     "pose must be (52, 3), got (53, 3)"),
     "beta_length": (lambda p: WholeBodyParams(p.phi_w, p.theta_w, ShapeParams.zeros(9), p.cam_w),
                     "beta must have length 10"),
     "nan_theta": (lambda p: WholeBodyParams(p.phi_w, _with_nan(p.theta_w, (4, 1)), p.beta_w,
@@ -229,6 +229,10 @@ INTEGRATE_FAULTS = {
                  "hand prediction must have phi (3,) and theta (15, 3)"),
     "hand_side": (lambda r: _spoil(r, "left_hand", "side", "right"), "MocapkitError",
                   "prediction passed as left hand has side 'right'"),
+    "hand_beta_empty": (lambda r: _spoil(r, "left_hand", "beta", []), "DimensionError",
+                        "beta must have length 10"),
+    "hand_beta_length": (lambda r: _spoil(r, "right_hand", "beta", r["right_hand"]["beta"][:9]),
+                         "DimensionError", "beta must have length 10"),
     "body_theta_nan": (lambda r: r["body"]["theta"][3].__setitem__(1, np.nan), "SchemaError",
                        "body prediction phi and theta must be finite"),
     "hand_phi_nan": (lambda r: _spoil(r, "right_hand", "phi", [0.0, np.nan, 1.0]), "SchemaError",
@@ -678,35 +682,53 @@ def test_a_number_field_rejects_strings_and_booleans(asset, tmp_path, capsys, fa
 
 
 # The sweep below puts each of these values in place of each field of a
-# valid one-frame params or keypoints document.  An array field also gets
-# itself with one axis dropped or added, and with one element made NaN or
-# null.
+# valid one-frame params, keypoints, predictions or joints document.  An
+# array field also gets itself with one axis dropped or added, and with one
+# element made NaN or null.
 SWEEP_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "string": "0.5",
                 "true": True, "null": None, "empty_list": [], "object": {}, "2**70": 2**70,
                 "-1": -1, "0": 0, "nested": [[1.0]]}
 SWEEP_ARRAY_VARIANTS = ["drop_axis", "add_axis", "nan_element", "null_element"]
+_PREDICTION_FIELDS = ["phi", "theta", "beta", "camera", "camera.scale", "camera.translation"]
 SWEEP_FIELDS = {"params": ["phi", "theta", "beta", "camera", "camera.scale", "camera.translation",
                            "frame"],
-                "keypoints": ["points", "confidence", "frame"]}
-SWEEP_ARRAYS = {"phi", "theta", "beta", "camera.translation", "points", "confidence"}
+                "keypoints": ["points", "confidence", "frame"],
+                "predictions": ([f"body.{f}" for f in _PREDICTION_FIELDS]
+                                + [f"left_hand.{f}" for f in _PREDICTION_FIELDS]
+                                + ["left_hand.side", "left_hand", "frame"]),
+                "joints": ["joints", "frame"]}
+SWEEP_ARRAYS = {"phi", "theta", "beta", "camera.translation", "points", "confidence", "joints",
+                *(f"{record}.{f}" for record in ("body", "left_hand")
+                  for f in ("phi", "theta", "beta", "camera.translation"))}
+SWEEP_COMMANDS = {"params": ("fit", "pose"), "keypoints": ("fit",), "predictions": ("integrate",),
+                  "joints": ("eval",)}
 SWEEP_CASES = [(kind, field, value, command)
                for kind, fields in SWEEP_FIELDS.items() for field in fields
                for value in list(SWEEP_VALUES) + (SWEEP_ARRAY_VARIANTS if field in SWEEP_ARRAYS else [])
-               for command in (("fit", "pose") if kind == "params" else ("fit",))]
+               for command in SWEEP_COMMANDS[kind]]
 # The spoilt documents that are accepted, as docs/formats.md says: a frame
-# index need only be an integer (0 is the valid one), a null confidence
-# weighs every joint 1, and 2**70 is a finite camera scale > 0.  Every
-# other case exits 2.
+# index need only be an integer (0 is the valid one, and eval needs the
+# frames of both files to match), a null confidence weighs every joint 1,
+# 2**70 is a finite camera scale > 0, and a null hand record is a missing
+# hand.  Every other case exits 2.
 SWEEP_ACCEPTED = {("params", "camera.scale", "2**70", "fit"),
                   ("params", "camera.scale", "2**70", "pose"),
                   ("params", "frame", "2**70", "pose"), ("params", "frame", "-1", "pose"),
                   ("params", "frame", "0", "fit"), ("params", "frame", "0", "pose"),
-                  ("keypoints", "confidence", "null", "fit"), ("keypoints", "frame", "0", "fit")}
+                  ("keypoints", "confidence", "null", "fit"), ("keypoints", "frame", "0", "fit"),
+                  ("predictions", "body.camera.scale", "2**70", "integrate"),
+                  ("predictions", "left_hand.camera.scale", "2**70", "integrate"),
+                  ("predictions", "frame", "2**70", "integrate"),
+                  ("predictions", "frame", "-1", "integrate"),
+                  ("predictions", "frame", "0", "integrate"),
+                  ("predictions", "left_hand", "null", "integrate"),
+                  ("joints", "frame", "0", "eval")}
 
 
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
-    """A toy asset and a valid one-frame params and keypoints document."""
+    """A toy asset, a ground-truth joints file for `eval`, and a valid
+    one-frame params, keypoints, predictions and joints document."""
     root = tmp_path_factory.mktemp("sweep")
     asset = root / "toy.json"
     assert main(["gen-toy", str(asset), "--seed", "0"]) == 0
@@ -715,10 +737,18 @@ def sweep_inputs(tmp_path_factory):
     theta = rng.normal(scale=0.1, size=(model.num_joints - 1, 3))
     params = WholeBodyParams(np.zeros(3), theta, ShapeParams.zeros(model.num_betas),
                              WeakPerspectiveCamera(100.0, np.array([128.0, 128.0])))
-    points = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+    points = project(params.cam_w, joints)
     points += rng.normal(size=points.shape)
-    return asset, {"params": formats.params_to_doc([(0, params, None)]),
-                   "keypoints": formats.keypoints_to_doc([(0, points, np.ones(len(points)))])}
+    body = BodyPrediction(np.zeros(3), theta[:21], params.beta_w, params.cam_w)
+    left = HandPrediction("left", np.zeros(3), theta[:15], params.beta_w, params.cam_w)
+    gt = root / "gt_joints.json"
+    formats.write_json(gt, formats.joints_to_doc([(0, joints)]))
+    return asset, gt, {
+        "params": formats.params_to_doc([(0, params, None)]),
+        "keypoints": formats.keypoints_to_doc([(0, points, np.ones(len(points)))]),
+        "predictions": formats.predictions_to_doc([(0, body, left, None)]),
+        "joints": formats.joints_to_doc([(0, joints + rng.normal(scale=0.01, size=joints.shape))])}
 
 
 def _sweep_value(valid, value):
@@ -740,7 +770,7 @@ def _sweep_value(valid, value):
                          ids=["-".join(case) for case in SWEEP_CASES])
 def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, capsys,
                                                         kind, field, value, command):
-    asset, valid = sweep_inputs
+    asset, gt, valid = sweep_inputs
     docs = json.loads(json.dumps(valid))
     *path, key = field.split(".")
     parent = docs[kind]["frames"][0]
@@ -753,8 +783,10 @@ def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, c
         # Python's json writes NaN and Infinity as the literals it reads.
         files[name].write_text(json.dumps(doc), encoding="utf-8")
     out = str(tmp_path / "out.json")
-    argv = {"fit": ["fit", str(asset), files["params"], files["keypoints"], out, "--iters", "1"],
-            "pose": ["pose", str(asset), files["params"], out]}[command]
+    argv = {"fit": ["fit", asset, files["params"], files["keypoints"], out, "--iters", "1"],
+            "pose": ["pose", asset, files["params"], out],
+            "integrate": ["integrate", asset, files["predictions"], out],
+            "eval": ["eval", files["joints"], gt, out]}[command]
     code = main([str(a) for a in argv])
     assert code == (0 if (kind, field, value, command) in SWEEP_ACCEPTED else 2)
     if code == 2:
@@ -810,7 +842,7 @@ def test_fit_rejects_keypoint_count_mismatch_naming_the_frame(asset, tmp_path, c
 FIT_FAULTS = {
     "zero_confidence": ("FitError", "all keypoint confidences are zero; the fit is unconstrained"),
     "nan_init": ("FitError", "initial cost is not finite"),
-    "wrong_rows": ("DimensionError", "pose has wrong number of joints for this model"),
+    "wrong_rows": ("DimensionError", "pose must be (52, 3), got (51, 3)"),
     "wrong_betas": ("DimensionError", "beta must have length 10"),
 }
 

@@ -541,11 +541,7 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
     fold, rest = objective.posed
     F = objective.fitted_joints.size
     tree = SkeletonTree(objective.parents, [toy.tree.joint_names[j] for j in objective.fitted_joints])
-    aa = x[:3 * F].T.reshape(3, F, 3)
-    local = aa.copy()
-    local[:, 0] = 0.0
-    posed = forward_kinematics(tree, rest, aa[:, 0], local)
-    R, t = posed.rotations, posed.translations
+    R, t = forward_kinematics(tree, rest, x[:3 * F].T.reshape(3, F, 3))
     objective.fk = R, t, fold.terms(fold.vertices, R, t)
     np.testing.assert_array_equal(kept, objective.jacobian(x))
 

@@ -32,8 +32,7 @@ def random_hand(rng, side, num_betas=10):
 
 def fused_fk(model, params):
     rest = model.rest_joints(params.beta_w)
-    pose = params.pose()
-    return forward_kinematics(model.tree, rest, pose.global_orient, pose.full_local_poses())
+    return forward_kinematics(model.tree, rest, params.pose())
 
 
 def test_layout_partitions_pose_rows(toy):
@@ -59,7 +58,7 @@ def test_fused_wrist_matches_hand_global_orientation(toy, rng):
         fk = fused_fk(toy, params)
         for pred, side in ((left, "left"), (right, "right")):
             wrist = layout.wrist_row(side) + 1
-            np.testing.assert_allclose(fk.rotations[wrist], rodrigues(pred.phi_h), atol=1e-9)
+            np.testing.assert_allclose(fk[0][wrist], rodrigues(pred.phi_h), atol=1e-9)
 
 
 def test_fused_fingers_and_body_copied_verbatim(toy, rng):
@@ -159,5 +158,5 @@ def test_params_vector_round_trip(rng):
     # split of a batch of rows gives views with leading batch axes
     rows = np.stack([vec, 2.0 * vec])
     parts = WholeBodyParams.split(rows, 10)
-    assert [p.shape for p in parts] == [(2, 3), (2, 51, 3), (2, 10), (2,), (2, 2)]
+    assert [p.shape for p in parts] == [(2, 52, 3), (2, 10), (2,), (2, 2)]
     assert all(np.shares_memory(p, rows) for p in parts)

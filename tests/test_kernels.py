@@ -37,11 +37,11 @@ def _rodrigues_batch_loops(aa):
     return out
 
 
-def _fk_chain_loops(parents, rest, local_rots, root_rot):
+def _fk_chain_loops(parents, rest, local_rots):
     J = parents.shape[0]
     world_rots = np.empty((J, 3, 3))
     world_trans = np.empty((J, 3))
-    world_rots[0] = root_rot @ local_rots[0]
+    world_rots[0] = local_rots[0]
     world_trans[0] = rest[0] - world_rots[0] @ rest[0]
     for j in range(1, J):
         p = parents[j]
@@ -92,20 +92,18 @@ def test_fk_paths_agree(rng):
     batch, n = 6, 20
     parents = _random_deep_tree(rng, n)
     local_rots = _kernels.rodrigues_batch(rng.normal(scale=0.8, size=(batch, n, 3)))
-    root_rot = _kernels.rodrigues_batch(rng.normal(size=(batch, 3)))
     for rest in (rng.normal(size=(batch, n, 3)), rng.normal(size=(n, 3))):
-        ra, ta = _kernels.fk_chain(parents, rest, local_rots, root_rot)
-        rb, tb = _per_pose(lambda r, lr, rr: _fk_chain_loops(parents, r, lr, rr),
-                           np.broadcast_to(rest, (batch, n, 3)), local_rots, root_rot)
+        ra, ta = _kernels.fk_chain(parents, rest, local_rots)
+        rb, tb = _per_pose(lambda r, lr: _fk_chain_loops(parents, r, lr),
+                           np.broadcast_to(rest, (batch, n, 3)), local_rots)
         np.testing.assert_allclose(ra, rb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ta, tb, rtol=0, atol=1e-12)
     for n in (5, 20, 52):   # one unbatched pose
         parents = _random_deep_tree(rng, n)
         rest = rng.normal(size=(n, 3))
         local_rots = _kernels.rodrigues_batch(rng.normal(scale=0.8, size=(n, 3)))
-        root_rot = _kernels.rodrigues_batch(rng.normal(size=3))
-        for a, b in zip(_kernels.fk_chain(parents, rest, local_rots, root_rot),
-                        _fk_chain_loops(parents, rest, local_rots, root_rot)):
+        for a, b in zip(_kernels.fk_chain(parents, rest, local_rots),
+                        _fk_chain_loops(parents, rest, local_rots)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -116,12 +114,10 @@ def test_fk_frame_has_the_bits_of_its_own_call(rng):
     batch, n = 5, 52
     parents = _random_deep_tree(rng, n)
     local_rots = _kernels.rodrigues_batch(rng.normal(scale=0.8, size=(batch, n, 3)))
-    root_rot = _kernels.rodrigues_batch(rng.normal(size=(batch, 3)))
     for rest in (rng.normal(size=(batch, n, 3)), rng.normal(size=(n, 3))):
-        stacked = _kernels.fk_chain(parents, rest, local_rots, root_rot)
+        stacked = _kernels.fk_chain(parents, rest, local_rots)
         for t in range(batch):
-            alone = _kernels.fk_chain(parents, rest if rest.ndim == 2 else rest[t],
-                                      local_rots[t], root_rot[t])
+            alone = _kernels.fk_chain(parents, rest if rest.ndim == 2 else rest[t], local_rots[t])
             for one, many in zip(alone, stacked):
                 assert one.tobytes() == many[t].tobytes()
 
@@ -142,13 +138,12 @@ def test_fk_on_the_toy_skeleton_and_the_fit_fold(toy, rng):
     for parents in (toy_parents, fold_parents):
         n = parents.size
         local_rots = _kernels.rodrigues_batch(rng.normal(scale=0.8, size=(batch, n, 3)))
-        root_rot = _kernels.rodrigues_batch(rng.normal(size=(batch, 3)))
         rest = rng.normal(size=(batch, n, 3))
-        stacked = _kernels.fk_chain(parents, rest, local_rots, root_rot)
+        stacked = _kernels.fk_chain(parents, rest, local_rots)
         for t in range(batch):
-            alone = _kernels.fk_chain(parents, rest[t], local_rots[t], root_rot[t])
+            alone = _kernels.fk_chain(parents, rest[t], local_rots[t])
             for one, many, ref in zip(alone, stacked,
-                                      _fk_chain_loops(parents, rest[t], local_rots[t], root_rot[t])):
+                                      _fk_chain_loops(parents, rest[t], local_rots[t])):
                 np.testing.assert_allclose(one, ref, rtol=0, atol=1e-12)
                 assert one.tobytes() == many[t].tobytes()
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import signed_regressor
+from mocapkit.camera import WeakPerspectiveCamera
 from mocapkit.errors import DimensionError
+from mocapkit.integration import WholeBodyParams
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
-from mocapkit.model import (ParametricModel, PoseParams, ShapeParams, pose_joints,
-                            pose_mesh, shape_template)
+from mocapkit.model import (ParametricModel, ShapeParams, check_pose, pose_joints, pose_mesh,
+                            shape_template)
 from mocapkit.rotations import rodrigues
 
 
@@ -16,7 +18,7 @@ def test_shape_template_zero_beta(toy):
 
 
 def test_no_beta_is_the_zero_shape_bit_for_bit(toy, rng):
-    pose = PoseParams(rng.normal(scale=0.5, size=3), rng.normal(scale=0.5, size=(51, 3)))
+    pose = rng.normal(scale=0.5, size=(52, 3))
     zero = ShapeParams.zeros(10)
     pairs = [(toy.rest_joints(), toy.rest_joints(zero)),
              (shape_template(toy, None), shape_template(toy, zero)),
@@ -50,11 +52,11 @@ def test_batched_shape_template_rows_equal_single_calls(toy, rng):
 
 
 def test_batched_pose_mesh_frames_equal_single_calls(toy, rng):
-    pose = PoseParams(rng.normal(scale=0.5, size=(4, 3)), rng.normal(scale=0.5, size=(4, 51, 3)))
+    pose = rng.normal(scale=0.5, size=(4, 52, 3))
     betas = rng.normal(size=(4, 10))
     batched = pose_mesh(toy, pose, betas)
     for t in range(4):
-        single = pose_mesh(toy, PoseParams(pose.global_orient[t], pose.joint_poses[t]), betas[t])
+        single = pose_mesh(toy, pose[t], betas[t])
         np.testing.assert_array_equal(batched[t], single)
 
 
@@ -63,36 +65,55 @@ def test_shape_template_bad_beta(toy):
         shape_template(toy, np.zeros(7))
 
 
-@pytest.mark.parametrize("orient, poses, message", [
-    (np.zeros(2), np.zeros((51, 3)), "global_orient must be a 3-vector"),
-    (np.zeros(3), np.zeros((51, 2)), r"joint_poses must be \(J-1, 3\)"),
-    (np.zeros(3), np.zeros(3), r"joint_poses must be \(J-1, 3\)"),
-    (np.zeros((4, 3)), np.zeros((51, 3)), "global_orient and joint_poses have different batch axes"),
-])
-def test_pose_params_shape_checks(orient, poses, message):
-    with pytest.raises(DimensionError, match=message):
-        PoseParams(orient, poses)
+def test_the_pose_is_the_leading_rows_of_the_flat_vector(toy, rng):
+    J = toy.num_joints
+    params = WholeBodyParams(rng.normal(size=3), rng.normal(size=(J - 1, 3)),
+                             ShapeParams(rng.normal(size=10)),
+                             WeakPerspectiveCamera(2.0, rng.normal(size=2)))
+    pose = params.pose()
+    assert pose.shape == (J, 3)
+    assert pose.tobytes() == params.vector()[:3 * J].reshape(J, 3).tobytes()
+    np.testing.assert_array_equal(pose[0], params.phi_w)
+
+
+POSE_TAKERS = {
+    "pose_mesh": pose_mesh,
+    "pose_joints": pose_joints,
+    "forward_kinematics": lambda model, pose: forward_kinematics(model.tree, model.rest_joints(),
+                                                                 pose),
+    "check_pose": check_pose,
+}
+
+
+@pytest.mark.parametrize("batch", [(), (4,)])
+@pytest.mark.parametrize("taker", sorted(POSE_TAKERS))
+def test_the_non_root_rows_alone_are_not_a_pose(toy, taker, batch):
+    """The (J - 1, 3) block without the global orientation is rejected by
+    name of the (J, 3) layout."""
+    with pytest.raises(DimensionError, match=rf"must be \({toy.num_joints}, 3\)"):
+        POSE_TAKERS[taker](toy, np.zeros(batch + (toy.num_joints - 1, 3)))
 
 
 def test_pose_mesh_rest_is_template(toy):
-    v = pose_mesh(toy, PoseParams.zeros(toy.num_joints), ShapeParams.zeros(10))
+    v = pose_mesh(toy, np.zeros((toy.num_joints, 3)), ShapeParams.zeros(10))
     assert np.abs(v - toy.template_vertices).max() < 1e-12
 
 
 def test_rigidly_bound_vertices_follow_their_joint(toy, rng):
     rigid = np.where(np.isclose(toy.skin_weights.max(axis=1), 1.0))[0]
     assert rigid.size > 0
-    pose = PoseParams(rng.normal(scale=0.4, size=3), rng.normal(scale=0.4, size=(51, 3)))
-    verts, fk = pose_mesh(toy, pose, return_fk=True)
+    pose = rng.normal(scale=0.4, size=(52, 3))
+    verts, (R, t) = pose_mesh(toy, pose, return_fk=True)
     joint = np.argmax(toy.skin_weights[rigid], axis=1)
     for v, j in zip(rigid, joint):
-        expected = fk.rotations[j] @ toy.template_vertices[v] + fk.translations[j]
+        expected = R[j] @ toy.template_vertices[v] + t[j]
         np.testing.assert_allclose(verts[v], expected, atol=1e-9)
 
 
 def test_global_half_turn_mirrors_mesh(toy):
     # toy root rests at the origin, so a pi turn about z negates x and y
-    pose = PoseParams(np.array([0, 0, np.pi]), np.zeros((51, 3)))
+    pose = np.zeros((52, 3))
+    pose[0] = [0, 0, np.pi]
     v = pose_mesh(toy, pose)
     expected = toy.template_vertices * np.array([-1.0, -1.0, 1.0])
     np.testing.assert_allclose(v, expected, atol=1e-12)
@@ -101,8 +122,8 @@ def test_global_half_turn_mirrors_mesh(toy):
 def test_pose_mesh_global_rotation_equivariance(toy, rng):
     aa = rng.normal(size=3)
     R = rodrigues(aa)
-    pose = PoseParams(np.zeros(3), rng.normal(scale=0.3, size=(51, 3)))
-    rotated_pose = PoseParams(aa, pose.joint_poses)
+    pose = np.vstack([np.zeros(3), rng.normal(scale=0.3, size=(51, 3))])
+    rotated_pose = np.vstack([aa, pose[1:]])
     direct = pose_mesh(toy, rotated_pose)
     indirect = pose_mesh(toy, pose) @ R.T  # root rests at the origin
     np.testing.assert_allclose(direct, indirect, atol=1e-9)
@@ -127,10 +148,10 @@ def test_batched_pose_joints_match_regressed_mesh(toy, rng, extra):
         model = dataclasses.replace(toy, joint_regressor=np.vstack([toy.joint_regressor, tips]))
     if extra == "signed":
         model = signed_regressor(model, 2)
-    batch, n = 4, model.num_joints - 1
-    pose = PoseParams(rng.normal(scale=0.5, size=(batch, 3)), rng.normal(scale=0.5, size=(batch, n, 3)))
+    batch = 4
+    pose = rng.normal(scale=0.5, size=(batch, model.num_joints, 3))
     betas = rng.normal(scale=0.5, size=(batch, model.num_betas))
-    singles = [PoseParams(pose.global_orient[b], pose.joint_poses[b]) for b in range(batch)]
+    singles = list(pose)
     for beta in (betas, betas[0]):
         expected = [model.joint_regressor @ pose_mesh(model, p, ShapeParams(bb))
                     for p, bb in zip(singles, np.broadcast_to(beta, betas.shape))]

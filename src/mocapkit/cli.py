@@ -46,7 +46,7 @@ def cmd_pose(args):
     frames = formats.params_from_doc(formats.read_json(args.params))
 
     def check(frame):
-        pose = frame[1].pose()
+        pose = frame[1].pose_w
         check_pose(model, pose, frame[1].beta_w)
         if not np.isfinite(pose).all():
             raise DimensionError("phi and theta must be finite")
@@ -59,7 +59,7 @@ def cmd_pose(args):
     for first in range(0, len(frames), FRAME_GROUP):
         group = frames[first:first + FRAME_GROUP]
         params = [p for _, p, _ in group]
-        verts = pose_mesh(model, np.stack([p.pose() for p in params]),
+        verts = pose_mesh(model, np.stack([p.pose_w for p in params]),
                           np.stack([p.beta_w.beta for p in params]))
         joints = model.joint_regressor[: model.num_joints] @ verts
         for (i, _, _), v, j in zip(group, verts, joints):

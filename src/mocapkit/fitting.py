@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, FitError, InvalidJointError, map_frames
-from .integration import PoseLayout, WholeBodyParams
+from .integration import WholeBodyParams
 from .kinematics import forward_kinematics
 from .model import JointFold, check_pose
 from .rotations import canonicalize, right_jacobian
@@ -85,7 +85,7 @@ def _check_frame(model, init, kp):
             f"keypoint layout has {kp.points.shape[-2]} joints, model has {model.num_joints}")
     if kp.confidence.max() <= 0.0:
         raise FitError("all keypoint confidences are zero; the fit is unconstrained")
-    check_pose(model, init.pose(), init.beta_w)
+    check_pose(model, init.pose_w, init.beta_w)
 
 
 def _fold_bones(model, fitted):
@@ -152,11 +152,12 @@ _XYZX = np.array([0, 1, 2, 0])
 
 class _ParamVector:
     """The fit's objective, over the entries of the flat `WholeBodyParams.vector`
-    layout that the fit frees: the global orientation, the body rows of theta
-    (wrists included) and the camera, in ascending order.  The fingers and
-    beta keep the values of `base`, ``init.vector(cam_init)`` (D,) or one per
-    frame (T, D) (`bind`), so the fit poses the model folded onto its fitted
-    joints (`_fold_bones`), at `base` (`posed`).  Prior row ``prior_rows[i]``
+    layout that the fit frees: the pose of `model.body_joints` (the root's is
+    the global orientation; the wrists are included) and the camera, in
+    ascending order.  The fingers and beta keep the values of `base`,
+    ``init.vector(cam_init)`` (D,) or one per frame (T, D) (`bind`), so the
+    fit poses the model folded onto its fitted joints (`_fold_bones`), at
+    `base` (`posed`).  Prior row ``prior_rows[i]``
     of `residuals` is `prior_weight` times packed column ``prior_cols[i]``
     less its value in `x0`, ``base[..., free]``, so the pose prior pulls each
     frame toward its own start, and `normal_equations` adds those entries to
@@ -164,10 +165,9 @@ class _ParamVector:
     """
 
     def __init__(self, model, init, cam_init, config):
-        rows = PoseLayout.from_model(model).body_rows
         self.model = model
         # Skeleton joints whose axis-angles lead the packed vector, in order.
-        self.fitted_joints = np.concatenate([[0], rows + 1])
+        self.fitted_joints = model.body_joints
         self.parents, self.fold, self.merge = _fold_bones(model, self.fitted_joints)
         self.num_betas = init.beta_w.beta.shape[0]
         self.base = init.vector(cam_init)
@@ -176,9 +176,10 @@ class _ParamVector:
         pose[:, self.fitted_joints] = scale[:] = trans[:] = True
         self.free = np.flatnonzero(mask)
         self.blocks = _pair_blocks(self.fold, self.parents, self.free.size)
-        # The prior rows follow the 2K reprojection rows, one per entry of theta.
-        self.prior_rows = 2 * model.num_joints + (3 * rows[:, None] + np.arange(3)).ravel()
-        self.prior_cols = 3 + np.arange(3 * rows.size)
+        # The prior rows follow the 2K reprojection rows, one per pose entry
+        # below the root: vector entry e is prior row 2K + e - 3.
+        self.prior_cols = np.arange(3, 3 * self.fitted_joints.size)
+        self.prior_rows = 2 * model.num_joints - 3 + self.free[self.prior_cols]
         self.prior_weight = np.sqrt(POSE_PRIOR_WEIGHT)
 
     def bind(self, kp, base=None):

@@ -481,14 +481,19 @@ def params_to_doc(frames):
         extras = extras or {}
         out.append({
             "frame": int(i),
-            **_pose_to_doc(params.phi_w, params.theta_w, params.beta_w, params.cam_w),
+            **_pose_to_doc(params.pose_w[0], params.pose_w[1:], params.beta_w, params.cam_w),
             **{k: write(extras[k]) if k in extras else None for k, write in FIT_FIELDS.items()},
         })
     return _frames_doc(PARAMS_FORMAT, out)
 
 
 def _params_from_doc(f):
-    params = WholeBodyParams(*_pose_from_doc(f))
+    phi, theta, beta, cam = _pose_from_doc(f)
+    if phi.shape != (3,):
+        raise ValueError("phi must be a 3-vector")
+    if theta.ndim != 2 or theta.shape[1] != 3:
+        raise ValueError("theta must be (J-1, 3)")
+    params = WholeBodyParams(np.vstack([phi, theta]), beta, cam)
     extras = {}
     if f.get("cost_trace") is not None:
         extras["cost_trace"] = _float_array(f["cost_trace"], "cost_trace")

@@ -108,6 +108,30 @@ class ParametricModel:
         """The joint regressor folded into skinning; see `JointFold`."""
         return JointFold.of(self)
 
+    @functools.cached_property
+    def body_joints(self):
+        """The joints (ascending) that no hand's finger list names: the root,
+        the body and both wrists.  `hand_joint_ids` must give each side 16
+        joints other than the root, the wrist then 15 fingers, 32 distinct
+        joints in all, none of them a strict ancestor of a wrist; otherwise
+        this raises a DimensionError."""
+        left, right = (self.hand_joint_ids.get(side) for side in SIDES)
+        if left is None or right is None:
+            raise DimensionError("model must declare hand_joint_ids for both sides")
+        if len(left) != 16 or len(right) != 16 or 0 in [*left, *right]:
+            raise DimensionError("hand_joint_ids must give each side 16 joints other than "
+                                 "the root: the wrist, then 15 finger joints")
+        hand = np.array([*left, *right], dtype=np.int64)
+        if np.unique(hand).size != 32:
+            raise DimensionError("hand_joint_ids must name 32 distinct joints")
+        wrists = hand[[0, 16]]
+        above = _kernels.ancestor_matrix(self.tree.parents)[np.ix_(wrists, hand)]
+        w, h = np.nonzero(above * (hand != wrists[:, None]))
+        if w.size:
+            raise DimensionError(f"hand_joint_ids: hand joint {hand[h[0]]} "
+                                 f"is an ancestor of wrist {wrists[w[0]]}")
+        return np.setdiff1d(np.arange(self.num_joints), np.delete(hand, [0, 16]))
+
 
 @dataclass(frozen=True)
 class JointFold:

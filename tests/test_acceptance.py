@@ -18,8 +18,7 @@ from mocapkit.dataprep import (flip_axis_angle, flip_keypoints_2d,
 from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, fit,
                               fit_jacobian, _ParamVector, _residuals,
                               temporal_smooth)
-from mocapkit.integration import (BodyPrediction, HandPrediction, PoseLayout,
-                                  WholeBodyParams, copy_paste)
+from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams, copy_paste
 from mocapkit.kinematics import forward_kinematics
 from mocapkit.metrics import (RANGE_2D_PX, RANGE_3D_MM, auc, loss_2d, loss_3d,
                               loss_reg, loss_theta, overall_loss, pck,
@@ -39,7 +38,7 @@ def criterion(label):
 
 
 def render_keypoints(model, params, cam, noise=None, rng=None):
-    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
+    joints = pose_joints(model, params.pose_w, params.beta_w)[: model.num_joints]
     pts = project(cam, joints)
     if noise is not None:
         pts = pts + rng.normal(scale=noise, size=pts.shape)
@@ -68,7 +67,6 @@ def test_criterion_2_gamma_round_trip(toy):
     with criterion("2 global-to-local wrist round trip"):
         start = time.perf_counter()
         rng = np.random.default_rng(3)
-        layout = PoseLayout.from_model(toy)
         for _ in range(1000):
             body = BodyPrediction(
                 rng.normal(scale=0.6, size=3), rng.normal(scale=0.4, size=(21, 3)),
@@ -82,9 +80,9 @@ def test_criterion_2_gamma_round_trip(toy):
                 for side in ("left", "right")
             }
             [params] = copy_paste(toy, [(body, hands["left"], hands["right"])])
-            R, _ = forward_kinematics(toy.tree, toy.rest_joints(params.beta_w), params.pose())
+            R, _ = forward_kinematics(toy.tree, toy.rest_joints(params.beta_w), params.pose_w)
             for side in ("left", "right"):
-                wrist = layout.wrist_row(side) + 1
+                wrist = toy.hand_joint_ids[side][0]
                 assert np.abs(R[wrist] - rodrigues(hands[side].phi_h)).max() < 1e-6
         assert time.perf_counter() - start < 5.0
 
@@ -106,23 +104,23 @@ def test_criterion_3_lbs_rigid_binding(toy):
 
 def _perturbed_fit(toy, seed, noise):
     rng = np.random.default_rng(seed)
-    layout = PoseLayout.from_model(toy)
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
-    gt_theta = np.zeros((51, 3))
-    gt_theta[layout.body_rows] = rng.normal(scale=0.1, size=(21, 3))
-    gt = WholeBodyParams(rng.normal(scale=0.1, size=3), gt_theta, ShapeParams.zeros(10), cam)
+    gt_pose = np.zeros((52, 3))
+    gt_pose[toy.body_joints[1:]] = rng.normal(scale=0.1, size=(21, 3))
+    gt_pose[0] = rng.normal(scale=0.1, size=3)
+    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
     kp = render_keypoints(toy, gt, cam, noise=noise, rng=rng)
 
-    init_theta = gt_theta.copy()
-    for wrist in (layout.left_wrist_row, layout.right_wrist_row):
+    init_pose = gt_pose.copy()
+    wrists = [toy.hand_joint_ids[side][0] for side in ("left", "right")]
+    for wrist in wrists:
         d = rng.normal(size=3)
-        init_theta[wrist] += 0.3 * d / np.linalg.norm(d)
-    body_nonwrist = np.array([r for r in layout.body_rows
-                              if r not in (layout.left_wrist_row, layout.right_wrist_row)])
-    for row in rng.choice(body_nonwrist, size=5, replace=False):
+        init_pose[wrist] += 0.3 * d / np.linalg.norm(d)
+    body_nonwrist = np.array([j for j in toy.body_joints[1:] if j not in wrists])
+    for joint in rng.choice(body_nonwrist, size=5, replace=False):
         d = rng.normal(size=3)
-        init_theta[row] += 0.1 * d / np.linalg.norm(d)
-    init = WholeBodyParams(gt.phi_w.copy(), init_theta, ShapeParams.zeros(10), cam)
+        init_pose[joint] += 0.1 * d / np.linalg.norm(d)
+    init = WholeBodyParams(init_pose, ShapeParams.zeros(10), cam)
     return fit(toy, init, cam, kp, FitConfig(iterations=20))
 
 
@@ -153,9 +151,7 @@ def test_criterion_5_gradient_check(toy):
         config = FitConfig()
         cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
         for _ in range(100):
-            anchor = WholeBodyParams(
-                rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(51, 3)),
-                ShapeParams.zeros(10), cam)
+            anchor = WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)), ShapeParams.zeros(10), cam)
             kp = render_keypoints(toy, anchor, cam, noise=2.0, rng=rng)
             packer = _ParamVector(toy, anchor, cam, config)
 

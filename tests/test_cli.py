@@ -125,16 +125,15 @@ def test_gen_toy_size_classes(tmp_path):
 
 def test_pose_outputs_joints_and_obj(asset, tmp_path, rng):
     model = formats.load_model(asset)
-    params = WholeBodyParams(
-        rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
-        ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+    params = WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)), ShapeParams.zeros(10),
+                             WeakPerspectiveCamera.identity())
     pfile = params_file(tmp_path, model, "params.json", [(0, params, None)])
     joints_out = tmp_path / "joints.json"
     obj = tmp_path / "mesh.obj"
     assert main(["pose", str(asset), str(pfile), str(joints_out), "--obj", str(obj)]) == 0
     [(i, joints)] = formats.joints_from_doc(formats.read_json(joints_out))
     assert i == 0 and joints.shape == (52, 3)
-    expected = pose_joints(model, params.pose(), params.beta_w)[:52]
+    expected = pose_joints(model, params.pose_w, params.beta_w)[:52]
     np.testing.assert_allclose(joints, expected, atol=1e-12)
     lines = obj.read_text().splitlines()
     assert sum(ln.startswith("v ") for ln in lines) == model.num_vertices
@@ -144,8 +143,8 @@ def test_pose_outputs_joints_and_obj(asset, tmp_path, rng):
 @pytest.mark.parametrize("obj_name", ["mesh", "dir.obj.d/mesh.obj"])
 def test_pose_obj_names_one_file_per_frame(asset, tmp_path, rng, obj_name):
     model = formats.load_model(asset)
-    frames = [(i, WholeBodyParams(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
-                                  ShapeParams.zeros(10), WeakPerspectiveCamera.identity()), None)
+    frames = [(i, WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)), ShapeParams.zeros(10),
+                                  WeakPerspectiveCamera.identity()), None)
               for i in (0, 7)]
     pfile = params_file(tmp_path, model, "params.json", frames)
     obj = tmp_path / obj_name
@@ -166,12 +165,12 @@ def test_integrate_end_to_end(asset, tmp_path, rng):
     out = tmp_path / "fused.json"
     assert main(["integrate", str(asset), str(pred_path), str(out)]) == 0
     [(_, fused, _)] = formats.params_from_doc(formats.read_json(out))
-    assert fused.theta_w.shape == (51, 3)
-    np.testing.assert_array_equal(fused.phi_w, body.phi_b)
+    assert fused.pose_w.shape == (52, 3)
+    np.testing.assert_array_equal(fused.pose_w[0], body.phi_b)
 
 
 def random_params(rng):
-    return WholeBodyParams(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
+    return WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)),
                            ShapeParams(rng.normal(scale=0.1, size=10)), WeakPerspectiveCamera.identity())
 
 
@@ -182,17 +181,17 @@ def _with_nan(values, index):
 
 
 POSE_FAULTS = {
-    "theta_rows": (lambda p: WholeBodyParams(p.phi_w, p.theta_w[:50], p.beta_w, p.cam_w),
+    "theta_rows": (lambda p: WholeBodyParams(p.pose_w[:51], p.beta_w, p.cam_w),
                    "pose must be (52, 3), got (51, 3)"),
-    "ragged_theta": (lambda p: WholeBodyParams(p.phi_w, np.vstack([p.theta_w, p.theta_w[:1]]),
+    "ragged_theta": (lambda p: WholeBodyParams(np.vstack([p.pose_w, p.pose_w[1:2]]),
                                                p.beta_w, p.cam_w),
                      "pose must be (52, 3), got (53, 3)"),
-    "beta_length": (lambda p: WholeBodyParams(p.phi_w, p.theta_w, ShapeParams.zeros(9), p.cam_w),
+    "beta_length": (lambda p: WholeBodyParams(p.pose_w, ShapeParams.zeros(9), p.cam_w),
                     "beta must have length 10"),
-    "nan_theta": (lambda p: WholeBodyParams(p.phi_w, _with_nan(p.theta_w, (4, 1)), p.beta_w,
-                                            p.cam_w),
+    "nan_theta": (lambda p: WholeBodyParams(_with_nan(p.pose_w, (5, 1)), p.beta_w, p.cam_w),
                   "phi and theta must be finite"),
-    "inf_phi": (lambda p: WholeBodyParams([0.0, np.inf, 0.0], p.theta_w, p.beta_w, p.cam_w),
+    "inf_phi": (lambda p: WholeBodyParams(np.vstack([[0.0, np.inf, 0.0], p.pose_w[1:]]),
+                                          p.beta_w, p.cam_w),
                 "phi and theta must be finite"),
 }
 
@@ -278,7 +277,7 @@ def run_on_a_spoilt_asset(asset, tmp_path, command, spoil):
         inputs = [tmp_path / "pred.json"]
         formats.write_json(inputs[0], formats.predictions_to_doc([(3, body, None, None)]))
     else:
-        pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+        pts = project(params.cam_w, pose_joints(model, params.pose_w, params.beta_w)[:52])
         inputs = [params_file(tmp_path, model, "init.json", [(3, params, None)]), tmp_path / "kp.json"]
         formats.write_json(inputs[1], formats.keypoints_to_doc([(3, pts, None)]))
     out = tmp_path / "out.json"
@@ -309,7 +308,8 @@ def add_a_joint(doc):
 
 
 # Malformed hand_joint_ids of the toy asset, whose sides are 16 distinct
-# non-root joints each, and the message.  Each once gave a traceback or a fit.
+# non-root joints each, and the message.  Each once gave a traceback, a fit,
+# or fused wrists that miss their hands' orientations.
 SIXTEEN_A_SIDE = ("hand_joint_ids must give each side 16 joints other than the root: "
                   "the wrist, then 15 finger joints")
 HAND_ID_FAULTS = {
@@ -318,6 +318,8 @@ HAND_ID_FAULTS = {
     "root_wrist": (lambda left, right: ([0] + left[1:], right), SIXTEEN_A_SIDE),
     "overlap": (lambda left, right: (left, right[:1] + left[1:2] + right[2:]),
                 "hand_joint_ids must name 32 distinct joints"),
+    "spine_finger": (lambda left, right: (left[:-1] + [3], right),
+                     "hand_joint_ids: hand joint 3 is an ancestor of wrist 20"),
 }
 
 
@@ -335,7 +337,7 @@ def test_malformed_hand_joint_ids_exit_2(asset, tmp_path, capsys, fault, command
     assert err == {"type": "DimensionError", "message": message}
 
 
-def test_integrate_needs_21_body_rows(asset, tmp_path, capsys):
+def test_integrate_needs_22_body_joints(asset, tmp_path, capsys):
     run_on_a_spoilt_asset(asset, tmp_path, "integrate", add_a_joint)
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "DimensionError",
@@ -361,16 +363,16 @@ def test_empty_input_writes_an_empty_document(asset, tmp_path, command):
 def test_fit_and_eval_round_trip(asset, tmp_path, rng):
     model = formats.load_model(asset)
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
-    gt_theta = np.zeros((51, 3))
-    gt_theta[:5] = rng.normal(scale=0.15, size=(5, 3))
-    gt = WholeBodyParams(np.zeros(3), gt_theta, ShapeParams.zeros(10), cam)
-    joints = pose_joints(model, gt.pose(), gt.beta_w)[:52]
+    gt_pose = np.zeros((52, 3))
+    gt_pose[1:6] = rng.normal(scale=0.15, size=(5, 3))
+    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
+    joints = pose_joints(model, gt.pose_w, gt.beta_w)[:52]
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(0, project(cam, joints), None)]))
 
-    init_theta = gt_theta.copy()
-    init_theta[:5] += rng.normal(scale=0.05, size=(5, 3))
-    init = WholeBodyParams(np.zeros(3), init_theta, ShapeParams.zeros(10), cam)
+    init_pose = gt_pose.copy()
+    init_pose[1:6] += rng.normal(scale=0.05, size=(5, 3))
+    init = WholeBodyParams(init_pose, ShapeParams.zeros(10), cam)
     init_path = params_file(tmp_path, model, "init.json", [(0, init, None)])
     fit_out = tmp_path / "fit.json"
     assert main(["fit", str(asset), str(init_path), str(kp_path), str(fit_out),
@@ -382,7 +384,7 @@ def test_fit_and_eval_round_trip(asset, tmp_path, rng):
     assert extras["rejected_steps"] >= 0
 
     # evaluate the fitted joints against ground truth
-    fitted_joints = pose_joints(model, fitted.pose(), fitted.beta_w)[:52]
+    fitted_joints = pose_joints(model, fitted.pose_w, fitted.beta_w)[:52]
     pred_path = tmp_path / "pred_joints.json"
     gt_path = tmp_path / "gt_joints.json"
     formats.write_json(pred_path, formats.joints_to_doc([(0, fitted_joints)]))
@@ -405,7 +407,7 @@ def test_a_stalled_fit_says_so_in_its_output(asset, tmp_path, monkeypatch):
     monkeypatch.setattr(fitting, "MAX_DAMPING", fitting.MIN_DAMPING)
     model = formats.load_model(asset)
     init = WholeBodyParams.identity(model)
-    kp = project(init.cam_w, pose_joints(model, init.pose(), init.beta_w)[:52]) + 3.0
+    kp = project(init.cam_w, pose_joints(model, init.pose_w, init.beta_w)[:52]) + 3.0
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(0, kp, None), (1, kp, None)]))
     init_path = params_file(tmp_path, model, "init.json", [(0, init, None), (1, init, None)])
@@ -423,7 +425,7 @@ def test_a_stalled_fit_says_so_in_its_output(asset, tmp_path, monkeypatch):
 def test_fit_rejects_non_finite_keypoint_naming_frame_and_joint(asset, tmp_path, capsys):
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)
-    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    pts = project(params.cam_w, pose_joints(model, params.pose_w, params.beta_w)[:52])
     bad = pts.copy()
     bad[11, 0] = np.nan
     kp_path = tmp_path / "kp.json"
@@ -442,8 +444,8 @@ def test_fit_smooth_multi_frame(asset, tmp_path, rng):
     frames_kp = []
     frames_init = []
     for t in range(3):
-        params = WholeBodyParams(np.zeros(3), np.zeros((51, 3)), ShapeParams.zeros(10), cam)
-        joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+        params = WholeBodyParams(np.zeros((52, 3)), ShapeParams.zeros(10), cam)
+        joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
         frames_kp.append((t, project(cam, joints), None))
         frames_init.append((t, params, None))
     kp_path = tmp_path / "kp.json"
@@ -682,7 +684,8 @@ def test_a_number_field_rejects_strings_and_booleans(asset, tmp_path, capsys, fa
 
 
 # The sweep below puts each of these values in place of each field of a
-# valid one-frame params, keypoints, predictions or joints document.  An
+# valid one-frame params, keypoints, predictions or joints document, and of
+# the hand and skeleton fields of the toy asset.  An
 # array field also gets itself with one axis dropped or added, and with one
 # element made NaN or null.
 SWEEP_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "string": "0.5",
@@ -696,12 +699,15 @@ SWEEP_FIELDS = {"params": ["phi", "theta", "beta", "camera", "camera.scale", "ca
                 "predictions": ([f"body.{f}" for f in _PREDICTION_FIELDS]
                                 + [f"left_hand.{f}" for f in _PREDICTION_FIELDS]
                                 + ["left_hand.side", "left_hand", "frame"]),
-                "joints": ["joints", "frame"]}
+                "joints": ["joints", "frame"],
+                "model": ["hand_joint_ids", "hand_joint_ids.left", "hand_joint_ids.right",
+                          "parents"]}
 SWEEP_ARRAYS = {"phi", "theta", "beta", "camera.translation", "points", "confidence", "joints",
+                "hand_joint_ids.left", "hand_joint_ids.right", "parents",
                 *(f"{record}.{f}" for record in ("body", "left_hand")
                   for f in ("phi", "theta", "beta", "camera.translation"))}
 SWEEP_COMMANDS = {"params": ("fit", "pose"), "keypoints": ("fit",), "predictions": ("integrate",),
-                  "joints": ("eval",)}
+                  "joints": ("eval",), "model": ("integrate", "fit")}
 SWEEP_CASES = [(kind, field, value, command)
                for kind, fields in SWEEP_FIELDS.items() for field in fields
                for value in list(SWEEP_VALUES) + (SWEEP_ARRAY_VARIANTS if field in SWEEP_ARRAYS else [])
@@ -735,9 +741,9 @@ def sweep_inputs(tmp_path_factory):
     model = formats.load_model(asset)
     rng = np.random.default_rng(7)
     theta = rng.normal(scale=0.1, size=(model.num_joints - 1, 3))
-    params = WholeBodyParams(np.zeros(3), theta, ShapeParams.zeros(model.num_betas),
+    params = WholeBodyParams(np.vstack([np.zeros(3), theta]), ShapeParams.zeros(model.num_betas),
                              WeakPerspectiveCamera(100.0, np.array([128.0, 128.0])))
-    joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+    joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
     points = project(params.cam_w, joints)
     points += rng.normal(size=points.shape)
     body = BodyPrediction(np.zeros(3), theta[:21], params.beta_w, params.cam_w)
@@ -772,8 +778,11 @@ def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, c
                                                         kind, field, value, command):
     asset, gt, valid = sweep_inputs
     docs = json.loads(json.dumps(valid))
+    if kind == "model":
+        docs["model"] = parent = formats.read_json(asset)
+    else:
+        parent = docs[kind]["frames"][0]
     *path, key = field.split(".")
-    parent = docs[kind]["frames"][0]
     for name in path:
         parent = parent[name]
     parent[key] = _sweep_value(parent[key], value)
@@ -783,6 +792,7 @@ def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, c
         # Python's json writes NaN and Infinity as the literals it reads.
         files[name].write_text(json.dumps(doc), encoding="utf-8")
     out = str(tmp_path / "out.json")
+    asset = files.get("model", asset)
     argv = {"fit": ["fit", asset, files["params"], files["keypoints"], out, "--iters", "1"],
             "pose": ["pose", asset, files["params"], out],
             "integrate": ["integrate", asset, files["predictions"], out],
@@ -829,7 +839,7 @@ def test_unreadable_json_exits_2_naming_the_file(asset, tmp_path, capsys, comman
 def test_fit_rejects_keypoint_count_mismatch_naming_the_frame(asset, tmp_path, capsys):
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)
-    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:40])
+    pts = project(params.cam_w, pose_joints(model, params.pose_w, params.beta_w)[:40])
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(7, pts, None)]))
     init_path = params_file(tmp_path, model, "init.json", [(7, params, None)])
@@ -852,19 +862,17 @@ FIT_FAULTS = {
 def test_fit_error_names_the_frame(asset, tmp_path, capsys, monkeypatch, indices, fault):
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)
-    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    pts = project(params.cam_w, pose_joints(model, params.pose_w, params.beta_w)[:52])
     conf = np.ones(52)
     bad = params
     if fault == "zero_confidence":
         conf = np.zeros(52)
     elif fault == "nan_init":
-        theta = params.theta_w.copy()
-        theta[4, 1] = np.nan
-        bad = WholeBodyParams(params.phi_w, theta, params.beta_w, params.cam_w)
+        bad = WholeBodyParams(_with_nan(params.pose_w, (5, 1)), params.beta_w, params.cam_w)
     elif fault == "wrong_rows":
-        bad = WholeBodyParams(params.phi_w, params.theta_w[:-1], params.beta_w, params.cam_w)
+        bad = WholeBodyParams(params.pose_w[:-1], params.beta_w, params.cam_w)
     else:
-        bad = WholeBodyParams(params.phi_w, params.theta_w, ShapeParams.zeros(9), params.cam_w)
+        bad = WholeBodyParams(params.pose_w, ShapeParams.zeros(9), params.cam_w)
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc(
         [(indices[0], pts, None), (indices[1], pts, None), (indices[2], pts, conf)]))
@@ -886,7 +894,7 @@ def test_fit_error_names_the_frame(asset, tmp_path, capsys, monkeypatch, indices
 def test_fit_rejects_3d_keypoints_naming_the_frame(asset, tmp_path, capsys):
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)
-    joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+    joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc(
         [(2, project(params.cam_w, joints), None), (5, joints, None)]))
@@ -901,7 +909,7 @@ def test_fit_rejects_3d_keypoints_naming_the_frame(asset, tmp_path, capsys):
 def test_fit_names_the_frame_without_keypoints(asset, tmp_path, capsys):
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)
-    pts = project(params.cam_w, pose_joints(model, params.pose(), params.beta_w)[:52])
+    pts = project(params.cam_w, pose_joints(model, params.pose_w, params.beta_w)[:52])
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(0, pts, None)]))
     init_path = params_file(tmp_path, model, "init.json", [(0, params, None), (7, params, None)])
@@ -1002,8 +1010,8 @@ def test_fit_smooth_follows_a_rotation_through_pi(asset, tmp_path):
     frames_kp, frames_init = [], []
     for t, deg in enumerate(np.linspace(166.0, 195.0, 30)):
         phi = canonicalize(np.radians(deg) * np.array([0.0, 0.0, 1.0]))
-        params = WholeBodyParams(phi, np.zeros((51, 3)), ShapeParams.zeros(10), cam)
-        joints = pose_joints(model, params.pose(), params.beta_w)[:52]
+        params = WholeBodyParams(np.vstack([phi, np.zeros((51, 3))]), ShapeParams.zeros(10), cam)
+        joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
         frames_kp.append((t, project(cam, joints), None))
         frames_init.append((t, params, None))
     kp_path = tmp_path / "kp.json"
@@ -1016,8 +1024,8 @@ def test_fit_smooth_follows_a_rotation_through_pi(asset, tmp_path):
     raw = formats.params_from_doc(formats.read_json(raw_path))
     smooth = formats.params_from_doc(formats.read_json(smooth_path))
     for (_, r, _), (_, s, _) in zip(raw, smooth):
-        assert np.linalg.norm(s.phi_w) <= np.pi
-        cos = (np.trace(rodrigues(r.phi_w).T @ rodrigues(s.phi_w)) - 1.0) / 2.0
+        assert np.linalg.norm(s.pose_w[0]) <= np.pi
+        cos = (np.trace(rodrigues(r.pose_w[0]).T @ rodrigues(s.pose_w[0])) - 1.0) / 2.0
         assert np.degrees(np.arccos(min(cos, 1.0))) < 1.0
 
 

@@ -10,7 +10,7 @@ from mocapkit import _kernels, fitting
 from mocapkit.errors import DimensionError, FitError, InvalidJointError
 from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _ParamVector,
                               _residuals, fit, fit_jacobian, temporal_smooth)
-from mocapkit.integration import PoseLayout, WholeBodyParams
+from mocapkit.integration import WholeBodyParams
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
 from mocapkit.model import ShapeParams, pose_joints
 
@@ -22,7 +22,7 @@ def exact_jacobian(objective, x):
 
 
 def render_keypoints(model, params, cam, conf=None):
-    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
+    joints = pose_joints(model, params.pose_w, params.beta_w)[: model.num_joints]
     pts = project(cam, joints)
     if conf is None:
         conf = np.ones(pts.shape[0])
@@ -99,9 +99,10 @@ def test_prior_cost_formula(toy, rng):
     # the rows the fit keeps fixed are zero; the shape prior covers every beta.
     config = FitConfig()
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
-    theta = rng.normal(size=(toy.num_joints - 1, 3))
+    pose = np.zeros((toy.num_joints, 3))
+    pose[1:] = rng.normal(size=(toy.num_joints - 1, 3))
     beta = rng.normal(size=10)
-    init = WholeBodyParams(np.zeros(3), theta, ShapeParams(beta), cam)
+    init = WholeBodyParams(pose, ShapeParams(beta), cam)
     kp = render_keypoints(toy, init, cam)
     shape_cost = fitting.SHAPE_PRIOR_WEIGHT * (beta ** 2).sum()
     _, prior = split_residuals(toy, init, cam, kp, config)
@@ -110,7 +111,7 @@ def test_prior_cost_formula(toy, rng):
     x = packer.pack(init, cam) + rng.normal(size=packer.free.size)
     _, prior = split_residuals(toy, init, cam, kp, config, x)
     moved = WholeBodyParams.from_vector(packer.rows(x[None])[0], packer.num_betas)
-    expected = fitting.POSE_PRIOR_WEIGHT * ((moved.theta_w - theta) ** 2).sum() + shape_cost
+    expected = fitting.POSE_PRIOR_WEIGHT * ((moved.pose_w[1:] - pose[1:]) ** 2).sum() + shape_cost
     assert prior @ prior == pytest.approx(expected, rel=1e-12)
 
 
@@ -127,13 +128,13 @@ def test_fit_jacobian_exact_on_quadratics():
 
 def test_exact_jacobian_matches_central_differences(toy, rng):
     config = FitConfig()
-    layout = PoseLayout.from_model(toy)
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
-    theta = rng.normal(scale=0.4, size=(51, 3))
-    theta[layout.body_rows[3]] = 0.0                        # exact-zero angle
-    theta[layout.body_rows[5]] = [0.0, 0.0, np.pi - 1e-7]   # angle near pi
-    init = WholeBodyParams(rng.normal(scale=0.3, size=3), theta,
-                           ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+    pose = np.zeros((52, 3))
+    pose[1:] = rng.normal(scale=0.4, size=(51, 3))
+    pose[toy.body_joints[4]] = 0.0                        # exact-zero angle
+    pose[toy.body_joints[6]] = [0.0, 0.0, np.pi - 1e-7]   # angle near pi
+    pose[0] = rng.normal(scale=0.3, size=3)
+    init = WholeBodyParams(pose, ShapeParams(rng.normal(scale=0.5, size=10)), cam)
     conf = rng.uniform(0.2, 1.0, size=toy.num_joints)
     conf[[0, 7, 30]] = 0.0
     kp = render_keypoints(toy, init, cam, conf=conf)
@@ -175,7 +176,7 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
     model = dataclasses.replace(signed, joint_regressor=np.vstack([signed.joint_regressor, extra]))
     config = FitConfig()
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
-    init = WholeBodyParams(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=(51, 3)),
+    init = WholeBodyParams(rng.normal(scale=0.3, size=(52, 3)),
                            ShapeParams(rng.normal(scale=0.5, size=10)), cam)
     kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                        rng.uniform(0.2, 1.0, size=model.num_joints))
@@ -191,7 +192,7 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
 def test_batched_residuals_match_each_column(toy, rng):
     config = FitConfig()
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
-    anchor = WholeBodyParams(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(51, 3)),
+    anchor = WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)),
                              ShapeParams(rng.normal(scale=0.3, size=10)), cam)
     kp = render_keypoints(toy, anchor, cam, conf=rng.uniform(0.2, 1.0, size=toy.num_joints))
     packer = _ParamVector(toy, anchor, cam, config)
@@ -206,9 +207,8 @@ def test_batched_residuals_match_each_column(toy, rng):
 
 
 def test_param_vector_pack_unpack_round_trip(toy, rng):
-    layout = PoseLayout.from_model(toy)
-    init = WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
-                           ShapeParams(rng.normal(size=10)), WeakPerspectiveCamera.identity())
+    init = WholeBodyParams(rng.normal(size=(52, 3)), ShapeParams(rng.normal(size=10)),
+                           WeakPerspectiveCamera.identity())
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 32.0]))
     packer = _ParamVector(toy, init, cam, FitConfig())
     x = packer.pack(init, cam)
@@ -218,9 +218,10 @@ def test_param_vector_pack_unpack_round_trip(toy, rng):
     assert cam_out.scale == cam.scale
     assert cam_out.translation.tobytes() == cam.translation.tobytes()
 
-    # global orientation, the body rows (wrists included) and the camera
-    assert {layout.left_wrist_row, layout.right_wrist_row} <= set(layout.body_rows.tolist())
-    free = np.concatenate([np.arange(3)] + [3 + 3 * r + np.arange(3) for r in layout.body_rows]
+    # the body joints (global orientation and wrists included) and the camera
+    wrists = [ids[0] for ids in toy.hand_joint_ids.values()]
+    assert {0, *wrists} <= set(toy.body_joints.tolist())
+    free = np.concatenate([3 * j + np.arange(3) for j in toy.body_joints]
                           + [3 + 153 + 10 + np.arange(3)])
     np.testing.assert_array_equal(x, init.vector(cam)[free])
     moved = WholeBodyParams.from_vector(packer.rows(x[None] + 1.0)[0], packer.num_betas)
@@ -228,17 +229,18 @@ def test_param_vector_pack_unpack_round_trip(toy, rng):
 
 
 def test_fit_recovers_perturbed_pose(toy, rng):
-    layout = PoseLayout.from_model(toy)
-    gt_theta = np.zeros((toy.num_joints - 1, 3))
-    gt_theta[layout.body_rows[:8]] = rng.normal(scale=0.2, size=(8, 3))
+    joints = toy.body_joints[1:9]
+    gt_pose = np.zeros((toy.num_joints, 3))
+    gt_pose[joints] = rng.normal(scale=0.2, size=(8, 3))
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
-    gt = WholeBodyParams(rng.normal(scale=0.1, size=3), gt_theta, ShapeParams.zeros(10), cam)
+    gt_pose[0] = rng.normal(scale=0.1, size=3)
+    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
     kp = render_keypoints(toy, gt, cam)
 
-    init_theta = gt_theta.copy()
-    init_theta[layout.body_rows[:8]] += rng.normal(scale=0.1, size=(8, 3))
-    init = WholeBodyParams(gt.phi_w + rng.normal(scale=0.05, size=3), init_theta,
-                           ShapeParams.zeros(10), cam)
+    init_pose = gt_pose.copy()
+    init_pose[joints] += rng.normal(scale=0.1, size=(8, 3))
+    init_pose[0] += rng.normal(scale=0.05, size=3)
+    init = WholeBodyParams(init_pose, ShapeParams.zeros(10), cam)
     result = fit(toy, init, cam, kp, FitConfig(iterations=10))
     assert result.cost_trace.shape == (10,)
     assert np.all(np.diff(result.cost_trace) <= 1e-12)
@@ -247,16 +249,16 @@ def test_fit_recovers_perturbed_pose(toy, rng):
 
 
 def _noisy_fit_problem(toy, rng):
-    layout = PoseLayout.from_model(toy)
+    joints = toy.body_joints[1:9]
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
-    gt_theta = np.zeros((toy.num_joints - 1, 3))
-    gt_theta[layout.body_rows[:8]] = rng.normal(scale=0.2, size=(8, 3))
-    gt = WholeBodyParams(np.zeros(3), gt_theta, ShapeParams.zeros(10), cam)
+    gt_pose = np.zeros((toy.num_joints, 3))
+    gt_pose[joints] = rng.normal(scale=0.2, size=(8, 3))
+    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
     kp = render_keypoints(toy, gt, cam)
     kp = KeypointSet2D(kp.points + rng.normal(scale=1.0, size=kp.points.shape), kp.confidence)
-    init_theta = gt_theta.copy()
-    init_theta[layout.body_rows[:8]] += rng.normal(scale=0.3, size=(8, 3))
-    return WholeBodyParams(np.zeros(3), init_theta, ShapeParams.zeros(10), cam), cam, kp
+    init_pose = gt_pose.copy()
+    init_pose[joints] += rng.normal(scale=0.3, size=(8, 3))
+    return WholeBodyParams(init_pose, ShapeParams.zeros(10), cam), cam, kp
 
 
 def _counting_residuals(monkeypatch):
@@ -313,7 +315,7 @@ def test_fit_reports_a_stall(toy, rng, monkeypatch):
     packer = _ParamVector(toy, init, cam, config)
     initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
     assert result.cost_trace[0] == initial @ initial
-    np.testing.assert_array_equal(result.params.theta_w, init.theta_w)
+    np.testing.assert_array_equal(result.params.pose_w, init.pose_w)
 
 
 def test_lockstep_group_in_which_every_frame_stalls(toy, rng, monkeypatch):
@@ -422,24 +424,23 @@ def _clip(toy, rng):
     """Six frames that need different numbers of retries: the first starts at
     its clean ground truth, the second has noisy keypoints with three joints
     at zero confidence, and the rest start further from the truth each."""
-    layout = PoseLayout.from_model(toy)
     frames = []
     for t in range(6):
         cam = WeakPerspectiveCamera(280.0 + 10.0 * t, np.array([128.0, 120.0 + t]))
-        gt_theta = np.zeros((toy.num_joints - 1, 3))
-        gt_theta[layout.body_rows] = rng.normal(scale=0.2, size=(21, 3))
-        gt = WholeBodyParams(rng.normal(scale=0.1, size=3), gt_theta,
-                             ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+        gt_pose = np.zeros((toy.num_joints, 3))
+        gt_pose[toy.body_joints[1:]] = rng.normal(scale=0.2, size=(21, 3))
+        gt_pose[0] = rng.normal(scale=0.1, size=3)
+        gt = WholeBodyParams(gt_pose, ShapeParams(rng.normal(scale=0.5, size=10)), cam)
         conf = np.ones(toy.num_joints)
         if t == 1:
             conf[[3, 17, 40]] = 0.0
         kp = render_keypoints(toy, gt, cam, conf=conf)
         if t > 0:
             kp = KeypointSet2D(kp.points + rng.normal(scale=1.0, size=kp.points.shape), conf)
-        theta = gt_theta.copy()
+        pose = gt_pose.copy()
         if t > 0:
-            theta[layout.body_rows] += rng.normal(scale=0.05 * t, size=(21, 3))
-        frames.append((WholeBodyParams(gt.phi_w, theta, gt.beta_w, cam), cam, kp))
+            pose[toy.body_joints[1:]] += rng.normal(scale=0.05 * t, size=(21, 3))
+        frames.append((WholeBodyParams(pose, gt.beta_w, cam), cam, kp))
     return frames
 
 
@@ -638,7 +639,7 @@ def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monk
         assert "stalled" in {r.status for r in results}
     for (_, _, kp), result in zip(frames, results):
         params = result.params
-        joints = pose_joints(toy, params.pose(), params.beta_w)[: toy.num_joints]
+        joints = pose_joints(toy, params.pose_w, params.beta_w)[: toy.num_joints]
         diff = project(params.cam_w, joints) - kp.points
         expected = np.sqrt((kp.confidence[:, None] * diff * diff).sum() / kp.confidence.sum())
         assert result.final_rms_px == pytest.approx(expected, rel=1e-12)
@@ -647,9 +648,9 @@ def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monk
 def full_residuals(model, params, init, kp, config):
     """The residuals of `_residuals` at `params` of the fit started at `init`,
     built from `pose_joints`."""
-    joints = pose_joints(model, params.pose(), params.beta_w)[: model.num_joints]
+    joints = pose_joints(model, params.pose_w, params.beta_w)[: model.num_joints]
     r2d = np.sqrt(kp.confidence)[:, None] * (project(params.cam_w, joints) - kp.points)
-    rp = np.sqrt(fitting.POSE_PRIOR_WEIGHT) * (params.theta_w - init.theta_w)
+    rp = np.sqrt(fitting.POSE_PRIOR_WEIGHT) * (params.pose_w[1:] - init.pose_w[1:])
     rs = np.sqrt(fitting.SHAPE_PRIOR_WEIGHT) * params.beta_w.beta
     return np.concatenate([r2d.ravel(), rp.ravel(), rs])
 
@@ -666,7 +667,7 @@ def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
     frames = []
     for t in range(5):
         cam = WeakPerspectiveCamera(200.0 + 10.0 * t, np.array([64.0, 60.0 + t]))
-        init = WholeBodyParams(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=(51, 3)),
+        init = WholeBodyParams(rng.normal(scale=0.3, size=(52, 3)),
                                ShapeParams(rng.normal(scale=0.5, size=10)), cam)
         kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                            rng.uniform(0.2, 1.0, size=model.num_joints))
@@ -707,12 +708,12 @@ def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
 
 
 def test_fit_rejects_a_layout_that_fits_a_joint_below_a_fixed_one(toy):
-    # A finger list that names the spine keeps it fixed while the body joints
+    # A finger list that names a knee keeps it fixed while the body joints
     # below it are fitted, which the fold cannot represent.
     ids = dict(toy.hand_joint_ids)
-    ids["left"] = ids["left"][:-1] + [3]
+    ids["left"] = ids["left"][:-1] + [4]
     model = dataclasses.replace(toy, hand_joint_ids=ids)
     init = WholeBodyParams.identity(model)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
-    with pytest.raises(InvalidJointError, match="fitted joint 6 has a parent"):
+    with pytest.raises(InvalidJointError, match="fitted joint 7 has a parent"):
         _ParamVector(model, init, cam, FitConfig())

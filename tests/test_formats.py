@@ -176,7 +176,7 @@ def test_frame_records_must_be_objects(reader, fmt):
 
 def _params_record(**fields):
     """The params record of frame 0 at zero pose, with `fields` replaced."""
-    params = WholeBodyParams(np.zeros(3), np.zeros((2, 3)), ShapeParams.zeros(1),
+    params = WholeBodyParams(np.zeros((3, 3)), ShapeParams.zeros(1),
                              WeakPerspectiveCamera.identity())
     return {**formats.params_to_doc([(0, params, None)])["frames"][0], **fields}
 
@@ -184,8 +184,8 @@ def _params_record(**fields):
 # Records past the one without fields that a reader refuses, each with the
 # message that follows its frame's prefix.
 UNREADABLE_RECORDS = {
-    formats.PARAMS_FORMAT: [(_params_record(phi=[0.0, 0.1]), "phi_w must be a 3-vector"),
-                            (_params_record(theta=[0.0, 0.0, 0.0]), r"theta_w must be \(J-1, 3\)"),
+    formats.PARAMS_FORMAT: [(_params_record(phi=[0.0, 0.1]), "phi must be a 3-vector"),
+                            (_params_record(theta=[0.0, 0.0, 0.0]), r"theta must be \(J-1, 3\)"),
                             (_params_record(beta=[float("nan")]), "beta must be a finite 1-D vector"),
                             (_params_record(status=1), "status must be a string"),
                             (_params_record(accepted_steps=2.0), "accepted_steps must be an integer >= 0"),
@@ -233,8 +233,8 @@ def test_params_round_trip(rng):
     all_extras = [None, {}, {"cost_trace": trace}, {"cost_trace": trace, "final_rms_px": 0.25},
                   {"cost_trace": trace, "final_rms_px": 0.25, "status": "stalled",
                    "accepted_steps": 1, "rejected_steps": 50}]
-    frames = [(i, WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
-                                  ShapeParams(rng.normal(size=10)), _camera(rng)), extras)
+    frames = [(i, WholeBodyParams(rng.normal(size=(52, 3)), ShapeParams(rng.normal(size=10)),
+                                  _camera(rng)), extras)
               for i, extras in zip((1, 4, 5, 7, 9), all_extras)]
     doc = formats.params_to_doc(frames)
     read = formats.params_from_doc(doc)
@@ -248,6 +248,18 @@ def test_params_round_trip(rng):
         for name in ("final_rms_px", "status", "accepted_steps", "rejected_steps"):
             assert e2.get(name) == extras.get(name)
     assert formats.canonical_dumps(formats.params_to_doc(read)) == formats.canonical_dumps(doc)
+
+
+def test_params_phi_is_pose_row_0_and_theta_rows_1_on(rng):
+    phi, theta = rng.normal(size=3), rng.normal(size=(4, 3))
+    record = {**_params_record(), "phi": phi.tolist(), "theta": theta.tolist()}
+    doc = {"format": formats.PARAMS_FORMAT, "schema_version": formats.SCHEMA_VERSION,
+           "frames": [record]}
+    (_, params, _), = formats.params_from_doc(doc)
+    np.testing.assert_array_equal(params.pose_w[0], phi)
+    np.testing.assert_array_equal(params.pose_w[1:], theta)
+    written = formats.params_to_doc([(0, params, None)])["frames"][0]
+    assert (written["phi"], written["theta"]) == (record["phi"], record["theta"])
 
 
 def test_joints_round_trip(rng):
@@ -303,14 +315,14 @@ def test_outputs_are_the_same_with_and_without_a_sidecar(tmp_path, rng):
     asset = tmp_path / "toy.json"
     assert main(["gen-toy", str(asset)]) == 0
     model = formats.load_model(asset)
-    params = [(i, WholeBodyParams(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=(51, 3)),
+    params = [(i, WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)),
                                   ShapeParams(rng.normal(scale=0.5, size=10)), _camera(rng)), None)
               for i in range(3)]
     init = tmp_path / "init.json"
     formats.write_json(init, formats.params_to_doc(params))
     kp = tmp_path / "kp.json"
     formats.write_json(kp, formats.keypoints_to_doc(
-        [(i, project(p.cam_w, pose_joints(model, p.pose(), p.beta_w)) + rng.normal(size=(52, 2)), None)
+        [(i, project(p.cam_w, pose_joints(model, p.pose_w, p.beta_w)) + rng.normal(size=(52, 2)), None)
          for i, p, _ in params]))
     outputs = {}
     for run in ("miss", "hit"):
@@ -446,8 +458,7 @@ def test_pose_obj_files_match_the_row_writer(toy, tmp_path, rng):
     # `pose` formats the face block once and writes it into every frame's file.
     asset = tmp_path / "toy.json"
     formats.save_model(asset, toy)
-    frames = [(i, WholeBodyParams(rng.normal(scale=0.2, size=3),
-                                  rng.normal(scale=0.2, size=(51, 3)),
+    frames = [(i, WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)),
                                   ShapeParams(rng.normal(scale=0.1, size=10)),
                                   WeakPerspectiveCamera.identity()), None)
               for i in (0, 1, 5)]
@@ -458,7 +469,7 @@ def test_pose_obj_files_match_the_row_writer(toy, tmp_path, rng):
     reference = tmp_path / "reference.obj"
     for i, p, _ in frames:
         # A frame posed in a batch has the bits of the frame posed alone.
-        _write_obj_rows(reference, pose_mesh(toy, p.pose(), p.beta_w), toy.faces)
+        _write_obj_rows(reference, pose_mesh(toy, p.pose_w, p.beta_w), toy.faces)
         assert (tmp_path / f"mesh_{i:06d}.obj").read_bytes() == reference.read_bytes()
 
 
@@ -535,7 +546,7 @@ def test_every_cli_document_is_the_stdlib_layout(tmp_path, rng):
     keypoints = tmp_path / "keypoints.json"
     frames = formats.params_from_doc(formats.read_json(fused))
     formats.write_json(keypoints, formats.keypoints_to_doc(
-        [(i, project(p.cam_w, pose_joints(model, p.pose(), p.beta_w)[:52]), None)
+        [(i, project(p.cam_w, pose_joints(model, p.pose_w, p.beta_w)[:52]), None)
          for i, p, _ in frames]))
     config = tmp_path / "config.json"
     formats.write_json(config, {"flip_width": 256.0})
@@ -580,7 +591,8 @@ def test_docs_examples_are_the_writers_bytes():
         formats.KEYPOINTS_FORMAT: formats.keypoints_to_doc(
             [(0, [[12.5, 40.0], [13.25, 41.5]], [1.0, 0.5])]),
         formats.PARAMS_FORMAT: formats.params_to_doc(
-            [(0, WholeBodyParams([0.0, 0.0, 0.1], np.zeros((2, 3)), ShapeParams([0.25]),
+            [(0, WholeBodyParams([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                 ShapeParams([0.25]),
                                  WeakPerspectiveCamera(300.0, [128.0, 128.0])),
               {"cost_trace": [0.5, 0.25], "final_rms_px": 0.125, "status": "ok",
                "accepted_steps": 2, "rejected_steps": 0})]),

@@ -4,8 +4,7 @@ import pytest
 from mocapkit import integration
 from mocapkit.camera import WeakPerspectiveCamera
 from mocapkit.errors import DimensionError, MocapkitError
-from mocapkit.integration import (BodyPrediction, HandPrediction, PoseLayout,
-                                  WholeBodyParams, copy_paste)
+from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams, copy_paste
 from mocapkit.kinematics import forward_kinematics
 from mocapkit.model import ShapeParams
 from mocapkit.rotations import rodrigues
@@ -32,24 +31,19 @@ def random_hand(rng, side, num_betas=10):
 
 def fused_fk(model, params):
     rest = model.rest_joints(params.beta_w)
-    return forward_kinematics(model.tree, rest, params.pose())
+    return forward_kinematics(model.tree, rest, params.pose_w)
 
 
-def test_layout_partitions_pose_rows(toy):
-    layout = PoseLayout.from_model(toy)
-    assert layout.body_rows.shape == (21,)
-    assert layout.left_finger_rows.shape == (15,)
-    assert layout.right_finger_rows.shape == (15,)
-    all_rows = np.concatenate([layout.body_rows, layout.left_finger_rows, layout.right_finger_rows])
-    assert sorted(all_rows.tolist()) == list(range(toy.num_joints - 1))
-    assert layout.left_wrist_row in layout.body_rows
-    assert layout.right_wrist_row in layout.body_rows
-    assert layout.wrist_row("left") == toy.hand_joint_ids["left"][0] - 1
-    assert layout.wrist_row("right") == toy.hand_joint_ids["right"][0] - 1
+def test_body_joints_are_every_joint_but_the_fingers(toy):
+    body = toy.body_joints
+    left, right = toy.hand_joint_ids["left"], toy.hand_joint_ids["right"]
+    assert body.shape == (22,)
+    assert sorted([*body, *left[1:], *right[1:]]) == list(range(toy.num_joints))
+    assert {0, left[0], right[0]} <= set(body.tolist())
+    assert (np.diff(body) > 0).all()
 
 
 def test_fused_wrist_matches_hand_global_orientation(toy, rng):
-    layout = PoseLayout.from_model(toy)
     for _ in range(20):
         body = random_body(rng)
         left = random_hand(rng, "left")
@@ -57,31 +51,30 @@ def test_fused_wrist_matches_hand_global_orientation(toy, rng):
         [params] = copy_paste(toy, [(body, left, right)])
         fk = fused_fk(toy, params)
         for pred, side in ((left, "left"), (right, "right")):
-            wrist = layout.wrist_row(side) + 1
+            wrist = toy.hand_joint_ids[side][0]
             np.testing.assert_allclose(fk[0][wrist], rodrigues(pred.phi_h), atol=1e-9)
 
 
 def test_fused_fingers_and_body_copied_verbatim(toy, rng):
-    layout = PoseLayout.from_model(toy)
     body = random_body(rng)
     left = random_hand(rng, "left")
     [params] = copy_paste(toy, [(body, left, None)])
-    np.testing.assert_array_equal(params.theta_w[layout.left_finger_rows], left.theta_h)
-    body_minus_wrist = [r for r in layout.body_rows if r != layout.left_wrist_row]
-    picked = np.array([np.where(layout.body_rows == r)[0][0] for r in body_minus_wrist])
-    np.testing.assert_array_equal(params.theta_w[body_minus_wrist], body.theta_b[picked])
-    np.testing.assert_array_equal(params.phi_w, body.phi_b)
+    wrist, *fingers = toy.hand_joint_ids["left"]
+    np.testing.assert_array_equal(params.pose_w[fingers], left.theta_h)
+    kept = toy.body_joints[1:] != wrist
+    np.testing.assert_array_equal(params.pose_w[toy.body_joints[1:][kept]], body.theta_b[kept])
+    np.testing.assert_array_equal(params.pose_w[0], body.phi_b)
     np.testing.assert_array_equal(params.beta_w.beta, body.beta_b.beta)
     assert params.cam_w == body.cam_b
 
 
 def test_absent_hand_keeps_body_wrist_and_zero_fingers(toy, rng):
-    layout = PoseLayout.from_model(toy)
     body = random_body(rng)
     [params] = copy_paste(toy, [(body, None, None)])
-    np.testing.assert_array_equal(params.theta_w[layout.right_finger_rows], 0.0)
-    wrist_pos = np.where(layout.body_rows == layout.right_wrist_row)[0][0]
-    np.testing.assert_array_equal(params.theta_w[layout.right_wrist_row], body.theta_b[wrist_pos])
+    wrist, *fingers = toy.hand_joint_ids["right"]
+    np.testing.assert_array_equal(params.pose_w[fingers], 0.0)
+    wrist_pos = np.flatnonzero(toy.body_joints[1:] == wrist)[0]
+    np.testing.assert_array_equal(params.pose_w[wrist], body.theta_b[wrist_pos])
 
 
 def test_fusion_ignores_hand_shape(toy, rng):
@@ -117,7 +110,7 @@ def test_copy_paste_over_frames_equals_one_frame_calls(toy, rng, monkeypatch):
         fused = copy_paste(toy, frames)
         assert len(fused) == len(frames)
         for f, s in zip(fused, singles):
-            for a, b in ((f.phi_w, s.phi_w), (f.theta_w, s.theta_w), (f.beta_w.beta, s.beta_w.beta)):
+            for a, b in ((f.pose_w, s.pose_w), (f.beta_w.beta, s.beta_w.beta)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert f.cam_w == s.cam_w
 
@@ -142,14 +135,12 @@ def test_prediction_shape_validation(rng):
 
 
 def test_params_vector_round_trip(rng):
-    params = WholeBodyParams(rng.normal(size=3), rng.normal(size=(51, 3)),
-                             ShapeParams(rng.normal(size=10)),
+    params = WholeBodyParams(rng.normal(size=(52, 3)), ShapeParams(rng.normal(size=10)),
                              WeakPerspectiveCamera(250.0, rng.normal(size=2)))
     vec = params.vector()
     assert vec.shape == (3 + 51 * 3 + 10 + 3,)
     back = WholeBodyParams.from_vector(vec, 10)
-    for a, b in ((params.phi_w, back.phi_w), (params.theta_w, back.theta_w),
-                 (params.beta_w.beta, back.beta_w.beta),
+    for a, b in ((params.pose_w, back.pose_w), (params.beta_w.beta, back.beta_w.beta),
                  (params.cam_w.translation, back.cam_w.translation)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert back.cam_w.scale == params.cam_w.scale

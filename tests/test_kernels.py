@@ -1,7 +1,6 @@
 import numpy as np
 
 from mocapkit import _kernels, fitting
-from mocapkit.integration import PoseLayout
 
 
 # Plain-loop references: one unbatched input each, written entry by entry.
@@ -129,8 +128,7 @@ def _level_kinds(parents):
 def test_fk_on_the_toy_skeleton_and_the_fit_fold(toy, rng):
     # The toy skeleton has consecutive depth levels (slices) and scattered
     # ones (index arrays); every level of the fit's fold is consecutive.
-    fitted = np.concatenate([[0], PoseLayout.from_model(toy).body_rows + 1])
-    fold_parents = fitting._fold_bones(toy, fitted)[0]
+    fold_parents = fitting._fold_bones(toy, toy.body_joints)[0]
     toy_parents = np.asarray(toy.tree.parents, dtype=np.int64)
     assert _level_kinds(toy_parents) == [True] * 7 + [False] * 3
     assert _level_kinds(fold_parents) == [True] * 7

@@ -4,7 +4,7 @@ from .camera import WeakPerspectiveCamera, project
 from .fitting import FitConfig, FitResult, KeypointSet2D, fit, fit_frames, temporal_smooth
 from .integration import BodyPrediction, HandPrediction, WholeBodyParams, copy_paste
 from .kinematics import SkeletonTree, forward_kinematics, gamma_global_to_local
-from .model import ParametricModel, ShapeParams, pose_joints, pose_mesh, shape_template
+from .model import ParametricModel, pose_joints, pose_mesh, shape_template
 from .rotations import canonicalize, rodrigues, rotation_to_axis_angle
 from .toymodel import gen_toy_model
 

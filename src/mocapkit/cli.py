@@ -60,7 +60,7 @@ def cmd_pose(args):
         group = frames[first:first + FRAME_GROUP]
         params = [p for _, p, _ in group]
         verts = pose_mesh(model, np.stack([p.pose_w for p in params]),
-                          np.stack([p.beta_w.beta for p in params]))
+                          np.stack([p.beta_w for p in params]))
         joints = model.joint_regressor[: model.num_joints] @ verts
         for (i, _, _), v, j in zip(group, verts, joints):
             joints_out.append((i, j))
@@ -99,7 +99,7 @@ def cmd_fit(args):
             raise SchemaError("fit requires 2D keypoints")
         if conf is None:
             conf = np.ones(len(pts))
-        return params, params.cam_w, KeypointSet2D(pts, conf)
+        return params, KeypointSet2D(pts, conf)
 
     with _naming_frames([i for i, _, _ in init_frames]):
         results = fit_frames(model, map_frames(fit_input, init_frames), config)
@@ -166,8 +166,9 @@ def cmd_eval(args):
 
 
 def _check_prep_config(config):
-    """The `JointMap` of the prep config's `reorder`, or None.  Raise a SchemaError
-    naming the first field that is not null and not what `cmd_prep` needs."""
+    """The prep config's `reorder` as a `JointMap`, then its `rescale_reference`
+    and `flip_width` as floats, each None if null or absent.  Raise a
+    SchemaError naming the first field that is not what `cmd_prep` needs."""
     if not isinstance(config, dict):
         raise SchemaError("prep config root must be an object")
     unknown = set(config) - {"reorder", "rescale_reference", "flip_width"}
@@ -181,16 +182,23 @@ def _check_prep_config(config):
         joint_map = None if reorder is None else dataprep.JointMap(reorder)
     except DimensionError as e:
         raise SchemaError(f"prep config 'reorder': {e}") from e
+    numbers = []
     for name in ("rescale_reference", "flip_width"):
         value = config.get(name)
-        if value is not None and not (type(value) in (int, float) and 0 < value < float("inf")):
-            raise SchemaError(f"prep config {name!r} must be a finite number > 0")
-    return joint_map
+        if value is not None:
+            try:
+                value = float(formats._float_array(value, name, scalar=True))
+                if not 0 < value < float("inf"):
+                    raise ValueError(value)
+            except ValueError as e:
+                raise SchemaError(f"prep config {name!r} must be a finite number > 0") from e
+        numbers.append(value)
+    return joint_map, *numbers
 
 
 def cmd_prep(args):
     config = formats.read_json(args.config)
-    joint_map = _check_prep_config(config)
+    joint_map, rescale_reference, flip_width = _check_prep_config(config)
     frames = formats.keypoints_from_doc(formats.read_json(args.keypoints))
 
     def prep(frame):
@@ -200,14 +208,14 @@ def cmd_prep(args):
         if joint_map is not None:
             pts = dataprep.reorder_joints(pts, joint_map)
             weights = dataprep.reorder_joints(weights, joint_map)
-        if config.get("rescale_reference") is not None:
+        if rescale_reference is not None:
             if pts.shape[1] != 3:
                 raise SchemaError("rescaling requires 3D keypoints")
-            pts = dataprep.rescale_keypoints(pts, float(config["rescale_reference"]))
-        if config.get("flip_width") is not None:
+            pts = dataprep.rescale_keypoints(pts, rescale_reference)
+        if flip_width is not None:
             if pts.shape[1] != 2:
                 raise SchemaError("flipping requires 2D keypoints")
-            pts, weights = dataprep.flip_keypoints_2d(pts, weights, float(config["flip_width"]))
+            pts, weights = dataprep.flip_keypoints_2d(pts, weights, flip_width)
         return i, pts, None if conf is None else weights
 
     with _naming_frames([i for i, _, _ in frames]):

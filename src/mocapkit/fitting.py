@@ -154,23 +154,23 @@ class _ParamVector:
     """The fit's objective, over the entries of the flat `WholeBodyParams.vector`
     layout that the fit frees: the pose of `model.body_joints` (the root's is
     the global orientation; the wrists are included) and the camera, in
-    ascending order.  The fingers and beta keep the values of `base`,
-    ``init.vector(cam_init)`` (D,) or one per frame (T, D) (`bind`), so the
-    fit poses the model folded onto its fitted joints (`_fold_bones`), at
-    `base` (`posed`).  Prior row ``prior_rows[i]``
+    ascending order.  The fingers and beta keep the values of `base`, the
+    vector of `init` with camera `cam` (D,), or one per frame (T, D) (`bind`),
+    so the fit poses the model folded onto its fitted joints (`_fold_bones`),
+    at `base` (`posed`).  Prior row ``prior_rows[i]``
     of `residuals` is `prior_weight` times packed column ``prior_cols[i]``
     less its value in `x0`, ``base[..., free]``, so the pose prior pulls each
     frame toward its own start, and `normal_equations` adds those entries to
     JᵀJ and Jᵀr without differentiating them.  `config` is not read.
     """
 
-    def __init__(self, model, init, cam_init, config):
+    def __init__(self, model, init, cam, config):
         self.model = model
         # Skeleton joints whose axis-angles lead the packed vector, in order.
         self.fitted_joints = model.body_joints
         self.parents, self.fold, self.merge = _fold_bones(model, self.fitted_joints)
-        self.num_betas = init.beta_w.beta.shape[0]
-        self.base = init.vector(cam_init)
+        self.num_betas = init.beta_w.shape[0]
+        self.base = dataclasses.replace(init, cam_w=cam).vector()
         mask = np.zeros((1, self.base.size), dtype=bool)
         pose, _, scale, trans = WholeBodyParams.split(mask, self.num_betas)
         pose[:, self.fitted_joints] = scale[:] = trans[:] = True
@@ -226,7 +226,7 @@ class _ParamVector:
         return other
 
     def pack(self, params, cam):
-        return params.vector(cam)[self.free]
+        return dataclasses.replace(params, cam_w=cam).vector()[self.free]
 
     def rows(self, cols):
         """Full vectors (B, D) of the packed vectors in the rows of `cols` (B, n)."""
@@ -376,10 +376,10 @@ def fit_jacobian(residual_fn, x, step):
     return jac
 
 
-def fit(model, init, cam_init, kp, config=None):
+def fit(model, init, kp, config=None):
     """Damped least-squares fit of the global orientation, the body pose
-    (wrists included) and the camera to 2D keypoints; the fingers and shape
-    keep their values in `init`.
+    (wrists included) and the camera to 2D keypoints, from `init` and its
+    camera; the fingers and shape keep their values in `init`.
 
     Runs `config.iterations` Levenberg-Marquardt iterations, each with the
     exact Jacobian J at the current residuals r.  The damping starts at
@@ -393,7 +393,7 @@ def fit(model, init, cam_init, kp, config=None):
     linearised model predicts (Madsen, Nielsen & Tingleff 2004, §3.2).  The
     damping stays within [MIN_DAMPING, MAX_DAMPING]; the cost never rises.
     """
-    return fit_frames(model, [(init, cam_init, kp)], config)[0]
+    return fit_frames(model, [(init, kp)], config)[0]
 
 
 # `fit_frames` runs at most this many frames in one lockstep loop, which
@@ -404,7 +404,7 @@ MIN_DAMPING, MAX_DAMPING = 1e-12, 1e12
 
 
 def fit_frames(model, frames, config=None):
-    """`fit` of every ``(init, cam_init, kp)`` in `frames`; one FitResult each.
+    """`fit` of every ``(init, kp)`` in `frames`; one FitResult each.
 
     The frames are fitted in lockstep: every iteration poses and
     differentiates all of them in one batched call, and every retry round
@@ -416,7 +416,7 @@ def fit_frames(model, frames, config=None):
     """
     config = config or FitConfig()
     frames = list(frames)
-    map_frames(lambda frame: _check_frame(model, frame[0], frame[2]), frames)
+    map_frames(lambda frame: _check_frame(model, *frame), frames)
     results = []
     for first in range(0, len(frames), FIT_GROUP):
         results += _fit_lockstep(model, frames[first:first + FIT_GROUP], config, first)
@@ -424,10 +424,10 @@ def fit_frames(model, frames, config=None):
 
 
 def _fit_lockstep(model, frames, config, first):
-    inits, cams, kps = zip(*frames)
+    inits, kps = zip(*frames)
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
-    objective = _ParamVector(model, inits[0], cams[0], config).bind(
-        kp, np.stack([init.vector(cam) for init, cam in zip(inits, cams)]))
+    objective = _ParamVector(model, inits[0], inits[0].cam_w, config).bind(
+        kp, np.stack([init.vector() for init in inits]))
     x = objective.x0.copy()
     r = objective.residuals(x.T).T
     cost = np.vecdot(r, r)

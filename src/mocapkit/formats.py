@@ -19,7 +19,7 @@ from .camera import WeakPerspectiveCamera
 from .errors import SchemaError
 from .integration import BodyPrediction, HandPrediction, WholeBodyParams
 from .kinematics import SkeletonTree
-from .model import ParametricModel, ShapeParams
+from .model import ParametricModel
 
 SCHEMA_VERSION = 1
 ASSET_DIR_ENV = "MOCAPKIT_ASSET_DIR"
@@ -364,14 +364,14 @@ def _cam_from_doc(doc):
 
 
 def _pose_to_doc(phi, theta, beta, cam):
-    return {"phi": _floats(phi), "theta": _floats(theta), "beta": _floats(beta.beta),
+    return {"phi": _floats(phi), "theta": _floats(theta), "beta": _floats(beta),
             "camera": _cam_to_doc(cam)}
 
 
 def _pose_from_doc(record):
-    """``(phi, theta, ShapeParams, camera)`` of a body, hand or params record."""
+    """``(phi, theta, beta, camera)`` of a body, hand or params record."""
     return (_float_array(record["phi"], "phi"), _float_array(record["theta"], "theta"),
-            ShapeParams(_float_array(record["beta"], "beta")), _cam_from_doc(record["camera"]))
+            _float_array(record["beta"], "beta"), _cam_from_doc(record["camera"]))
 
 
 def _frames_doc(fmt, records):

@@ -8,7 +8,7 @@ from .camera import WeakPerspectiveCamera
 from ._kernels import rodrigues_batch
 from .errors import DimensionError, MocapkitError, map_frames
 from .kinematics import gamma_global_to_local
-from .model import FRAME_GROUP, SIDES, ShapeParams, beta_array
+from .model import FRAME_GROUP, SIDES, beta_array
 
 
 def finite_pose(phi, theta):
@@ -16,14 +16,24 @@ def finite_pose(phi, theta):
     return bool(np.isfinite(phi).all() and np.isfinite(theta).all())
 
 
+def _set_beta(record, name):
+    """Set the β field `name` of a frozen record to a float64 array, raising a
+    DimensionError unless it is a finite 1-D vector."""
+    beta = np.asarray(getattr(record, name), dtype=np.float64)
+    if beta.ndim != 1 or not np.isfinite(beta).all():
+        raise DimensionError("beta must be a finite 1-D vector")
+    object.__setattr__(record, name, beta)
+
+
 @dataclass(frozen=True)
 class BodyPrediction:
     phi_b: np.ndarray          # (3,)
     theta_b: np.ndarray        # (21, 3), wrists included, body-row order
-    beta_b: ShapeParams
+    beta_b: np.ndarray         # (B,)
     cam_b: WeakPerspectiveCamera
 
     def __post_init__(self):
+        _set_beta(self, "beta_b")
         object.__setattr__(self, "phi_b", np.asarray(self.phi_b, dtype=np.float64))
         object.__setattr__(self, "theta_b", np.asarray(self.theta_b, dtype=np.float64))
         if self.phi_b.shape != (3,) or self.theta_b.shape != (21, 3):
@@ -37,10 +47,11 @@ class HandPrediction:
     side: str
     phi_h: np.ndarray          # (3,) global hand orientation
     theta_h: np.ndarray        # (15, 3) finger poses
-    beta_h: ShapeParams
+    beta_h: np.ndarray         # (B,)
     cam_h: WeakPerspectiveCamera
 
     def __post_init__(self):
+        _set_beta(self, "beta_h")
         object.__setattr__(self, "phi_h", np.asarray(self.phi_h, dtype=np.float64))
         object.__setattr__(self, "theta_h", np.asarray(self.theta_h, dtype=np.float64))
         if self.side not in ("left", "right"):
@@ -54,20 +65,20 @@ class HandPrediction:
 @dataclass(frozen=True)
 class WholeBodyParams:
     pose_w: np.ndarray         # (J, 3) local axis-angles, the global orientation in row 0
-    beta_w: ShapeParams
+    beta_w: np.ndarray         # (B,)
     cam_w: WeakPerspectiveCamera
 
     def __post_init__(self):
+        _set_beta(self, "beta_w")
         object.__setattr__(self, "pose_w", np.asarray(self.pose_w, dtype=np.float64))
         if self.pose_w.ndim != 2 or self.pose_w.shape[1] != 3:
             raise DimensionError("pose_w must be (J, 3)")
 
-    def vector(self, cam=None):
+    def vector(self):
         """Flat parameter vector ``[pose rows (3 J), beta (B), cam scale,
-        cam tx, cam ty]``, with `cam` (default `cam_w`) as camera."""
-        cam = self.cam_w if cam is None else cam
-        return np.concatenate([self.pose_w.ravel(), self.beta_w.beta,
-                               [cam.scale], cam.translation])
+        cam tx, cam ty]``."""
+        return np.concatenate([self.pose_w.ravel(), self.beta_w,
+                               [self.cam_w.scale], self.cam_w.translation])
 
     @staticmethod
     def split(rows, num_betas):
@@ -82,13 +93,13 @@ class WholeBodyParams:
         """The parameters whose `vector()` is `row` (D,)."""
         pose, beta, scale, trans = WholeBodyParams.split(np.asarray(row, dtype=np.float64),
                                                          num_betas)
-        return WholeBodyParams(pose, ShapeParams(beta), WeakPerspectiveCamera(scale, trans))
+        return WholeBodyParams(pose, beta, WeakPerspectiveCamera(scale, trans))
 
     @staticmethod
     def identity(model):
         return WholeBodyParams(
             np.zeros((model.num_joints, 3)),
-            ShapeParams.zeros(model.num_betas),
+            np.zeros(model.num_betas),
             WeakPerspectiveCamera.identity(),
         )
 

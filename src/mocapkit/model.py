@@ -196,26 +196,11 @@ def _blend(basis, beta):
     return (beta[..., None, :] @ flat)[..., 0, :].reshape(beta.shape[:-1] + basis.shape[1:])
 
 
-@dataclass(frozen=True)
-class ShapeParams:
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
-        object.__setattr__(self, "beta", beta)
-        if beta.ndim != 1 or not np.all(np.isfinite(beta)):
-            raise DimensionError("beta must be a finite 1-D vector")
-
-    @staticmethod
-    def zeros(num_betas):
-        return ShapeParams(np.zeros(num_betas))
-
-
 def beta_array(model, beta):
-    """`beta`, a ShapeParams, an array or None (zero), as (..., B) checked against `model`."""
+    """`beta`, an array or None (zero), as (..., B) checked against `model`."""
     if beta is None:
         return np.zeros(model.num_betas)
-    beta = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
     if beta.shape[-1:] != (model.num_betas,):
         raise DimensionError(f"beta must have length {model.num_betas}")
     return beta
@@ -224,7 +209,7 @@ def beta_array(model, beta):
 def shape_template(model, beta):
     """Template vertices (..., N, 3) displaced by the linear shape basis.
 
-    `beta` is None, a ShapeParams, or an array (..., B); see `_blend`.
+    `beta` is None or an array (..., B); see `_blend`.
     """
     beta = beta_array(model, beta)
     return model.template_vertices + _blend(np.moveaxis(model.shape_basis, -1, 0), beta)
@@ -243,10 +228,9 @@ def pose_mesh(model, pose, beta=None, return_fk=False):
 
     `pose` is the local axis-angles (..., J, 3) of `forward_kinematics`, the
     global orientation in row 0; leading axes are a batch of poses, with
-    `beta` None, a ShapeParams, or an array (..., B) broadcasting against
-    them.  The vertices are (..., N, 3), and `return_fk` adds the world
-    transforms ``(R, t)``.  Each pose's vertices have the bits of posing it
-    alone.
+    `beta` None or an array (..., B) broadcasting against them.  The
+    vertices are (..., N, 3), and `return_fk` adds the world transforms
+    ``(R, t)``.  Each pose's vertices have the bits of posing it alone.
     """
     shaped = shape_template(model, beta)
     fk = forward_kinematics(model.tree, model.rest_joints(beta), pose)

@@ -23,7 +23,7 @@ from mocapkit.kinematics import forward_kinematics
 from mocapkit.metrics import (RANGE_2D_PX, RANGE_3D_MM, auc, loss_2d, loss_3d,
                               loss_reg, loss_theta, overall_loss, pck,
                               pck_curve)
-from mocapkit.model import ShapeParams, pose_joints, pose_mesh
+from mocapkit.model import pose_joints, pose_mesh
 from mocapkit.rotations import rodrigues, rotation_to_axis_angle
 
 
@@ -70,13 +70,13 @@ def test_criterion_2_gamma_round_trip(toy):
         for _ in range(1000):
             body = BodyPrediction(
                 rng.normal(scale=0.6, size=3), rng.normal(scale=0.4, size=(21, 3)),
-                ShapeParams(rng.normal(scale=0.3, size=10)),
+                rng.normal(scale=0.3, size=10),
                 WeakPerspectiveCamera.identity())
             hands = {
                 side: HandPrediction(
                     side, rng.normal(scale=1.0, size=3),
                     rng.normal(scale=0.4, size=(15, 3)),
-                    ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+                    np.zeros(10), WeakPerspectiveCamera.identity())
                 for side in ("left", "right")
             }
             [params] = copy_paste(toy, [(body, hands["left"], hands["right"])])
@@ -108,7 +108,7 @@ def _perturbed_fit(toy, seed, noise):
     gt_pose = np.zeros((52, 3))
     gt_pose[toy.body_joints[1:]] = rng.normal(scale=0.1, size=(21, 3))
     gt_pose[0] = rng.normal(scale=0.1, size=3)
-    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
+    gt = WholeBodyParams(gt_pose, np.zeros(10), cam)
     kp = render_keypoints(toy, gt, cam, noise=noise, rng=rng)
 
     init_pose = gt_pose.copy()
@@ -120,8 +120,8 @@ def _perturbed_fit(toy, seed, noise):
     for joint in rng.choice(body_nonwrist, size=5, replace=False):
         d = rng.normal(size=3)
         init_pose[joint] += 0.1 * d / np.linalg.norm(d)
-    init = WholeBodyParams(init_pose, ShapeParams.zeros(10), cam)
-    return fit(toy, init, cam, kp, FitConfig(iterations=20))
+    init = WholeBodyParams(init_pose, np.zeros(10), cam)
+    return fit(toy, init, kp, FitConfig(iterations=20))
 
 
 def test_criterion_4_synthetic_fit_recovery(toy):
@@ -151,7 +151,7 @@ def test_criterion_5_gradient_check(toy):
         config = FitConfig()
         cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
         for _ in range(100):
-            anchor = WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)), ShapeParams.zeros(10), cam)
+            anchor = WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)), np.zeros(10), cam)
             kp = render_keypoints(toy, anchor, cam, noise=2.0, rng=rng)
             packer = _ParamVector(toy, anchor, cam, config)
 
@@ -267,13 +267,13 @@ def test_criterion_10_cli_end_to_end(tmp_path):
             rng = np.random.default_rng(11)
             body = BodyPrediction(
                 rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(21, 3)),
-                ShapeParams.zeros(10), WeakPerspectiveCamera(300.0, np.array([128.0, 128.0])))
+                np.zeros(10), WeakPerspectiveCamera(300.0, np.array([128.0, 128.0])))
             left = HandPrediction("left", rng.normal(size=3),
                                   rng.normal(scale=0.2, size=(15, 3)),
-                                  ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+                                  np.zeros(10), WeakPerspectiveCamera.identity())
             right = HandPrediction("right", rng.normal(size=3),
                                    rng.normal(scale=0.2, size=(15, 3)),
-                                   ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+                                   np.zeros(10), WeakPerspectiveCamera.identity())
             pred = d / "pred.json"
             formats.write_json(pred, formats.predictions_to_doc([(0, body, left, right)]))
             fused = d / "fused.json"

@@ -15,7 +15,7 @@ from mocapkit import fitting, formats
 from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.cli import build_parser, main
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams
-from mocapkit.model import FRAME_GROUP, ShapeParams, pose_joints
+from mocapkit.model import FRAME_GROUP, pose_joints
 from mocapkit.rotations import canonicalize, rodrigues
 
 
@@ -125,7 +125,7 @@ def test_gen_toy_size_classes(tmp_path):
 
 def test_pose_outputs_joints_and_obj(asset, tmp_path, rng):
     model = formats.load_model(asset)
-    params = WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)), ShapeParams.zeros(10),
+    params = WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)), np.zeros(10),
                              WeakPerspectiveCamera.identity())
     pfile = params_file(tmp_path, model, "params.json", [(0, params, None)])
     joints_out = tmp_path / "joints.json"
@@ -143,7 +143,7 @@ def test_pose_outputs_joints_and_obj(asset, tmp_path, rng):
 @pytest.mark.parametrize("obj_name", ["mesh", "dir.obj.d/mesh.obj"])
 def test_pose_obj_names_one_file_per_frame(asset, tmp_path, rng, obj_name):
     model = formats.load_model(asset)
-    frames = [(i, WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)), ShapeParams.zeros(10),
+    frames = [(i, WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)), np.zeros(10),
                                   WeakPerspectiveCamera.identity()), None)
               for i in (0, 7)]
     pfile = params_file(tmp_path, model, "params.json", frames)
@@ -157,9 +157,9 @@ def test_pose_obj_names_one_file_per_frame(asset, tmp_path, rng, obj_name):
 def test_integrate_end_to_end(asset, tmp_path, rng):
     model = formats.load_model(asset)
     body = BodyPrediction(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(21, 3)),
-                          ShapeParams.zeros(10), WeakPerspectiveCamera(100.0, np.zeros(2)))
+                          np.zeros(10), WeakPerspectiveCamera(100.0, np.zeros(2)))
     left = HandPrediction("left", rng.normal(size=3), rng.normal(scale=0.2, size=(15, 3)),
-                          ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+                          np.zeros(10), WeakPerspectiveCamera.identity())
     pred_path = tmp_path / "pred.json"
     formats.write_json(pred_path, formats.predictions_to_doc([(0, body, left, None)]))
     out = tmp_path / "fused.json"
@@ -171,7 +171,7 @@ def test_integrate_end_to_end(asset, tmp_path, rng):
 
 def random_params(rng):
     return WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)),
-                           ShapeParams(rng.normal(scale=0.1, size=10)), WeakPerspectiveCamera.identity())
+                           rng.normal(scale=0.1, size=10), WeakPerspectiveCamera.identity())
 
 
 def _with_nan(values, index):
@@ -186,7 +186,7 @@ POSE_FAULTS = {
     "ragged_theta": (lambda p: WholeBodyParams(np.vstack([p.pose_w, p.pose_w[1:2]]),
                                                p.beta_w, p.cam_w),
                      "pose must be (52, 3), got (53, 3)"),
-    "beta_length": (lambda p: WholeBodyParams(p.pose_w, ShapeParams.zeros(9), p.cam_w),
+    "beta_length": (lambda p: WholeBodyParams(p.pose_w, np.zeros(9), p.cam_w),
                     "beta must have length 10"),
     "nan_theta": (lambda p: WholeBodyParams(_with_nan(p.pose_w, (5, 1)), p.beta_w, p.cam_w),
                   "phi and theta must be finite"),
@@ -247,9 +247,9 @@ def test_integrate_checks_every_frame_before_writing(asset, tmp_path, capsys, rn
     frames = []
     for k in range(FRAME_GROUP + 2):
         body = BodyPrediction(rng.normal(scale=0.2, size=3), rng.normal(scale=0.2, size=(21, 3)),
-                              ShapeParams(rng.normal(scale=0.1, size=10)), WeakPerspectiveCamera.identity())
+                              rng.normal(scale=0.1, size=10), WeakPerspectiveCamera.identity())
         hands = [HandPrediction(side, rng.normal(size=3), rng.normal(scale=0.2, size=(15, 3)),
-                                ShapeParams.zeros(10), WeakPerspectiveCamera.identity())
+                                np.zeros(10), WeakPerspectiveCamera.identity())
                  for side in ("left", "right")]
         frames.append((3 * k + 1, body, *hands))
     doc = formats.predictions_to_doc(frames)
@@ -272,7 +272,7 @@ def run_on_a_spoilt_asset(asset, tmp_path, command, spoil):
     formats.write_json(bad, doc)
     params = WholeBodyParams.identity(model)
     if command == "integrate":
-        body = BodyPrediction(np.zeros(3), np.zeros((21, 3)), ShapeParams.zeros(10),
+        body = BodyPrediction(np.zeros(3), np.zeros((21, 3)), np.zeros(10),
                               WeakPerspectiveCamera.identity())
         inputs = [tmp_path / "pred.json"]
         formats.write_json(inputs[0], formats.predictions_to_doc([(3, body, None, None)]))
@@ -365,14 +365,14 @@ def test_fit_and_eval_round_trip(asset, tmp_path, rng):
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
     gt_pose = np.zeros((52, 3))
     gt_pose[1:6] = rng.normal(scale=0.15, size=(5, 3))
-    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
+    gt = WholeBodyParams(gt_pose, np.zeros(10), cam)
     joints = pose_joints(model, gt.pose_w, gt.beta_w)[:52]
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(0, project(cam, joints), None)]))
 
     init_pose = gt_pose.copy()
     init_pose[1:6] += rng.normal(scale=0.05, size=(5, 3))
-    init = WholeBodyParams(init_pose, ShapeParams.zeros(10), cam)
+    init = WholeBodyParams(init_pose, np.zeros(10), cam)
     init_path = params_file(tmp_path, model, "init.json", [(0, init, None)])
     fit_out = tmp_path / "fit.json"
     assert main(["fit", str(asset), str(init_path), str(kp_path), str(fit_out),
@@ -444,7 +444,7 @@ def test_fit_smooth_multi_frame(asset, tmp_path, rng):
     frames_kp = []
     frames_init = []
     for t in range(3):
-        params = WholeBodyParams(np.zeros((52, 3)), ShapeParams.zeros(10), cam)
+        params = WholeBodyParams(np.zeros((52, 3)), np.zeros(10), cam)
         joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
         frames_kp.append((t, project(cam, joints), None))
         frames_init.append((t, params, None))
@@ -651,12 +651,12 @@ def test_a_number_field_rejects_strings_and_booleans(asset, tmp_path, capsys, fa
     model = formats.load_model(asset)
     params = WholeBodyParams.identity(model)
     cam = WeakPerspectiveCamera.identity()
-    hands = [HandPrediction(side, np.zeros(3), np.zeros((15, 3)), ShapeParams.zeros(10), cam)
+    hands = [HandPrediction(side, np.zeros(3), np.zeros((15, 3)), np.zeros(10), cam)
              for side in ("left", "right")]
     docs = {
         "params": formats.params_to_doc([(0, params, {"cost_trace": [0.5], "final_rms_px": 0.5})]),
         "predictions": formats.predictions_to_doc(
-            [(0, BodyPrediction(np.zeros(3), np.zeros((21, 3)), ShapeParams.zeros(10), cam), *hands)]),
+            [(0, BodyPrediction(np.zeros(3), np.zeros((21, 3)), np.zeros(10), cam), *hands)]),
         "keypoints": formats.keypoints_to_doc([(0, np.zeros((model.num_joints, 2)),
                                                 np.ones(model.num_joints))]),
         "joints": formats.joints_to_doc([(0, np.zeros((model.num_joints, 3)))]),
@@ -684,13 +684,14 @@ def test_a_number_field_rejects_strings_and_booleans(asset, tmp_path, capsys, fa
 
 
 # The sweep below puts each of these values in place of each field of a
-# valid one-frame params, keypoints, predictions or joints document, and of
-# the hand and skeleton fields of the toy asset.  An
-# array field also gets itself with one axis dropped or added, and with one
-# element made NaN or null.
+# valid one-frame params, keypoints, predictions or joints document, of the
+# hand and skeleton fields of the toy asset, and of each field of a prep
+# config and of the config itself (`root`).  An array field also gets itself
+# with one axis dropped or added, and with one element made NaN or null.
+# Python's json writes 10**400, beyond float range, as an integer literal.
 SWEEP_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "string": "0.5",
                 "true": True, "null": None, "empty_list": [], "object": {}, "2**70": 2**70,
-                "-1": -1, "0": 0, "nested": [[1.0]]}
+                "10**400": 10**400, "-1": -1, "0": 0, "nested": [[1.0]]}
 SWEEP_ARRAY_VARIANTS = ["drop_axis", "add_axis", "nan_element", "null_element"]
 _PREDICTION_FIELDS = ["phi", "theta", "beta", "camera", "camera.scale", "camera.translation"]
 SWEEP_FIELDS = {"params": ["phi", "theta", "beta", "camera", "camera.scale", "camera.translation",
@@ -701,47 +702,63 @@ SWEEP_FIELDS = {"params": ["phi", "theta", "beta", "camera", "camera.scale", "ca
                                 + ["left_hand.side", "left_hand", "frame"]),
                 "joints": ["joints", "frame"],
                 "model": ["hand_joint_ids", "hand_joint_ids.left", "hand_joint_ids.right",
-                          "parents"]}
+                          "parents"],
+                "flip_config": ["reorder", "flip_width", "root"],
+                "rescale_config": ["rescale_reference"]}
 SWEEP_ARRAYS = {"phi", "theta", "beta", "camera.translation", "points", "confidence", "joints",
-                "hand_joint_ids.left", "hand_joint_ids.right", "parents",
+                "hand_joint_ids.left", "hand_joint_ids.right", "parents", "reorder",
                 *(f"{record}.{f}" for record in ("body", "left_hand")
                   for f in ("phi", "theta", "beta", "camera.translation"))}
-SWEEP_COMMANDS = {"params": ("fit", "pose"), "keypoints": ("fit",), "predictions": ("integrate",),
-                  "joints": ("eval",), "model": ("integrate", "fit")}
+SWEEP_COMMANDS = {"params": ("fit", "pose"), "keypoints": ("fit", "prep"),
+                  "predictions": ("integrate",), "joints": ("eval",), "model": ("integrate", "fit"),
+                  "flip_config": ("prep",), "rescale_config": ("prep_3d",)}
 SWEEP_CASES = [(kind, field, value, command)
                for kind, fields in SWEEP_FIELDS.items() for field in fields
                for value in list(SWEEP_VALUES) + (SWEEP_ARRAY_VARIANTS if field in SWEEP_ARRAYS else [])
                for command in SWEEP_COMMANDS[kind]]
 # The spoilt documents that are accepted, as docs/formats.md says: a frame
-# index need only be an integer (0 is the valid one, and eval needs the
-# frames of both files to match), a null confidence weighs every joint 1,
-# 2**70 is a finite camera scale > 0, and a null hand record is a missing
-# hand.  Every other case exits 2.
+# index need only be an integer (0 is the valid one, and fit and eval need
+# the frames of both files to match), a null confidence weighs every joint 1,
+# 2**70 is a finite camera scale, flip width or reference length > 0, a null
+# hand record is a missing hand, a null prep config field is an absent step,
+# and a prep config `{}` runs no step.  Every other case exits 2.
 SWEEP_ACCEPTED = {("params", "camera.scale", "2**70", "fit"),
                   ("params", "camera.scale", "2**70", "pose"),
-                  ("params", "frame", "2**70", "pose"), ("params", "frame", "-1", "pose"),
+                  ("params", "frame", "2**70", "pose"), ("params", "frame", "10**400", "pose"),
+                  ("params", "frame", "-1", "pose"),
                   ("params", "frame", "0", "fit"), ("params", "frame", "0", "pose"),
                   ("keypoints", "confidence", "null", "fit"), ("keypoints", "frame", "0", "fit"),
+                  ("keypoints", "confidence", "null", "prep"),
+                  ("keypoints", "frame", "2**70", "prep"), ("keypoints", "frame", "10**400", "prep"),
+                  ("keypoints", "frame", "-1", "prep"), ("keypoints", "frame", "0", "prep"),
                   ("predictions", "body.camera.scale", "2**70", "integrate"),
                   ("predictions", "left_hand.camera.scale", "2**70", "integrate"),
                   ("predictions", "frame", "2**70", "integrate"),
+                  ("predictions", "frame", "10**400", "integrate"),
                   ("predictions", "frame", "-1", "integrate"),
                   ("predictions", "frame", "0", "integrate"),
                   ("predictions", "left_hand", "null", "integrate"),
-                  ("joints", "frame", "0", "eval")}
+                  ("joints", "frame", "0", "eval"),
+                  ("flip_config", "reorder", "null", "prep"),
+                  ("flip_config", "flip_width", "null", "prep"),
+                  ("flip_config", "flip_width", "2**70", "prep"),
+                  ("flip_config", "root", "object", "prep"),
+                  ("rescale_config", "rescale_reference", "null", "prep_3d"),
+                  ("rescale_config", "rescale_reference", "2**70", "prep_3d")}
 
 
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
     """A toy asset, a ground-truth joints file for `eval`, and a valid
-    one-frame params, keypoints, predictions and joints document."""
+    one-frame params, keypoints, predictions and joints document, a valid
+    one-frame 3D keypoints document, and a valid prep config for each."""
     root = tmp_path_factory.mktemp("sweep")
     asset = root / "toy.json"
     assert main(["gen-toy", str(asset), "--seed", "0"]) == 0
     model = formats.load_model(asset)
     rng = np.random.default_rng(7)
     theta = rng.normal(scale=0.1, size=(model.num_joints - 1, 3))
-    params = WholeBodyParams(np.vstack([np.zeros(3), theta]), ShapeParams.zeros(model.num_betas),
+    params = WholeBodyParams(np.vstack([np.zeros(3), theta]), np.zeros(model.num_betas),
                              WeakPerspectiveCamera(100.0, np.array([128.0, 128.0])))
     joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
     points = project(params.cam_w, joints)
@@ -754,7 +771,10 @@ def sweep_inputs(tmp_path_factory):
         "params": formats.params_to_doc([(0, params, None)]),
         "keypoints": formats.keypoints_to_doc([(0, points, np.ones(len(points)))]),
         "predictions": formats.predictions_to_doc([(0, body, left, None)]),
-        "joints": formats.joints_to_doc([(0, joints + rng.normal(scale=0.01, size=joints.shape))])}
+        "joints": formats.joints_to_doc([(0, joints + rng.normal(scale=0.01, size=joints.shape))]),
+        "keypoints_3d": formats.keypoints_to_doc([(0, joints, None)]),
+        "flip_config": {"reorder": list(range(len(points)))[::-1], "flip_width": 256.0},
+        "rescale_config": {"rescale_reference": 0.03}}
 
 
 def _sweep_value(valid, value):
@@ -779,12 +799,14 @@ def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, c
     asset, gt, valid = sweep_inputs
     docs = json.loads(json.dumps(valid))
     if kind == "model":
-        docs["model"] = parent = formats.read_json(asset)
+        docs["model"] = formats.read_json(asset)
+    if field == "root":
+        parent, key = docs, kind
     else:
-        parent = docs[kind]["frames"][0]
-    *path, key = field.split(".")
-    for name in path:
-        parent = parent[name]
+        parent = docs[kind]["frames"][0] if "frames" in docs[kind] else docs[kind]
+        *path, key = field.split(".")
+        for name in path:
+            parent = parent[name]
     parent[key] = _sweep_value(parent[key], value)
     files = {}
     for name, doc in docs.items():
@@ -796,7 +818,9 @@ def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, c
     argv = {"fit": ["fit", asset, files["params"], files["keypoints"], out, "--iters", "1"],
             "pose": ["pose", asset, files["params"], out],
             "integrate": ["integrate", asset, files["predictions"], out],
-            "eval": ["eval", files["joints"], gt, out]}[command]
+            "eval": ["eval", files["joints"], gt, out],
+            "prep": ["prep", files["keypoints"], files["flip_config"], out],
+            "prep_3d": ["prep", files["keypoints_3d"], files["rescale_config"], out]}[command]
     code = main([str(a) for a in argv])
     assert code == (0 if (kind, field, value, command) in SWEEP_ACCEPTED else 2)
     if code == 2:
@@ -872,7 +896,7 @@ def test_fit_error_names_the_frame(asset, tmp_path, capsys, monkeypatch, indices
     elif fault == "wrong_rows":
         bad = WholeBodyParams(params.pose_w[:-1], params.beta_w, params.cam_w)
     else:
-        bad = WholeBodyParams(params.pose_w, ShapeParams.zeros(9), params.cam_w)
+        bad = WholeBodyParams(params.pose_w, np.zeros(9), params.cam_w)
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc(
         [(indices[0], pts, None), (indices[1], pts, None), (indices[2], pts, conf)]))
@@ -984,6 +1008,10 @@ BAD_PREP_CONFIGS = {
     "flip_width_nan": ({"flip_width": float("nan")}, 2, "prep config 'flip_width'"),
     "flip_width_inf": ({"flip_width": float("inf")}, 2, "prep config 'flip_width'"),
     "rescale_reference_string": ({"rescale_reference": "x"}, 3, "prep config 'rescale_reference'"),
+    # a JSON integer beyond float range
+    "flip_width_beyond_float": ({"flip_width": 10 ** 400}, 2, "prep config 'flip_width'"),
+    "rescale_reference_beyond_float": ({"rescale_reference": 10 ** 400}, 3,
+                                       "prep config 'rescale_reference'"),
 }
 
 
@@ -1010,7 +1038,7 @@ def test_fit_smooth_follows_a_rotation_through_pi(asset, tmp_path):
     frames_kp, frames_init = [], []
     for t, deg in enumerate(np.linspace(166.0, 195.0, 30)):
         phi = canonicalize(np.radians(deg) * np.array([0.0, 0.0, 1.0]))
-        params = WholeBodyParams(np.vstack([phi, np.zeros((51, 3))]), ShapeParams.zeros(10), cam)
+        params = WholeBodyParams(np.vstack([phi, np.zeros((51, 3))]), np.zeros(10), cam)
         joints = pose_joints(model, params.pose_w, params.beta_w)[:52]
         frames_kp.append((t, project(cam, joints), None))
         frames_init.append((t, params, None))

@@ -12,7 +12,7 @@ from mocapkit.fitting import (SMOOTH_KERNEL, FitConfig, KeypointSet2D, _ParamVec
                               _residuals, fit, fit_jacobian, temporal_smooth)
 from mocapkit.integration import WholeBodyParams
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
-from mocapkit.model import ShapeParams, pose_joints
+from mocapkit.model import pose_joints
 
 
 def exact_jacobian(objective, x):
@@ -102,7 +102,7 @@ def test_prior_cost_formula(toy, rng):
     pose = np.zeros((toy.num_joints, 3))
     pose[1:] = rng.normal(size=(toy.num_joints - 1, 3))
     beta = rng.normal(size=10)
-    init = WholeBodyParams(pose, ShapeParams(beta), cam)
+    init = WholeBodyParams(pose, beta, cam)
     kp = render_keypoints(toy, init, cam)
     shape_cost = fitting.SHAPE_PRIOR_WEIGHT * (beta ** 2).sum()
     _, prior = split_residuals(toy, init, cam, kp, config)
@@ -134,7 +134,7 @@ def test_exact_jacobian_matches_central_differences(toy, rng):
     pose[toy.body_joints[4]] = 0.0                        # exact-zero angle
     pose[toy.body_joints[6]] = [0.0, 0.0, np.pi - 1e-7]   # angle near pi
     pose[0] = rng.normal(scale=0.3, size=3)
-    init = WholeBodyParams(pose, ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+    init = WholeBodyParams(pose, rng.normal(scale=0.5, size=10), cam)
     conf = rng.uniform(0.2, 1.0, size=toy.num_joints)
     conf[[0, 7, 30]] = 0.0
     kp = render_keypoints(toy, init, cam, conf=conf)
@@ -177,7 +177,7 @@ def test_exact_jacobian_with_extra_regressor_rows(toy, rng):
     config = FitConfig()
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
     init = WholeBodyParams(rng.normal(scale=0.3, size=(52, 3)),
-                           ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+                           rng.normal(scale=0.5, size=10), cam)
     kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                        rng.uniform(0.2, 1.0, size=model.num_joints))
     objective = _ParamVector(model, init, cam, config).bind(kp)
@@ -193,7 +193,7 @@ def test_batched_residuals_match_each_column(toy, rng):
     config = FitConfig()
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 64.0]))
     anchor = WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)),
-                             ShapeParams(rng.normal(scale=0.3, size=10)), cam)
+                             rng.normal(scale=0.3, size=10), cam)
     kp = render_keypoints(toy, anchor, cam, conf=rng.uniform(0.2, 1.0, size=toy.num_joints))
     packer = _ParamVector(toy, anchor, cam, config)
     x = packer.pack(anchor, cam)
@@ -207,14 +207,15 @@ def test_batched_residuals_match_each_column(toy, rng):
 
 
 def test_param_vector_pack_unpack_round_trip(toy, rng):
-    init = WholeBodyParams(rng.normal(size=(52, 3)), ShapeParams(rng.normal(size=10)),
+    init = WholeBodyParams(rng.normal(size=(52, 3)), rng.normal(size=10),
                            WeakPerspectiveCamera.identity())
     cam = WeakPerspectiveCamera(200.0, np.array([64.0, 32.0]))
     packer = _ParamVector(toy, init, cam, FitConfig())
     x = packer.pack(init, cam)
     params = WholeBodyParams.from_vector(packer.rows(x[None])[0], packer.num_betas)
     cam_out = params.cam_w
-    assert params.vector().tobytes() == init.vector(cam).tobytes()
+    at_cam = dataclasses.replace(init, cam_w=cam).vector()
+    assert params.vector().tobytes() == at_cam.tobytes()
     assert cam_out.scale == cam.scale
     assert cam_out.translation.tobytes() == cam.translation.tobytes()
 
@@ -223,9 +224,9 @@ def test_param_vector_pack_unpack_round_trip(toy, rng):
     assert {0, *wrists} <= set(toy.body_joints.tolist())
     free = np.concatenate([3 * j + np.arange(3) for j in toy.body_joints]
                           + [3 + 153 + 10 + np.arange(3)])
-    np.testing.assert_array_equal(x, init.vector(cam)[free])
+    np.testing.assert_array_equal(x, at_cam[free])
     moved = WholeBodyParams.from_vector(packer.rows(x[None] + 1.0)[0], packer.num_betas)
-    np.testing.assert_array_equal(np.flatnonzero(moved.vector() != init.vector(cam)), free)
+    np.testing.assert_array_equal(np.flatnonzero(moved.vector() != at_cam), free)
 
 
 def test_fit_recovers_perturbed_pose(toy, rng):
@@ -234,14 +235,14 @@ def test_fit_recovers_perturbed_pose(toy, rng):
     gt_pose[joints] = rng.normal(scale=0.2, size=(8, 3))
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
     gt_pose[0] = rng.normal(scale=0.1, size=3)
-    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
+    gt = WholeBodyParams(gt_pose, np.zeros(10), cam)
     kp = render_keypoints(toy, gt, cam)
 
     init_pose = gt_pose.copy()
     init_pose[joints] += rng.normal(scale=0.1, size=(8, 3))
     init_pose[0] += rng.normal(scale=0.05, size=3)
-    init = WholeBodyParams(init_pose, ShapeParams.zeros(10), cam)
-    result = fit(toy, init, cam, kp, FitConfig(iterations=10))
+    init = WholeBodyParams(init_pose, np.zeros(10), cam)
+    result = fit(toy, init, kp, FitConfig(iterations=10))
     assert result.cost_trace.shape == (10,)
     assert np.all(np.diff(result.cost_trace) <= 1e-12)
     assert result.final_rms_px < 0.5
@@ -253,12 +254,12 @@ def _noisy_fit_problem(toy, rng):
     cam = WeakPerspectiveCamera(300.0, np.array([128.0, 128.0]))
     gt_pose = np.zeros((toy.num_joints, 3))
     gt_pose[joints] = rng.normal(scale=0.2, size=(8, 3))
-    gt = WholeBodyParams(gt_pose, ShapeParams.zeros(10), cam)
+    gt = WholeBodyParams(gt_pose, np.zeros(10), cam)
     kp = render_keypoints(toy, gt, cam)
     kp = KeypointSet2D(kp.points + rng.normal(scale=1.0, size=kp.points.shape), kp.confidence)
     init_pose = gt_pose.copy()
     init_pose[joints] += rng.normal(scale=0.3, size=(8, 3))
-    return WholeBodyParams(init_pose, ShapeParams.zeros(10), cam), cam, kp
+    return WholeBodyParams(init_pose, np.zeros(10), cam), kp
 
 
 def _counting_residuals(monkeypatch):
@@ -276,9 +277,9 @@ def _counting_residuals(monkeypatch):
 
 
 def test_fit_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch):
-    init, cam, kp = _noisy_fit_problem(toy, rng)
+    init, kp = _noisy_fit_problem(toy, rng)
     calls = _counting_residuals(monkeypatch)
-    result = fit(toy, init, cam, kp, FitConfig(iterations=15))
+    result = fit(toy, init, kp, FitConfig(iterations=15))
     # the first evaluation is the initial cost; every later one is a trial step
     assert calls == [1] * len(calls)
     assert result.accepted_steps + result.rejected_steps == len(calls) - 1
@@ -299,21 +300,21 @@ def test_lockstep_step_counts_add_up_to_trial_evaluations(toy, rng, monkeypatch)
 
 
 def test_fit_reports_a_stall(toy, rng, monkeypatch):
-    init, cam, kp = _noisy_fit_problem(toy, rng)
+    init, kp = _noisy_fit_problem(toy, rng)
     exact = _ParamVector.jacobian
     # A Jacobian of the wrong sign makes every damped step climb the cost.
     monkeypatch.setattr(_ParamVector, "jacobian", lambda objective, x: -exact(objective, x))
     # With the cap at the floor, every trial is at the cap: one per iteration.
     monkeypatch.setattr(fitting, "MAX_DAMPING", fitting.MIN_DAMPING)
     config = FitConfig(iterations=4)
-    result = fit(toy, init, cam, kp, config)
+    result = fit(toy, init, kp, config)
     assert result.status == "stalled"
     assert result.accepted_steps == 0
     assert result.rejected_steps == config.iterations
     assert result.cost_trace.shape == (4,)
     assert np.all(result.cost_trace == result.cost_trace[0])
-    packer = _ParamVector(toy, init, cam, config)
-    initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
+    packer = _ParamVector(toy, init, init.cam_w, config)
+    initial = _residuals(toy, packer, init, kp, config, packer.pack(init, init.cam_w))
     assert result.cost_trace[0] == initial @ initial
     np.testing.assert_array_equal(result.params.pose_w, init.pose_w)
 
@@ -337,27 +338,27 @@ def test_lockstep_group_in_which_every_frame_stalls(toy, rng, monkeypatch):
     config = FitConfig(iterations=4)
     results = fitting.fit_frames(toy, frames, config)
     assert held == [True] * config.iterations
-    for (init, cam, kp), result in zip(frames, results):
-        packer = _ParamVector(toy, init, cam, config)
-        initial = _residuals(toy, packer, init, kp, config, packer.pack(init, cam))
+    for (init, kp), result in zip(frames, results):
+        packer = _ParamVector(toy, init, init.cam_w, config)
+        initial = _residuals(toy, packer, init, kp, config, packer.pack(init, init.cam_w))
         assert result.status == "stalled"
         assert (result.accepted_steps, result.rejected_steps) == (0, config.iterations)
         assert np.all(result.cost_trace == initial @ initial)
-        assert result.params.vector().tobytes() == init.vector(cam).tobytes()
+        assert result.params.vector().tobytes() == init.vector().tobytes()
 
 
 def test_first_step_solves_the_normal_equations_of_every_row(toy, rng):
     config = FitConfig(iterations=1)
-    init, cam, kp = _noisy_fit_problem(toy, rng)
-    objective = _ParamVector(toy, init, cam, config).bind(kp)
-    x = objective.pack(init, cam)
+    init, kp = _noisy_fit_problem(toy, rng)
+    objective = _ParamVector(toy, init, init.cam_w, config).bind(kp)
+    x = objective.pack(init, init.cam_w)
     r = objective.residuals(x)
     J = np.zeros((r.size, x.size))
     J[:2 * toy.num_joints] = objective.jacobian(x)
     J[objective.prior_rows, objective.prior_cols] = objective.prior_weight
     JtJ = J.T @ J
     step = np.linalg.solve(JtJ + 1e-6 * JtJ.diagonal().max() * np.eye(x.size), J.T @ r)
-    result = fit(toy, init, cam, kp, config)
+    result = fit(toy, init, kp, config)
     assert (result.accepted_steps, result.rejected_steps) == (1, 0)
     np.testing.assert_allclose(objective.pack(result.params, result.params.cam_w), x - step,
                                rtol=1e-9, atol=1e-12)
@@ -368,7 +369,7 @@ def test_fit_rejects_all_zero_confidence(toy):
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
     kp = render_keypoints(toy, params, cam, conf=np.zeros(toy.num_joints))
     with pytest.raises(FitError):
-        fit(toy, params, cam, kp)
+        fit(toy, params, kp)
 
 
 def test_smooth_kernel_shape():
@@ -430,7 +431,7 @@ def _clip(toy, rng):
         gt_pose = np.zeros((toy.num_joints, 3))
         gt_pose[toy.body_joints[1:]] = rng.normal(scale=0.2, size=(21, 3))
         gt_pose[0] = rng.normal(scale=0.1, size=3)
-        gt = WholeBodyParams(gt_pose, ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+        gt = WholeBodyParams(gt_pose, rng.normal(scale=0.5, size=10), cam)
         conf = np.ones(toy.num_joints)
         if t == 1:
             conf[[3, 17, 40]] = 0.0
@@ -440,7 +441,7 @@ def _clip(toy, rng):
         pose = gt_pose.copy()
         if t > 0:
             pose[toy.body_joints[1:]] += rng.normal(scale=0.05 * t, size=(21, 3))
-        frames.append((WholeBodyParams(pose, gt.beta_w, cam), cam, kp))
+        frames.append((WholeBodyParams(pose, gt.beta_w, cam), kp))
     return frames
 
 
@@ -450,7 +451,7 @@ def test_lockstep_fit_equals_frame_by_frame(toy, rng, monkeypatch, cap):
     monkeypatch.setattr(fitting, "MAX_DAMPING", cap)
     config = FitConfig(iterations=8)
     frames = _clip(toy, rng)
-    alone = [fit(toy, init, cam, kp, config) for init, cam, kp in frames]
+    alone = [fit(toy, init, kp, config) for init, kp in frames]
     # The default group holds the whole clip; groups of 2 split it in three.
     for group in (fitting.FIT_GROUP, 2):
         monkeypatch.setattr(fitting, "FIT_GROUP", group)
@@ -480,9 +481,9 @@ def test_a_stalled_frame_ends_each_iteration_at_the_damping_cap(toy, rng, monkey
     monkeypatch.setattr(_ParamVector, "jacobian", lambda objective, x: -exact(objective, x))
     config = FitConfig(iterations=20)
     results = fitting.fit_frames(toy, frames, config)
-    for (init, cam, kp), result in zip(frames, results):
-        objective = _ParamVector(toy, init, cam, config).bind(kp)
-        x = objective.pack(init, cam)
+    for (init, kp), result in zip(frames, results):
+        objective = _ParamVector(toy, init, init.cam_w, config).bind(kp)
+        x = objective.pack(init, init.cam_w)
         r = objective.residuals(x)
         JtJ, _ = objective.normal_equations(exact(objective, x)[None], r[None])
         lam = min(max(1e-6 * JtJ[0].diagonal().max(), fitting.MIN_DAMPING), fitting.MAX_DAMPING)
@@ -493,19 +494,19 @@ def test_a_stalled_frame_ends_each_iteration_at_the_damping_cap(toy, rng, monkey
         assert result.status == "stalled"
         assert (result.accepted_steps, result.rejected_steps) == (
             0, trials + config.iterations - 1)
-        assert result.params.vector().tobytes() == init.vector(cam).tobytes()
+        assert result.params.vector().tobytes() == init.vector().tobytes()
         assert np.all(result.cost_trace == r @ r)
 
 
 def test_a_jacobian_that_is_not_finite_stalls_every_iteration_at_once(toy, rng, monkeypatch):
     # A NaN Jacobian makes a NaN damping, which counts as at the cap.
-    init, cam, kp = _noisy_fit_problem(toy, rng)
+    init, kp = _noisy_fit_problem(toy, rng)
     exact = _ParamVector.jacobian
     monkeypatch.setattr(_ParamVector, "jacobian",
                         lambda objective, x: np.full_like(exact(objective, x), np.nan))
-    result = fit(toy, init, cam, kp, FitConfig(iterations=3))
+    result = fit(toy, init, kp, FitConfig(iterations=3))
     assert (result.status, result.accepted_steps, result.rejected_steps) == ("stalled", 0, 3)
-    assert result.params.vector().tobytes() == init.vector(cam).tobytes()
+    assert result.params.vector().tobytes() == init.vector().tobytes()
 
 
 def test_fit_keeps_the_camera_scale_positive(toy):
@@ -513,8 +514,8 @@ def test_fit_keeps_the_camera_scale_positive(toy):
     # an accepted step drives each of these fits' camera scale below 0.
     init = WholeBodyParams.identity(toy)
     cam = WeakPerspectiveCamera(100.0, np.zeros(2))
-    frames = [(init, cam, KeypointSet2D(np.random.default_rng(s).normal(scale=20, size=(52, 2)),
-                                        np.ones(52)))
+    frames = [(dataclasses.replace(init, cam_w=cam),
+               KeypointSet2D(np.random.default_rng(s).normal(scale=20, size=(52, 2)), np.ones(52)))
               for s in range(1, 5)]
     for result in fitting.fit_frames(toy, frames):
         assert result.params.cam_w.scale > 0
@@ -532,10 +533,10 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
     config = FitConfig()
     frames = _clip(toy, rng)[:3]
     # the objective of the three frames, as the lockstep loop builds it
-    kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
-                       np.stack([k.confidence for _, _, k in frames]))
-    objective = _ParamVector(toy, frames[0][0], frames[0][1], config).bind(
-        kp, np.stack([init.vector(cam) for init, cam, _ in frames]))
+    kp = KeypointSet2D(np.stack([k.points for _, k in frames]),
+                       np.stack([k.confidence for _, k in frames]))
+    objective = _ParamVector(toy, frames[0][0], frames[0][0].cam_w, config).bind(
+        kp, np.stack([init.vector() for init, _ in frames]))
     x = objective.x0.T + rng.normal(scale=0.05, size=(objective.free.size, 3))
     kept = exact_jacobian(objective, x)
     # x posed afresh through the fold, as a skeleton of the fitted joints
@@ -550,14 +551,14 @@ def test_jacobian_from_kept_fk_equals_posing_afresh(toy, rng):
 def test_stacked_bind_equals_each_frame_bound_alone(toy, rng):
     config = FitConfig()
     frames = _clip(toy, rng)
-    kp = KeypointSet2D(np.stack([k.points for _, _, k in frames]),
-                       np.stack([k.confidence for _, _, k in frames]))
-    stacked = _ParamVector(toy, frames[0][0], frames[0][1], config).bind(
-        kp, np.stack([init.vector(cam) for init, cam, _ in frames]))
+    kp = KeypointSet2D(np.stack([k.points for _, k in frames]),
+                       np.stack([k.confidence for _, k in frames]))
+    stacked = _ParamVector(toy, frames[0][0], frames[0][0].cam_w, config).bind(
+        kp, np.stack([init.vector() for init, _ in frames]))
     x = stacked.x0 + rng.normal(scale=0.05, size=stacked.x0.shape)
     r = stacked.residuals(x.T)
-    for t, (init, cam, kp_t) in enumerate(frames):
-        alone = _ParamVector(toy, init, cam, config).bind(kp_t)
+    for t, (init, kp_t) in enumerate(frames):
+        alone = _ParamVector(toy, init, init.cam_w, config).bind(kp_t)
         assert alone.x0.tobytes() == stacked.x0[t].tobytes()
         assert alone.residuals(x[t]).tobytes() == r[:, t].tobytes()
 
@@ -622,8 +623,8 @@ def test_fit_checks_the_keypoints_once_per_fit(toy, rng, monkeypatch):
 
 def test_fit_frames_names_the_frame_it_rejects(toy, rng):
     frames = _clip(toy, rng)[:3]
-    init, cam, kp = frames[2]
-    frames[2] = (init, cam, KeypointSet2D(kp.points, np.zeros(toy.num_joints)))
+    init, kp = frames[2]
+    frames[2] = (init, KeypointSet2D(kp.points, np.zeros(toy.num_joints)))
     with pytest.raises(FitError, match="confidences are zero") as e:
         fitting.fit_frames(toy, frames)
     assert e.value.frame == 2
@@ -637,7 +638,7 @@ def test_final_rms_is_the_weighted_reprojection_rms_of_the_result(toy, rng, monk
     results = fitting.fit_frames(toy, frames, FitConfig(iterations=8))
     if cap == 100.0:
         assert "stalled" in {r.status for r in results}
-    for (_, _, kp), result in zip(frames, results):
+    for (_, kp), result in zip(frames, results):
         params = result.params
         joints = pose_joints(toy, params.pose_w, params.beta_w)[: toy.num_joints]
         diff = project(params.cam_w, joints) - kp.points
@@ -651,7 +652,7 @@ def full_residuals(model, params, init, kp, config):
     joints = pose_joints(model, params.pose_w, params.beta_w)[: model.num_joints]
     r2d = np.sqrt(kp.confidence)[:, None] * (project(params.cam_w, joints) - kp.points)
     rp = np.sqrt(fitting.POSE_PRIOR_WEIGHT) * (params.pose_w[1:] - init.pose_w[1:])
-    rs = np.sqrt(fitting.SHAPE_PRIOR_WEIGHT) * params.beta_w.beta
+    rs = np.sqrt(fitting.SHAPE_PRIOR_WEIGHT) * params.beta_w
     return np.concatenate([r2d.ravel(), rp.ravel(), rs])
 
 
@@ -668,11 +669,11 @@ def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
     for t in range(5):
         cam = WeakPerspectiveCamera(200.0 + 10.0 * t, np.array([64.0, 60.0 + t]))
         init = WholeBodyParams(rng.normal(scale=0.3, size=(52, 3)),
-                               ShapeParams(rng.normal(scale=0.5, size=10)), cam)
+                               rng.normal(scale=0.5, size=10), cam)
         kp = KeypointSet2D(rng.normal(scale=30.0, size=(model.num_joints, 2)) + 64.0,
                            rng.uniform(0.2, 1.0, size=model.num_joints))
-        frames.append((init, cam, kp))
-    inits, _, kps = zip(*frames)
+        frames.append((init, kp))
+    inits, kps = zip(*frames)
     kp = KeypointSet2D(np.stack([k.points for k in kps]), np.stack([k.confidence for k in kps]))
     objective = _ParamVector(model, inits[0], inits[0].cam_w, config).bind(
         kp, np.stack([init.vector() for init in inits]))
@@ -698,8 +699,8 @@ def test_fold_residuals_equal_the_full_model(toy, rng, monkeypatch):
     # Fitted in groups of 2, every frame's final cost and RMS are those of
     # the full model at its result.
     monkeypatch.setattr(fitting, "FIT_GROUP", 2)
-    for (init, _, kp_t), result in zip(frames, fitting.fit_frames(model, frames,
-                                                                  FitConfig(iterations=3))):
+    for (init, kp_t), result in zip(frames, fitting.fit_frames(model, frames,
+                                                               FitConfig(iterations=3))):
         expected = full_residuals(model, result.params, init, kp_t, config)
         assert result.cost_trace[-1] == pytest.approx(expected @ expected, rel=1e-12)
         r2d = expected[:m2]

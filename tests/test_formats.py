@@ -11,7 +11,7 @@ from mocapkit.camera import WeakPerspectiveCamera, project
 from mocapkit.cli import main
 from mocapkit.errors import SchemaError
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams
-from mocapkit.model import ShapeParams, pose_joints, pose_mesh
+from mocapkit.model import pose_joints, pose_mesh
 
 
 def test_model_round_trip(toy, tmp_path):
@@ -102,8 +102,6 @@ def _assert_same_fields(a, b):
     assert type(a) is type(b)
     for field in dataclasses.fields(a):
         x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, ShapeParams):
-            x, y = x.beta, y.beta
         if isinstance(x, WeakPerspectiveCamera):
             assert x.scale == y.scale
             x, y = x.translation, y.translation
@@ -117,11 +115,11 @@ def _assert_same_fields(a, b):
 def test_predictions_round_trip(rng):
     def body():
         return BodyPrediction(rng.normal(size=3), rng.normal(size=(21, 3)),
-                              ShapeParams(rng.normal(size=10)), _camera(rng))
+                              rng.normal(size=10), _camera(rng))
 
     def hand(side):
         return HandPrediction(side, rng.normal(size=3), rng.normal(size=(15, 3)),
-                              ShapeParams(rng.normal(size=10)), _camera(rng))
+                              rng.normal(size=10), _camera(rng))
 
     # both hands, the left only, the right only, none
     frames = [(0, body(), hand("left"), hand("right")), (2, body(), hand("left"), None),
@@ -140,7 +138,7 @@ def test_predictions_round_trip(rng):
 
 
 def test_predictions_require_body(rng):
-    body = BodyPrediction(np.zeros(3), np.zeros((21, 3)), ShapeParams.zeros(10),
+    body = BodyPrediction(np.zeros(3), np.zeros((21, 3)), np.zeros(10),
                           WeakPerspectiveCamera.identity())
     doc = formats.predictions_to_doc([(0, body, None, None)])
     doc["frames"][0]["body"] = None
@@ -176,7 +174,7 @@ def test_frame_records_must_be_objects(reader, fmt):
 
 def _params_record(**fields):
     """The params record of frame 0 at zero pose, with `fields` replaced."""
-    params = WholeBodyParams(np.zeros((3, 3)), ShapeParams.zeros(1),
+    params = WholeBodyParams(np.zeros((3, 3)), np.zeros(1),
                              WeakPerspectiveCamera.identity())
     return {**formats.params_to_doc([(0, params, None)])["frames"][0], **fields}
 
@@ -233,7 +231,7 @@ def test_params_round_trip(rng):
     all_extras = [None, {}, {"cost_trace": trace}, {"cost_trace": trace, "final_rms_px": 0.25},
                   {"cost_trace": trace, "final_rms_px": 0.25, "status": "stalled",
                    "accepted_steps": 1, "rejected_steps": 50}]
-    frames = [(i, WholeBodyParams(rng.normal(size=(52, 3)), ShapeParams(rng.normal(size=10)),
+    frames = [(i, WholeBodyParams(rng.normal(size=(52, 3)), rng.normal(size=10),
                                   _camera(rng)), extras)
               for i, extras in zip((1, 4, 5, 7, 9), all_extras)]
     doc = formats.params_to_doc(frames)
@@ -316,7 +314,7 @@ def test_outputs_are_the_same_with_and_without_a_sidecar(tmp_path, rng):
     assert main(["gen-toy", str(asset)]) == 0
     model = formats.load_model(asset)
     params = [(i, WholeBodyParams(rng.normal(scale=0.1, size=(52, 3)),
-                                  ShapeParams(rng.normal(scale=0.5, size=10)), _camera(rng)), None)
+                                  rng.normal(scale=0.5, size=10), _camera(rng)), None)
               for i in range(3)]
     init = tmp_path / "init.json"
     formats.write_json(init, formats.params_to_doc(params))
@@ -459,7 +457,7 @@ def test_pose_obj_files_match_the_row_writer(toy, tmp_path, rng):
     asset = tmp_path / "toy.json"
     formats.save_model(asset, toy)
     frames = [(i, WholeBodyParams(rng.normal(scale=0.2, size=(52, 3)),
-                                  ShapeParams(rng.normal(scale=0.1, size=10)),
+                                  rng.normal(scale=0.1, size=10),
                                   WeakPerspectiveCamera.identity()), None)
               for i in (0, 1, 5)]
     params = tmp_path / "params.json"
@@ -529,7 +527,7 @@ def test_every_cli_document_is_the_stdlib_layout(tmp_path, rng):
 
     def pose(rows):
         return (rng.normal(size=3), rng.normal(scale=0.2, size=(rows, 3)),
-                ShapeParams(rng.normal(scale=0.1, size=10)), _camera(rng))
+                rng.normal(scale=0.1, size=10), _camera(rng))
 
     small, large = tmp_path / "small.json", tmp_path / "large.json"
     assert run("gen-toy", small) == 0
@@ -592,7 +590,7 @@ def test_docs_examples_are_the_writers_bytes():
             [(0, [[12.5, 40.0], [13.25, 41.5]], [1.0, 0.5])]),
         formats.PARAMS_FORMAT: formats.params_to_doc(
             [(0, WholeBodyParams([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                                 ShapeParams([0.25]),
+                                 [0.25],
                                  WeakPerspectiveCamera(300.0, [128.0, 128.0])),
               {"cost_trace": [0.5, 0.25], "final_rms_px": 0.125, "status": "ok",
                "accepted_steps": 2, "rejected_steps": 0})]),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from mocapkit.camera import WeakPerspectiveCamera
 from mocapkit.errors import DimensionError, MocapkitError
 from mocapkit.integration import BodyPrediction, HandPrediction, WholeBodyParams, copy_paste
 from mocapkit.kinematics import forward_kinematics
-from mocapkit.model import ShapeParams
 from mocapkit.rotations import rodrigues
 
 
@@ -14,7 +15,7 @@ def random_body(rng, num_betas=10):
     return BodyPrediction(
         phi_b=rng.normal(scale=0.5, size=3),
         theta_b=rng.normal(scale=0.3, size=(21, 3)),
-        beta_b=ShapeParams(rng.normal(scale=0.2, size=num_betas)),
+        beta_b=rng.normal(scale=0.2, size=num_betas),
         cam_b=WeakPerspectiveCamera(100.0, np.array([64.0, 64.0])),
     )
 
@@ -24,7 +25,7 @@ def random_hand(rng, side, num_betas=10):
         side=side,
         phi_h=rng.normal(scale=0.8, size=3),
         theta_h=rng.normal(scale=0.3, size=(15, 3)),
-        beta_h=ShapeParams(rng.normal(scale=0.2, size=num_betas)),
+        beta_h=rng.normal(scale=0.2, size=num_betas),
         cam_h=WeakPerspectiveCamera(50.0, np.zeros(2)),
     )
 
@@ -64,7 +65,7 @@ def test_fused_fingers_and_body_copied_verbatim(toy, rng):
     kept = toy.body_joints[1:] != wrist
     np.testing.assert_array_equal(params.pose_w[toy.body_joints[1:][kept]], body.theta_b[kept])
     np.testing.assert_array_equal(params.pose_w[0], body.phi_b)
-    np.testing.assert_array_equal(params.beta_w.beta, body.beta_b.beta)
+    np.testing.assert_array_equal(params.beta_w, body.beta_b)
     assert params.cam_w == body.cam_b
 
 
@@ -81,7 +82,7 @@ def test_fusion_ignores_hand_shape(toy, rng):
     body = random_body(rng)
     left = random_hand(rng, "left")
     [params] = copy_paste(toy, [(body, left, None)])
-    np.testing.assert_array_equal(params.beta_w.beta, body.beta_b.beta)
+    np.testing.assert_array_equal(params.beta_w, body.beta_b)
 
 
 def test_side_mismatch_rejected(toy, rng):
@@ -95,7 +96,7 @@ def test_copy_paste_over_frames_equals_one_frame_calls(toy, rng, monkeypatch):
     near_pi = HandPrediction("right", near_pi.phi_h * (np.pi - 1e-9) / np.linalg.norm(near_pi.phi_h),
                              near_pi.theta_h, near_pi.beta_h, near_pi.cam_h)
     unshaped = random_body(rng)
-    unshaped = BodyPrediction(unshaped.phi_b, unshaped.theta_b, ShapeParams.zeros(10), unshaped.cam_b)
+    unshaped = BodyPrediction(unshaped.phi_b, unshaped.theta_b, np.zeros(10), unshaped.cam_b)
     frames = [
         (random_body(rng), random_hand(rng, "left"), random_hand(rng, "right")),
         (random_body(rng), random_hand(rng, "left"), None),
@@ -110,7 +111,7 @@ def test_copy_paste_over_frames_equals_one_frame_calls(toy, rng, monkeypatch):
         fused = copy_paste(toy, frames)
         assert len(fused) == len(frames)
         for f, s in zip(fused, singles):
-            for a, b in ((f.pose_w, s.pose_w), (f.beta_w.beta, s.beta_w.beta)):
+            for a, b in ((f.pose_w, s.pose_w), (f.beta_w, s.beta_w)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert f.cam_w == s.cam_w
 
@@ -118,7 +119,7 @@ def test_copy_paste_over_frames_equals_one_frame_calls(toy, rng, monkeypatch):
 def test_copy_paste_names_the_frame_it_rejects(toy, rng):
     frames = [(random_body(rng), None, None) for _ in range(3)]
     body = frames[2][0]
-    frames[2] = (BodyPrediction(body.phi_b, body.theta_b, ShapeParams.zeros(9), body.cam_b), None, None)
+    frames[2] = (BodyPrediction(body.phi_b, body.theta_b, np.zeros(9), body.cam_b), None, None)
     with pytest.raises(DimensionError, match="beta must have length 10") as e:
         copy_paste(toy, frames)
     assert e.value.frame == 2
@@ -127,25 +128,42 @@ def test_copy_paste_names_the_frame_it_rejects(toy, rng):
 
 def test_prediction_shape_validation(rng):
     with pytest.raises(DimensionError):
-        BodyPrediction(np.zeros(3), np.zeros((20, 3)), ShapeParams.zeros(10),
+        BodyPrediction(np.zeros(3), np.zeros((20, 3)), np.zeros(10),
                        WeakPerspectiveCamera.identity())
     with pytest.raises(DimensionError):
-        HandPrediction("dorsal", np.zeros(3), np.zeros((15, 3)), ShapeParams.zeros(10),
+        HandPrediction("dorsal", np.zeros(3), np.zeros((15, 3)), np.zeros(10),
                        WeakPerspectiveCamera.identity())
+
+
+RECORDS = {
+    "WholeBodyParams": lambda beta, cam: WholeBodyParams(np.zeros((52, 3)), beta, cam),
+    "BodyPrediction": lambda beta, cam: BodyPrediction(np.zeros(3), np.zeros((21, 3)), beta, cam),
+    "HandPrediction": lambda beta, cam: HandPrediction("left", np.zeros(3), np.zeros((15, 3)),
+                                                       beta, cam),
+}
+
+
+@pytest.mark.parametrize("beta", [np.zeros((2, 10)), np.array([0.0, np.nan, 0.0])],
+                         ids=["2d", "nan"])
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_records_reject_a_beta_that_is_not_a_finite_vector(record, beta):
+    with pytest.raises(DimensionError, match=r"^beta must be a finite 1-D vector$"):
+        RECORDS[record](beta, WeakPerspectiveCamera.identity())
 
 
 def test_params_vector_round_trip(rng):
-    params = WholeBodyParams(rng.normal(size=(52, 3)), ShapeParams(rng.normal(size=10)),
+    params = WholeBodyParams(rng.normal(size=(52, 3)), rng.normal(size=10),
                              WeakPerspectiveCamera(250.0, rng.normal(size=2)))
     vec = params.vector()
     assert vec.shape == (3 + 51 * 3 + 10 + 3,)
     back = WholeBodyParams.from_vector(vec, 10)
-    for a, b in ((params.pose_w, back.pose_w), (params.beta_w.beta, back.beta_w.beta),
+    for a, b in ((params.pose_w, back.pose_w), (params.beta_w, back.beta_w),
                  (params.cam_w.translation, back.cam_w.translation)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert back.cam_w.scale == params.cam_w.scale
     cam = WeakPerspectiveCamera(3.0, np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(params.vector(cam)[-3:], [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(dataclasses.replace(params, cam_w=cam).vector()[-3:],
+                                  [3.0, 1.0, 2.0])
     # split of a batch of rows gives views with leading batch axes
     rows = np.stack([vec, 2.0 * vec])
     parts = WholeBodyParams.split(rows, 10)

@@ -8,18 +8,18 @@ from mocapkit.camera import WeakPerspectiveCamera
 from mocapkit.errors import DimensionError
 from mocapkit.integration import WholeBodyParams
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
-from mocapkit.model import (ParametricModel, ShapeParams, check_pose, pose_joints, pose_mesh,
+from mocapkit.model import (ParametricModel, check_pose, pose_joints, pose_mesh,
                             shape_template)
 from mocapkit.rotations import rodrigues
 
 
 def test_shape_template_zero_beta(toy):
-    np.testing.assert_array_equal(shape_template(toy, ShapeParams.zeros(10)), toy.template_vertices)
+    np.testing.assert_array_equal(shape_template(toy, np.zeros(10)), toy.template_vertices)
 
 
 def test_no_beta_is_the_zero_shape_bit_for_bit(toy, rng):
     pose = rng.normal(scale=0.5, size=(52, 3))
-    zero = ShapeParams.zeros(10)
+    zero = np.zeros(10)
     pairs = [(toy.rest_joints(), toy.rest_joints(zero)),
              (shape_template(toy, None), shape_template(toy, zero)),
              (pose_joints(toy, pose), pose_joints(toy, pose, zero)),
@@ -67,7 +67,7 @@ def test_shape_template_bad_beta(toy):
 
 def test_the_pose_is_the_leading_rows_of_the_flat_vector(toy, rng):
     J = toy.num_joints
-    params = WholeBodyParams(rng.normal(size=(J, 3)), ShapeParams(rng.normal(size=10)),
+    params = WholeBodyParams(rng.normal(size=(J, 3)), rng.normal(size=10),
                              WeakPerspectiveCamera(2.0, rng.normal(size=2)))
     pose = params.pose_w
     assert pose.shape == (J, 3)
@@ -93,7 +93,7 @@ def test_the_non_root_rows_alone_are_not_a_pose(toy, taker, batch):
 
 
 def test_pose_mesh_rest_is_template(toy):
-    v = pose_mesh(toy, np.zeros((toy.num_joints, 3)), ShapeParams.zeros(10))
+    v = pose_mesh(toy, np.zeros((toy.num_joints, 3)), np.zeros(10))
     assert np.abs(v - toy.template_vertices).max() < 1e-12
 
 
@@ -151,9 +151,9 @@ def test_batched_pose_joints_match_regressed_mesh(toy, rng, extra):
     betas = rng.normal(scale=0.5, size=(batch, model.num_betas))
     singles = list(pose)
     for beta in (betas, betas[0]):
-        expected = [model.joint_regressor @ pose_mesh(model, p, ShapeParams(bb))
+        expected = [model.joint_regressor @ pose_mesh(model, p, bb)
                     for p, bb in zip(singles, np.broadcast_to(beta, betas.shape))]
         np.testing.assert_allclose(pose_joints(model, pose, beta), expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pose_joints(model, singles[1], ShapeParams(betas[1])),
+    np.testing.assert_allclose(pose_joints(model, singles[1], betas[1]),
                                model.joint_regressor @ pose_mesh(model, singles[1], betas[1]),
                                rtol=0, atol=1e-12)

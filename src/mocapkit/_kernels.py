@@ -21,7 +21,7 @@ The kernels are vectorised numpy:
   ``parents`` array and cached;
 * skinning blends the per-joint transforms with (N, J) @ (..., J, 3) GEMMs,
   one for the translations and one per rotation column, each column scaled
-  by the matching vertex coordinate.
+  by the matching vertex coordinate in one reused scratch array.
 
 `tests/test_kernels.py` holds plain-loop references that pose one unbatched
 input, and checks the kernels against them to 1e-12.
@@ -161,10 +161,14 @@ def lbs(weights, vertices, world_rots, world_trans):
     result (..., N, 3); ``vertices`` is (N, 3) or (..., N, 3) with the same
     leading axes.  The transforms are blended one rotation column at a time:
     column c of every vertex's blended 3x3 is one (N, J) @ (..., J, 3) GEMM,
-    which scales that vertex's coordinate c, so no (..., N, 3, 3) blend is
-    ever held in memory.
+    which scales that vertex's coordinate c.  The three columns share one
+    scratch array the size of the result, so skinning holds the input, the
+    result and that scratch, and no (..., N, 3, 3) blend.
     """
     out = weights @ world_trans
+    scratch = np.empty_like(out)
     for c in range(3):
-        out += (weights @ world_rots[..., c]) * vertices[..., c, None]
+        np.matmul(weights, world_rots[..., c], out=scratch)
+        scratch *= vertices[..., c, None]
+        out += scratch
     return out

@@ -48,7 +48,8 @@ class BlurKernel:
 
 def rescale_keypoints(joints3d, reference_knuckle_length):
     """Uniformly scale hand joints about the wrist so the middle-finger knuckle
-    bone matches the reference length."""
+    bone matches the reference length.  A scale or a rescaled point beyond
+    float range raises a DimensionError."""
     if not 0 < reference_knuckle_length < np.inf:
         raise DimensionError("reference knuckle length must be positive and finite")
     joints3d = np.asarray(joints3d, dtype=np.float64)
@@ -58,12 +59,18 @@ def rescale_keypoints(joints3d, reference_knuckle_length):
     if len(joints3d) <= max(a, b):
         raise DimensionError(f"rescaling needs knuckle joints {a} and {b}; "
                              f"got {len(joints3d)} joints")
-    length = np.linalg.norm(joints3d[a] - joints3d[b])
-    if length < 1e-9:
-        raise DegenerateKeypointsError("knuckle joints are coincident")
-    scale = reference_knuckle_length / length
-    wrist = joints3d[0]
-    return wrist + scale * (joints3d - wrist)
+    # Overflow is caught by the finiteness check below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        length = np.linalg.norm(joints3d[a] - joints3d[b])
+        if length < 1e-9:
+            raise DegenerateKeypointsError("knuckle joints are coincident")
+        scale = reference_knuckle_length / length
+        wrist = joints3d[0]
+        out = wrist + scale * (joints3d - wrist)
+    if not (np.isfinite(length) and np.isfinite(scale) and np.isfinite(out).all()):
+        raise DimensionError(f"rescaling to knuckle length {reference_knuckle_length!r} "
+                             "gives points that are not finite")
+    return out
 
 
 def reorder_joints(joints, joint_map):

@@ -32,8 +32,9 @@ JOINTS_FORMAT = "mocapkit-joints"
 
 
 def canonical_dumps(doc):
-    """``json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\\n"``,
-    byte for byte.
+    """``json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": "),
+    allow_nan=False) + "\\n"``, byte for byte: a NaN or an infinity raises a
+    ValueError, as it is not JSON.
 
     With `indent` set, `json` lays the text out with its pure-Python encoder.
     Here Python walks only the dicts and the lists that hold containers, and
@@ -62,17 +63,17 @@ def _dumps(value, newline):
         # One call lays out every key and scalar value.  The encoder escapes
         # line breaks in strings, so a raw one is its item separator.
         entries = json.dumps({k: None if isinstance(v, _CONTAINERS) else v for k, v in items},
-                             separators=("\n", ": "))[1:-1].split("\n")
+                             separators=("\n", ": "), allow_nan=False)[1:-1].split("\n")
         body = ("," + inner).join(e[:-len("null")] + _dumps(v, inner)
                                   if isinstance(v, _CONTAINERS) else e
                                   for e, (_, v) in zip(entries, items))
         return f"{{{inner}{body}{newline}}}"
     if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
+        return json.dumps(value, allow_nan=False)
     if not value:
         return "[]"
     if _scalars(value):
-        text = json.dumps(value, separators=("," + inner, ": "))
+        text = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)
         return f"[{inner}{text[1:-1]}{newline}]"
     # A first row that holds containers would only waste the encoder's call.
     if all(issubclass(k, (list, tuple)) for k in set(map(type, value))) and _scalars(value[0]):
@@ -81,7 +82,7 @@ def _dumps(value, newline):
         # "{" none holds a dict.  Strings hold no raw line break, so the row
         # separator below is found between rows alone.
         deeper = inner + " "
-        text = json.dumps(value, separators=("," + deeper, ": "))
+        text = json.dumps(value, separators=("," + deeper, ": "), allow_nan=False)
         if "{" not in text and "[]" not in text and text.count("[") == len(value) + 1:
             rows = text[2:-2].replace(f"],{deeper}[", f"{inner}],{inner}[{deeper}")
             return f"[{inner}[{deeper}{rows}{inner}]{newline}]"
@@ -90,8 +91,15 @@ def _dumps(value, newline):
 
 
 def write_json(path, doc):
+    """Write `doc` to the file `path` as `canonical_dumps` lays it out.  A
+    non-finite number raises a SchemaError naming `path`, and then no file
+    is opened."""
+    try:
+        text = canonical_dumps(doc)
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from e
     with open(path, "w", encoding="utf-8") as f:
-        f.write(canonical_dumps(doc))
+        f.write(text)
 
 
 @contextlib.contextmanager

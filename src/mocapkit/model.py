@@ -94,8 +94,7 @@ class ParametricModel:
 
     def rest_joints(self, beta=None):
         """Skeleton joint rest positions (..., J, 3); `beta` as in `shape_template`."""
-        rest, basis = self.rest_blend
-        return rest + _blend(basis, beta_array(self, beta))
+        return _blend(*self.rest_blend, beta_array(self, beta))
 
     @functools.cached_property
     def rest_blend(self):
@@ -164,8 +163,10 @@ class JointFold:
     @staticmethod
     def of(model):
         reg, W = model.joint_regressor, model.skin_weights
-        k, j = np.nonzero((reg != 0).astype(np.float64) @ (W != 0).astype(np.float64))
-        mix = reg[k] * W[:, j].T                       # (P, N)
+        # float32 counts of shared vertices are exact below 2**24 vertices.
+        k, j = np.nonzero((reg != 0).astype(np.float32) @ (W != 0).astype(np.float32))
+        mix = reg[k]                                   # (P, N)
+        mix *= W[:, j].T
         return JointFold(
             weights=np.eye(W.shape[1])[j],
             vertices=mix @ model.template_vertices,
@@ -179,7 +180,7 @@ class JointFold:
 
     def shaped(self, beta):
         """Virtual vertices (..., P, 3) at shape coefficients `beta` (..., B)."""
-        return self.vertices + _blend(self.vertex_basis, beta)
+        return _blend(self.vertices, self.vertex_basis, beta)
 
     def terms(self, vertices, rots, trans):
         """Pair terms ``R_j U_p + C_kj t_j`` (..., P, 3) of virtual vertices U
@@ -189,11 +190,14 @@ class JointFold:
                 + (self.pair_blend[:, None] - 1.0) * trans.take(self.pair_bone, axis=-2))
 
 
-def _blend(basis, beta):
-    """``sum_b beta[..., b] basis[b]`` for a basis (B, ...): one matrix-vector
-    product per leading index of `beta`, so each has the bits of a (B,) call."""
+def _blend(base, basis, beta):
+    """``base + sum_b beta[..., b] basis[b]`` for a basis (B, ...): one
+    matrix-vector product per leading index of `beta`, so each has the bits
+    of a (B,) call, and `base` added into it in place."""
     flat = basis.reshape(basis.shape[0], -1)
-    return (beta[..., None, :] @ flat)[..., 0, :].reshape(beta.shape[:-1] + basis.shape[1:])
+    out = (beta[..., None, :] @ flat)[..., 0, :].reshape(beta.shape[:-1] + basis.shape[1:])
+    out += base
+    return out
 
 
 def beta_array(model, beta):
@@ -211,8 +215,8 @@ def shape_template(model, beta):
 
     `beta` is None or an array (..., B); see `_blend`.
     """
-    beta = beta_array(model, beta)
-    return model.template_vertices + _blend(np.moveaxis(model.shape_basis, -1, 0), beta)
+    return _blend(model.template_vertices, np.moveaxis(model.shape_basis, -1, 0),
+                  beta_array(model, beta))
 
 
 def check_pose(model, pose, beta=None):

@@ -1,9 +1,18 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from mocapkit.toymodel import gen_toy_model
+
+
+def write_input(path, doc):
+    """Write the input document `doc` in the layout of `formats.write_json`,
+    with NaN and infinities as Python's json writes and reads them: the
+    writers refuse them, and the tests that call this check the readers."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import write_input
 
 import mocapkit
 from mocapkit import fitting, formats
@@ -28,7 +29,7 @@ def asset(tmp_path):
 
 def params_file(tmp_path, model, name, frames):
     path = tmp_path / name
-    formats.write_json(path, formats.params_to_doc(frames))
+    write_input(path, formats.params_to_doc(frames))
     return path
 
 
@@ -255,7 +256,7 @@ def test_integrate_checks_every_frame_before_writing(asset, tmp_path, capsys, rn
     doc = formats.predictions_to_doc(frames)
     spoil(doc["frames"][-1])
     pred_path, out = tmp_path / "pred.json", tmp_path / "fused.json"
-    formats.write_json(pred_path, doc)
+    write_input(pred_path, doc)
     assert main(["integrate", str(asset), str(pred_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": kind, "message": f"frame {frames[-1][0]}: {message}"}
@@ -429,7 +430,7 @@ def test_fit_rejects_non_finite_keypoint_naming_frame_and_joint(asset, tmp_path,
     bad = pts.copy()
     bad[11, 0] = np.nan
     kp_path = tmp_path / "kp.json"
-    formats.write_json(kp_path, formats.keypoints_to_doc([(3, pts, None), (4, bad, None)]))
+    write_input(kp_path, formats.keypoints_to_doc([(3, pts, None), (4, bad, None)]))
     assert "NaN" in kp_path.read_text()
     init_path = params_file(tmp_path, model, "init.json", [(3, params, None), (4, params, None)])
     assert main(["fit", str(asset), str(init_path), str(kp_path), str(tmp_path / "fit.json")]) == 2
@@ -609,7 +610,7 @@ def test_pose_rejects_an_invalid_model_asset(asset, tmp_path, capsys, fault):
         parent = parent[key]
     parent[path[-1]] = spoil(parent[path[-1]])
     bad = tmp_path / "bad.json"
-    formats.write_json(bad, doc)
+    write_input(bad, doc)
     params = params_file(tmp_path, None, "params.json",
                          [(0, WholeBodyParams.identity(formats.load_model(asset)), None)])
     out = tmp_path / "joints.json"
@@ -826,6 +827,20 @@ def test_a_spoilt_field_exits_0_or_2_with_a_json_error(sweep_inputs, tmp_path, c
     if code == 2:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
         assert sorted(err) == ["message", "type"]
+    else:
+        # What a command accepts it writes as strict JSON that its own reader takes.
+        with open(out, encoding="utf-8") as f:
+            json.load(f, parse_constant=_refuse_constant)
+        doc = formats.read_json(out)
+        reader = {"fit": formats.params_from_doc, "pose": formats.joints_from_doc,
+                  "integrate": formats.params_from_doc, "eval": dict,
+                  "prep": formats.keypoints_from_doc,
+                  "prep_3d": formats.keypoints_from_doc}[command]
+        assert reader(doc)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"the output holds {name}, which is not JSON")
 
 
 def test_pose_an_asset_without_faces(asset, tmp_path):
@@ -967,6 +982,12 @@ PREP_FAULTS = {
                        ("DimensionError", "joint 5: keypoint or confidence is not finite")),
     "confidence_above_one": ({"flip_width": 100.0}, 2, (np.ones((6, 2)), np.full(6, 7.0)),
                              ("DimensionError", "confidences must lie in [0, 1]")),
+    # knuckle joints 4 and 5 1e-5 apart: the scale overflows to infinity
+    "rescale_beyond_float": ({"rescale_reference": 1e308}, 3,
+                             np.vstack([np.zeros((4, 3)), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.00001]],
+                                        np.ones((15, 3))]),
+                             ("DimensionError", "rescaling to knuckle length 1e+308 gives points "
+                                                "that are not finite")),
 }
 
 
@@ -976,7 +997,7 @@ def test_prep_error_names_the_frame(tmp_path, capsys, rng, fault):
     bad_points, bad_conf = bad if isinstance(bad, tuple) else (bad, None)
     good = rng.uniform(0, 100, size=(6, dim))
     kp_path = tmp_path / "kp.json"
-    formats.write_json(kp_path, formats.keypoints_to_doc(
+    write_input(kp_path, formats.keypoints_to_doc(
         [(0, good, None), (4, good, None), (9, bad_points, bad_conf)]))
     config_path = tmp_path / "config.json"
     formats.write_json(config_path, config)
@@ -1021,7 +1042,7 @@ def test_prep_rejects_a_bad_config_naming_the_field(tmp_path, capsys, rng, case)
     kp_path = tmp_path / "kp.json"
     formats.write_json(kp_path, formats.keypoints_to_doc([(0, rng.uniform(0, 100, size=(2, dim)), None)]))
     config_path = tmp_path / "config.json"
-    formats.write_json(config_path, config)
+    write_input(config_path, config)
     out = tmp_path / "out.json"
     assert main(["prep", str(kp_path), str(config_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
@@ -1083,8 +1104,8 @@ EVAL_FAULTS = {
 def test_eval_rejects_frames_it_cannot_stack(tmp_path, capsys, fault):
     pred, gt, message = EVAL_FAULTS[fault]
     pred_path, gt_path = tmp_path / "pred.json", tmp_path / "gt.json"
-    formats.write_json(pred_path, formats.joints_to_doc(pred))
-    formats.write_json(gt_path, formats.joints_to_doc(gt))
+    write_input(pred_path, formats.joints_to_doc(pred))
+    write_input(gt_path, formats.joints_to_doc(gt))
     out = tmp_path / "report.json"
     assert main(["eval", str(pred_path), str(gt_path), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)["error"]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_input
 
 from mocapkit import formats
 from mocapkit.camera import WeakPerspectiveCamera, project
@@ -412,7 +413,7 @@ def test_an_invalid_asset_writes_no_sidecar(toy, tmp_path):
     # The sidecar of the valid asset does not stand in for the edited one.
     doc = formats.read_json(path)
     doc["vertices"][2][0] = float("nan")
-    formats.write_json(path, doc)
+    write_input(path, doc)
     for _ in range(2):
         with pytest.raises(SchemaError, match=r"^invalid model asset: vertices must be finite$"):
             formats.load_model(path)
@@ -473,7 +474,8 @@ def test_pose_obj_files_match_the_row_writer(toy, tmp_path, rng):
 
 def _stdlib_dumps(doc):
     """The layout `canonical_dumps` reproduces, from the standard library."""
-    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": "),
+                      allow_nan=False) + "\n"
 
 
 SCALARS = [0, -7, 2 ** 70, -(2 ** 70), True, False, None, 0.5, -0.0, 5e-324, 1e22, 0.1 + 0.2,
@@ -513,12 +515,37 @@ EDGE_DOCS = [
 ]
 
 
+def _finite(doc):
+    """`doc` with each NaN and infinity, as a key or a value, replaced by a
+    finite float that no other scalar of `_random_doc` takes."""
+    if isinstance(doc, float) and not np.isfinite(doc):
+        return -1.25e-7 if doc < 0 else 3.5e-7
+    if isinstance(doc, dict):
+        return {_finite(k): _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_finite, doc))
+    return doc
+
+
+def _assert_stdlib_layout(doc, label):
+    """`canonical_dumps` lays `doc` out as the standard library does, and
+    refuses it exactly when that refuses a NaN or an infinity in it; the
+    layout is then compared on `doc` made finite."""
+    try:
+        expected = _stdlib_dumps(doc)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            formats.canonical_dumps(doc)
+        doc = _finite(doc)
+        expected = _stdlib_dumps(doc)
+    assert formats.canonical_dumps(doc) == expected, label
+
+
 def test_canonical_dumps_is_the_stdlib_layout():
     for doc in EDGE_DOCS + SCALARS:
-        assert formats.canonical_dumps(doc) == _stdlib_dumps(doc), doc
+        _assert_stdlib_layout(doc, doc)
     for seed in range(300):
-        doc = _random_doc(np.random.default_rng(seed), depth=4)
-        assert formats.canonical_dumps(doc) == _stdlib_dumps(doc), seed
+        _assert_stdlib_layout(_random_doc(np.random.default_rng(seed), depth=4), seed)
 
 
 def test_every_cli_document_is_the_stdlib_layout(tmp_path, rng):
@@ -569,6 +596,19 @@ def test_canonical_dumps_rejects_what_json_rejects(bad):
             _stdlib_dumps(doc)
         with pytest.raises(TypeError):
             formats.canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_write_json_refuses_a_non_finite_number_and_writes_nothing(tmp_path, bad):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    formats.write_json(old, {"a": [1.0]})
+    before = old.read_bytes()
+    for path in (new, old):
+        for doc in ({"a": bad}, {"a": [[1.0, bad]]}, [{"b": [bad]}], {bad: 1}):
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: .*not JSON compliant"):
+                formats.write_json(path, doc)
+    assert not new.exists()
+    assert old.read_bytes() == before
 
 
 def test_canonical_dumps_sorted_keys():

@@ -167,6 +167,19 @@ def test_lbs_paths_agree(rng):
                                _lbs_loops(w, verts, rots, trans), rtol=0, atol=1e-12)
 
 
+def test_lbs_has_the_bits_of_summing_fresh_column_products(rng):
+    # Reusing one scratch array for the rotation columns changes no bit.
+    w = rng.uniform(size=(40, 6))
+    w /= w.sum(axis=1, keepdims=True)
+    rots = _kernels.rodrigues_batch(rng.normal(size=(3, 6, 3)))
+    trans = rng.normal(size=(3, 6, 3))
+    for verts in (rng.normal(size=(3, 40, 3)), rng.normal(size=(40, 3))):
+        expected = w @ trans
+        for c in range(3):
+            expected += (w @ rots[..., c]) * verts[..., c, None]
+        assert _kernels.lbs(w, verts, rots, trans).tobytes() == expected.tobytes()
+
+
 def _random_deep_tree(rng, n):
     """Random topological tree of depth > 2 in which some joint has > 1 child."""
     parents = np.array([-1, 0, 0, 1, 3] + [int(rng.integers(0, j)) for j in range(5, n)])

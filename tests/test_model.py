@@ -1,16 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import signed_regressor
+from mocapkit import _kernels
 from mocapkit.camera import WeakPerspectiveCamera
 from mocapkit.errors import DimensionError
 from mocapkit.integration import WholeBodyParams
 from mocapkit.kinematics import SkeletonTree, forward_kinematics
-from mocapkit.model import (ParametricModel, check_pose, pose_joints, pose_mesh,
+from mocapkit.model import (JointFold, ParametricModel, check_pose, pose_joints, pose_mesh,
                             shape_template)
 from mocapkit.rotations import rodrigues
+from mocapkit.toymodel import gen_toy_model
 
 
 def test_shape_template_zero_beta(toy):
@@ -157,3 +160,74 @@ def test_batched_pose_joints_match_regressed_mesh(toy, rng, extra):
     np.testing.assert_allclose(pose_joints(model, singles[1], betas[1]),
                                model.joint_regressor @ pose_mesh(model, singles[1], betas[1]),
                                rtol=0, atol=1e-12)
+
+
+def test_the_fold_pairs_are_the_overlapping_supports(toy):
+    # Pair (k, j) exists when some vertex is in regressor row k and skinned
+    # to bone j; its virtual vertices have the bits of the (P, N) mix product.
+    for model in (toy, gen_toy_model(seed=0, size_class="large")):
+        reg, W = model.joint_regressor, model.skin_weights
+        fold = JointFold.of(model)
+        overlap = ((reg != 0)[:, :, None] & (W != 0)[None]).any(axis=1)
+        np.testing.assert_array_equal(fold.pair_joint, np.nonzero(overlap)[0])
+        np.testing.assert_array_equal(fold.pair_bone, np.nonzero(overlap)[1])
+        mix = reg[fold.pair_joint] * W[:, fold.pair_bone].T
+        assert fold.vertices.tobytes() == (mix @ model.template_vertices).tobytes()
+
+
+# The posing kernels run in a fixed working set.  numpy reports its array
+# buffers to tracemalloc, so these peaks repeat exactly.  SLACK covers
+# numpy's iteration buffers (8192 items, 64 KiB) and small objects; one
+# (64, N, 3) array of the large toy asset is 0.97 MB.
+SLACK = 192 * 1024
+
+
+def _peak_bytes(fn, *args):
+    """The result of ``fn(*args)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_batch():
+    """The large toy asset, warmed, with 64 frames of poses and shapes."""
+    model = gen_toy_model(seed=0, size_class="large")
+    rng = np.random.default_rng(3)
+    pose = rng.normal(scale=0.3, size=(64, model.num_joints, 3))
+    beta = rng.normal(size=(64, model.num_betas))
+    pose_mesh(model, pose, beta)
+    return model, pose, beta
+
+
+def test_skinning_holds_its_output_and_one_scratch(large_batch):
+    model, pose, beta = large_batch
+    shaped = shape_template(model, beta)
+    rots, trans = forward_kinematics(model.tree, model.rest_joints(beta), pose)
+    out, peak = _peak_bytes(_kernels.lbs, model.skin_weights, shaped, rots, trans)
+    assert peak <= 2 * out.nbytes + SLACK
+
+
+def test_batched_shape_blend_holds_its_output_alone(large_batch):
+    model, _, beta = large_batch
+    out, peak = _peak_bytes(shape_template, model, beta)
+    assert out.shape == (64, model.num_vertices, 3)
+    assert peak <= out.nbytes + SLACK
+
+
+def test_posing_a_group_holds_three_vertex_arrays_and_its_fk(large_batch):
+    model, pose, beta = large_batch
+    rots, trans = forward_kinematics(model.tree, model.rest_joints(beta), pose)
+    out, peak = _peak_bytes(pose_mesh, model, pose, beta)
+    assert peak <= 3 * out.nbytes + rots.nbytes + trans.nbytes + SLACK
+
+
+def test_the_joint_fold_holds_two_mix_arrays_and_the_masks(toy):
+    # On the small asset a (P, N) product is below the 256 KiB from which
+    # numpy reuses a temporary operand as its output.
+    reg, W = toy.joint_regressor, toy.skin_weights
+    fold, peak = _peak_bytes(JointFold.of, toy)
+    mix_bytes = fold.pair_joint.size * toy.num_vertices * 8
+    assert peak <= 2 * mix_bytes + 4 * (reg.size + W.size)
